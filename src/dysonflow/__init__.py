@@ -30,6 +30,7 @@ from .metric import (
     metric_rhs,
     positivity_margin,
     static_metric,
+    zeta_coefficients,
     zeta_metric,
 )
 from .propagate import (
@@ -51,6 +52,7 @@ from .su2 import (
     complex2x2,
     eigensystem,
     hermitian_sqrt,
+    hermitian_sqrt_derivative,
     hermiticity_residual,
     pauli_compose,
     pauli_decompose,
@@ -87,6 +89,7 @@ __all__ = [
     "complex2x2",
     "eigensystem",
     "hermitian_sqrt",
+    "hermitian_sqrt_derivative",
     "hermiticity_residual",
     "pauli_compose",
     "pauli_decompose",
@@ -100,6 +103,7 @@ __all__ = [
     "metric_rhs",
     "positivity_margin",
     "static_metric",
+    "zeta_coefficients",
     "zeta_metric",
     "DysonSample",
     "DysonSeries",

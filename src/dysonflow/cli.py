@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .dyson import (
-    DysonSample,
     dyson_from_metric,
     hermitian_counterpart,
     invert_dyson_map,
@@ -38,12 +37,14 @@ from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
     integrate_metric,
+    metric_rhs,
     positivity_margin,
+    zeta_coefficients,
     zeta_metric,
 )
 from .propagate import propagator_series
 from .series import IntegrationGrid
-from .su2 import IDENTITY, hermitian_sqrt
+from .su2 import IDENTITY, PAULIS, hermitian_sqrt, hermitian_sqrt_derivative
 from .yang_lee import (
     YangLeeParams,
     basis_states,
@@ -346,7 +347,7 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     rho_dot = np.stack([rho_closed_dot(t, p) for t in ts])
     dyson_samples = [eta_closed(t, p) for t in ts]
     eta = np.stack([s.eta for s in dyson_samples])
-    h = np.stack([rabi_h(t, p) for t in ts])
+    h = rabi_h(ts, p)
     u = np.stack([u_closed(t, p) for t in ts])
     h_tilde = np.stack([physical_hamiltonian(h1m, s) for s in dyson_samples])
     psi_p = np.stack([psi_pm(t, +1, p) for t in ts])
@@ -476,31 +477,31 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     beta_z = 0.5 * (rho[:, 0, 0] - rho[:, 1, 1]).real
     series["metric"] = (
         ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-        [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
+        lambda: [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
     )
     series["dyson"] = (
         _matrix_header("eta"),
-        [[ts[i]] + _matrix_row(eta[i]) for i in range(n)],
+        lambda: [[ts[i]] + _matrix_row(eta[i]) for i in range(n)],
     )
     series["hermitian_h"] = (
         _matrix_header("h"),
-        [[ts[i]] + _matrix_row(h[i]) for i in range(n)],
+        lambda: [[ts[i]] + _matrix_row(h[i]) for i in range(n)],
     )
     series["propagator"] = (
         _matrix_header("u"),
-        [[ts[i]] + _matrix_row(u[i]) for i in range(n)],
+        lambda: [[ts[i]] + _matrix_row(u[i]) for i in range(n)],
     )
     series["states"] = (
         _state_header("phi1") + _state_header("phi2"),
-        [[ts[i]] + _state_row(u[i] @ e1) + _state_row(u[i] @ e2) for i in range(n)],
+        lambda: [[ts[i]] + _state_row(u[i] @ e1) + _state_row(u[i] @ e2) for i in range(n)],
     )
     series["energies"] = (
         ["E_plus", "E_minus"],
-        [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
+        lambda: [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
     )
     series["invariants"] = (
         ["det_deviation", "eta_sq_residual", "h_hermiticity", "htilde_quasi_hermiticity", "u_unitarity"],
-        [
+        lambda: [
             [
                 ts[i],
                 abs(dets[i] - det_ref),
@@ -534,7 +535,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
 
     rho_ref = np.stack([rho_closed(t, p) for t in ts])
     eta_ref = np.stack([eta_closed(t, p).eta for t in ts])
-    h_ref = np.stack([rabi_h(t, p) for t in ts])
+    h_ref = rabi_h(ts, p)
     u_anchor = u_closed(grid.t_start, p)
     u_ref = np.stack([u_closed(t, p) @ u_anchor.conj().T for t in ts])
 
@@ -591,18 +592,18 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
     series = {
         "metric": (
             ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-            [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
+            lambda: [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
         ),
-        "dyson": (_matrix_header("eta"), [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
-        "hermitian_h": (_matrix_header("h"), [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
-        "propagator": (_matrix_header("u"), [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)]),
+        "dyson": (_matrix_header("eta"), lambda: [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
+        "hermitian_h": (_matrix_header("h"), lambda: [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
+        "propagator": (_matrix_header("u"), lambda: [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)]),
         "states": (
             _state_header("phi1") + _state_header("phi2"),
-            [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
+            lambda: [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
         ),
         "energies": (
             ["E_plus", "E_minus"],
-            [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
+            lambda: [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
         ),
         "invariants": (
             [
@@ -614,7 +615,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
                 "u_unitarity",
                 "htilde_quasi_hermiticity",
             ],
-            [
+            lambda: [
                 [
                     ts[i],
                     dev_metric[i],
@@ -718,16 +719,16 @@ def _su2_generic(cfg: ScenarioConfig):
     series = {
         "metric": (
             ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-            [
+            lambda: [
                 [ts[i], states[i].alpha] + list(states[i].beta_vec) + [dets[i]]
                 for i in range(n)
             ],
         ),
-        "dyson": (_matrix_header("eta"), [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
-        "hermitian_h": (_matrix_header("h"), [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
+        "dyson": (_matrix_header("eta"), lambda: [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
+        "hermitian_h": (_matrix_header("h"), lambda: [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
         "invariants": (
             ["metric_vs_closed", "det_deviation", "eta_sq_residual", "h_hermiticity", "htilde_quasi_hermiticity"],
-            [
+            lambda: [
                 [
                     ts[i],
                     dev_metric[i],
@@ -746,17 +747,17 @@ def _su2_generic(cfg: ScenarioConfig):
         u_num = u_series.samples
         series["propagator"] = (
             _matrix_header("u"),
-            [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)],
+            lambda: [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)],
         )
         series["states"] = (
             _state_header("phi1") + _state_header("phi2"),
-            [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
+            lambda: [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
         )
         e_1 = np.einsum("ni,nij,nj->n", u_num[:, :, 0].conj(), h_num, u_num[:, :, 0]).real
         e_2 = np.einsum("ni,nij,nj->n", u_num[:, :, 1].conj(), h_num, u_num[:, :, 1]).real
         series["energies"] = (
             ["E_1", "E_2"],
-            [[ts[i], e_1[i], e_2[i]] for i in range(n)],
+            lambda: [[ts[i], e_1[i], e_2[i]] for i in range(n)],
         )
         uhu = np.conj(np.swapaxes(u_num, 1, 2)) @ u_num - IDENTITY[None, :, :]
         checks.append(Check("u_unitary", float(np.max(np.linalg.norm(uhu, axis=(1, 2)))), 1e-9))
@@ -764,16 +765,24 @@ def _su2_generic(cfg: ScenarioConfig):
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
-def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants, fd: float = 1e-6):
-    """Continuous-t Hermitian Hamiltonian source from the closed-form metric."""
+def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
+    """Exact Hermitian Hamiltonian source of the closed-form metric, batched in t.
+
+    Given a 1-D array of times, the source evaluates the zeta_metric
+    coefficients at all of them and returns the (m, 2, 2) stack of
+    h = (eta H + i eta_dot) eta^-1. rho_dot is the flow -i (H^dag rho - rho H)
+    itself, eta = sqrt(rho) the closed-form root and eta_dot its analytic
+    derivative, the solution of eta X + X eta = rho_dot; no step is a finite
+    difference.
+    """
     hm = h.matrix()
 
     def source(t):
-        eta = hermitian_sqrt(zeta_metric(t, h, zeta).matrix())
-        eta_p = hermitian_sqrt(zeta_metric(t + fd, h, zeta).matrix())
-        eta_m = hermitian_sqrt(zeta_metric(t - fd, h, zeta).matrix())
-        sample = DysonSample(t=t, eta=eta, eta_dot=(eta_p - eta_m) / (2.0 * fd))
-        return hermitian_counterpart(hm, sample)
+        alpha, beta = zeta_coefficients(t, h, zeta)
+        rho = alpha[:, None, None] * IDENTITY + np.einsum("nj,jkl->nkl", beta, PAULIS)
+        eta = hermitian_sqrt(rho)
+        eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
+        return (eta @ hm + 1j * eta_dot) @ np.linalg.inv(eta)
 
     return source
 
@@ -790,7 +799,11 @@ _PIPELINES = {
 
 
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
-    """Execute a scenario, optionally writing requested series plus report.json."""
+    """Execute a scenario, optionally writing requested series plus report.json.
+
+    Pipelines return each series as (header, build_rows); rows are built
+    only for the requested outputs, one series at a time, as it is written.
+    """
     report, series = _PIPELINES[cfg.scenario](cfg)
     written = []
     if write_files:
@@ -799,8 +812,8 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
         for name in cfg.outputs:
             if name not in series:
                 continue
-            header, rows = series[name]
-            written.append(_write_series(out_dir, name, header, rows, cfg))
+            header, build_rows = series[name]
+            written.append(_write_series(out_dir, name, header, build_rows(), cfg))
         report_path = out_dir / "report.json"
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(

@@ -94,6 +94,7 @@ def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
 def dyson_from_metric(metric_series) -> DysonSeries:
     """Hermitian Dyson maps eta = sqrt(rho) for a positive-definite metric series.
 
+    One closed-form hermitian_sqrt call roots the whole sample stack.
     eta_dot comes from fourth-order finite differences on the sampled family,
     one-sided at the endpoints; callers with an analytic derivative should
     prefer it. Accepts a TimeSeries of matrices or a MetricFlow.
@@ -104,16 +105,15 @@ def dyson_from_metric(metric_series) -> DysonSeries:
         metric_series = metric_series.series
     if not isinstance(metric_series, TimeSeries):
         raise TypeError("expected a TimeSeries or MetricFlow of metric samples")
-    n = len(metric_series)
-    eta = np.empty((n, 2, 2), dtype=complex)
-    for i in range(n):
-        t_i = metric_series.t0 + i * metric_series.dt
-        try:
-            eta[i] = hermitian_sqrt(metric_series[i])
-        except (NotHermitian, NotPositiveDefinite) as exc:
-            raise NotPositiveDefinite(
-                f"metric sample at t = {t_i:.9g} is not a valid metric: {exc}", t=t_i
-            ) from exc
+    if metric_series.samples.shape[1:] != (2, 2):
+        raise ValueError(f"expected (n, 2, 2) metric samples, got {metric_series.samples.shape}")
+    try:
+        eta = hermitian_sqrt(metric_series.samples)
+    except (NotHermitian, NotPositiveDefinite) as exc:
+        t_i = metric_series.t0 + exc.index * metric_series.dt
+        raise NotPositiveDefinite(
+            f"metric sample at t = {t_i:.9g} is not a valid metric: {exc}", t=t_i
+        ) from exc
     eta_dot = fourth_order_derivative(eta, metric_series.dt)
     return DysonSeries(t0=metric_series.t0, dt=metric_series.dt, eta=eta, eta_dot=eta_dot)
 

@@ -6,19 +6,28 @@ class DysonflowError(Exception):
 
 
 class NotHermitian(DysonflowError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
+    """A matrix required to be Hermitian is not, beyond tolerance.
+
+    When the matrix is one of a stack, ``index`` carries its position.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotPositiveDefinite(DysonflowError):
     """A matrix required to be positive definite is not.
 
     When the failure occurs inside a time series, ``t`` carries the
-    offending sample time.
+    offending sample time; inside a stack of matrices, ``index`` carries
+    its position.
     """
 
-    def __init__(self, message, t=None):
+    def __init__(self, message, t=None, index=None):
         super().__init__(message)
         self.t = t
+        self.index = index
 
 
 class NonDiagonalizable(DysonflowError):

@@ -34,6 +34,7 @@ from .su2 import (
     IDENTITY,
     PAULIS,
     complex2x2,
+    complex2x2_stack,
     hermiticity_residual,
     pauli_decompose,
 )
@@ -162,6 +163,27 @@ def static_metric(h: SU2Hamiltonian, alpha: float, nu: float) -> MetricState:
     return state
 
 
+def zeta_coefficients(t, h: SU2Hamiltonian, c: ZetaConstants):
+    """Coefficients (alpha, beta) of zeta_metric at scalar or array ``t``.
+
+    alpha has the shape of ``t`` and beta that shape plus a trailing 3.
+    """
+    k2, l2 = _require_flow_solvable(h, need_real_frequency=True)
+    phi = math.sqrt(k2 - l2)
+    t = np.asarray(t, dtype=float)
+    s, co = np.sin(phi * t), np.cos(phi * t)
+    z1 = c.c4
+    z2 = c.c1 * s + c.c2 * co
+    z3 = -(c.c1 / phi) * co + (c.c2 / phi) * s + c.c3
+    alpha = (c.c1 * k2 / phi - c.c1 * phi) * co + (c.c2 * phi - c.c2 * k2 / phi) * s - c.c3 * k2
+    beta = (
+        z1 * h.kappa_vec
+        + z2[..., None] * h.lambda_vec
+        + z3[..., None] * np.cross(h.kappa_vec, h.lambda_vec)
+    )
+    return alpha, beta
+
+
 def zeta_metric(t: float, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
     """Closed-form oscillatory metric for lambda0 = 0 and k.l = 0.
 
@@ -177,21 +199,18 @@ def zeta_metric(t: float, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
     c1 = c2 = 0 freezes the time dependence and reproduces static_metric
     with alpha = -c3 |k|^2, nu = c4. det rho is conserved along the family:
     det = c3^2 |k|^2 phi^2 - c4^2 |k|^2 - |l|^2 (c1^2 + c2^2).
+    zeta_coefficients evaluates the same family over an array of times.
     """
-    k2, l2 = _require_flow_solvable(h, need_real_frequency=True)
-    phi = math.sqrt(k2 - l2)
-    s, co = math.sin(phi * t), math.cos(phi * t)
-    z1 = c.c4
-    z2 = c.c1 * s + c.c2 * co
-    z3 = -(c.c1 / phi) * co + (c.c2 / phi) * s + c.c3
-    alpha = (c.c1 * k2 / phi - c.c1 * phi) * co + (c.c2 * phi - c.c2 * k2 / phi) * s - c.c3 * k2
-    beta = z1 * h.kappa_vec + z2 * h.lambda_vec + z3 * np.cross(h.kappa_vec, h.lambda_vec)
+    alpha, beta = zeta_coefficients(t, h, c)
     return MetricState(alpha=alpha, beta_vec=beta, t=t)
 
 
 def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
-    """Flow right side -i (H^dag rho - rho H); Hermitian whenever rho is."""
-    rho = complex2x2(rho)
+    """Flow right side -i (H^dag rho - rho H); Hermitian whenever rho is.
+
+    Accepts one (2, 2) metric or a (..., 2, 2) stack.
+    """
+    rho = complex2x2_stack(rho)
     hm = h.matrix()
     return -1j * (hm.conj().T @ rho - rho @ hm)
 

@@ -9,30 +9,54 @@ import warnings
 
 import numpy as np
 
-from ._integrate import rk4_series
+from ._integrate import rk4_series, stage_times
 from .dyson import DysonSeries, invert_dyson_map
 from .errors import NotPositiveDefinite
 from .series import IntegrationGrid, TimeSeries
 from .su2 import complex2x2
 
 
-def _state_rhs(h_of_t, hermitian_check):
-    warned = [not hermitian_check]
+def _evolve(h_of_t, y0, t0, dt, n_steps, local_error_bound, check_every, hermitian_check):
+    """RK4 samples of i dy/dt = h(t) y, with one h_of_t call for every stage.
+
+    h_of_t receives the 1-D array of the integrator's stage times and
+    returns an (m, d, d) stack, or one (d, d) matrix for a constant
+    generator. ``y0`` None starts from the d x d identity.
+    """
+    times, position = stage_times(t0, dt, n_steps, local_error_bound, check_every)
+    hm = np.asarray(h_of_t(times), dtype=complex)
+    if hm.ndim == 2:
+        hm = np.broadcast_to(hm, (len(times),) + hm.shape)
+    if hm.ndim != 3 or hm.shape[0] != len(times) or hm.shape[1] != hm.shape[2]:
+        raise ValueError(
+            f"h_of_t must return a ({len(times)}, d, d) stack or one (d, d) matrix "
+            f"for {len(times)} stage times, got shape {hm.shape}"
+        )
+    if hermitian_check:
+        drift = np.linalg.norm(hm - np.conj(np.swapaxes(hm, 1, 2)), axis=(1, 2))
+        bad = drift > 1e-8 * np.maximum(1.0, np.linalg.norm(hm, axis=(1, 2)))
+        if np.any(bad):
+            i = int(np.argmin(np.where(bad, times, np.inf)))
+            warnings.warn(
+                f"Hamiltonian source is not Hermitian at t = {times[i]:.6g} "
+                f"(residual {drift[i]:.3e}); integrating anyway",
+                stacklevel=3,
+            )
+    if y0 is None:
+        y0 = np.eye(hm.shape[1], dtype=complex)
 
     def rhs(t, y):
-        hm = h_of_t(t)
-        if not warned[0]:
-            drift = np.linalg.norm(hm - np.conj(np.swapaxes(hm, -1, -2)))
-            if drift > 1e-8 * max(1.0, float(np.linalg.norm(hm))):
-                warnings.warn(
-                    f"Hamiltonian source is not Hermitian at t = {t:.6g} "
-                    f"(residual {drift:.3e}); integrating anyway",
-                    stacklevel=2,
-                )
-                warned[0] = True
-        return -1j * (hm @ y)
+        return -1j * (hm[position(t)] @ y)
 
-    return rhs
+    return rk4_series(
+        rhs,
+        y0,
+        t0,
+        dt,
+        n_steps,
+        local_error_bound=local_error_bound,
+        check_every=check_every,
+    )
 
 
 def evolve_state(
@@ -45,23 +69,24 @@ def evolve_state(
 ) -> TimeSeries:
     """Integrate i d/dt psi = h(t) psi over the grid with fixed-step RK4.
 
-    ``h_of_t`` is a callable t -> matrix and is queried at integrator
-    substage times, not just grid points. A non-Hermitian source triggers a
-    single warning when ``hermitian_check`` is on; the integrator itself is
-    happy to evolve non-Hermitian generators (used for the non-Hermitian
-    picture, where the flat norm is not conserved).
+    ``h_of_t`` follows the contract of propagator_series. A non-Hermitian
+    source triggers a single warning, naming the first non-Hermitian stage
+    time, when ``hermitian_check`` is on; the integrator itself is happy to
+    evolve non-Hermitian generators (used for the non-Hermitian picture,
+    where the flat norm is not conserved).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
         raise ValueError(f"psi0 must be a state vector, got shape {psi0.shape}")
-    samples = rk4_series(
-        _state_rhs(h_of_t, hermitian_check),
+    samples = _evolve(
+        h_of_t,
         psi0,
         grid.t_start,
         grid.dt,
         grid.n_steps,
-        local_error_bound=local_error_bound,
-        check_every=check_every,
+        local_error_bound,
+        check_every,
+        hermitian_check,
     )
     return TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples)
 
@@ -75,18 +100,22 @@ def propagator_series(
 ) -> TimeSeries:
     """u(t, grid.t_start) at every grid time, integrated once as a matrix ODE.
 
-    The columns are the evolved canonical basis states; u(t_start, t_start)
-    is the identity exactly.
+    ``h_of_t`` is called exactly once, with the 1-D array of every RK4
+    stage time (grid points, midpoints and the quarter points of the
+    error-check steps; see ``_integrate.stage_times``). It returns the
+    matching (m, d, d) stack of Hamiltonians, or one (d, d) matrix for a
+    constant generator. The columns of u are the evolved canonical basis
+    states; u(t_start, t_start) is the identity exactly.
     """
-    dim = h_of_t(grid.t_start).shape[0]
-    samples = rk4_series(
-        _state_rhs(h_of_t, hermitian_check),
-        np.eye(dim, dtype=complex),
+    samples = _evolve(
+        h_of_t,
+        None,
         grid.t_start,
         grid.dt,
         grid.n_steps,
-        local_error_bound=local_error_bound,
-        check_every=check_every,
+        local_error_bound,
+        check_every,
+        hermitian_check,
     )
     return TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples)
 
@@ -102,9 +131,10 @@ def time_ordered_u(
 ) -> np.ndarray:
     """Time-ordered propagator u(t_to, t_from) for the Hamiltonian source.
 
-    ``dt`` must divide t_to - t_from (t_to = t_from returns the identity);
-    composition u(t2, t1) u(t1, t0) = u(t2, t0) then holds to integrator
-    accuracy. Only forward propagation is supported.
+    ``h_of_t`` follows the contract of propagator_series. ``dt`` must
+    divide t_to - t_from (t_to = t_from returns the identity); composition
+    u(t2, t1) u(t1, t0) = u(t2, t0) then holds to integrator accuracy. Only
+    forward propagation is supported.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -114,17 +144,8 @@ def time_ordered_u(
     n = round(span / dt)
     if abs(n * dt - span) > 1e-9 * max(dt, abs(span)):
         raise ValueError(f"dt = {dt:.9g} does not divide t_to - t_from = {span:.9g}")
-    dim = h_of_t(t_from).shape[0]
-    if n == 0:
-        return np.eye(dim, dtype=complex)
-    samples = rk4_series(
-        _state_rhs(h_of_t, hermitian_check),
-        np.eye(dim, dtype=complex),
-        t_from,
-        dt,
-        n,
-        local_error_bound=local_error_bound,
-        check_every=check_every,
+    samples = _evolve(
+        h_of_t, None, t_from, dt, n, local_error_bound, check_every, hermitian_check
     )
     return samples[-1]
 

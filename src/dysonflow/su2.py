@@ -1,8 +1,9 @@
 """Tight 2x2 complex linear algebra over the Pauli basis.
 
 Conventions used throughout the package: hbar = 1, all times and energies
-dimensionless, matrices are plain (2, 2) complex numpy arrays. The helper
-types here only wrap decompositions; they never hide the arrays.
+dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
+stacks where a kernel says so). The helper types here only wrap
+decompositions; they never hide the arrays.
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,16 @@ def complex2x2(m) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite")
+    return out
+
+
+def complex2x2_stack(m) -> np.ndarray:
+    """Validate and return ``m`` as a (..., 2, 2) complex array with finite entries."""
+    out = np.asarray(m, dtype=complex)
+    if out.ndim < 2 or out.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite")
     return out
@@ -112,28 +123,74 @@ def eigensystem(m, max_vector_condition: float = 1e6) -> EigenSystem2:
     return EigenSystem2(values=values, vectors=vectors)
 
 
-def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive-definite 2x2 matrix.
+def _first_invalid(bad: np.ndarray):
+    """Index and message prefix of the first True of a mask over a stack.
 
-    Diagonalizes m = U D U^dagger and returns U D^(1/2) U^dagger with the
-    entrywise-positive root, so the result is again Hermitian positive
-    definite. Scalar multiples of the identity are returned directly: their
-    eigenbasis is arbitrary and diagonalization adds nothing but noise.
+    The index is None for a single matrix, an int for a 1-D stack and a
+    tuple for deeper ones.
     """
-    m = complex2x2(m)
-    if hermiticity_residual(m) > hermiticity_tol:
+    if bad.ndim == 0:
+        return None, ""
+    i = tuple(int(k) for k in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    if len(i) == 1:
+        i = i[0]
+    return i, f"matrix {i} of the stack: "
+
+
+def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
+    """Principal square root of Hermitian positive-definite 2x2 matrices.
+
+    Accepts one (2, 2) matrix or a (..., 2, 2) stack and returns the same
+    shape. Each root is the closed form (B. W. Levinger, Math. Mag. 53, 1980)
+
+        sqrt(m) = (m + s I) / sqrt(tr m + 2 s),    s = sqrt(det m),
+
+    taken of the Hermitian part of m, so the result is Hermitian positive
+    definite and c I maps to sqrt(c) I. The first matrix of a stack that is
+    not Hermitian within ``hermiticity_tol`` (Frobenius) or not positive
+    definite raises NotHermitian or NotPositiveDefinite; its position is in
+    the message and in the error's ``index`` (None for a single matrix).
+    """
+    m = complex2x2_stack(m)
+    mh = np.conj(np.swapaxes(m, -1, -2))
+    residual = np.linalg.norm(m - mh, axis=(-2, -1))
+    bad = residual > hermiticity_tol
+    if np.any(bad):
+        i, where = _first_invalid(bad)
         raise NotHermitian(
-            f"hermiticity residual {hermiticity_residual(m):.3e} exceeds {hermiticity_tol:.1e}"
+            f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {hermiticity_tol:.1e}",
+            index=i,
         )
-    tr = (m[0, 0] + m[1, 1]).real
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-    if det <= 0.0 or tr <= 0.0:
-        raise NotPositiveDefinite(f"not positive definite: tr = {tr:.6g}, det = {det:.6g}")
-    c = 0.5 * tr
-    if np.linalg.norm(m - c * IDENTITY) <= 1e-12 * max(abs(c), 1.0):
-        return complex(np.sqrt(c)) * IDENTITY
-    sym = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(sym)
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.6g} is not positive")
-    return (v * np.sqrt(w)) @ v.conj().T
+    sym = 0.5 * (m + mh)
+    tr = (sym[..., 0, 0] + sym[..., 1, 1]).real
+    det = (sym[..., 0, 0] * sym[..., 1, 1] - sym[..., 0, 1] * sym[..., 1, 0]).real
+    bad = (det <= 0.0) | (tr <= 0.0)
+    if np.any(bad):
+        i, where = _first_invalid(bad)
+        raise NotPositiveDefinite(
+            f"{where}not positive definite: tr = {tr[bad][0]:.6g}, det = {det[bad][0]:.6g}",
+            index=i,
+        )
+    s = np.sqrt(det)[..., None, None]
+    return (sym + s * IDENTITY) / np.sqrt(tr[..., None, None] + 2.0 * s)
+
+
+def hermitian_sqrt_derivative(eta, rho_dot) -> np.ndarray:
+    """Time derivative of eta = sqrt(rho): the X solving eta X + X eta = rho_dot.
+
+    This Sylvester equation defines the Frechet derivative of the principal
+    square root (N. J. Higham, Functions of Matrices, SIAM 2008, ch. 6).
+    For 2x2 eta, Cayley-Hamilton gives its solution in closed form,
+
+        X = (adj(eta) rho_dot adj(eta) + det(eta) rho_dot) / (2 tr(eta) det(eta)),
+
+    with adj(eta) = tr(eta) I - eta. Batched over (..., 2, 2) stacks; eta
+    must be a root returned by hermitian_sqrt, whose trace and determinant
+    are positive.
+    """
+    eta = complex2x2_stack(eta)
+    rho_dot = complex2x2_stack(rho_dot)
+    tr = (eta[..., 0, 0] + eta[..., 1, 1])[..., None, None]
+    det = (eta[..., 0, 0] * eta[..., 1, 1] - eta[..., 0, 1] * eta[..., 1, 0])[..., None, None]
+    adj = tr * IDENTITY - eta
+    return (adj @ rho_dot @ adj + det * rho_dot) / (2.0 * tr * det)

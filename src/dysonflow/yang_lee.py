@@ -213,15 +213,16 @@ def eta_closed(t: float, p: YangLeeParams) -> DysonSample:
     return DysonSample(t=float(t), eta=eta, eta_dot=eta_dot)
 
 
-def rabi_h(t: float, p: YangLeeParams) -> np.ndarray:
+def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     """Hermitian Rabi-type Hamiltonian produced by the Dyson map.
 
     h(t) = -1/2 [omega I + 2 phi^2 / (2 + gamma^2 sin(phi t) - gamma^2) sigma_z].
     Diagonal, periodic with period 2 pi / phi; the denominator is bounded
-    below by 2 phi^2 > 0 for gamma < 1.
+    below by 2 phi^2 > 0 for gamma < 1. Accepts scalar t, giving one (2, 2)
+    matrix, or an array of times, giving a (..., 2, 2) stack.
     """
-    denom = 2.0 + p.gamma**2 * math.sin(p.phi * t) - p.gamma**2
-    return -0.5 * (p.omega * IDENTITY + (2.0 * p.phi**2 / denom) * SIGMA_Z)
+    denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
+    return -0.5 * (p.omega * IDENTITY + (2.0 * p.phi**2 / denom)[..., None, None] * SIGMA_Z)
 
 
 def theta(t, p: YangLeeParams):

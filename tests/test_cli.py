@@ -1,11 +1,19 @@
 """Front-end behavior: verbs, exit codes, reproducible files, schema stability."""
 
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 
-from dysonflow import cli
+from dysonflow import (
+    DysonSample,
+    cli,
+    hermitian_counterpart,
+    hermitian_sqrt,
+    zeta_metric,
+)
 
 T0 = -1.8137993642342178  # anchor time for gamma = 1/2
 
@@ -212,3 +220,85 @@ def test_su2_generic_config_guards(tmp_path):
     assert cli.main(["verify", str(cfg_path)]) == 2
     cfg_path.write_text(json.dumps({**base, "lambda_vec": [-0.5, 0.0, 0.3]}), encoding="utf-8")
     assert cli.main(["verify", str(cfg_path)]) == 2
+
+
+# sha256 of each CSV written by the configuration below, recorded before the
+# numeric kernels were batched; the closed-form scenario must not move a byte
+GOLDEN_CLOSED_CSV = {
+    "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
+    "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
+    "hermitian_h": "bed03994ecf978fce47b0b37f06cbe1b46ffe0a3b29da055dff969cf7a8150bc",
+    "states": "616f40b2be62d050427b36f091b47a3fa00b628ea250b9a83d116b141ac5c5aa",
+    "propagator": "854e97560497da5e51625fcc94dffc965a30e06ff4d6310844c48dd04a9a011d",
+    "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
+    "invariants": "47b596e112c04c4a7fddf61a87c4d9badb3e5ad50ebcafe736972fc32bf3bff0",
+}
+
+
+def test_closed_scenario_csv_matches_golden_hashes(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path, gamma=0.37, omega=0.8, t_start=-0.25, t_end=0.75, dt=0.01,
+        outputs=list(GOLDEN_CLOSED_CSV),
+    )
+    assert cli.main(["run", str(cfg_path)]) == 0
+    for name, digest in GOLDEN_CLOSED_CSV.items():
+        data = (tmp_path / "out" / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def rotated_yang_lee_config(lam, out_path, **overrides):
+    """Yang-Lee coefficients kappa = -e_z, lambda = -lam e_x turned by 40 degrees about (1, 1, 1)."""
+    n = np.ones(3) / math.sqrt(3.0)
+    k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    a = math.radians(40.0)
+    rot = np.eye(3) + math.sin(a) * k + (1.0 - math.cos(a)) * k @ k
+    phi = math.sqrt(1.0 - lam**2)
+    cfg = {
+        "scenario": "su2-generic",
+        "kappa0": -1.0,
+        "kappa_vec": list(rot @ [0.0, 0.0, -1.0]),
+        "lambda_vec": list(rot @ [-lam, 0.0, 0.0]),
+        "zeta_constants": [0.0, -phi / lam, -1.0 / lam, 0.0],
+        "out_path": str(out_path),
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_su2_generic_propagation_with_lambda_passes(tmp_path):
+    # near the exceptional point the finite-difference source of earlier
+    # versions broke u_unitary here (1.9e-9); the exact source keeps it at roundoff
+    cfg = rotated_yang_lee_config(
+        0.95,
+        tmp_path / "out",
+        t_start=0.0,
+        t_end=2.0,
+        dt=2e-3,
+        outputs=["propagator", "states", "energies"],
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["overall"] == "PASS"
+    unitary = next(c for c in report["checks"] if c["name"] == "u_unitary")
+    assert unitary["value"] <= 1e-9
+    for name in ("propagator", "states", "energies"):
+        assert len((tmp_path / "out" / f"{name}.csv").read_text().splitlines()) == 1002
+
+
+def test_su2_source_matches_finite_difference_formula():
+    cfg = cli.validate_config(cli.ScenarioConfig(**rotated_yang_lee_config(0.6, "unused")))
+    h, zeta, _period = cli._su2_config(cfg)
+    ts = np.array([0.0, 0.37, 1.9, 4.2, 7.5])
+    exact = cli._su2_h_source(h, zeta)(ts)
+    assert exact.shape == (5, 2, 2)
+    fd = 1e-6
+    for t, h_exact in zip(ts, exact):
+        root = lambda s: hermitian_sqrt(zeta_metric(s, h, zeta).matrix())
+        sample = DysonSample(t=t, eta=root(t), eta_dot=(root(t + fd) - root(t - fd)) / (2.0 * fd))
+        assert np.linalg.norm(h_exact - hermitian_counterpart(h.matrix(), sample)) < 1e-8
+        assert np.linalg.norm(h_exact - h_exact.conj().T) < 1e-13

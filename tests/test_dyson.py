@@ -6,21 +6,27 @@ import pytest
 from dysonflow import (
     DysonSample,
     IDENTITY,
+    PAULIS,
     SIGMA_Z,
+    SU2Hamiltonian,
     TimeSeries,
     YangLeeParams,
+    ZetaConstants,
     dyson_from_metric,
     eta_closed,
     fourth_order_derivative,
     h1_matrix,
     hermitian_counterpart,
     hermitian_sqrt,
+    hermitian_sqrt_derivative,
     hermiticity_residual,
     invert_dyson_map,
+    metric_rhs,
     physical_hamiltonian,
     quasi_hermiticity_residual,
     rabi_h,
     rho_closed,
+    zeta_coefficients,
 )
 from dysonflow.errors import NotPositiveDefinite, SingularDysonMap
 
@@ -178,3 +184,38 @@ def test_invert_dyson_map_guards_singularity():
         invert_dyson_map(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     m = np.array([[2.0, 0.3], [0.1, 1.0]], dtype=complex)
     assert np.allclose(invert_dyson_map(m) @ m, IDENTITY, atol=1e-14)
+
+
+def test_dyson_reports_time_of_first_invalid_sample():
+    rho = rho_closed(0.0, YL)
+    stack = np.stack([rho] * 7)
+    stack[2] = np.array([[1.0, 1.0], [0.0, 1.0]])  # not Hermitian
+    stack[4] = np.diag([1.0, -1.0])  # not positive definite
+    with pytest.raises(NotPositiveDefinite, match="t = 0.5") as err:
+        dyson_from_metric(TimeSeries(t0=0.0, dt=0.25, samples=stack))
+    assert err.value.t == 0.5
+
+
+def zeta_path(t):
+    """A closed-form metric family in a rotated frame, with every constant nonzero."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    h = SU2Hamiltonian(
+        kappa0=-1.0, lambda0=0.0, kappa_vec=rot @ [0.0, 0.0, -1.0], lambda_vec=rot @ [-0.6, 0.0, 0.0]
+    )
+    alpha, beta = zeta_coefficients(t, h, ZetaConstants(c1=0.5, c2=-1.0, c3=-2.0, c4=0.3))
+    rho = alpha[:, None, None] * IDENTITY + np.einsum("nj,jkl->nkl", beta, PAULIS)
+    return h, rho
+
+
+def test_analytic_eta_dot_matches_finite_differences():
+    dt = 1e-3
+    t = np.arange(0.0, 2.0 * np.pi / 0.8 + dt / 2, dt)
+    h, rho = zeta_path(t)
+    rho_dot = metric_rhs(h, rho)
+    eta = hermitian_sqrt(rho)
+    eta_dot = hermitian_sqrt_derivative(eta, rho_dot)
+    assert np.max(np.linalg.norm(eta_dot - fourth_order_derivative(eta, dt), axis=(1, 2))) < 1e-8
+    sylvester = eta @ eta_dot + eta_dot @ eta - rho_dot
+    assert np.max(np.linalg.norm(sylvester, axis=(1, 2))) < 1e-12
+    assert np.max(np.linalg.norm(eta_dot - np.conj(np.swapaxes(eta_dot, 1, 2)), axis=(1, 2))) < 1e-12

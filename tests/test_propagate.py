@@ -15,6 +15,7 @@ from dysonflow import (
     evolve_state,
     h1_matrix,
     nonhermitian_u,
+    propagator_series,
     psi_pm,
     rabi_h,
     rho_closed,
@@ -22,6 +23,7 @@ from dysonflow import (
     time_ordered_u,
     u_closed,
 )
+from dysonflow._integrate import rk4_series, stage_times
 from dysonflow.errors import NotPositiveDefinite, SingularDysonMap, StepTooLarge
 
 YL = YangLeeParams(gamma=0.5, omega=1.0)
@@ -226,3 +228,55 @@ def test_rho_inner_basics():
         rho_inner(a, b, np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         rho_inner(a, b, np.array([[1.0, 0.2], [0.4, 1.0]], dtype=complex))
+
+
+def test_stage_times_cover_every_rk4_evaluation():
+    for bound, every in ((1e-6, 3), (None, 3), (1e-6, 0)):
+        times, position = stage_times(0.25, 0.1, 10, bound, every)
+        seen = []
+
+        def f(t, y):
+            row = position(t)
+            assert abs(times[row] - t) < 1e-12
+            seen.append(row)
+            return 0.0 * y
+
+        rk4_series(f, np.zeros(1), 0.25, 0.1, 10, local_error_bound=bound, check_every=every)
+        checked = 4 if bound is not None and every else 0  # steps 0, 3, 6, 9
+        assert len(times) == 21 + 2 * checked
+        assert sorted(set(seen)) == list(range(len(times)))
+
+
+def test_source_called_once_with_all_stage_times():
+    calls = []
+
+    def source(t):
+        calls.append(np.array(t))
+        return rabi_h(t, YL)
+
+    grid = IntegrationGrid(0.0, 1.0, 1e-2)
+    propagator_series(source, grid)
+    evolve_state(source, np.array([1.0, 0.0]), grid)
+    time_ordered_u(source, 0.0, 1.0, 1e-2)
+    time_ordered_u(source, 0.5, 0.5, 1e-2)
+    assert len(calls) == 4
+    expected, _ = stage_times(0.0, 1e-2, 100)
+    for t in calls[:3]:
+        assert np.array_equal(t, expected)
+    assert np.array_equal(calls[3], [0.5])
+
+
+def test_source_shape_is_checked():
+    grid = IntegrationGrid(0.0, 0.1, 1e-2)
+    with pytest.raises(ValueError, match="h_of_t must return"):
+        propagator_series(lambda t: np.stack([IDENTITY] * 3), grid)
+
+
+def test_nonhermitian_warning_names_first_bad_time():
+    grid = IntegrationGrid(0.0, 1.0, 1e-2)
+
+    def source(t):
+        return np.where((t >= 0.5)[:, None, None], H1, rabi_h(t, YL))
+
+    with pytest.warns(UserWarning, match="not Hermitian at t = 0.5 "):
+        propagator_series(source, grid)

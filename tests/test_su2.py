@@ -1,6 +1,7 @@
 """Pauli-basis kernel: decomposition round trips, eigensystems, Hermitian roots."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -164,3 +165,79 @@ def test_hermiticity_residual_values():
     p = YangLeeParams(gamma=0.5, omega=1.0)
     for t in np.linspace(p.t0, p.t0 + 2 * p.period, 37):
         assert hermiticity_residual(rabi_h(t, p)) < 1e-15
+
+
+def eigh_sqrt(m):
+    """Reference root of an HPD stack by diagonalization."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def decimal_sqrt(m):
+    """The closed-form root of one Hermitian 2x2 matrix evaluated with 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, d = Decimal(m[0, 0].real), Decimal(m[1, 1].real)
+        br, bi = Decimal(m[0, 1].real), Decimal(m[0, 1].imag)
+        s = (a * d - br * br - bi * bi).sqrt()
+        c = (a + d + 2 * s).sqrt()
+        off = complex(float(br / c), float(bi / c))
+        return np.array([[float((a + s) / c), off], [off.conjugate(), float((d + s) / c)]])
+
+
+def relative_error(root, ref):
+    return np.linalg.norm(root - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+
+
+def yang_lee_metrics(gamma, n=401):
+    p = YangLeeParams(gamma=gamma, omega=1.0)
+    return np.stack([rho_closed(t, p) for t in np.linspace(p.t0, p.t0 + p.period, n)])
+
+
+def test_hermitian_sqrt_stack_matches_eigh():
+    rng = np.random.default_rng(2024)
+    z = rng.normal(size=(40, 25, 2, 2)) + 1j * rng.normal(size=(40, 25, 2, 2))
+    q, _ = np.linalg.qr(z)
+    w = rng.uniform(0.1, 10.0, size=(40, 25, 1, 2))
+    m = (q * w) @ np.conj(np.swapaxes(q, -1, -2))
+    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    root = hermitian_sqrt(m)
+    assert root.shape == m.shape
+    assert np.max(relative_error(root, eigh_sqrt(m))) < 1e-14
+    for gamma in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9):
+        rho = yang_lee_metrics(gamma)
+        assert np.max(relative_error(hermitian_sqrt(rho), eigh_sqrt(rho))) < 1e-14
+
+
+def test_hermitian_sqrt_near_exceptional_point():
+    # det rho = phi^4 / gamma^2 -> 0 as gamma -> 1, so the root's condition grows
+    # and eigh itself drifts from the exact root (2e-13 at gamma = 0.999); the
+    # closed form stays closer to a 40-digit evaluation than eigh does
+    for gamma in (0.99, 0.999):
+        rho = yang_lee_metrics(gamma, n=101)
+        exact = np.stack([decimal_sqrt(m) for m in rho])
+        closed = np.max(relative_error(hermitian_sqrt(rho), exact))
+        assert closed < 1e-13
+        assert closed <= np.max(relative_error(eigh_sqrt(rho), exact))
+
+
+def test_hermitian_sqrt_stack_names_first_invalid_index():
+    rho = rho_closed(0.0, YangLeeParams(gamma=0.5, omega=1.0))
+    stack = np.stack([rho] * 6)
+    stack[3] = np.diag([1.0, -1.0])
+    stack[5] = np.diag([-1.0, -2.0])
+    with pytest.raises(NotPositiveDefinite, match="matrix 3 of the stack") as err:
+        hermitian_sqrt(stack)
+    assert err.value.index == 3
+    stack[1] = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotHermitian, match="matrix 1 of the stack") as err:
+        hermitian_sqrt(stack)
+    assert err.value.index == 1
+    with pytest.raises(NotPositiveDefinite) as err:
+        hermitian_sqrt(stack[2:].reshape(2, 2, 2, 2))
+    assert err.value.index == (0, 1)
+    with pytest.raises(NotPositiveDefinite) as err:
+        hermitian_sqrt(stack[3])
+    assert err.value.index is None
+    with pytest.raises(ValueError):
+        hermitian_sqrt(np.ones((3, 2)))

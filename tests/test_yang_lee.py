@@ -184,6 +184,14 @@ def test_rabi_h_endpoint_forms():
     assert np.linalg.norm(rabi_h(0.4, YL) - rabi_h(0.4 + YL.period, YL)) < 1e-13
 
 
+def test_rabi_h_accepts_time_arrays():
+    ts = np.linspace(YL.t0, YL.t0 + YL.period, 50)
+    stack = rabi_h(ts, YL)
+    assert stack.shape == (50, 2, 2)
+    assert np.array_equal(stack, np.stack([rabi_h(t, YL) for t in ts]))
+    assert rabi_h(ts.reshape(5, 10), YL).shape == (5, 10, 2, 2)
+
+
 def test_rabi_h_equals_dyson_reconstruction():
     for t in np.linspace(YL.t0, YL.t0 + 2 * YL.period, 301):
         dev = np.linalg.norm(rabi_h(t, YL) - hermitian_counterpart(H1, eta_closed(t, YL)))
