@@ -51,6 +51,7 @@ from .su2 import (
     PauliCoefficients,
     complex2x2,
     eigensystem,
+    frobenius_norm,
     hermitian_sqrt,
     hermitian_sqrt_derivative,
     hermiticity_residual,
@@ -88,6 +89,7 @@ __all__ = [
     "PauliCoefficients",
     "complex2x2",
     "eigensystem",
+    "frobenius_norm",
     "hermitian_sqrt",
     "hermitian_sqrt_derivative",
     "hermiticity_residual",

@@ -8,8 +8,12 @@ Usage:
 The config file is a single JSON object; command-line flags override file
 values. ``run`` writes the requested series files plus a report.json into
 the output directory and prints the verification report; ``verify`` prints
-the report only; ``sweep`` writes one aggregate table. Exit status: 0 when
+the report only; ``sweep`` writes one aggregate table, each row read from
+the numeric scenario's report for one parameter value. Exit status: 0 when
 every check passes, 1 on a failed check, 2 on a config error.
+
+Each scenario is one pass over (n, 2, 2) stacks: every kernel is called
+once on the whole time grid, not once per sample.
 
 Float output uses 17 significant digits, so identical configs produce
 byte-identical files.
@@ -19,13 +23,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dyson import (
+    DysonSample,
     dyson_from_metric,
     hermitian_counterpart,
     invert_dyson_map,
@@ -38,16 +43,15 @@ from .metric import (
     ZetaConstants,
     integrate_metric,
     metric_rhs,
-    positivity_margin,
     zeta_coefficients,
-    zeta_metric,
 )
 from .propagate import propagator_series
 from .series import IntegrationGrid
-from .su2 import IDENTITY, PAULIS, hermitian_sqrt, hermitian_sqrt_derivative
+from .su2 import IDENTITY, PAULIS, frobenius_norm, hermitian_sqrt, hermitian_sqrt_derivative
 from .yang_lee import (
     YangLeeParams,
     basis_states,
+    eigenvalues_h1,
     energy_expectation,
     eta_closed,
     h1_matrix,
@@ -144,21 +148,20 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         # metric family; other constants belong to the su2-generic scenario
         p = YangLeeParams(gamma=gamma, omega=omega)
         canonical = rho_closed_constants(p)
-        if max(
-            abs(zeta[0] - canonical.c1),
-            abs(zeta[1] - canonical.c2),
-            abs(zeta[2] - canonical.c3),
-            abs(zeta[3] - canonical.c4),
-        ) > 1e-12:
+        if max(abs(z - c) for z, c in zip(zeta, astuple(canonical))) > 1e-12:
             raise ConfigInvalid(
                 "yang-lee scenarios are pinned to the canonical metric constants "
                 f"(0, {canonical.c2:.12g}, {canonical.c3:.12g}, 0); "
                 "use the su2-generic scenario for other zeta_constants"
             )
-    outputs = tuple(cfg.outputs or ())
+    if not isinstance(cfg.outputs, (list, tuple)):
+        raise ConfigInvalid(f"outputs must be a list of names from {OUTPUTS}, got {cfg.outputs!r}")
+    outputs = tuple(cfg.outputs)
     for output in outputs:
         if output not in OUTPUTS:
             raise ConfigInvalid(f"unknown output {output!r}; choose from {OUTPUTS}")
+    if not isinstance(cfg.out_path, str):
+        raise ConfigInvalid(f"out_path must be a string, got {cfg.out_path!r}")
     if cfg.format not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}, got {cfg.format!r}")
     t_start = None if cfg.t_start is None else _as_float(cfg.t_start, "t_start")
@@ -191,10 +194,20 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     )
 
 
-def _resolve_window(cfg: ScenarioConfig, default_start: float, natural_period: float):
-    """Snap the requested window onto a whole number of dt steps."""
+def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
+    """Snap the requested window onto a whole number of dt steps.
+
+    An open start is the scenario's natural one (the anchor time t0 for
+    Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
+    periods after the start.
+    """
+    if cfg.scenario == "su2-generic":
+        default_start, period = 0.0, _su2_config(cfg)[2]
+    else:
+        p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
+        default_start, period = p.t0, p.period
     t_start = cfg.t_start if cfg.t_start is not None else default_start
-    span = (cfg.t_end - t_start) if cfg.t_end is not None else 2.0 * natural_period
+    span = (cfg.t_end - t_start) if cfg.t_end is not None else periods * period
     if span <= 0.0:
         raise ConfigInvalid(f"t_end must exceed t_start, got span {span}")
     n = max(1, round(span / cfg.dt))
@@ -236,16 +249,7 @@ class VerificationReport:
         return {
             "scenario": self.scenario,
             "overall": "PASS" if self.overall_pass else "FAIL",
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "mode": c.mode,
-                    "status": "PASS" if c.passed else "FAIL",
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "status": "PASS" if c.passed else "FAIL"} for c in self.checks],
         }
 
     def format(self) -> str:
@@ -262,68 +266,129 @@ class VerificationReport:
 
 
 # ----------------------------------------------------------------------
-# Series assembly helpers
+# Stack helpers and output tables
 # ----------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+def _dagger(m):
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _norms(m):
+    """Frobenius norm of each matrix of an (n, 2, 2) stack."""
+    return np.linalg.norm(m, axis=(1, 2))
+
+
+def _herm(m):
+    return _norms(m - _dagger(m))
+
+
+def _unitarity(u):
+    return _norms(_dagger(u) @ u - IDENTITY)
+
+
+def _det(m):
+    return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
+
+
+def _dot3(a, b):
+    """Row-wise dot products of 3-vectors, summed as numpy sums one a @ b."""
+    return (a[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def _pauli_columns(rho):
+    """Columns alpha, beta_x, beta_y, beta_z of rho = alpha I + beta . sigma."""
+    return (
+        0.5 * (rho[:, 0, 0] + rho[:, 1, 1]).real,
+        0.5 * (rho[:, 0, 1] + rho[:, 1, 0]).real,
+        (0.5j * (rho[:, 0, 1] - rho[:, 1, 0])).real,
+        0.5 * (rho[:, 0, 0] - rho[:, 1, 1]).real,
+    )
+
+
+def _su2_metric(alpha, beta):
+    """Stack of rho = alpha I + beta . sigma, composed term by term like MetricState.matrix."""
+    out = alpha[..., None, None] * IDENTITY
+    for j in range(3):
+        out = out + beta[..., j, None, None] * PAULIS[j]
+    return out
 
 
 def _matrix_header(prefix):
     return [f"{prefix}_{i}{j}_{part}" for i in (0, 1) for j in (0, 1) for part in ("re", "im")]
 
 
-def _matrix_row(m):
-    return [v for i in (0, 1) for j in (0, 1) for v in (m[i, j].real, m[i, j].imag)]
-
-
 def _state_header(prefix):
     return [f"{prefix}_{k}_{part}" for k in (0, 1) for part in ("re", "im")]
 
 
-def _state_row(v):
-    return [x for k in (0, 1) for x in (v[k].real, v[k].imag)]
+def _float_columns(c):
+    """A real column as is; a complex (n, ...) stack as its re/im parts, row-major."""
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        return np.ascontiguousarray(c).reshape(len(c), -1).view(float)
+    return c
+
+
+def _series(ts, metric, eta, h, invariants, u=None, energies=None):
+    """The output tables of a scenario, as name -> (header, build_rows).
+
+    ``metric`` holds the alpha, beta_x, beta_y, beta_z and det_rho columns;
+    ``invariants`` and ``energies`` map column names to columns. A complex
+    stack fills eight columns per matrix (or four per state), real part
+    first. build_rows() assembles the (n, k) table only when it is written.
+    Without a propagator stack ``u`` there are no propagator, states or
+    energies tables.
+    """
+
+    def table(header, *columns):
+        return ["t", *header], lambda: np.column_stack([ts, *map(_float_columns, columns)])
+
+    series = {
+        "metric": table(["alpha", "beta_x", "beta_y", "beta_z", "det_rho"], *metric),
+        "dyson": table(_matrix_header("eta"), eta),
+        "hermitian_h": table(_matrix_header("h"), h),
+        "invariants": table(list(invariants), *invariants.values()),
+    }
+    if u is not None:
+        series["propagator"] = table(_matrix_header("u"), u)
+        # the columns of u are the evolved basis states
+        series["states"] = table(_state_header("phi1") + _state_header("phi2"), np.swapaxes(u, 1, 2))
+        series["energies"] = table(list(energies), *energies.values())
+    return series
+
+
+def _write_json(path: Path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
-    header = ["t"] + list(header)
-    if cfg.format == "csv":
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-    else:
-        path = out_dir / f"{name}.json"
+    """Write one table, a time series or a sweep, as <name>.csv or <name>.json.
+
+    Floats keep 17 significant digits. In JSON the rows of a time series
+    (first column t) are listed under "samples", those of a sweep under "rows".
+    """
+    rows = np.asarray(rows, dtype=float)
+    if cfg.format == "json":
+        key = "samples" if header[0] == "t" else "rows"
         payload = {
             "metadata": _metadata(cfg),
-            "columns": header,
-            "samples": [dict(zip(header, [float(x) for x in row])) for row in rows],
+            "columns": list(header),
+            key: [dict(zip(header, row)) for row in rows.tolist()],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        return _write_json(out_dir / f"{name}.json", payload)
+    path = out_dir / f"{name}.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")
     return path
 
 
 def _metadata(cfg: ScenarioConfig) -> dict:
-    echo = {
-        "scenario": cfg.scenario,
-        "gamma": cfg.gamma,
-        "omega": cfg.omega,
-        "zeta_constants": None if cfg.zeta_constants is None else list(cfg.zeta_constants),
-        "t_start": cfg.t_start,
-        "t_end": cfg.t_end,
-        "dt": cfg.dt,
-        "outputs": list(cfg.outputs),
-        "format": cfg.format,
-        "out_path": cfg.out_path,
-        "kappa0": cfg.kappa0,
-        "lambda0": cfg.lambda0,
-        "kappa_vec": list(cfg.kappa_vec),
-        "lambda_vec": list(cfg.lambda_vec),
-    }
-    return {"config": echo, "version": __version__}
+    return {"config": asdict(cfg), "version": __version__}
 
 
 def _subsample(n: int, want: int = 200) -> np.ndarray:
@@ -337,88 +402,53 @@ def _subsample(n: int, want: int = 200) -> np.ndarray:
 
 def _yang_lee_closed(cfg: ScenarioConfig):
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-    grid = _resolve_window(cfg, p.t0, p.period)
-    ts = grid.times
-    n = len(ts)
+    ts = _resolve_window(cfg).times
     h1m = h1_matrix(p)
     det_ref = p.phi**4 / p.gamma**2
+    e_p, e_m = eigenvalues_h1(p)
 
-    rho = np.stack([rho_closed(t, p) for t in ts])
-    rho_dot = np.stack([rho_closed_dot(t, p) for t in ts])
-    dyson_samples = [eta_closed(t, p) for t in ts]
-    eta = np.stack([s.eta for s in dyson_samples])
+    rho = rho_closed(ts, p)
+    dys = eta_closed(ts, p)
+    eta = dys.eta
     h = rabi_h(ts, p)
-    u = np.stack([u_closed(t, p) for t in ts])
-    h_tilde = np.stack([physical_hamiltonian(h1m, s) for s in dyson_samples])
-    psi_p = np.stack([psi_pm(t, +1, p) for t in ts])
-    psi_m = np.stack([psi_pm(t, -1, p) for t in ts])
+    u = u_closed(ts, p)
+    h_tilde = physical_hamiltonian(h1m, dys)
+    psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
     phi_p = np.einsum("nij,nj->ni", eta, psi_p)
     phi_m = np.einsum("nij,nj->ni", eta, psi_m)
-    e_plus = np.array([energy_expectation(t, +1, p) for t in ts])
-    e_minus = np.array([energy_expectation(t, -1, p) for t in ts])
+    e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
 
-    dets = (rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]).real
-    herm = lambda a: np.linalg.norm(a - np.conj(np.swapaxes(a, 1, 2)), axis=(1, 2))
-    h_herm = herm(h)
-    flow_residual = np.linalg.norm(
-        h1m.conj().T @ rho - rho @ h1m - 1j * rho_dot, axis=(1, 2)
-    )
-    eta_sq = np.linalg.norm(eta @ eta - rho, axis=(1, 2))
-    dyson_rel = np.array(
-        [np.linalg.norm(hermitian_counterpart(h1m, s) - h[i]) for i, s in enumerate(dyson_samples)]
-    )
-    qh_tilde = np.array([quasi_hermiticity_residual(h_tilde[i], rho[i]) for i in range(n)])
-    qh_raw = np.array([quasi_hermiticity_residual(h1m, rho[i]) for i in range(n)])
-    ip_pp = np.einsum("ni,nij,nj->n", psi_p.conj(), rho, psi_p)
-    ip_mm = np.einsum("ni,nij,nj->n", psi_m.conj(), rho, psi_m)
-    ip_mp = np.einsum("ni,nij,nj->n", psi_m.conj(), rho, psi_p)
-    ip_pm = np.einsum("ni,nij,nj->n", psi_p.conj(), rho, psi_m)
-    e_p, e_m = (0.5 * (-p.omega + p.phi), 0.5 * (-p.omega - p.phi))
-    psi_resid = max(
-        float(np.max(np.linalg.norm(np.einsum("ij,nj->ni", h1m, psi_p) - e_p * psi_p, axis=1))),
-        float(np.max(np.linalg.norm(np.einsum("ij,nj->ni", h1m, psi_m) - e_m * psi_m, axis=1))),
-    )
-    # phi = eta Psi solves the Hermitian equation; the derivative is analytic
-    phi_resid = 0.0
-    for sgn, psi_arr, phi_arr, energy in ((+1, psi_p, phi_p, e_p), (-1, psi_m, phi_m, e_m)):
-        d_phi = np.stack(
-            [
-                dyson_samples[i].eta_dot @ psi_arr[i] - 1j * energy * (dyson_samples[i].eta @ psi_arr[i])
-                for i in range(n)
-            ]
-        )
-        resid = np.linalg.norm(np.einsum("nij,nj->ni", h, phi_arr) - 1j * d_phi, axis=1)
+    dets = _det(rho)
+    h_herm = _herm(h)
+    flow_residual = _norms(h1m.conj().T @ rho - rho @ h1m - 1j * rho_closed_dot(ts, p))
+    eta_sq = _norms(eta @ eta - rho)
+    dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
+    qh_tilde = quasi_hermiticity_residual(h_tilde, rho)
+    qh_raw = quasi_hermiticity_residual(h1m, rho)
+    ip = lambda a, b: np.einsum("ni,nij,nj->n", a.conj(), rho, b)
+    ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
+    ip_cross = np.concatenate([ip(psi_m, psi_p) - 1j * p.gamma, ip(psi_p, psi_m) + 1j * p.gamma])
+    psi_resid = phi_resid = energy_h = energy_metric = 0.0
+    for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
+        resid = np.linalg.norm(np.einsum("ij,nj->ni", h1m, psi) - energy * psi, axis=1)
+        psi_resid = max(psi_resid, float(np.max(resid)))
+        # phi = eta Psi solves the Hermitian equation; the derivative is analytic
+        d_phi = (dys.eta_dot @ psi[..., None] - 1j * energy * (eta @ psi[..., None]))[..., 0]
+        resid = np.linalg.norm(np.einsum("nij,nj->ni", h, phi) - 1j * d_phi, axis=1)
         phi_resid = max(phi_resid, float(np.max(resid)))
+        e_h = np.einsum("ni,nij,nj->n", phi.conj(), h, phi).real
+        energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
+        e_metric = np.einsum("ni,nij,njk,nk->n", psi.conj(), rho, h_tilde, psi).real
+        energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
     # propagator checks: identity at the anchor, unitarity, TDSE by central differences
     u_t0 = u_closed(p.t0, p)
     fd_step = 1e-6
-    sub = _subsample(n)
-    u_tdse = 0.0
-    for i in sub:
-        t = ts[i]
-        du = (u_closed(t + fd_step, p) - u_closed(t - fd_step, p)) / (2.0 * fd_step)
-        u_tdse = max(u_tdse, float(np.linalg.norm(rabi_h(t, p) @ u_closed(t, p) - 1j * du)))
-    uhu = np.conj(np.swapaxes(u, 1, 2)) @ u - IDENTITY[None, :, :]
-    u_unitarity = np.linalg.norm(uhu, axis=(1, 2))
+    t_sub = ts[_subsample(len(ts))]
+    du = (u_closed(t_sub + fd_step, p) - u_closed(t_sub - fd_step, p)) / (2.0 * fd_step)
+    u_tdse = float(np.max(frobenius_norm(rabi_h(t_sub, p) @ u_closed(t_sub, p) - 1j * du)))
+    u_unitarity = _unitarity(u)
     basis = basis_states(p)
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    e2 = np.array([0.0, 1.0], dtype=complex)
-    energy_h = max(
-        float(np.max(np.abs(np.einsum("ni,nij,nj->n", phi_p.conj(), h, phi_p).real - e_plus))),
-        float(np.max(np.abs(np.einsum("ni,nij,nj->n", phi_m.conj(), h, phi_m).real - e_minus))),
-    )
-    energy_metric = max(
-        float(
-            np.max(
-                np.abs(np.einsum("ni,nij,njk,nk->n", psi_p.conj(), rho, h_tilde, psi_p).real - e_plus)
-            )
-        ),
-        float(
-            np.max(
-                np.abs(np.einsum("ni,nij,njk,nk->n", psi_m.conj(), rho, h_tilde, psi_m).real - e_minus)
-            )
-        ),
-    )
+    basis_error = max(np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1]))
     endpoint = max(
         abs(energy_expectation(p.t0, +1, p) - e_p),
         abs(energy_expectation(p.t0, -1, p) - e_m),
@@ -427,209 +457,106 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     )
 
     checks = [
-        Check("metric_hermitian", float(np.max(herm(rho))), 1e-12),
+        Check("metric_hermitian", float(np.max(_herm(rho))), 1e-12),
         Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
         Check("det_rho_constant", float(np.max(np.abs(dets - det_ref))), 1e-10),
         Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
-        Check("eta_hermitian", float(np.max(herm(eta))), 1e-12),
+        Check("eta_hermitian", float(np.max(_herm(eta))), 1e-12),
         Check("h_hermitian", float(np.max(h_herm)), 1e-12),
         Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-9),
         Check("h1_not_quasi_hermitian", float(np.min(qh_raw)), 1e-2, mode="min_gt"),
-        Check(
-            "inner_product_unit",
-            float(np.max(np.abs(np.concatenate([ip_pp - 1.0, ip_mm - 1.0])))),
-            1e-9,
-        ),
-        Check(
-            "inner_product_cross",
-            float(
-                np.max(
-                    np.abs(
-                        np.concatenate([ip_mp - 1j * p.gamma, ip_pm + 1j * p.gamma])
-                    )
-                )
-            ),
-            1e-9,
-        ),
+        Check("inner_product_unit", float(np.max(np.abs(ip_unit))), 1e-9),
+        Check("inner_product_cross", float(np.max(np.abs(ip_cross))), 1e-9),
         Check("psi_tdse_residual", psi_resid, 1e-12),
         Check("phi_tdse_residual", phi_resid, 1e-8),
         Check("u_identity_at_anchor", float(np.linalg.norm(u_t0 - IDENTITY)), 1e-12),
         Check("u_unitary", float(np.max(u_unitarity)), 1e-12),
         Check("u_tdse_residual", u_tdse, 1e-8),
-        Check(
-            "basis_reconstruction",
-            max(
-                float(np.linalg.norm(basis.phi1 - e1)),
-                float(np.linalg.norm(basis.phi2 - e2)),
-            ),
-            1e-10,
-        ),
+        Check("basis_reconstruction", float(basis_error), 1e-10),
         Check("energy_matches_h_expectation", energy_h, 1e-9),
         Check("energy_matches_metric_expectation", energy_metric, 1e-9),
         Check("energy_endpoint_values", float(endpoint), 1e-12),
     ]
-
-    series = {}
-    alpha = 0.5 * (rho[:, 0, 0] + rho[:, 1, 1]).real
-    beta_x = 0.5 * (rho[:, 0, 1] + rho[:, 1, 0]).real
-    beta_y = (0.5j * (rho[:, 0, 1] - rho[:, 1, 0])).real
-    beta_z = 0.5 * (rho[:, 0, 0] - rho[:, 1, 1]).real
-    series["metric"] = (
-        ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-        lambda: [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
-    )
-    series["dyson"] = (
-        _matrix_header("eta"),
-        lambda: [[ts[i]] + _matrix_row(eta[i]) for i in range(n)],
-    )
-    series["hermitian_h"] = (
-        _matrix_header("h"),
-        lambda: [[ts[i]] + _matrix_row(h[i]) for i in range(n)],
-    )
-    series["propagator"] = (
-        _matrix_header("u"),
-        lambda: [[ts[i]] + _matrix_row(u[i]) for i in range(n)],
-    )
-    series["states"] = (
-        _state_header("phi1") + _state_header("phi2"),
-        lambda: [[ts[i]] + _state_row(u[i] @ e1) + _state_row(u[i] @ e2) for i in range(n)],
-    )
-    series["energies"] = (
-        ["E_plus", "E_minus"],
-        lambda: [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
-    )
-    series["invariants"] = (
-        ["det_deviation", "eta_sq_residual", "h_hermiticity", "htilde_quasi_hermiticity", "u_unitarity"],
-        lambda: [
-            [
-                ts[i],
-                abs(dets[i] - det_ref),
-                eta_sq[i],
-                h_herm[i],
-                qh_tilde[i],
-                u_unitarity[i],
-            ]
-            for i in range(n)
-        ],
+    invariants = {
+        "det_deviation": np.abs(dets - det_ref),
+        "eta_sq_residual": eta_sq,
+        "h_hermiticity": h_herm,
+        "htilde_quasi_hermiticity": qh_tilde,
+        "u_unitarity": u_unitarity,
+    }
+    series = _series(
+        ts, (*_pauli_columns(rho), dets), eta, h, invariants,
+        u=u, energies={"E_plus": e_plus, "E_minus": e_minus},
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
 def _yang_lee_numeric(cfg: ScenarioConfig):
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-    grid = _resolve_window(cfg, p.t0, p.period)
+    grid = _resolve_window(cfg)
     ts = grid.times
-    n = len(ts)
     h1m = h1_matrix(p)
     det_ref = p.phi**4 / p.gamma**2
 
     flow = integrate_metric(h1_su2(p), rho_closed(grid.t_start, p), grid)
     rho_num = flow.series.samples
     dys = dyson_from_metric(flow.series)
-    eta_num = dys.eta
-    h_num = np.stack([hermitian_counterpart(h1m, dys[i]) for i in range(n)])
-    h_tilde = np.stack([physical_hamiltonian(h1m, dys[i]) for i in range(n)])
-    u_series = propagator_series(lambda t: rabi_h(t, p), grid)
-    u_num = u_series.samples
+    h_num = hermitian_counterpart(h1m, dys)
+    h_tilde = physical_hamiltonian(h1m, dys)
+    u_num = propagator_series(lambda t: rabi_h(t, p), grid).samples
+    u_ref = u_closed(ts, p) @ u_closed(grid.t_start, p).conj().T
 
-    rho_ref = np.stack([rho_closed(t, p) for t in ts])
-    eta_ref = np.stack([eta_closed(t, p).eta for t in ts])
-    h_ref = rabi_h(ts, p)
-    u_anchor = u_closed(grid.t_start, p)
-    u_ref = np.stack([u_closed(t, p) @ u_anchor.conj().T for t in ts])
+    dets = _det(rho_num)
+    dev_metric = _norms(rho_num - rho_closed(ts, p))
+    dev_eta = _norms(dys.eta - eta_closed(ts, p).eta)
+    dev_h = _norms(h_num - rabi_h(ts, p))
+    dev_u = _norms(u_num - u_ref)
+    unitarity = _unitarity(u_num)
+    qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
-    herm = lambda a: np.linalg.norm(a - np.conj(np.swapaxes(a, 1, 2)), axis=(1, 2))
-    dets = (rho_num[:, 0, 0] * rho_num[:, 1, 1] - rho_num[:, 0, 1] * rho_num[:, 1, 0]).real
-    dev_metric = np.linalg.norm(rho_num - rho_ref, axis=(1, 2))
-    dev_eta = np.linalg.norm(eta_num - eta_ref, axis=(1, 2))
-    dev_h = np.linalg.norm(h_num - h_ref, axis=(1, 2))
-    dev_u = np.linalg.norm(u_num - u_ref, axis=(1, 2))
-    uhu = np.conj(np.swapaxes(u_num, 1, 2)) @ u_num - IDENTITY[None, :, :]
-    unitarity = np.linalg.norm(uhu, axis=(1, 2))
-    qh_tilde = np.array([quasi_hermiticity_residual(h_tilde[i], rho_num[i]) for i in range(n)])
-
-    sub = _subsample(n)
+    # the non-Hermitian-picture propagator keeps rho norms but not flat ones
+    sub = _subsample(len(ts))
+    u_big = invert_dyson_map(dys.eta[sub]) @ u_num[sub] @ dys.eta[0]
+    nonunitarity = float(np.max(frobenius_norm(_dagger(u_big) @ u_big - IDENTITY)))
     inner_drift = 0.0
-    nonunitarity = 0.0
-    eta0 = dys[0].eta
-    for i in sub:
-        u_big = invert_dyson_map(eta_num[i]) @ u_num[i] @ eta0
-        nonunitarity = max(nonunitarity, float(np.linalg.norm(u_big.conj().T @ u_big - IDENTITY)))
-        for sgn in (+1, -1):
-            psi0 = psi_pm(grid.t_start, sgn, p)
-            moved = u_big @ psi0
-            inner_drift = max(
-                inner_drift, abs(complex(moved.conj() @ rho_num[i] @ moved) - 1.0)
-            )
+    for sgn in (+1, -1):
+        moved = u_big @ psi_pm(grid.t_start, sgn, p)
+        inner = (moved.conj()[:, None, :] @ rho_num[sub] @ moved[:, :, None])[:, 0, 0]
+        inner_drift = max(inner_drift, float(np.max(np.abs(inner - 1.0))))
 
     checks = [
         Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(herm(rho_num))), 1e-10),
+        Check("metric_hermitian", float(np.max(_herm(rho_num))), 1e-10),
         Check("det_rho_drift", float(np.max(np.abs(dets - det_ref))), 1e-8),
         Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
         Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
         Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
-        Check("h_hermitian", float(np.max(herm(h_num))), 1e-6),
+        Check("h_hermitian", float(np.max(_herm(h_num))), 1e-6),
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
         Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
         Check("u_unitary", float(np.max(unitarity)), 1e-9),
-        Check("rho_inner_preserved", float(inner_drift), 1e-7),
-        Check("nonunitary_flat_metric", float(nonunitarity), 1e-2, mode="min_gt"),
+        Check("rho_inner_preserved", inner_drift, 1e-7),
+        Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
     ]
-    if flow.positivity_lost_at is not None:
-        checks.append(Check("positivity_lost_time", flow.positivity_lost_at, 0.0, mode="min_gt"))
 
-    phi_p = np.einsum("nij,nj->ni", eta_num, np.stack([psi_pm(t, +1, p) for t in ts]))
-    phi_m = np.einsum("nij,nj->ni", eta_num, np.stack([psi_pm(t, -1, p) for t in ts]))
-    e_plus = np.einsum("ni,nij,nj->n", phi_p.conj(), h_num, phi_p).real
-    e_minus = np.einsum("ni,nij,nj->n", phi_m.conj(), h_num, phi_m).real
-
-    alpha = 0.5 * (rho_num[:, 0, 0] + rho_num[:, 1, 1]).real
-    beta_x = 0.5 * (rho_num[:, 0, 1] + rho_num[:, 1, 0]).real
-    beta_y = (0.5j * (rho_num[:, 0, 1] - rho_num[:, 1, 0])).real
-    beta_z = 0.5 * (rho_num[:, 0, 0] - rho_num[:, 1, 1]).real
-    series = {
-        "metric": (
-            ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-            lambda: [[ts[i], alpha[i], beta_x[i], beta_y[i], beta_z[i], dets[i]] for i in range(n)],
-        ),
-        "dyson": (_matrix_header("eta"), lambda: [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
-        "hermitian_h": (_matrix_header("h"), lambda: [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
-        "propagator": (_matrix_header("u"), lambda: [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)]),
-        "states": (
-            _state_header("phi1") + _state_header("phi2"),
-            lambda: [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
-        ),
-        "energies": (
-            ["E_plus", "E_minus"],
-            lambda: [[ts[i], e_plus[i], e_minus[i]] for i in range(n)],
-        ),
-        "invariants": (
-            [
-                "metric_vs_closed",
-                "det_deviation",
-                "eta_vs_closed",
-                "h_vs_closed",
-                "u_vs_closed",
-                "u_unitarity",
-                "htilde_quasi_hermiticity",
-            ],
-            lambda: [
-                [
-                    ts[i],
-                    dev_metric[i],
-                    abs(dets[i] - det_ref),
-                    dev_eta[i],
-                    dev_h[i],
-                    dev_u[i],
-                    unitarity[i],
-                    qh_tilde[i],
-                ]
-                for i in range(n)
-            ],
-        ),
+    energies = {}
+    for name, sgn in (("E_plus", +1), ("E_minus", -1)):
+        phi = np.einsum("nij,nj->ni", dys.eta, psi_pm(ts, sgn, p))
+        energies[name] = np.einsum("ni,nij,nj->n", phi.conj(), h_num, phi).real
+    invariants = {
+        "metric_vs_closed": dev_metric,
+        "det_deviation": np.abs(dets - det_ref),
+        "eta_vs_closed": dev_eta,
+        "h_vs_closed": dev_h,
+        "u_vs_closed": dev_u,
+        "u_unitarity": unitarity,
+        "htilde_quasi_hermiticity": qh_tilde,
     }
+    series = _series(
+        ts, (*_pauli_columns(rho_num), dets), dys.eta, h_num, invariants,
+        u=u_num, energies=energies,
+    )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
@@ -644,27 +571,20 @@ def _su2_config(cfg: ScenarioConfig):
         kappa_vec=cfg.kappa_vec,
         lambda_vec=cfg.lambda_vec,
     )
-    if cfg.zeta_constants is not None:
-        zeta = ZetaConstants(*cfg.zeta_constants)
-    else:
-        zeta = ZetaConstants(c1=0.0, c2=0.0, c3=-1.0, c4=0.0)
-    k2 = float(np.array(cfg.kappa_vec) @ np.array(cfg.kappa_vec))
-    l2 = float(np.array(cfg.lambda_vec) @ np.array(cfg.lambda_vec))
-    period = 2.0 * math.pi / math.sqrt(k2 - l2)
-    return h, zeta, period
+    zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
+    phi = math.sqrt(h.kappa_vec @ h.kappa_vec - h.lambda_vec @ h.lambda_vec)
+    return h, zeta, 2.0 * math.pi / phi
 
 
 def _su2_generic(cfg: ScenarioConfig):
-    h, zeta, period = _su2_config(cfg)
-    grid = _resolve_window(cfg, 0.0, period)
+    h, zeta, _period = _su2_config(cfg)
+    grid = _resolve_window(cfg)
     ts = grid.times
-    n = len(ts)
     hm = h.matrix()
-    lambda_norm = float(np.linalg.norm(h.lambda_vec))
 
-    states = [zeta_metric(t, h, zeta) for t in ts]
-    rho_ref = np.stack([s.matrix() for s in states])
-    margins = np.array([positivity_margin(s) for s in states])
+    alpha, beta = zeta_coefficients(ts, h, zeta)
+    rho_ref = _su2_metric(alpha, beta)
+    margins = alpha**2 - _dot3(beta, beta)
     if np.min(margins) <= 0.0:
         raise ConfigInvalid(
             f"zeta_constants give a non-positive metric (min det rho = {np.min(margins):.6g}); "
@@ -673,95 +593,59 @@ def _su2_generic(cfg: ScenarioConfig):
     flow = integrate_metric(h, rho_ref[0], grid)
     rho_num = flow.series.samples
     dys = dyson_from_metric(flow.series)
-    eta_num = dys.eta
-    h_num = np.stack([hermitian_counterpart(hm, dys[i]) for i in range(n)])
-    h_tilde = np.stack([physical_hamiltonian(hm, dys[i]) for i in range(n)])
+    h_num = hermitian_counterpart(hm, dys)
+    h_tilde = physical_hamiltonian(hm, dys)
 
-    herm = lambda a: np.linalg.norm(a - np.conj(np.swapaxes(a, 1, 2)), axis=(1, 2))
-    h_herm = herm(h_num)
-    dets = (rho_num[:, 0, 0] * rho_num[:, 1, 1] - rho_num[:, 0, 1] * rho_num[:, 1, 0]).real
-    dev_metric = np.linalg.norm(rho_num - rho_ref, axis=(1, 2))
-    eta_sq = np.linalg.norm(eta_num @ eta_num - rho_num, axis=(1, 2))
-    qh_tilde = np.array([quasi_hermiticity_residual(h_tilde[i], rho_num[i]) for i in range(n)])
+    h_herm = _herm(h_num)
+    dets = _det(rho_num)
+    dev_metric = _norms(rho_num - rho_ref)
+    eta_sq = _norms(dys.eta @ dys.eta - rho_num)
+    qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
     # coefficient-flow residual of the closed form, via fourth-order differences
     fd = 1e-3
-    flow_resid = 0.0
-    for i in _subsample(n, want=50):
-        t = ts[i]
-        stencil = [zeta_metric(t + k * fd, h, zeta) for k in (-2, -1, 1, 2)]
-        alpha_dot = (stencil[0].alpha - 8 * stencil[1].alpha + 8 * stencil[2].alpha - stencil[3].alpha) / (12 * fd)
-        beta_dot = (
-            stencil[0].beta_vec - 8 * stencil[1].beta_vec + 8 * stencil[2].beta_vec - stencil[3].beta_vec
-        ) / (12 * fd)
-        s = zeta_metric(t, h, zeta)
-        r_alpha = abs(alpha_dot + s.beta_vec @ h.lambda_vec)
-        r_beta = np.linalg.norm(
-            beta_dot - (np.cross(h.kappa_vec, s.beta_vec) - s.alpha * h.lambda_vec)
-        )
-        flow_resid = max(flow_resid, float(r_alpha), float(r_beta))
+    sub = _subsample(len(ts), want=50)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = (
+        zeta_coefficients(ts[sub] + k * fd, h, zeta) for k in (-2, -1, 1, 2)
+    )
+    alpha_dot = (a0 - 8 * a1 + 8 * a2 - a3) / (12 * fd)
+    beta_dot = (b0 - 8 * b1 + 8 * b2 - b3) / (12 * fd)
+    r_alpha = np.abs(alpha_dot + _dot3(beta[sub], h.lambda_vec))
+    r_beta = beta_dot - (np.cross(h.kappa_vec, beta[sub]) - alpha[sub, None] * h.lambda_vec)
+    flow_resid = float(max(np.max(r_alpha), np.max(np.sqrt(_dot3(r_beta, r_beta)))))
 
     checks = [
         Check("metric_flow_residual_fd", flow_resid, 1e-9),
         Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(herm(rho_num))), 1e-10),
+        Check("metric_hermitian", float(np.max(_herm(rho_num))), 1e-10),
         Check("det_rho_drift", float(np.max(np.abs(dets - margins))), 1e-8),
         Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
         Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
         Check("h_hermitian", float(np.max(h_herm)), 1e-6),
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
     ]
-    if lambda_norm == 0.0:
-        checks.append(
-            Check("h_matches_static_h", float(np.max(np.linalg.norm(h_num - hm, axis=(1, 2)))), 1e-6)
-        )
+    if not np.any(h.lambda_vec):
+        checks.append(Check("h_matches_static_h", float(np.max(_norms(h_num - hm))), 1e-6))
 
-    series = {
-        "metric": (
-            ["alpha", "beta_x", "beta_y", "beta_z", "det_rho"],
-            lambda: [
-                [ts[i], states[i].alpha] + list(states[i].beta_vec) + [dets[i]]
-                for i in range(n)
-            ],
-        ),
-        "dyson": (_matrix_header("eta"), lambda: [[ts[i]] + _matrix_row(eta_num[i]) for i in range(n)]),
-        "hermitian_h": (_matrix_header("h"), lambda: [[ts[i]] + _matrix_row(h_num[i]) for i in range(n)]),
-        "invariants": (
-            ["metric_vs_closed", "det_deviation", "eta_sq_residual", "h_hermiticity", "htilde_quasi_hermiticity"],
-            lambda: [
-                [
-                    ts[i],
-                    dev_metric[i],
-                    abs(dets[i] - margins[i]),
-                    eta_sq[i],
-                    h_herm[i],
-                    qh_tilde[i],
-                ]
-                for i in range(n)
-            ],
-        ),
-    }
+    u = energies = None
     if any(o in cfg.outputs for o in ("propagator", "states", "energies")):
-        h_source = _su2_h_source(h, zeta)
-        u_series = propagator_series(h_source, grid)
-        u_num = u_series.samples
-        series["propagator"] = (
-            _matrix_header("u"),
-            lambda: [[ts[i]] + _matrix_row(u_num[i]) for i in range(n)],
-        )
-        series["states"] = (
-            _state_header("phi1") + _state_header("phi2"),
-            lambda: [[ts[i]] + _state_row(u_num[i][:, 0]) + _state_row(u_num[i][:, 1]) for i in range(n)],
-        )
-        e_1 = np.einsum("ni,nij,nj->n", u_num[:, :, 0].conj(), h_num, u_num[:, :, 0]).real
-        e_2 = np.einsum("ni,nij,nj->n", u_num[:, :, 1].conj(), h_num, u_num[:, :, 1]).real
-        series["energies"] = (
-            ["E_1", "E_2"],
-            lambda: [[ts[i], e_1[i], e_2[i]] for i in range(n)],
-        )
-        uhu = np.conj(np.swapaxes(u_num, 1, 2)) @ u_num - IDENTITY[None, :, :]
-        checks.append(Check("u_unitary", float(np.max(np.linalg.norm(uhu, axis=(1, 2)))), 1e-9))
+        u = propagator_series(_su2_h_source(h, zeta), grid).samples
+        energies = {
+            f"E_{k + 1}": np.einsum("ni,nij,nj->n", u[:, :, k].conj(), h_num, u[:, :, k]).real
+            for k in (0, 1)
+        }
+        checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
 
+    invariants = {
+        "metric_vs_closed": dev_metric,
+        "det_deviation": np.abs(dets - margins),
+        "eta_sq_residual": eta_sq,
+        "h_hermiticity": h_herm,
+        "htilde_quasi_hermiticity": qh_tilde,
+    }
+    series = _series(
+        ts, (alpha, *beta.T, dets), dys.eta, h_num, invariants, u=u, energies=energies
+    )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
@@ -770,7 +654,7 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
 
     Given a 1-D array of times, the source evaluates the zeta_metric
     coefficients at all of them and returns the (m, 2, 2) stack of
-    h = (eta H + i eta_dot) eta^-1. rho_dot is the flow -i (H^dag rho - rho H)
+    hermitian_counterpart. rho_dot is the flow -i (H^dag rho - rho H)
     itself, eta = sqrt(rho) the closed-form root and eta_dot its analytic
     derivative, the solution of eta X + X eta = rho_dot; no step is a finite
     difference.
@@ -778,11 +662,10 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     hm = h.matrix()
 
     def source(t):
-        alpha, beta = zeta_coefficients(t, h, zeta)
-        rho = alpha[:, None, None] * IDENTITY + np.einsum("nj,jkl->nkl", beta, PAULIS)
+        rho = _su2_metric(*zeta_coefficients(t, h, zeta))
         eta = hermitian_sqrt(rho)
         eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
-        return (eta @ hm + 1j * eta_dot) @ np.linalg.inv(eta)
+        return hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot))
 
     return source
 
@@ -798,6 +681,12 @@ _PIPELINES = {
 }
 
 
+def _out_dir(cfg: ScenarioConfig) -> Path:
+    out_dir = Path(cfg.out_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
@@ -807,76 +696,52 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     report, series = _PIPELINES[cfg.scenario](cfg)
     written = []
     if write_files:
-        out_dir = Path(cfg.out_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(cfg)
         for name in cfg.outputs:
-            if name not in series:
-                continue
-            header, build_rows = series[name]
-            written.append(_write_series(out_dir, name, header, build_rows(), cfg))
-        report_path = out_dir / "report.json"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"metadata": _metadata(cfg), "report": report.to_dict()},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        written.append(report_path)
+            if name in series:
+                header, build_rows = series[name]
+                written.append(_write_series(out_dir, name, header, build_rows(), cfg))
+        report_payload = {"metadata": _metadata(cfg), "report": report.to_dict()}
+        written.append(_write_json(out_dir / "report.json", report_payload))
     return report, written
 
 
 def _sweep_row(cfg: ScenarioConfig):
-    """Aggregates for one sweep row, always through the numeric pipeline."""
-    if cfg.scenario == "su2-generic":
-        h, zeta, period = _su2_config(cfg)
-        grid = _resolve_window(replace(cfg, t_end=None), 0.0, 0.5 * period)
-        ts = grid.times
-        rho_ref = np.stack([zeta_metric(t, h, zeta).matrix() for t in ts])
-        flow = integrate_metric(h, rho_ref[0], grid)
-        hm = h.matrix()
-        u_dev = None
-    else:
-        p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-        if cfg.t_start is not None and cfg.t_end is not None:
-            grid = _resolve_window(cfg, p.t0, 0.5 * p.period)
-        else:
-            grid = _resolve_window(replace(cfg, t_end=None), p.t0, 0.5 * p.period)
-        ts = grid.times
-        rho_ref = np.stack([rho_closed(t, p) for t in ts])
-        flow = integrate_metric(h1_su2(p), rho_ref[0], grid)
-        hm = h1_matrix(p)
-        u_series = propagator_series(lambda t: rabi_h(t, p), grid)
-        u_anchor = u_closed(grid.t_start, p)
-        u_ref = np.stack([u_closed(t, p) @ u_anchor.conj().T for t in ts])
-        u_dev = float(np.max(np.linalg.norm(u_series.samples - u_ref, axis=(1, 2))))
+    """One sweep row, read from the numeric scenario's report over the sweep window.
 
-    rho_num = flow.series.samples
-    dets = (rho_num[:, 0, 0] * rho_num[:, 1, 1] - rho_num[:, 0, 1] * rho_num[:, 1, 0]).real
-    dys = dyson_from_metric(flow.series)
-    n = len(ts)
-    qh = max(
-        quasi_hermiticity_residual(physical_hamiltonian(hm, dys[i]), rho_num[i])
-        for i in _subsample(n)
+    Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves,
+    without propagator outputs. The window honours t_start and t_end; left
+    open, it spans one natural period, half the default window of ``run``.
+    Returns the minimum positivity margin, the maximum quasi-Hermiticity
+    residual, and the larger of the metric and propagator closed-vs-numeric
+    deviations (the propagator one where the scenario reports it).
+    """
+    scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
+    cfg = replace(cfg, scenario=scenario, outputs=())
+    grid = _resolve_window(cfg, periods=1)
+    report, _ = _PIPELINES[scenario](replace(cfg, t_start=grid.t_start, t_end=grid.t_end))
+    value = {c.name: c.value for c in report.checks}
+    deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
+    return (
+        value["positivity_maintained"],
+        value["htilde_quasi_hermitian"],
+        max(value[name] for name in deviations if name in value),
     )
-    dev = float(np.max(np.linalg.norm(rho_num - rho_ref, axis=(1, 2))))
-    if u_dev is not None:
-        dev = max(dev, u_dev)
-    return float(np.min(dets)), float(qh), dev
 
 
 def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True):
     """One numeric run per parameter value; rows ordered by ascending value."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigInvalid(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
+    if cfg.scenario == "su2-generic" and parameter != "dt":
+        raise ConfigInvalid(f"su2-generic sweeps only dt; it does not read {parameter}")
     if not values:
         raise ConfigInvalid("sweep needs at least one value")
     values = [_as_float(v, parameter) for v in values]
-    rows = []
-    for value in sorted(values):
-        row_cfg = validate_config(replace(cfg, **{parameter: value}))
-        rows.append([value, *_sweep_row(row_cfg)])
+    rows = [
+        [value, *_sweep_row(validate_config(replace(cfg, **{parameter: value})))]
+        for value in sorted(values)
+    ]
     header = [
         parameter,
         "min_positivity_margin",
@@ -885,25 +750,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True)
     ]
     written = []
     if write_files:
-        out_dir = Path(cfg.out_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.format == "csv":
-            path = out_dir / f"sweep_{parameter}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(x) for x in row) + "\n")
-        else:
-            path = out_dir / f"sweep_{parameter}.json"
-            payload = {
-                "metadata": _metadata(cfg),
-                "columns": header,
-                "rows": [dict(zip(header, [float(x) for x in row])) for row in rows],
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        written.append(path)
+        written.append(_write_series(_out_dir(cfg), f"sweep_{parameter}", header, rows, cfg))
     return header, rows, written
 
 

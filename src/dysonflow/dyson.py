@@ -9,6 +9,10 @@ while the quasi-Hermitian physical energy observable of the non-Hermitian
 picture is Htilde(t) = H + i eta^-1 (d/dt eta) = eta^-1 h eta. Only the
 Hermitian branch of the square root is implemented; the unitary gauge
 family eta' = V eta with V unitary is out of scope.
+
+The relations below take one (2, 2) matrix or a (..., 2, 2) stack, and a
+DysonSeries wherever they take a DysonSample, so a whole series goes
+through each of them in one call.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow
 from .series import TimeSeries
-from .su2 import complex2x2, hermitian_sqrt
+from .su2 import _first_invalid, complex2x2_stack, frobenius_norm, hermitian_sqrt
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -26,9 +30,12 @@ MIN_DYSON_DET = 1e-12
 
 @dataclass(frozen=True)
 class DysonSample:
-    """Dyson map eta(t) = sqrt(rho(t)) and its time derivative at one instant."""
+    """Dyson map eta(t) = sqrt(rho(t)) and its time derivative.
 
-    t: float
+    At one instant t, or over an array of times with (..., 2, 2) stacks.
+    """
+
+    t: float | np.ndarray
     eta: np.ndarray
     eta_dot: np.ndarray
 
@@ -63,12 +70,25 @@ class DysonSeries:
 
 
 def invert_dyson_map(eta) -> np.ndarray:
-    """Closed-form 2x2 inverse via adjugate; refuses |det| < 1e-12."""
-    eta = complex2x2(eta)
-    det = eta[0, 0] * eta[1, 1] - eta[0, 1] * eta[1, 0]
-    if abs(det) < MIN_DYSON_DET:
-        raise SingularDysonMap(f"|det eta| = {abs(det):.3e} below {MIN_DYSON_DET:.1e}")
-    return np.array([[eta[1, 1], -eta[0, 1]], [-eta[1, 0], eta[0, 0]]], dtype=complex) / det
+    """Closed-form 2x2 inverse via adjugate, of one matrix or a (..., 2, 2) stack.
+
+    Refuses |det| < 1e-12, naming the first such matrix of a stack. The
+    determinant is formed in real arithmetic, which rounds each matrix of
+    a stack exactly as numpy's scalar complex product does.
+    """
+    eta = complex2x2_stack(eta)
+    a, b, c, d = eta[..., 0, 0], eta[..., 0, 1], eta[..., 1, 0], eta[..., 1, 1]
+    det = np.empty(a.shape, dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    small = np.abs(det) < MIN_DYSON_DET
+    if np.any(small):
+        _, where = _first_invalid(small)
+        raise SingularDysonMap(
+            f"{where}|det eta| = {np.abs(det)[small][0]:.3e} below {MIN_DYSON_DET:.1e}"
+        )
+    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return adj / det[..., None, None]
 
 
 def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
@@ -118,34 +138,38 @@ def dyson_from_metric(metric_series) -> DysonSeries:
     return DysonSeries(t0=metric_series.t0, dt=metric_series.dt, eta=eta, eta_dot=eta_dot)
 
 
-def hermitian_counterpart(h_nonhermitian, sample: DysonSample) -> np.ndarray:
+def hermitian_counterpart(h_nonhermitian, sample: DysonSample | DysonSeries) -> np.ndarray:
     """Hermitian counterpart h = eta H eta^-1 + i eta_dot eta^-1.
 
-    Hermiticity of the result is a property of a correct (eta, eta_dot)
-    pair, not of this formula; the residual is the standard cross check.
+    One matrix for a DysonSample at one instant, the (n, 2, 2) stack for a
+    DysonSeries or stacked sample. Hermiticity of the result is a property
+    of a correct (eta, eta_dot) pair, not of this formula; the residual is
+    the standard cross check.
     """
-    h_nonhermitian = complex2x2(h_nonhermitian)
+    h_nonhermitian = complex2x2_stack(h_nonhermitian)
     inv = invert_dyson_map(sample.eta)
     return sample.eta @ h_nonhermitian @ inv + 1j * sample.eta_dot @ inv
 
 
-def physical_hamiltonian(h_nonhermitian, sample: DysonSample) -> np.ndarray:
+def physical_hamiltonian(h_nonhermitian, sample: DysonSample | DysonSeries) -> np.ndarray:
     """Physical energy observable Htilde = H + i eta^-1 eta_dot.
 
     Quasi-Hermitian with respect to rho = eta^2 and equal to
-    eta^-1 h eta for the counterpart h above.
+    eta^-1 h eta for the counterpart h above; stacked like it.
     """
-    h_nonhermitian = complex2x2(h_nonhermitian)
+    h_nonhermitian = complex2x2_stack(h_nonhermitian)
     inv = invert_dyson_map(sample.eta)
     return h_nonhermitian + 1j * inv @ sample.eta_dot
 
 
-def quasi_hermiticity_residual(h_tilde, rho) -> float:
+def quasi_hermiticity_residual(h_tilde, rho):
     """Frobenius norm of Htilde^dag rho - rho Htilde.
 
     Zero exactly when Htilde is quasi-Hermitian with respect to rho, the
     condition for real expectation values in the rho-weighted inner product.
+    A float for one pair of matrices, an array of residuals when either
+    argument is a (..., 2, 2) stack.
     """
-    h_tilde = complex2x2(h_tilde)
-    rho = complex2x2(rho)
-    return float(np.linalg.norm(h_tilde.conj().T @ rho - rho @ h_tilde))
+    h_tilde = complex2x2_stack(h_tilde)
+    rho = complex2x2_stack(rho)
+    return frobenius_norm(np.conj(np.swapaxes(h_tilde, -1, -2)) @ rho - rho @ h_tilde)[()]

@@ -90,6 +90,22 @@ def hermiticity_residual(m) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
+def frobenius_norm(m) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., 2, 2) stack (a 0-d array for one).
+
+    The squares are summed in one fixed order, column-wise pairs of the real
+    parts and then of the imaginary parts: the order in which numpy's
+    OpenBLAS build sums np.linalg.norm of a single 2x2 matrix. A stack thus
+    gives that per-matrix norm bit for bit, whatever its size.
+    """
+    m = np.asarray(m, dtype=complex)
+
+    def squares(x):
+        return (x[..., 0, 0] ** 2 + x[..., 1, 0] ** 2) + (x[..., 0, 1] ** 2 + x[..., 1, 1] ** 2)
+
+    return np.sqrt(squares(m.real) + squares(m.imag))
+
+
 def eigensystem(m, max_vector_condition: float = 1e6) -> EigenSystem2:
     """Eigendecomposition of a diagonalizable 2x2 complex matrix.
 

@@ -18,7 +18,9 @@ explicitly time-dependent Rabi-type Hamiltonian
 
 whose propagator, orthonormal basis and energy expectations all exist in
 closed form. Everything here doubles as an oracle for the numeric paths in
-the metric, dyson and propagation modules.
+the metric, dyson and propagation modules. The time-dependent closed forms
+accept scalar t or an array of times; an array gives the matching stack of
+matrices or states, each bit-identical to its scalar evaluation.
 """
 
 import math
@@ -141,41 +143,51 @@ def eigenvalues_h1(p: YangLeeParams) -> tuple[float, float]:
     return 0.5 * (-p.omega + p.phi), 0.5 * (-p.omega - p.phi)
 
 
-def psi_pm(t: float, sign: int, p: YangLeeParams) -> np.ndarray:
+def _stack(x):
+    """Coefficients of shape (...) as (..., 1, 1), to scale 2x2 matrices elementwise."""
+    return np.asarray(x)[..., None, None]
+
+
+def psi_pm(t, sign: int, p: YangLeeParams) -> np.ndarray:
     """Eigenstate solution of the non-Hermitian TDSE i d/dt Psi = H1 Psi.
 
     Psi_pm(t) = sqrt(gamma) / (sqrt(2) phi sqrt(1 +- phi))
               * (gamma, i (1 +- phi))^T e^{-i E_pm t},
-    normalized so that <Psi_pm | rho(t) Psi_pm> = 1 at every t.
+    normalized so that <Psi_pm | rho(t) Psi_pm> = 1 at every t. An array
+    of times gives a (..., 2) stack of states.
     """
     s = _pauli_sign(sign)
     e_plus, e_minus = eigenvalues_h1(p)
     energy = e_plus if s > 0 else e_minus
     pref = math.sqrt(p.gamma) / (math.sqrt(2.0) * p.phi * math.sqrt(1.0 + s * p.phi))
     vec = np.array([p.gamma, 1j * (1.0 + s * p.phi)], dtype=complex)
-    return pref * vec * np.exp(-1j * energy * t)
+    return pref * vec * np.exp(-1j * energy * np.asarray(t, dtype=float))[..., None]
 
 
-def _rho_coeffs(t: float, p: YangLeeParams):
-    s, c = math.sin(p.phi * t), math.cos(p.phi * t)
-    alpha = 1.0 / p.gamma + p.gamma * s
-    beta = np.array([p.phi * c, -(1.0 + s), 0.0])
-    return alpha, beta
+def _sin_cos(t, p: YangLeeParams):
+    t = np.asarray(t, dtype=float)
+    return np.sin(p.phi * t), np.cos(p.phi * t)
 
 
-def rho_closed(t: float, p: YangLeeParams) -> np.ndarray:
+def _rho_coeffs(t, p: YangLeeParams):
+    """Coefficients (alpha, beta_x, beta_y) of rho on I, sigma_x, sigma_y."""
+    s, c = _sin_cos(t, p)
+    return 1.0 / p.gamma + p.gamma * s, p.phi * c, -(1.0 + s)
+
+
+def rho_closed(t, p: YangLeeParams) -> np.ndarray:
     """Oscillatory metric rho(t); Hermitian with constant det = phi^4 / gamma^2."""
-    alpha, beta = _rho_coeffs(t, p)
-    return alpha * IDENTITY + beta[0] * SIGMA_X + beta[1] * SIGMA_Y
+    alpha, bx, by = _rho_coeffs(t, p)
+    return _stack(alpha) * IDENTITY + _stack(bx) * SIGMA_X + _stack(by) * SIGMA_Y
 
 
-def rho_closed_dot(t: float, p: YangLeeParams) -> np.ndarray:
+def rho_closed_dot(t, p: YangLeeParams) -> np.ndarray:
     """Analytic time derivative of rho_closed."""
-    s, c = math.sin(p.phi * t), math.cos(p.phi * t)
+    s, c = _sin_cos(t, p)
     return (
-        p.gamma * p.phi * c * IDENTITY
-        - p.phi**2 * s * SIGMA_X
-        - p.phi * c * SIGMA_Y
+        _stack(p.gamma * p.phi * c) * IDENTITY
+        - _stack(p.phi**2 * s) * SIGMA_X
+        - _stack(p.phi * c) * SIGMA_Y
     )
 
 
@@ -184,7 +196,7 @@ def rho_closed_constants(p: YangLeeParams) -> ZetaConstants:
     return ZetaConstants(c1=0.0, c2=-p.phi / p.gamma, c3=-1.0 / p.gamma, c4=0.0)
 
 
-def eta_closed(t: float, p: YangLeeParams) -> DysonSample:
+def eta_closed(t, p: YangLeeParams) -> DysonSample:
     """Hermitian Dyson map eta(t) = sqrt(rho(t)) with its analytic derivative.
 
     With p0(t) = 1 + sin(phi t) + i phi cos(phi t) and
@@ -195,22 +207,23 @@ def eta_closed(t: float, p: YangLeeParams) -> DysonSample:
 
     Because p_+^2 - p_-^2 = 2 |p0| identically, the coefficient
     (p_+ - p_-)/(2 |p0|) equals 1/(p_+ + p_-); that regular form is used
-    here since |p0| vanishes at t0 modulo one period.
+    here since |p0| vanishes at t0 modulo one period. An array of times
+    gives one DysonSample holding the (..., 2, 2) stacks.
     """
-    alpha, beta = _rho_coeffs(t, p)
-    s, c = math.sin(p.phi * t), math.cos(p.phi * t)
+    alpha, beta_x, beta_y = _rho_coeffs(t, p)
+    s, c = _sin_cos(t, p)
     delta = p.phi**2 / p.gamma  # sqrt(det rho), conserved
-    a = math.sqrt(0.5 * (alpha + delta))
-    bx = beta[0] / (2.0 * a)
-    by = beta[1] / (2.0 * a)
-    eta = a * IDENTITY + bx * SIGMA_X + by * SIGMA_Y
+    a = np.sqrt(0.5 * (alpha + delta))
+    bx = beta_x / (2.0 * a)
+    by = beta_y / (2.0 * a)
+    eta = _stack(a) * IDENTITY + _stack(bx) * SIGMA_X + _stack(by) * SIGMA_Y
 
     alpha_dot = p.gamma * p.phi * c
     a_dot = alpha_dot / (4.0 * a)
     bx_dot = -p.phi**2 * s / (2.0 * a) - p.phi * c * a_dot / (2.0 * a * a)
     by_dot = -p.phi * c / (2.0 * a) + (1.0 + s) * a_dot / (2.0 * a * a)
-    eta_dot = a_dot * IDENTITY + bx_dot * SIGMA_X + by_dot * SIGMA_Y
-    return DysonSample(t=float(t), eta=eta, eta_dot=eta_dot)
+    eta_dot = _stack(a_dot) * IDENTITY + _stack(bx_dot) * SIGMA_X + _stack(by_dot) * SIGMA_Y
+    return DysonSample(t=np.asarray(t, dtype=float)[()], eta=eta, eta_dot=eta_dot)
 
 
 def rabi_h(t, p: YangLeeParams) -> np.ndarray:
@@ -259,17 +272,20 @@ def theta(t, p: YangLeeParams):
     return out
 
 
-def u_closed(t: float, p: YangLeeParams) -> np.ndarray:
+def u_closed(t, p: YangLeeParams) -> np.ndarray:
     """Closed-form propagator u(t, t0) of the Rabi-type Hamiltonian.
 
     Diagonal because h(t) is:
     u = diag(e^{i theta(t)}, e^{i [pi omega/(2 phi) + omega t - theta(t)]}),
     so u(t0, t0) = I, u is unitary, and det u = e^{i omega (t - t0)}.
+    An array of times gives a (..., 2, 2) stack.
     """
-    th = theta(float(t), p)
-    upper = np.exp(1j * th)
-    lower = np.exp(1j * (np.pi * p.omega / (2.0 * p.phi) + p.omega * float(t) - th))
-    return np.array([[upper, 0.0], [0.0, lower]], dtype=complex)
+    t = np.asarray(t, dtype=float)
+    th = theta(t, p)
+    out = np.zeros(t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(1j * th)
+    out[..., 1, 1] = np.exp(1j * (np.pi * p.omega / (2.0 * p.phi) + p.omega * t - th))
+    return out
 
 
 @dataclass(frozen=True)
@@ -319,14 +335,15 @@ def basis_states(p: YangLeeParams) -> BasisStates:
     )
 
 
-def energy_expectation(t: float, sign: int, p: YangLeeParams) -> float:
+def energy_expectation(t, sign: int, p: YangLeeParams):
     """Energy expectation E_pm(t) = +- phi^3 / (2 + gamma^2 sin(phi t) - gamma^2) - omega/2.
 
     Equals <phi_pm(t)| h(t) |phi_pm(t)> in the Hermitian picture and
     <Psi_pm(t)| rho(t) Htilde(t) |Psi_pm(t)> in the non-Hermitian one. It
     oscillates with frequency phi between the static eigenvalues E_pm at t0
-    and (+- phi^3 - omega)/2 at -t0.
+    and (+- phi^3 - omega)/2 at -t0. A float for scalar t, an array for an
+    array of times.
     """
     s = _pauli_sign(sign)
-    denom = 2.0 + p.gamma**2 * math.sin(p.phi * t) - p.gamma**2
+    denom = 2.0 + p.gamma**2 * _sin_cos(t, p)[0] - p.gamma**2
     return s * p.phi**3 / denom - 0.5 * p.omega

@@ -142,6 +142,16 @@ def test_config_errors_exit_two(tmp_path):
     bad.write_text("not json", encoding="utf-8")
     assert cli.main(["run", str(bad)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    for malformed in (
+        {"outputs": 5},
+        {"outputs": "metric"},
+        {"outputs": [["metric"]]},
+        {"out_path": None},
+        {"out_path": 7},
+        {"out_path": ["a"]},
+    ):
+        bad.write_text(json.dumps({"scenario": "yang-lee-closed", **malformed}), encoding="utf-8")
+        assert cli.main(["run", str(bad)]) == 2, malformed
 
 
 def test_sweep_gamma_margin_column(tmp_path):
@@ -302,3 +312,39 @@ def test_su2_source_matches_finite_difference_formula():
         sample = DysonSample(t=t, eta=root(t), eta_dot=(root(t + fd) - root(t - fd)) / (2.0 * fd))
         assert np.linalg.norm(h_exact - hermitian_counterpart(h.matrix(), sample)) < 1e-8
         assert np.linalg.norm(h_exact - h_exact.conj().T) < 1e-13
+
+
+def test_sweep_rows_are_the_numeric_report_values(tmp_path):
+    # each row is read from the report verify prints for the same config and
+    # window, t_end included; su2-generic sweeps used to drop t_end
+    yang_lee = {"scenario": "yang-lee-numeric", "t_start": 0.0, "t_end": 1.0, "dt": 2e-3}
+    su2 = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=1.5, dt=5e-3)
+    for raw, param, values in ((yang_lee, "gamma", [0.3, 0.6]), (su2, "dt", [5e-3, 2.5e-3])):
+        cfg = cli.validate_config(cli.ScenarioConfig(**raw))
+        header, rows, written = cli.sweep(cfg, param, values, write_files=False)
+        assert written == [] and [row[0] for row in rows] == sorted(values)
+        for value, margin, qh, deviation in rows:
+            report, _ = cli.run_scenario(
+                cli.validate_config(cli.ScenarioConfig(**{**raw, param: value})), write_files=False
+            )
+            checks = {c.name: c.value for c in report.checks}
+            assert margin == checks["positivity_maintained"]
+            assert qh == checks["htilde_quasi_hermitian"]
+            assert deviation == max(
+                checks[name]
+                for name in ("metric_numeric_vs_closed", "u_numeric_vs_closed")
+                if name in checks
+            )
+
+
+def test_su2_sweep_refuses_what_run_refuses(tmp_path):
+    cfg = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=0.5, dt=1e-2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    # su2-generic reads neither gamma nor omega, so sweeping them is refused
+    for param in ("gamma", "omega"):
+        assert cli.main(["sweep", str(cfg_path), "--param", param, "--values", "0.3,0.5"]) == 2
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.005"]) == 0
+    cfg_path.write_text(json.dumps({**cfg, "zeta_constants": [0.0, 0.0, 0.0, 0.0]}), encoding="utf-8")
+    assert cli.main(["verify", str(cfg_path)]) == 2
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01"]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from dysonflow import (
     DysonSample,
+    DysonSeries,
     IDENTITY,
     PAULIS,
     SIGMA_Z,
@@ -219,3 +220,35 @@ def test_analytic_eta_dot_matches_finite_differences():
     sylvester = eta @ eta_dot + eta_dot @ eta - rho_dot
     assert np.max(np.linalg.norm(sylvester, axis=(1, 2))) < 1e-12
     assert np.max(np.linalg.norm(eta_dot - np.conj(np.swapaxes(eta_dot, 1, 2)), axis=(1, 2))) < 1e-12
+
+
+def test_dyson_kernels_on_a_stack_equal_single_calls():
+    # 14,501 samples: the size of the default two-period window at dt = 1e-3
+    p = YangLeeParams(gamma=0.63, omega=0.9)
+    ts = p.t0 + 1e-3 * np.arange(14_501)
+    stacked = eta_closed(ts, p)
+    series = DysonSeries(t0=ts[0], dt=1e-3, eta=stacked.eta, eta_dot=stacked.eta_dot)
+    rho = rho_closed(ts, p)
+    h1 = h1_matrix(p)
+    samples = [DysonSample(t=t, eta=e, eta_dot=d) for t, e, d in zip(ts, series.eta, series.eta_dot)]
+    inverses = invert_dyson_map(series.eta)
+    assert np.array_equal(inverses, np.stack([invert_dyson_map(s.eta) for s in samples]))
+    for kernel in (hermitian_counterpart, physical_hamiltonian):
+        single = np.stack([kernel(h1, s) for s in samples])
+        assert np.array_equal(kernel(h1, series), single)
+        assert np.array_equal(kernel(h1, stacked), single)
+    h_tilde = physical_hamiltonian(h1, series)
+    residuals = quasi_hermiticity_residual(h_tilde, rho)
+    assert residuals.shape == (14_501,)
+    assert np.array_equal(residuals, [quasi_hermiticity_residual(a, b) for a, b in zip(h_tilde, rho)])
+    assert np.array_equal(
+        quasi_hermiticity_residual(h1, rho), [quasi_hermiticity_residual(h1, b) for b in rho]
+    )
+    assert isinstance(quasi_hermiticity_residual(h_tilde[7], rho[7]), float)
+
+
+def test_invert_dyson_map_names_the_first_singular_matrix():
+    stack = np.stack([IDENTITY] * 4)
+    stack[2] = np.ones((2, 2))
+    with pytest.raises(SingularDysonMap, match="matrix 2 of the stack"):
+        invert_dyson_map(stack)

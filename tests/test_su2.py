@@ -14,6 +14,7 @@ from dysonflow import (
     PauliCoefficients,
     YangLeeParams,
     eigensystem,
+    frobenius_norm,
     h1_matrix,
     hermitian_sqrt,
     hermiticity_residual,
@@ -241,3 +242,11 @@ def test_hermitian_sqrt_stack_names_first_invalid_index():
     assert err.value.index is None
     with pytest.raises(ValueError):
         hermitian_sqrt(np.ones((3, 2)))
+
+
+def test_frobenius_norm_of_a_stack_equals_norm_of_each_matrix():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((20_000, 2, 2)) + 1j * rng.standard_normal((20_000, 2, 2))
+    stack *= rng.uniform(1e-14, 10.0, (20_000, 1, 1))
+    assert np.array_equal(frobenius_norm(stack), [np.linalg.norm(m) for m in stack])
+    assert frobenius_norm(stack[0]).shape == ()

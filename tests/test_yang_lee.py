@@ -327,3 +327,19 @@ def test_triple_consistency_between_h_forms():
         assert np.linalg.norm(direct - reconstructed) < 1e-9
         assert np.linalg.norm(reconstructed - sandwiched) < 1e-9
         assert np.linalg.norm(direct - sandwiched) < 1e-9
+
+
+def test_closed_forms_on_a_time_array_equal_scalar_calls():
+    # 14,501 samples: the size of the default two-period window at dt = 1e-3
+    ts = YL.t0 + 1e-3 * np.arange(14_501)
+    for kernel in (rho_closed, rho_closed_dot, u_closed):
+        assert np.array_equal(kernel(ts, YL), np.stack([kernel(t, YL) for t in ts]))
+    stacked = eta_closed(ts, YL)
+    singles = [eta_closed(t, YL) for t in ts]
+    assert np.array_equal(stacked.t, ts)
+    assert np.array_equal(stacked.eta, np.stack([s.eta for s in singles]))
+    assert np.array_equal(stacked.eta_dot, np.stack([s.eta_dot for s in singles]))
+    for sign in (+1, -1):
+        assert np.array_equal(psi_pm(ts, sign, YL), np.stack([psi_pm(t, sign, YL) for t in ts]))
+        energies = energy_expectation(ts, sign, YL)
+        assert np.array_equal(energies, [energy_expectation(t, sign, YL) for t in ts])
