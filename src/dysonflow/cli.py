@@ -382,8 +382,9 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
     path = out_dir / f"{name}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * len(header)) + "\n"
         for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")
+            fh.write(line % tuple(row.tolist()))
     return path
 
 

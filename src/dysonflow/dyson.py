@@ -62,12 +62,6 @@ class DysonSeries:
             i += len(self.eta)
         return DysonSample(t=self.t0 + self.dt * i, eta=self.eta[i], eta_dot=self.eta_dot[i])
 
-    def at_time(self, t: float) -> DysonSample:
-        i = round((t - self.t0) / self.dt)
-        if i < 0 or i >= len(self.eta) or abs(self.t0 + i * self.dt - t) > 1e-6 * self.dt:
-            raise ValueError(f"t = {t:.9g} is not on the Dyson sample grid")
-        return self[i]
-
 
 def invert_dyson_map(eta) -> np.ndarray:
     """Closed-form 2x2 inverse via adjugate, of one matrix or a (..., 2, 2) stack.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import rk4_series
+from ._integrate import rk4_linear
 from .errors import (
     NotHermitian,
     NotPositiveDefinite,
@@ -247,21 +247,17 @@ def integrate_metric(
     if det0 <= 0.0 or tr0 <= 0.0:
         raise NotPositiveDefinite(f"rho0 is not positive definite: tr = {tr0:.6g}, det = {det0:.6g}")
 
+    # the flow on row-major vec(rho): vec(A rho B) = kron(A, B^T) vec(rho)
     hm = h.matrix()
-    hd = hm.conj().T
-
-    def rhs(_t, rho):
-        return -1j * (hd @ rho - rho @ hm)
-
-    samples = rk4_series(
-        rhs,
-        rho0,
+    samples = rk4_linear(
+        -1j * (np.kron(hm.conj().T, IDENTITY) - np.kron(IDENTITY, hm.T)),
+        rho0.ravel(),
         grid.t_start,
         grid.dt,
         grid.n_steps,
         local_error_bound=local_error_bound,
         check_every=check_every,
-    )
+    ).reshape(-1, 2, 2)
     dets = (samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]).real
     lost_at = None
     bad = np.nonzero(dets <= 0.0)[0]

@@ -9,10 +9,10 @@ import warnings
 
 import numpy as np
 
-from ._integrate import rk4_series, stage_times
+from ._integrate import rk4_linear, stage_times
 from .dyson import DysonSeries, invert_dyson_map
 from .errors import NotPositiveDefinite
-from .series import IntegrationGrid, TimeSeries
+from .series import IntegrationGrid, TimeSeries, grid_index
 from .su2 import complex2x2
 
 
@@ -23,33 +23,31 @@ def _evolve(h_of_t, y0, t0, dt, n_steps, local_error_bound, check_every, hermiti
     returns an (m, d, d) stack, or one (d, d) matrix for a constant
     generator. ``y0`` None starts from the d x d identity.
     """
-    times, position = stage_times(t0, dt, n_steps, local_error_bound, check_every)
+    times, _ = stage_times(t0, dt, n_steps, local_error_bound, check_every)
     hm = np.asarray(h_of_t(times), dtype=complex)
-    if hm.ndim == 2:
-        hm = np.broadcast_to(hm, (len(times),) + hm.shape)
-    if hm.ndim != 3 or hm.shape[0] != len(times) or hm.shape[1] != hm.shape[2]:
+    if hm.ndim not in (2, 3) or hm.shape[-1] != hm.shape[-2] or (
+        hm.ndim == 3 and len(hm) != len(times)
+    ):
         raise ValueError(
             f"h_of_t must return a ({len(times)}, d, d) stack or one (d, d) matrix "
             f"for {len(times)} stage times, got shape {hm.shape}"
         )
     if hermitian_check:
-        drift = np.linalg.norm(hm - np.conj(np.swapaxes(hm, 1, 2)), axis=(1, 2))
-        bad = drift > 1e-8 * np.maximum(1.0, np.linalg.norm(hm, axis=(1, 2)))
+        stack = hm.reshape((-1,) + hm.shape[-2:])  # one row for a constant generator
+        drift = np.linalg.norm(stack - np.conj(np.swapaxes(stack, 1, 2)), axis=(1, 2))
+        bad = drift > 1e-8 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
         if np.any(bad):
-            i = int(np.argmin(np.where(bad, times, np.inf)))
+            i = int(np.argmin(np.where(bad, times[: len(bad)], np.inf)))
             warnings.warn(
                 f"Hamiltonian source is not Hermitian at t = {times[i]:.6g} "
                 f"(residual {drift[i]:.3e}); integrating anyway",
                 stacklevel=3,
             )
     if y0 is None:
-        y0 = np.eye(hm.shape[1], dtype=complex)
-
-    def rhs(t, y):
-        return -1j * (hm[position(t)] @ y)
-
-    return rk4_series(
-        rhs,
+        y0 = np.eye(hm.shape[-1], dtype=complex)
+    hm = -1j * hm  # rebinding frees the unscaled stack before the steps are formed
+    return rk4_linear(
+        hm,
         y0,
         t0,
         dt,
@@ -158,8 +156,9 @@ def nonhermitian_u(eta_series: DysonSeries, u, t_from: float, t_to: float) -> np
     sample grid of ``eta_series``.
     """
     u = np.asarray(u, dtype=complex)
-    eta_start = eta_series.at_time(t_from).eta
-    eta_end = eta_series.at_time(t_to).eta
+    grid = (eta_series.t0, eta_series.dt, len(eta_series))
+    eta_start = eta_series.eta[grid_index(t_from, *grid)]
+    eta_end = eta_series.eta[grid_index(t_to, *grid)]
     return invert_dyson_map(eta_end) @ u @ eta_start
 
 

@@ -348,3 +348,14 @@ def test_su2_sweep_refuses_what_run_refuses(tmp_path):
     cfg_path.write_text(json.dumps({**cfg, "zeta_constants": [0.0, 0.0, 0.0, 0.0]}), encoding="utf-8")
     assert cli.main(["verify", str(cfg_path)]) == 2
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01"]) == 2
+
+
+def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
+    # gamma near 0 and near the exceptional point at 1, from the anchor time to t = 6
+    for gamma in (0.01, 0.99, 0.999):
+        cfg_path = tmp_path / f"cfg_{gamma}.json"
+        t0 = -math.pi / (2.0 * math.sqrt(1.0 - gamma**2))
+        write_config(
+            cfg_path, scenario="yang-lee-numeric", gamma=gamma, t_start=t0, t_end=6.0, outputs=[]
+        )
+        assert cli.main(["verify", str(cfg_path)]) == 0  # overall PASS
