@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -359,3 +360,52 @@ def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
             cfg_path, scenario="yang-lee-numeric", gamma=gamma, t_start=t0, t_end=6.0, outputs=[]
         )
         assert cli.main(["verify", str(cfg_path)]) == 0  # overall PASS
+
+
+# sha256 of every CSV and of report.json written by the two configurations
+# below (numpy 2.4.6), recorded before the 2x2 rules moved into su2; the
+# numeric and su2-generic scenarios must not move a byte either
+GOLDEN_NUMERIC = {
+    "metric": "f460fa7423825c0e43640afcadb74b71bbb648648cca130a5531e625a19066e3",
+    "dyson": "54081992f02a5471d6912cfaee077adcefb5beb977a74ca8f6b5816fe2ec008d",
+    "hermitian_h": "935a321c6171f0637f69d1071a8c3ee99612a4b7033a174f6e8e319095a731ae",
+    "states": "0bb0e0e0733ed17bbae6c8128096e855454528b1b3c4a5f36b6deb30f71e2ae0",
+    "propagator": "f6810995849d1a7fe4ac3fba7bc971f95dfc2983a5ad97ff8cba423757a8a824",
+    "energies": "f99548df98850bd4a51267aedb7cdc8b6fecef1b5851035fdcd936a462f77ac8",
+    "invariants": "f89d99d99a834c7753edd748c55a74aac2095c58633fe8356508e450104ce568",
+    "report": "fb30db1f146f57fd8d7b20294c1b2a300b041531040ff69300a118e4a8f5b413",
+}
+GOLDEN_SU2_GENERIC = {
+    "metric": "04a05d064cc7315d99e57bda4b60ddd1dd798ab6e3aec93e104c6e755877a21c",
+    "dyson": "95e8bd1bb37111fe9ac68b573fc2d566e1fb55a97c49cc8ea00916142467ec0a",
+    "hermitian_h": "bc2fbaeca503f316666854cc4d1fb666b0675665af83eda4174a429744bcaed0",
+    "states": "ec12000dad6f5ee19f6e9bb2a38a602482a4961730596e0b9bd6416c26019b5b",
+    "propagator": "0b8bc27aac2a7841e76afa4a3382373cbdca940ec817d2b29c64c4542f4ad39d",
+    "energies": "41d1549fdc3faeb77e1e1f307c5605e745e0c702baff32aa789471678dfd9b38",
+    "invariants": "a05e634752390512654ec9c8bce31155d0c00120085c73f16662cf83cd63c101",
+    "report": "7c3a4bd8193a9627aeb5031c565e0bdbf567d438c48811f02788bc46ad0e6b1f",
+}
+
+
+def assert_run_matches_golden(cfg, golden, tmp_path, monkeypatch):
+    # a relative out_path keeps report.json, which echoes the config, independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    outputs = [name for name in golden if name != "report"]
+    Path("cfg.json").write_text(json.dumps({**cfg, "outputs": outputs, "out_path": "out"}))
+    assert cli.main(["run", "cfg.json"]) == 0
+    for name, digest in golden.items():
+        data = Path("out", f"{name}.json" if name == "report" else f"{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_numeric_scenario_matches_golden_hashes(tmp_path, monkeypatch):
+    cfg = {
+        "scenario": "yang-lee-numeric", "gamma": 0.6, "omega": 0.9,
+        "t_start": -0.5, "t_end": 1.5, "dt": 5e-3,
+    }
+    assert_run_matches_golden(cfg, GOLDEN_NUMERIC, tmp_path, monkeypatch)
+
+
+def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
+    cfg = rotated_yang_lee_config(0.6, "out", t_start=0.0, t_end=1.5, dt=5e-3)
+    assert_run_matches_golden(cfg, GOLDEN_SU2_GENERIC, tmp_path, monkeypatch)

@@ -11,17 +11,21 @@ from dysonflow import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    IntegrationGrid,
     PauliCoefficients,
     YangLeeParams,
     eigensystem,
     frobenius_norm,
     h1_matrix,
+    h1_su2,
     hermitian_sqrt,
     hermiticity_residual,
+    integrate_metric,
     pauli_compose,
     pauli_decompose,
     rabi_h,
     rho_closed,
+    rho_inner,
 )
 from dysonflow.errors import NonDiagonalizable, NotHermitian, NotPositiveDefinite
 
@@ -250,3 +254,22 @@ def test_frobenius_norm_of_a_stack_equals_norm_of_each_matrix():
     stack *= rng.uniform(1e-14, 10.0, (20_000, 1, 1))
     assert np.array_equal(frobenius_norm(stack), [np.linalg.norm(m) for m in stack])
     assert frobenius_norm(stack[0]).shape == ()
+
+
+
+@pytest.mark.parametrize(
+    "rho, error",
+    [(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), NotHermitian), (-IDENTITY, NotPositiveDefinite)],
+    ids=["non-hermitian", "negative-definite"],
+)
+def test_hpd_guards_keep_their_exception_types(rho, error):
+    # hermitian_sqrt and integrate_metric name the property that failed;
+    # rho_inner raises NotPositiveDefinite for either
+    h = h1_su2(YangLeeParams(gamma=0.5, omega=1.0))
+    psi = np.array([1.0, 0.5j])
+    with pytest.raises(error):
+        hermitian_sqrt(rho)
+    with pytest.raises(error):
+        integrate_metric(h, rho, IntegrationGrid(0.0, 0.1, 1e-2))
+    with pytest.raises(NotPositiveDefinite):
+        rho_inner(psi, psi, rho)
