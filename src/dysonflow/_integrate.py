@@ -29,29 +29,17 @@ def _check_every(local_error_bound, check_every):
 def stage_times(t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     """Every time at which rk4_series, given the same arguments, evaluates f.
 
-    Returns ``(times, position)``. ``times`` is a 1-D array: the half-step
-    grid t0 + k dt/2 for k = 0 .. 2 n_steps (step starts, midpoints and
-    ends), then the quarter points t + dt/4 and t + 3 dt/4 of each
-    error-check step. ``position(t)`` maps a time f is called with to its
-    row of ``times``, so a time-dependent coefficient can be evaluated once
-    for all stages and the steps can index into the result.
+    A 1-D array: the half-step grid t0 + k dt/2 for k = 0 .. 2 n_steps
+    (step starts, midpoints and ends), then the quarter points t + dt/4 and
+    t + 3 dt/4 of each error-check step. A time-dependent coefficient
+    evaluated once at all of them is the stage stack rk4_linear takes.
     """
     every = _check_every(local_error_bound, check_every)
-    n_half = 2 * n_steps + 1
-    times = t0 + 0.5 * dt * np.arange(n_half)
+    times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     if every:
         checked = t0 + dt * np.arange(0, n_steps, every)
         times = np.concatenate([times, (checked[:, None] + dt * np.array([0.25, 0.75])).ravel()])
-    quarters_per_dt = 4.0 / dt
-
-    def position(t):
-        q = round((t - t0) * quarters_per_dt)
-        if q % 2 == 0:
-            return q // 2
-        # a quarter point: step q // 4, the first or second of its pair
-        return n_half + 2 * (q // 4 // every) + q % 4 // 2
-
-    return times, position
+    return times
 
 
 def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):

@@ -37,17 +37,29 @@ from .dyson import (
     physical_hamiltonian,
     quasi_hermiticity_residual,
 )
-from .errors import ConfigInvalid, DysonflowError
+from .errors import ConfigInvalid, DysonflowError, UnsupportedHamiltonian
 from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
+    _require_flow_solvable,
     integrate_metric,
     metric_rhs,
     zeta_coefficients,
 )
 from .propagate import propagator_series
 from .series import IntegrationGrid
-from .su2 import IDENTITY, PAULIS, frobenius_norm, hermitian_sqrt, hermitian_sqrt_derivative
+from .su2 import (
+    IDENTITY,
+    PauliCoefficients,
+    dagger,
+    det,
+    frobenius_norm,
+    hermitian_sqrt,
+    hermitian_sqrt_derivative,
+    hermiticity_residual,
+    pauli_compose,
+    pauli_decompose,
+)
 from .yang_lee import (
     YangLeeParams,
     basis_states,
@@ -166,19 +178,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigInvalid(f"format must be one of {FORMATS}, got {cfg.format!r}")
     t_start = None if cfg.t_start is None else _as_float(cfg.t_start, "t_start")
     t_end = None if cfg.t_end is None else _as_float(cfg.t_end, "t_end")
-    kappa0 = _as_float(cfg.kappa0, "kappa0")
-    lambda0 = _as_float(cfg.lambda0, "lambda0")
-    kappa_vec = _as_vec(cfg.kappa_vec, "kappa_vec")
-    lambda_vec = _as_vec(cfg.lambda_vec, "lambda_vec")
-    if cfg.scenario == "su2-generic":
-        if lambda0 != 0.0:
-            raise ConfigInvalid("su2-generic requires lambda0 = 0 (no closed-form reference otherwise)")
-        kv, lv = np.array(kappa_vec), np.array(lambda_vec)
-        if kv @ kv <= lv @ lv:
-            raise ConfigInvalid("su2-generic requires |kappa_vec| > |lambda_vec| (real frequency)")
-        if abs(kv @ lv) > 1e-12:
-            raise ConfigInvalid("su2-generic requires kappa_vec . lambda_vec = 0")
-    return replace(
+    cfg = replace(
         cfg,
         gamma=gamma,
         omega=omega,
@@ -187,11 +187,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         outputs=outputs,
         t_start=t_start,
         t_end=t_end,
-        kappa0=kappa0,
-        lambda0=lambda0,
-        kappa_vec=kappa_vec,
-        lambda_vec=lambda_vec,
+        kappa0=_as_float(cfg.kappa0, "kappa0"),
+        lambda0=_as_float(cfg.lambda0, "lambda0"),
+        kappa_vec=_as_vec(cfg.kappa_vec, "kappa_vec"),
+        lambda_vec=_as_vec(cfg.lambda_vec, "lambda_vec"),
     )
+    if cfg.scenario == "su2-generic":
+        try:
+            _su2_config(cfg)  # the closed-form reference exists only where its rule holds
+        except UnsupportedHamiltonian as exc:
+            raise ConfigInvalid(f"su2-generic: {exc}") from exc
+    return cfg
 
 
 def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
@@ -269,48 +275,18 @@ class VerificationReport:
 # Stack helpers and output tables
 # ----------------------------------------------------------------------
 
-def _dagger(m):
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
 def _norms(m):
     """Frobenius norm of each matrix of an (n, 2, 2) stack."""
     return np.linalg.norm(m, axis=(1, 2))
 
 
-def _herm(m):
-    return _norms(m - _dagger(m))
-
-
 def _unitarity(u):
-    return _norms(_dagger(u) @ u - IDENTITY)
-
-
-def _det(m):
-    return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]).real
+    return _norms(dagger(u) @ u - IDENTITY)
 
 
 def _dot3(a, b):
     """Row-wise dot products of 3-vectors, summed as numpy sums one a @ b."""
     return (a[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
-
-
-def _pauli_columns(rho):
-    """Columns alpha, beta_x, beta_y, beta_z of rho = alpha I + beta . sigma."""
-    return (
-        0.5 * (rho[:, 0, 0] + rho[:, 1, 1]).real,
-        0.5 * (rho[:, 0, 1] + rho[:, 1, 0]).real,
-        (0.5j * (rho[:, 0, 1] - rho[:, 1, 0])).real,
-        0.5 * (rho[:, 0, 0] - rho[:, 1, 1]).real,
-    )
-
-
-def _su2_metric(alpha, beta):
-    """Stack of rho = alpha I + beta . sigma, composed term by term like MetricState.matrix."""
-    out = alpha[..., None, None] * IDENTITY
-    for j in range(3):
-        out = out + beta[..., j, None, None] * PAULIS[j]
-    return out
 
 
 def _matrix_header(prefix):
@@ -419,9 +395,9 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     phi_m = np.einsum("nij,nj->ni", eta, psi_m)
     e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
 
-    dets = _det(rho)
-    h_herm = _herm(h)
-    flow_residual = _norms(h1m.conj().T @ rho - rho @ h1m - 1j * rho_closed_dot(ts, p))
+    dets = det(rho).real
+    h_herm = hermiticity_residual(h)
+    flow_residual = _norms(dagger(h1m) @ rho - rho @ h1m - 1j * rho_closed_dot(ts, p))
     eta_sq = _norms(eta @ eta - rho)
     dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
     qh_tilde = quasi_hermiticity_residual(h_tilde, rho)
@@ -458,11 +434,11 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     )
 
     checks = [
-        Check("metric_hermitian", float(np.max(_herm(rho))), 1e-12),
+        Check("metric_hermitian", float(np.max(hermiticity_residual(rho))), 1e-12),
         Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
         Check("det_rho_constant", float(np.max(np.abs(dets - det_ref))), 1e-10),
         Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
-        Check("eta_hermitian", float(np.max(_herm(eta))), 1e-12),
+        Check("eta_hermitian", float(np.max(hermiticity_residual(eta))), 1e-12),
         Check("h_hermitian", float(np.max(h_herm)), 1e-12),
         Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-9),
@@ -486,8 +462,9 @@ def _yang_lee_closed(cfg: ScenarioConfig):
         "htilde_quasi_hermiticity": qh_tilde,
         "u_unitarity": u_unitarity,
     }
+    c = pauli_decompose(rho)
     series = _series(
-        ts, (*_pauli_columns(rho), dets), eta, h, invariants,
+        ts, (c.a0.real, c.ax.real, c.ay.real, c.az.real, dets), eta, h, invariants,
         u=u, energies={"E_plus": e_plus, "E_minus": e_minus},
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
@@ -506,9 +483,9 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
     h_num = hermitian_counterpart(h1m, dys)
     h_tilde = physical_hamiltonian(h1m, dys)
     u_num = propagator_series(lambda t: rabi_h(t, p), grid).samples
-    u_ref = u_closed(ts, p) @ u_closed(grid.t_start, p).conj().T
+    u_ref = u_closed(ts, p) @ dagger(u_closed(grid.t_start, p))
 
-    dets = _det(rho_num)
+    dets = det(rho_num).real
     dev_metric = _norms(rho_num - rho_closed(ts, p))
     dev_eta = _norms(dys.eta - eta_closed(ts, p).eta)
     dev_h = _norms(h_num - rabi_h(ts, p))
@@ -519,7 +496,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
     # the non-Hermitian-picture propagator keeps rho norms but not flat ones
     sub = _subsample(len(ts))
     u_big = invert_dyson_map(dys.eta[sub]) @ u_num[sub] @ dys.eta[0]
-    nonunitarity = float(np.max(frobenius_norm(_dagger(u_big) @ u_big - IDENTITY)))
+    nonunitarity = float(np.max(frobenius_norm(dagger(u_big) @ u_big - IDENTITY)))
     inner_drift = 0.0
     for sgn in (+1, -1):
         moved = u_big @ psi_pm(grid.t_start, sgn, p)
@@ -528,12 +505,12 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
 
     checks = [
         Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(_herm(rho_num))), 1e-10),
+        Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
         Check("det_rho_drift", float(np.max(np.abs(dets - det_ref))), 1e-8),
         Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
         Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
         Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
-        Check("h_hermitian", float(np.max(_herm(h_num))), 1e-6),
+        Check("h_hermitian", float(np.max(hermiticity_residual(h_num))), 1e-6),
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
         Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
         Check("u_unitary", float(np.max(unitarity)), 1e-9),
@@ -554,8 +531,9 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
         "u_unitarity": unitarity,
         "htilde_quasi_hermiticity": qh_tilde,
     }
+    c = pauli_decompose(rho_num)
     series = _series(
-        ts, (*_pauli_columns(rho_num), dets), dys.eta, h_num, invariants,
+        ts, (c.a0.real, c.ax.real, c.ay.real, c.az.real, dets), dys.eta, h_num, invariants,
         u=u_num, energies=energies,
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
@@ -573,8 +551,8 @@ def _su2_config(cfg: ScenarioConfig):
         lambda_vec=cfg.lambda_vec,
     )
     zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
-    phi = math.sqrt(h.kappa_vec @ h.kappa_vec - h.lambda_vec @ h.lambda_vec)
-    return h, zeta, 2.0 * math.pi / phi
+    k2, l2 = _require_flow_solvable(h, need_real_frequency=True)
+    return h, zeta, 2.0 * math.pi / math.sqrt(k2 - l2)
 
 
 def _su2_generic(cfg: ScenarioConfig):
@@ -584,7 +562,7 @@ def _su2_generic(cfg: ScenarioConfig):
     hm = h.matrix()
 
     alpha, beta = zeta_coefficients(ts, h, zeta)
-    rho_ref = _su2_metric(alpha, beta)
+    rho_ref = pauli_compose(PauliCoefficients(alpha, *beta.T))
     margins = alpha**2 - _dot3(beta, beta)
     if np.min(margins) <= 0.0:
         raise ConfigInvalid(
@@ -597,8 +575,8 @@ def _su2_generic(cfg: ScenarioConfig):
     h_num = hermitian_counterpart(hm, dys)
     h_tilde = physical_hamiltonian(hm, dys)
 
-    h_herm = _herm(h_num)
-    dets = _det(rho_num)
+    h_herm = hermiticity_residual(h_num)
+    dets = det(rho_num).real
     dev_metric = _norms(rho_num - rho_ref)
     eta_sq = _norms(dys.eta @ dys.eta - rho_num)
     qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
@@ -618,7 +596,7 @@ def _su2_generic(cfg: ScenarioConfig):
     checks = [
         Check("metric_flow_residual_fd", flow_resid, 1e-9),
         Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(_herm(rho_num))), 1e-10),
+        Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
         Check("det_rho_drift", float(np.max(np.abs(dets - margins))), 1e-8),
         Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
         Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
@@ -663,7 +641,8 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     hm = h.matrix()
 
     def source(t):
-        rho = _su2_metric(*zeta_coefficients(t, h, zeta))
+        alpha, beta = zeta_coefficients(t, h, zeta)
+        rho = pauli_compose(PauliCoefficients(alpha, *beta.T))
         eta = hermitian_sqrt(rho)
         eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
         return hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow
 from .series import TimeSeries
-from .su2 import _first_invalid, complex2x2_stack, frobenius_norm, hermitian_sqrt
+from .su2 import _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -166,4 +166,4 @@ def quasi_hermiticity_residual(h_tilde, rho):
     """
     h_tilde = complex2x2_stack(h_tilde)
     rho = complex2x2_stack(rho)
-    return frobenius_norm(np.conj(np.swapaxes(h_tilde, -1, -2)) @ rho - rho @ h_tilde)[()]
+    return frobenius_norm(dagger(h_tilde) @ rho - rho @ h_tilde)[()]

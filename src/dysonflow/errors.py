@@ -58,9 +58,5 @@ class SingularDysonMap(DysonflowError):
     """A Dyson map with |det| below threshold cannot be inverted."""
 
 
-class DimensionTooLarge(DysonflowError):
-    """Dense chain construction refused beyond the configured site count."""
-
-
 class ConfigInvalid(DysonflowError):
     """A scenario configuration failed validation."""

@@ -21,22 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import rk4_linear
-from .errors import (
-    NotHermitian,
-    NotPositiveDefinite,
-    PositivityLost,
-    PositivityViolation,
-    UnsupportedHamiltonian,
-)
+from .errors import PositivityLost, PositivityViolation, UnsupportedHamiltonian
 from .series import IntegrationGrid, TimeSeries
 from .su2 import (
-    DEFAULT_HERMITICITY_TOL,
     IDENTITY,
-    PAULIS,
+    PauliCoefficients,
     complex2x2,
     complex2x2_stack,
-    hermiticity_residual,
-    pauli_decompose,
+    dagger,
+    det,
+    pauli_compose,
+    require_hpd,
 )
 
 # The closed forms require kappa.lambda = 0 exactly; checked absolutely.
@@ -68,21 +63,8 @@ class SU2Hamiltonian:
         object.__setattr__(self, "lambda_vec", _as_vec3(self.lambda_vec, "lambda_vec"))
 
     def matrix(self) -> np.ndarray:
-        out = 0.5 * (self.kappa0 + 1j * self.lambda0) * IDENTITY
-        for j in range(3):
-            out = out + 0.5 * (self.kappa_vec[j] + 1j * self.lambda_vec[j]) * PAULIS[j]
-        return out
-
-    @classmethod
-    def from_matrix(cls, m) -> "SU2Hamiltonian":
-        c = pauli_decompose(m)
-        vec = c.vector
-        return cls(
-            kappa0=2.0 * c.a0.real,
-            lambda0=2.0 * c.a0.imag,
-            kappa_vec=2.0 * vec.real,
-            lambda_vec=2.0 * vec.imag,
-        )
+        vec = 0.5 * (self.kappa_vec + 1j * self.lambda_vec)
+        return pauli_compose(PauliCoefficients(0.5 * (self.kappa0 + 1j * self.lambda0), *vec))
 
 
 @dataclass(frozen=True)
@@ -104,10 +86,7 @@ class MetricState:
         object.__setattr__(self, "t", float(self.t))
 
     def matrix(self) -> np.ndarray:
-        out = self.alpha * IDENTITY.copy()
-        for j in range(3):
-            out += self.beta_vec[j] * PAULIS[j]
-        return out
+        return pauli_compose(PauliCoefficients(self.alpha, *self.beta_vec))
 
 
 @dataclass(frozen=True)
@@ -212,7 +191,7 @@ def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
     """
     rho = complex2x2_stack(rho)
     hm = h.matrix()
-    return -1j * (hm.conj().T @ rho - rho @ hm)
+    return -1j * (dagger(hm) @ rho - rho @ hm)
 
 
 @dataclass(frozen=True)
@@ -233,24 +212,20 @@ def integrate_metric(
 ) -> MetricFlow:
     """Integrate the metric flow from a Hermitian positive-definite rho0 with RK4.
 
-    Each sample is tested for det > 0 afterwards; the first failure time is
-    recorded on the result, or raised as PositivityLost when
-    ``require_positive`` is set. StepTooLarge propagates from the integrator
-    when the per-step error estimate exceeds ``local_error_bound``.
+    A rho0 that is not raises NotHermitian or NotPositiveDefinite, as in
+    su2.require_hpd. Each sample is tested for det > 0 afterwards; the
+    first failure time is recorded on the result, or raised as
+    PositivityLost when ``require_positive`` is set. StepTooLarge propagates
+    from the integrator when the per-step error estimate exceeds
+    ``local_error_bound``.
     """
     rho0 = complex2x2(rho0)
-    residual = hermiticity_residual(rho0)
-    if residual > DEFAULT_HERMITICITY_TOL:
-        raise NotHermitian(f"rho0 hermiticity residual {residual:.3e}")
-    det0 = (rho0[0, 0] * rho0[1, 1] - rho0[0, 1] * rho0[1, 0]).real
-    tr0 = (rho0[0, 0] + rho0[1, 1]).real
-    if det0 <= 0.0 or tr0 <= 0.0:
-        raise NotPositiveDefinite(f"rho0 is not positive definite: tr = {tr0:.6g}, det = {det0:.6g}")
+    require_hpd(rho0)
 
     # the flow on row-major vec(rho): vec(A rho B) = kron(A, B^T) vec(rho)
     hm = h.matrix()
     samples = rk4_linear(
-        -1j * (np.kron(hm.conj().T, IDENTITY) - np.kron(IDENTITY, hm.T)),
+        -1j * (np.kron(dagger(hm), IDENTITY) - np.kron(IDENTITY, hm.T)),
         rho0.ravel(),
         grid.t_start,
         grid.dt,
@@ -258,9 +233,8 @@ def integrate_metric(
         local_error_bound=local_error_bound,
         check_every=check_every,
     ).reshape(-1, 2, 2)
-    dets = (samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]).real
     lost_at = None
-    bad = np.nonzero(dets <= 0.0)[0]
+    bad = np.nonzero(det(samples).real <= 0.0)[0]
     if bad.size:
         lost_at = float(grid.t_start + grid.dt * bad[0])
         if require_positive:

@@ -11,19 +11,20 @@ import numpy as np
 
 from ._integrate import rk4_linear, stage_times
 from .dyson import DysonSeries, invert_dyson_map
-from .errors import NotPositiveDefinite
+from .errors import NotHermitian, NotPositiveDefinite
 from .series import IntegrationGrid, TimeSeries, grid_index
-from .su2 import complex2x2
+from .su2 import IDENTITY, complex2x2, hermiticity_residual, require_hpd
 
 
-def _evolve(h_of_t, y0, t0, dt, n_steps, local_error_bound, check_every, hermitian_check):
-    """RK4 samples of i dy/dt = h(t) y, with one h_of_t call for every stage.
+def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -> TimeSeries:
+    """RK4 samples of i dy/dt = h(t) y on the grid, with one h_of_t call for every stage.
 
     h_of_t receives the 1-D array of the integrator's stage times and
     returns an (m, d, d) stack, or one (d, d) matrix for a constant
     generator. ``y0`` None starts from the d x d identity.
     """
-    times, _ = stage_times(t0, dt, n_steps, local_error_bound, check_every)
+    t0, dt, n_steps = grid.t_start, grid.dt, grid.n_steps
+    times = stage_times(t0, dt, n_steps, local_error_bound, check_every)
     hm = np.asarray(h_of_t(times), dtype=complex)
     if hm.ndim not in (2, 3) or hm.shape[-1] != hm.shape[-2] or (
         hm.ndim == 3 and len(hm) != len(times)
@@ -34,7 +35,7 @@ def _evolve(h_of_t, y0, t0, dt, n_steps, local_error_bound, check_every, hermiti
         )
     if hermitian_check:
         stack = hm.reshape((-1,) + hm.shape[-2:])  # one row for a constant generator
-        drift = np.linalg.norm(stack - np.conj(np.swapaxes(stack, 1, 2)), axis=(1, 2))
+        drift = hermiticity_residual(stack)
         bad = drift > 1e-8 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
         if np.any(bad):
             i = int(np.argmin(np.where(bad, times[: len(bad)], np.inf)))
@@ -46,15 +47,8 @@ def _evolve(h_of_t, y0, t0, dt, n_steps, local_error_bound, check_every, hermiti
     if y0 is None:
         y0 = np.eye(hm.shape[-1], dtype=complex)
     hm = -1j * hm  # rebinding frees the unscaled stack before the steps are formed
-    return rk4_linear(
-        hm,
-        y0,
-        t0,
-        dt,
-        n_steps,
-        local_error_bound=local_error_bound,
-        check_every=check_every,
-    )
+    samples = rk4_linear(hm, y0, t0, dt, n_steps, local_error_bound, check_every)
+    return TimeSeries(t0=t0, dt=dt, samples=samples)
 
 
 def evolve_state(
@@ -76,17 +70,7 @@ def evolve_state(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
         raise ValueError(f"psi0 must be a state vector, got shape {psi0.shape}")
-    samples = _evolve(
-        h_of_t,
-        psi0,
-        grid.t_start,
-        grid.dt,
-        grid.n_steps,
-        local_error_bound,
-        check_every,
-        hermitian_check,
-    )
-    return TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples)
+    return _evolve(h_of_t, psi0, grid, local_error_bound, check_every, hermitian_check)
 
 
 def propagator_series(
@@ -105,17 +89,7 @@ def propagator_series(
     constant generator. The columns of u are the evolved canonical basis
     states; u(t_start, t_start) is the identity exactly.
     """
-    samples = _evolve(
-        h_of_t,
-        None,
-        grid.t_start,
-        grid.dt,
-        grid.n_steps,
-        local_error_bound,
-        check_every,
-        hermitian_check,
-    )
-    return TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples)
+    return _evolve(h_of_t, None, grid, local_error_bound, check_every, hermitian_check)
 
 
 def time_ordered_u(
@@ -129,23 +103,15 @@ def time_ordered_u(
 ) -> np.ndarray:
     """Time-ordered propagator u(t_to, t_from) for the Hamiltonian source.
 
-    ``h_of_t`` follows the contract of propagator_series. ``dt`` must
-    divide t_to - t_from (t_to = t_from returns the identity); composition
-    u(t2, t1) u(t1, t0) = u(t2, t0) then holds to integrator accuracy. Only
-    forward propagation is supported.
+    The last sample of propagator_series over IntegrationGrid(t_from, t_to,
+    dt), which refuses a dt that does not divide t_to - t_from and backward
+    spans; t_to = t_from returns the identity. Composition
+    u(t2, t1) u(t1, t0) = u(t2, t0) holds to integrator accuracy.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    span = t_to - t_from
-    if span < 0.0:
-        raise ValueError("backward propagation is not supported; swap the endpoints")
-    n = round(span / dt)
-    if abs(n * dt - span) > 1e-9 * max(dt, abs(span)):
-        raise ValueError(f"dt = {dt:.9g} does not divide t_to - t_from = {span:.9g}")
-    samples = _evolve(
-        h_of_t, None, t_from, dt, n, local_error_bound, check_every, hermitian_check
-    )
-    return samples[-1]
+    if t_to == t_from:
+        return IDENTITY.copy()
+    grid = IntegrationGrid(t_from, t_to, dt)
+    return _evolve(h_of_t, None, grid, local_error_bound, check_every, hermitian_check)[-1]
 
 
 def nonhermitian_u(eta_series: DysonSeries, u, t_from: float, t_to: float) -> np.ndarray:
@@ -171,12 +137,8 @@ def rho_inner(a, b, rho) -> complex:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     rho = complex2x2(rho)
-    residual = np.linalg.norm(rho - rho.conj().T)
-    det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    tr = (rho[0, 0] + rho[1, 1]).real
-    if residual > 1e-10 or det <= 0.0 or tr <= 0.0:
-        raise NotPositiveDefinite(
-            f"rho is not Hermitian positive definite "
-            f"(hermiticity residual {residual:.3e}, tr = {tr:.6g}, det = {det:.6g})"
-        )
+    try:
+        require_hpd(rho)
+    except NotHermitian as exc:
+        raise NotPositiveDefinite(f"rho is not Hermitian positive definite: {exc}") from exc
     return complex(a.conj() @ rho @ b)

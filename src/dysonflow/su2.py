@@ -3,7 +3,10 @@
 Conventions used throughout the package: hbar = 1, all times and energies
 dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
 stacks where a kernel says so). The helper types here only wrap
-decompositions; they never hide the arrays.
+decompositions; they never hide the arrays. Each 2x2 rule the package
+applies (determinant, conjugate transpose, Hermiticity residual,
+Hermitian positive-definite check, Pauli split and composition) is coded
+here once.
 """
 
 from dataclasses import dataclass
@@ -44,16 +47,15 @@ def complex2x2_stack(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliCoefficients:
-    """Expansion coefficients of a matrix over {I, sigma_x, sigma_y, sigma_z}."""
+    """Expansion coefficients of a matrix over {I, sigma_x, sigma_y, sigma_z}.
+
+    Scalars for one matrix, arrays of a stack's shape for a (..., 2, 2) stack.
+    """
 
     a0: complex
     ax: complex
     ay: complex
     az: complex
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.ax, self.ay, self.az])
 
 
 @dataclass(frozen=True)
@@ -70,24 +72,48 @@ class EigenSystem2:
 
 
 def pauli_decompose(m) -> PauliCoefficients:
-    """Project onto the Pauli basis: a0 = tr(m)/2, a_j = tr(sigma_j m)/2."""
-    m = complex2x2(m)
-    a0 = 0.5 * (m[0, 0] + m[1, 1])
-    ax = 0.5 * (m[0, 1] + m[1, 0])
-    ay = 0.5j * (m[0, 1] - m[1, 0])
-    az = 0.5 * (m[0, 0] - m[1, 1])
+    """Project onto the Pauli basis: a0 = tr(m)/2, a_j = tr(sigma_j m)/2.
+
+    Of one (2, 2) matrix or of each matrix of a (..., 2, 2) stack.
+    """
+    m = complex2x2_stack(m)
+    a0 = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    ax = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
+    ay = 0.5j * (m[..., 0, 1] - m[..., 1, 0])
+    az = 0.5 * (m[..., 0, 0] - m[..., 1, 1])
     return PauliCoefficients(a0, ax, ay, az)
 
 
 def pauli_compose(c: PauliCoefficients) -> np.ndarray:
-    """Rebuild a0*I + ax*sigma_x + ay*sigma_y + az*sigma_z."""
-    return c.a0 * IDENTITY + c.ax * SIGMA_X + c.ay * SIGMA_Y + c.az * SIGMA_Z
+    """Rebuild a0*I + ax*sigma_x + ay*sigma_y + az*sigma_z, summed in that order.
+
+    Coefficients of shape (...) give the (..., 2, 2) stack.
+    """
+
+    def term(x, sigma):
+        return np.asarray(x)[..., None, None] * sigma
+
+    return term(c.a0, IDENTITY) + term(c.ax, SIGMA_X) + term(c.ay, SIGMA_Y) + term(c.az, SIGMA_Z)
 
 
-def hermiticity_residual(m) -> float:
-    """Frobenius norm of m - m^dagger; zero exactly when m is Hermitian."""
-    m = complex2x2(m)
-    return float(np.linalg.norm(m - m.conj().T))
+def dagger(m) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def det(m):
+    """Complex determinant m00 m11 - m01 m10 of one 2x2 matrix or of each of a stack."""
+    m = np.asarray(m)
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def hermiticity_residual(m):
+    """Frobenius norm of m - m^dagger; zero exactly when m is Hermitian.
+
+    A float for one square matrix, an array of residuals for a stack.
+    """
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.norm(m - dagger(m), axis=(-2, -1))
 
 
 def frobenius_norm(m) -> np.ndarray:
@@ -153,6 +179,38 @@ def _first_invalid(bad: np.ndarray):
     return i, f"matrix {i} of the stack: "
 
 
+def require_hpd(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
+    """Check that m is Hermitian positive definite; return its Hermitian part, trace, det.
+
+    Accepts one (2, 2) matrix or a (..., 2, 2) stack. The first matrix that
+    is not Hermitian within ``hermiticity_tol`` (Frobenius) raises
+    NotHermitian; the first whose Hermitian part has a trace or determinant
+    <= 0 raises NotPositiveDefinite. Its position is in the message and in
+    the error's ``index`` (None for a single matrix). The trace and the
+    determinant are real, of the stack's shape.
+    """
+    m = complex2x2_stack(m)
+    residual = hermiticity_residual(m)
+    bad = residual > hermiticity_tol
+    if np.any(bad):
+        i, where = _first_invalid(bad)
+        raise NotHermitian(
+            f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {hermiticity_tol:.1e}",
+            index=i,
+        )
+    sym = 0.5 * (m + dagger(m))
+    tr = (sym[..., 0, 0] + sym[..., 1, 1]).real
+    d = det(sym).real
+    bad = (d <= 0.0) | (tr <= 0.0)
+    if np.any(bad):
+        i, where = _first_invalid(bad)
+        raise NotPositiveDefinite(
+            f"{where}not positive definite: tr = {tr[bad][0]:.6g}, det = {d[bad][0]:.6g}",
+            index=i,
+        )
+    return sym, tr, d
+
+
 def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
     """Principal square root of Hermitian positive-definite 2x2 matrices.
 
@@ -162,32 +220,11 @@ def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.nd
         sqrt(m) = (m + s I) / sqrt(tr m + 2 s),    s = sqrt(det m),
 
     taken of the Hermitian part of m, so the result is Hermitian positive
-    definite and c I maps to sqrt(c) I. The first matrix of a stack that is
-    not Hermitian within ``hermiticity_tol`` (Frobenius) or not positive
-    definite raises NotHermitian or NotPositiveDefinite; its position is in
-    the message and in the error's ``index`` (None for a single matrix).
+    definite and c I maps to sqrt(c) I. Invalid matrices raise as in
+    require_hpd.
     """
-    m = complex2x2_stack(m)
-    mh = np.conj(np.swapaxes(m, -1, -2))
-    residual = np.linalg.norm(m - mh, axis=(-2, -1))
-    bad = residual > hermiticity_tol
-    if np.any(bad):
-        i, where = _first_invalid(bad)
-        raise NotHermitian(
-            f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {hermiticity_tol:.1e}",
-            index=i,
-        )
-    sym = 0.5 * (m + mh)
-    tr = (sym[..., 0, 0] + sym[..., 1, 1]).real
-    det = (sym[..., 0, 0] * sym[..., 1, 1] - sym[..., 0, 1] * sym[..., 1, 0]).real
-    bad = (det <= 0.0) | (tr <= 0.0)
-    if np.any(bad):
-        i, where = _first_invalid(bad)
-        raise NotPositiveDefinite(
-            f"{where}not positive definite: tr = {tr[bad][0]:.6g}, det = {det[bad][0]:.6g}",
-            index=i,
-        )
-    s = np.sqrt(det)[..., None, None]
+    sym, tr, d = require_hpd(m, hermiticity_tol)
+    s = np.sqrt(d)[..., None, None]
     return (sym + s * IDENTITY) / np.sqrt(tr[..., None, None] + 2.0 * s)
 
 
@@ -207,6 +244,6 @@ def hermitian_sqrt_derivative(eta, rho_dot) -> np.ndarray:
     eta = complex2x2_stack(eta)
     rho_dot = complex2x2_stack(rho_dot)
     tr = (eta[..., 0, 0] + eta[..., 1, 1])[..., None, None]
-    det = (eta[..., 0, 0] * eta[..., 1, 1] - eta[..., 0, 1] * eta[..., 1, 0])[..., None, None]
+    d = det(eta)[..., None, None]
     adj = tr * IDENTITY - eta
-    return (adj @ rho_dot @ adj + det * rho_dot) / (2.0 * tr * det)
+    return (adj @ rho_dot @ adj + d * rho_dot) / (2.0 * tr * d)

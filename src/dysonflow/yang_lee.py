@@ -25,16 +25,12 @@ matrices or states, each bit-identical to its scalar evaluation.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .dyson import DysonSample
-from .errors import DimensionTooLarge
 from .metric import SU2Hamiltonian, ZetaConstants
 from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
-
-MAX_CHAIN_SITES = 12
 
 
 @dataclass(frozen=True)
@@ -85,47 +81,13 @@ def _pauli_sign(sign) -> int:
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def chain_hamiltonian(n_sites: int, lam: complex, kappa: complex) -> np.ndarray:
-    """Ising chain with transverse field and imaginary longitudinal field.
-
-    H_N = -1/2 sum_j (sigma^z_j + lam sigma^x_j sigma^x_{j+1} + i kappa sigma^x_j)
-    with periodic indexing sigma_{N+1} = sigma_1. For N = 1 the exchange term
-    collapses to lam * I, leaving H1 = -1/2 (lam I + sigma_z + i kappa sigma_x).
-    Dense construction, refused above 12 sites.
-    """
-    if n_sites < 1:
-        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-    if n_sites > MAX_CHAIN_SITES:
-        raise DimensionTooLarge(
-            f"dense construction capped at {MAX_CHAIN_SITES} sites, got {n_sites}"
-        )
-
-    def site_op(op, j):
-        mats = [IDENTITY] * n_sites
-        mats[j] = op
-        return reduce(np.kron, mats)
-
-    def bond_op(j, k):
-        mats = [IDENTITY] * n_sites
-        if j == k:
-            mats[j] = SIGMA_X @ SIGMA_X
-        else:
-            mats[j] = SIGMA_X
-            mats[k] = SIGMA_X
-        return reduce(np.kron, mats)
-
-    dim = 2**n_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_sites):
-        out -= 0.5 * site_op(SIGMA_Z, j)
-        out -= 0.5 * lam * bond_op(j, (j + 1) % n_sites)
-        out -= 0.5j * kappa * site_op(SIGMA_X, j)
-    return out
-
-
 def h1_matrix(p: YangLeeParams) -> np.ndarray:
-    """One-site Hamiltonian H1 = -1/2 (omega I + sigma_z + i gamma sigma_x)."""
-    return chain_hamiltonian(1, p.omega, p.gamma)
+    """One-site Hamiltonian H1 = -1/2 (omega I + sigma_z + i gamma sigma_x).
+
+    The terms are subtracted from zero one at a time, which fixes the signs
+    of the zero entries (those of -1/2 (...) in one product differ).
+    """
+    return 0.0 - 0.5 * SIGMA_Z - 0.5 * p.omega * IDENTITY - 0.5j * p.gamma * SIGMA_X
 
 
 def h1_su2(p: YangLeeParams) -> SU2Hamiltonian:

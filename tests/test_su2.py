@@ -256,7 +256,6 @@ def test_frobenius_norm_of_a_stack_equals_norm_of_each_matrix():
     assert frobenius_norm(stack[0]).shape == ()
 
 
-
 @pytest.mark.parametrize(
     "rho, error",
     [(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), NotHermitian), (-IDENTITY, NotPositiveDefinite)],

@@ -12,7 +12,6 @@ from dysonflow import (
     IntegrationGrid,
     YangLeeParams,
     basis_states,
-    chain_hamiltonian,
     eigenvalues_h1,
     energy_expectation,
     eta_closed,
@@ -31,7 +30,6 @@ from dysonflow import (
     u_closed,
     zeta_metric,
 )
-from dysonflow.errors import DimensionTooLarge
 
 YL = YangLeeParams(gamma=0.5, omega=1.0)
 H1 = h1_matrix(YL)
@@ -51,34 +49,9 @@ def test_params_invariants():
 
 
 def test_chain_single_site_reduction():
-    h = chain_hamiltonian(1, YL.omega, YL.gamma)
+    h = h1_matrix(YL)
     expected = -0.5 * (YL.omega * IDENTITY + SIGMA_Z + 1j * YL.gamma * SIGMA_X)
     assert np.array_equal(h, expected)
-    assert np.array_equal(h, H1)
-    bare = chain_hamiltonian(1, 0.0, 0.0)
-    assert np.array_equal(bare, -0.5 * SIGMA_Z)
-
-
-def test_chain_two_sites_free_spectrum():
-    # lam = kappa = 0 decouples the sites: -1/2 (sz x I + I x sz)
-    h = chain_hamiltonian(2, 0.0, 0.0)
-    direct = -0.5 * (np.kron(SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z))
-    assert np.allclose(h, direct, atol=1e-15)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(h)), [-1.0, 0.0, 0.0, 1.0], atol=1e-14)
-
-
-def test_chain_hermitian_iff_kappa_real_zero():
-    h = chain_hamiltonian(3, 0.7, 0.0)
-    assert np.linalg.norm(h - h.conj().T) < 1e-14
-    h = chain_hamiltonian(3, 0.7, 0.4)
-    assert np.linalg.norm(h - h.conj().T) > 0.1
-
-
-def test_chain_size_guards():
-    with pytest.raises(DimensionTooLarge):
-        chain_hamiltonian(13, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        chain_hamiltonian(0, 1.0, 0.5)
 
 
 def test_eigenvalues_h1():
