@@ -387,14 +387,16 @@ GOLDEN_SU2_GENERIC = {
 }
 
 
-def assert_run_matches_golden(cfg, golden, tmp_path, monkeypatch):
+def assert_run_matches_golden(cfg, golden, tmp_path, monkeypatch, ext="csv"):
     # a relative out_path keeps report.json, which echoes the config, independent of tmp_path
     monkeypatch.chdir(tmp_path)
     outputs = [name for name in golden if name != "report"]
-    Path("cfg.json").write_text(json.dumps({**cfg, "outputs": outputs, "out_path": "out"}))
+    Path("cfg.json").write_text(
+        json.dumps({**cfg, "outputs": outputs, "out_path": "out", "format": ext})
+    )
     assert cli.main(["run", "cfg.json"]) == 0
     for name, digest in golden.items():
-        data = Path("out", f"{name}.json" if name == "report" else f"{name}.csv").read_bytes()
+        data = Path("out", f"{name}.json" if name == "report" else f"{name}.{ext}").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
@@ -409,3 +411,27 @@ def test_numeric_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
     cfg = rotated_yang_lee_config(0.6, "out", t_start=0.0, t_end=1.5, dt=5e-3)
     assert_run_matches_golden(cfg, GOLDEN_SU2_GENERIC, tmp_path, monkeypatch)
+
+
+# sha256 of all 7 series and report.json written as JSON by the su2-generic
+# configuration above, and of a JSON dt sweep of it, recorded while the JSON
+# series still went through json.dump
+GOLDEN_SU2_GENERIC_JSON = {
+    "metric": "87b83f62e0796a0314ecdfa8e753d68a2937b92f6e2b4ccbcfe5401967fde7c1",
+    "dyson": "ccd339594ca50f4983f48d0c0484f12637f2e92d927985067c23dde5a8e8048b",
+    "hermitian_h": "019bda175385f59ddc0faa9eddf69f248d0aebd921fc9d025a1c249b89092f20",
+    "states": "fdb88f519a9630d0d7ac415e088ae5df913b9a97701f78e776012077b04629f4",
+    "propagator": "21aa129dfce9bf5da860aec20b090ec390ddad23bb38ba22057bad6e11e61099",
+    "energies": "b2a15d3cf9a4ceed0d48fdb2f7bc95c95a8223a2d4de94d943f9d4eee3c5a5ee",
+    "invariants": "f276229f6ba4358642f7ed02ff8c729b47a569bdf2dd1cfbd2a8ab3f3d156d08",
+    "report": "b85723843025aa23c16d2a5700072263c5e4959d322649223a81a09091c840c6",
+}
+GOLDEN_SU2_SWEEP_DT_JSON = "9bc4efbe3b766619aeb73ef9b96d4d31391dbf8cef7c42e71c8de1a36e38244e"
+
+
+def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):
+    cfg = rotated_yang_lee_config(0.6, "out", t_start=0.0, t_end=1.5, dt=5e-3)
+    assert_run_matches_golden(cfg, GOLDEN_SU2_GENERIC_JSON, tmp_path, monkeypatch, ext="json")
+    assert cli.main(["sweep", "cfg.json", "--param", "dt", "--values", "0.01,0.005"]) == 0
+    data = Path("out", "sweep_dt.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SU2_SWEEP_DT_JSON
