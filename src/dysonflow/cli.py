@@ -15,8 +15,9 @@ every check passes, 1 on a failed check, 2 on a config error.
 Each scenario is one pass over (n, 2, 2) stacks: every kernel is called
 once on the whole time grid, not once per sample.
 
-Float output uses 17 significant digits, so identical configs produce
-byte-identical files.
+CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
+shortest repr that round-trips, with NaN and Infinity spelled as ``json``
+spells them. Either way identical configs produce byte-identical files.
 """
 
 import argparse
@@ -343,18 +344,25 @@ def _write_json(path: Path, payload):
 def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
     """Write one table, a time series or a sweep, as <name>.csv or <name>.json.
 
-    Floats keep 17 significant digits. In JSON the rows of a time series
-    (first column t) are listed under "samples", those of a sweep under "rows".
+    CSV floats keep 17 significant digits. The JSON file holds the bytes
+    ``json.dump(indent=2, sort_keys=True)`` writes for {"columns", "metadata",
+    key: one dict per row}, key being "samples" for a time series (first
+    column t) and "rows" for a sweep: floats in their shortest round-trip
+    repr. Only the head goes through ``json``; the rows are filled into a
+    template, because ``json`` drops to its pure-Python encoder when
+    ``indent`` is set.
     """
     rows = np.asarray(rows, dtype=float)
     if cfg.format == "json":
+        path = out_dir / f"{name}.json"
         key = "samples" if header[0] == "t" else "rows"
-        payload = {
-            "metadata": _metadata(cfg),
-            "columns": list(header),
-            key: [dict(zip(header, row)) for row in rows.tolist()],
-        }
-        return _write_json(out_dir / f"{name}.json", payload)
+        head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            # key sorts after "metadata": reopen the head's closing "\n}" for it
+            fh.write(f'{head[:-2]},\n  "{key}": [')
+            _write_json_rows(fh, header, rows)
+            fh.write("\n}\n")
+        return path
     path = out_dir / f"{name}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -362,6 +370,45 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
         for row in rows:
             fh.write(line % tuple(row.tolist()))
     return path
+
+
+_JSON_BLOCK_ROWS = 1024
+
+
+def _json_float(x: float) -> str:
+    """A float as ``json`` writes it: NaN, Infinity and -Infinity, else its repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json_rows(fh, header, rows):
+    """Write the body of a JSON list of header -> value dicts at nesting depth 2.
+
+    The list's items and keys are indented and separated as
+    ``json.dump(indent=2, sort_keys=True)`` does, and a repeated name keeps
+    its last value, as ``dict(zip(header, row))`` would. Rows go out in
+    blocks, one ``%`` fill and one write each, so memory stays flat.
+    """
+    if not len(rows):
+        fh.write("]")
+        return
+    last = {name: i for i, name in enumerate(header)}
+    names = sorted(last)
+    order = [last[name] for name in names]
+    fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
+    row = "    {\n" + fields + "\n    }"
+    sep = "\n"
+    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
+        block = rows[start : start + _JSON_BLOCK_ROWS][:, order]
+        fmt = float.__repr__ if np.isfinite(block).all() else _json_float
+        fh.write(sep + ",\n".join([row] * len(block)) % tuple(map(fmt, block.ravel().tolist())))
+        sep = ",\n"
+    fh.write("\n  ]")
 
 
 def _metadata(cfg: ScenarioConfig) -> dict:

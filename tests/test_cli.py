@@ -435,3 +435,40 @@ def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):
     assert cli.main(["sweep", "cfg.json", "--param", "dt", "--values", "0.01,0.005"]) == 0
     data = Path("out", "sweep_dt.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SU2_SWEEP_DT_JSON
+
+
+def test_json_series_writer_matches_json_dump(tmp_path):
+    # every JSON table is exactly what json.dump(indent=2, sort_keys=True) writes
+    cfg = cli.ScenarioConfig(scenario="yang-lee-closed", format="json")
+    edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0, 0.1, -1e-300, 1e300]
+    rng = np.random.default_rng(7)
+    block = cli._JSON_BLOCK_ROWS
+    # E_1 sorts before t and u_00_re after it, so the keys are reordered
+    series = ["t", "u_00_re", "E_1", "u_00_im", "p%s"]
+    sweep = ["dt", "min_positivity_margin", "max_closed_vs_numeric_deviation"]
+
+    def table(n, k):
+        rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-20, 20, (n, k))
+        rows.flat[: len(edge)] = edge[: rows.size]  # non-finite values in the first block only
+        return rows
+
+    cases = [
+        ("one_row", series, table(1, 5)),
+        ("one_block", series, table(block, 5)),
+        ("block_plus_one", series, table(block + 1, 5)),
+        ("finite_then_nan", series, np.vstack([rng.standard_normal((block, 5)), [[math.nan] * 5]])),
+        ("finite", series, [[-0.0, 5e-324, 1e16, 2.0, -7.0], [0.0, -5e-324, 1e22, 1e-7, 1e300]]),
+        ("empty", series, np.empty((0, 5))),
+        ("repeated_name", ["t", "x", "x"], table(2, 3)),
+        ("sweep", sweep, table(6, 3)),
+        ("sweep_empty", sweep, []),
+    ]
+    for name, header, rows in cases:
+        path = cli._write_series(tmp_path, name, header, rows, cfg)
+        key = "samples" if header[0] == "t" else "rows"
+        payload = {
+            "metadata": cli._metadata(cfg),
+            "columns": header,
+            key: [dict(zip(header, row)) for row in np.asarray(rows, dtype=float).tolist()],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
