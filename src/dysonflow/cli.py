@@ -359,7 +359,7 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
         head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
             # key sorts after "metadata": reopen the head's closing "\n}" for it
-            fh.write(f'{head[:-2]},\n  "{key}": [')
+            fh.write(f'{head[:-2]},\n  "{key}": ')
             _write_json_rows(fh, header, rows)
             fh.write("\n}\n")
         return path
@@ -387,7 +387,7 @@ def _json_float(x: float) -> str:
 
 
 def _write_json_rows(fh, header, rows):
-    """Write the body of a JSON list of header -> value dicts at nesting depth 2.
+    """Write rows as a JSON list of header -> value dicts at nesting depth 1.
 
     The list's items and keys are indented and separated as
     ``json.dump(indent=2, sort_keys=True)`` does, and a repeated name keeps
@@ -395,14 +395,14 @@ def _write_json_rows(fh, header, rows):
     blocks, one ``%`` fill and one write each, so memory stays flat.
     """
     if not len(rows):
-        fh.write("]")
+        fh.write("[]")
         return
     last = {name: i for i, name in enumerate(header)}
     names = sorted(last)
     order = [last[name] for name in names]
     fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
     row = "    {\n" + fields + "\n    }"
-    sep = "\n"
+    sep = "[\n"
     for start in range(0, len(rows), _JSON_BLOCK_ROWS):
         block = rows[start : start + _JSON_BLOCK_ROWS][:, order]
         fmt = float.__repr__ if np.isfinite(block).all() else _json_float

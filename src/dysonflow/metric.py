@@ -11,8 +11,10 @@ beta' = k x beta - lambda0*beta - alpha*l, writing k and l for the kappa and
 lambda vectors. This module provides the stationary solution, the
 closed-form oscillatory family available when k.l = 0, and direct numeric
 integration of the flow. Positivity (det rho = alpha^2 - |beta|^2 > 0) is
-monitored and reported, never silently enforced: its breakdown is physics,
-not a numerical fault.
+monitored and reported, never silently enforced. For a static H the exact
+flow is the congruence rho(t) = A rho(0) A^dag with A = exp(-i H^dag t), so
+a positive-definite start stays positive definite for all t, at and beyond
+the exceptional point too; a lost positivity flags integrator error.
 """
 
 import math
