@@ -18,6 +18,8 @@ once on the whole time grid, not once per sample.
 CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
 spells them. Either way identical configs produce byte-identical files.
+Series files and sweep values are computed side by side over the usable
+CPUs (``_parallel._fork_map``), with the same bytes as one after the other.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import _fork_map
 from .dyson import (
     DysonSample,
     dyson_from_metric,
@@ -709,8 +712,12 @@ _PIPELINES = {
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
+    """The output directory, created; called before any work that writes to it."""
     out_dir = Path(cfg.out_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"out_path {cfg.out_path!r} cannot be used as a directory: {exc}") from exc
     return out_dir
 
 
@@ -718,16 +725,24 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
     Pipelines return each series as (header, build_rows); rows are built
-    only for the requested outputs, one series at a time, as it is written.
+    only for the requested outputs. The series are dealt over the usable
+    CPUs, largest first, and each process builds and writes its own share;
+    report.json is written last, by this process.
     """
+    out_dir = _out_dir(cfg) if write_files else None
     report, series = _PIPELINES[cfg.scenario](cfg)
     written = []
     if write_files:
-        out_dir = _out_dir(cfg)
-        for name in cfg.outputs:
-            if name in series:
-                header, build_rows = series[name]
-                written.append(_write_series(out_dir, name, header, build_rows(), cfg))
+        def write(name):
+            header, build_rows = series[name]
+            return _write_series(out_dir, name, header, build_rows(), cfg)
+
+        names = [name for name in cfg.outputs if name in series]
+        unique = list(dict.fromkeys(names))  # a name listed twice is written once
+        # every series of a run has one row per sample, so its columns rank its cost
+        paths = _fork_map(write, unique, cost=lambda name: len(series[name][0]))
+        path_of = dict(zip(unique, paths))
+        written = [path_of[name] for name in names]
         report_payload = {"metadata": _metadata(cfg), "report": report.to_dict()}
         written.append(_write_json(out_dir / "report.json", report_payload))
     return report, written
@@ -757,18 +772,19 @@ def _sweep_row(cfg: ScenarioConfig):
 
 
 def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True):
-    """One numeric run per parameter value; rows ordered by ascending value."""
+    """One numeric run per parameter value, over the usable CPUs; rows ordered by ascending value."""
     if parameter not in SWEEP_PARAMS:
         raise ConfigInvalid(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
     if cfg.scenario == "su2-generic" and parameter != "dt":
         raise ConfigInvalid(f"su2-generic sweeps only dt; it does not read {parameter}")
     if not values:
         raise ConfigInvalid("sweep needs at least one value")
-    values = [_as_float(v, parameter) for v in values]
-    rows = [
-        [value, *_sweep_row(validate_config(replace(cfg, **{parameter: value})))]
-        for value in sorted(values)
-    ]
+    values = sorted(_as_float(v, parameter) for v in values)
+    out_dir = _out_dir(cfg) if write_files else None
+    rows = _fork_map(
+        lambda value: [value, *_sweep_row(validate_config(replace(cfg, **{parameter: value})))],
+        values,
+    )
     header = [
         parameter,
         "min_positivity_margin",
@@ -777,7 +793,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True)
     ]
     written = []
     if write_files:
-        written.append(_write_series(_out_dir(cfg), f"sweep_{parameter}", header, rows, cfg))
+        written.append(_write_series(out_dir, f"sweep_{parameter}", header, rows, cfg))
     return header, rows, written
 
 

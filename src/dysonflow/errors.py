@@ -49,6 +49,10 @@ class PositivityLost(DysonflowError):
         super().__init__(f"metric positivity lost at t = {t:.9g}")
         self.t = t
 
+    def __reduce__(self):
+        # args holds the message, not t: rebuild from t, as pickle would from args
+        return type(self), (self.t,), self.__dict__
+
 
 class StepTooLarge(DysonflowError):
     """The fixed integration step exceeds the local error bound."""

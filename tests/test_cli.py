@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import signal
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dysonflow import (
     DysonSample,
@@ -15,6 +18,8 @@ from dysonflow import (
     hermitian_sqrt,
     zeta_metric,
 )
+from dysonflow._parallel import _fork_map
+from dysonflow.errors import NotPositiveDefinite, PositivityLost
 
 T0 = -1.8137993642342178  # anchor time for gamma = 1/2
 
@@ -472,3 +477,125 @@ def test_json_series_writer_matches_json_dump(tmp_path):
             key: [dict(zip(header, row)) for row in np.asarray(rows, dtype=float).tolist()],
         }
         assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+
+
+def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("a pipeline ran before out_path was checked")
+
+    monkeypatch.setitem(cli._PIPELINES, "yang-lee-closed", refuse)
+    monkeypatch.setattr(cli, "_sweep_row", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    cfg_path = tmp_path / "cfg.json"
+    for out_path in (blocker, blocker / "sub"):
+        write_config(cfg_path, out_path=str(out_path))
+        for argv in (["run", str(cfg_path)], ["sweep", str(cfg_path), "--param", "gamma", "--values", "0.3,0.5"]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: out_path {str(out_path)!r}"), err
+            assert "Traceback" not in err
+
+
+# --- series files and sweep values over the usable CPUs -----------------
+
+
+def use_cpus(monkeypatch, n):
+    """Make os.sched_getaffinity report n CPUs; returns the list of forks made from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_goldens_hold_with_one_and_three_cpus(cpus, tmp_path, monkeypatch):
+    forks = use_cpus(monkeypatch, cpus)
+    dirs = [tmp_path / name for name in ("closed", "numeric", "su2", "su2_json")]
+    for d in dirs:
+        d.mkdir()
+    test_closed_scenario_csv_matches_golden_hashes(dirs[0])
+    test_numeric_scenario_matches_golden_hashes(dirs[1], monkeypatch)
+    test_su2_generic_scenario_matches_golden_hashes(dirs[2], monkeypatch)
+    test_su2_generic_json_matches_golden_hashes(dirs[3], monkeypatch)  # and a JSON sweep of 2 dt values
+    # two workers for each run of 7 series, one for the sweep of 2 values
+    assert len(forks) == {1: 0, 3: 2 * 4 + 1}[cpus]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_written_keeps_the_order_of_outputs(cpus, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, cpus)
+    outputs = ("invariants", "energies", "metric", "propagator", "dyson", "states", "hermitian_h", "metric")
+    for fmt in cli.FORMATS:
+        cfg = cli.validate_config(
+            cli.ScenarioConfig(
+                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 0.5, dt=1e-2,
+                outputs=outputs, format=fmt, out_path=str(tmp_path / fmt),
+            )
+        )
+        _, written = cli.run_scenario(cfg)
+        assert written == [tmp_path / fmt / f"{name}.{fmt}" for name in outputs] + [
+            tmp_path / fmt / "report.json"
+        ]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_raises_the_error_of_the_first_failing_value(cpus, tmp_path, monkeypatch):
+    forks = use_cpus(monkeypatch, cpus)
+
+    def row(cfg):
+        if cfg.dt == 0.02:
+            raise NotPositiveDefinite("rho lost positivity", t=0.25, index=7)
+        if cfg.dt == 0.04:
+            raise PositivityLost(0.5)
+        return (1.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "_sweep_row", row)
+    cfg = cli.validate_config(cli.ScenarioConfig(scenario="yang-lee-numeric", out_path=str(tmp_path)))
+    # sorted, 0.01 and 0.04 fall to this process and 0.02 to the first worker:
+    # the worker's error comes first in value order, this process's error is dropped
+    with pytest.raises(NotPositiveDefinite) as info:
+        cli.sweep(cfg, "dt", [0.04, 0.03, 0.02, 0.01])
+    assert (str(info.value), info.value.t, info.value.index) == ("rho lost positivity", 0.25, 7)
+    assert len(forks) == {1: 0, 3: 2}[cpus]
+    with pytest.raises(PositivityLost) as info:
+        cli.sweep(cfg, "dt", [0.04, 0.03])
+    assert (str(info.value), info.value.t) == ("metric positivity lost at t = 0.5", 0.5)
+
+
+@pytest.mark.parametrize("death", ["exit 3", "SIGKILL"])
+def test_a_worker_that_dies_raises_in_the_parent(death, monkeypatch):
+    use_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            if death == "exit 3":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    status = {"exit 3": 3, "SIGKILL": -signal.SIGKILL}[death]
+    with pytest.raises(RuntimeError, match=f"exited with status {status}$"):
+        _fork_map(fn, [1, 2, 3])
+
+
+@pytest.mark.parametrize("cpus, has_fork", [(1, True), (3, False)])
+def test_no_process_is_forked_with_one_cpu_or_without_fork(cpus, has_fork, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if has_fork:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    else:
+        monkeypatch.delattr(os, "fork")
+    parent = os.getpid()
+    assert _fork_map(lambda x: (x, os.getpid()), [3, 1, 2]) == [(3, parent), (1, parent), (2, parent)]
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, t_end=T0 + 0.5, dt=1e-2, outputs=list(cli.OUTPUTS))
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.02,0.01"]) == 0
