@@ -3,7 +3,9 @@
 ``rk4_series`` steps any y' = f(t, y) one step at a time and is the
 reference. ``rk4_linear`` takes the same steps for a linear y' = A(t) y,
 where each step is a matrix, and builds the whole series as a blocked scan
-over those step matrices.
+over those step matrices. Products along the time axis of 2x2 steps go
+through su2.mul; the scan, whose stacks are about sqrt(n) long, and other
+sizes of step use numpy's matmul.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import StepTooLarge
+from .su2 import mul
 
 
 def _rk4_step(f, t, y, h):
@@ -73,6 +76,11 @@ def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     return out
 
 
+def _matmul(m):
+    """The product for stacks of m's d x d matrices: su2.mul for d = 2, else numpy's."""
+    return mul if m.shape[-1] == 2 else np.matmul
+
+
 def _step_deltas(a1, a2, a3, h):
     """Deltas D = S - I of the RK4 steps S of y' = A y, over stacks of steps.
 
@@ -82,13 +90,14 @@ def _step_deltas(a1, a2, a3, h):
     D = h/6 (K1 + 2 K2 + 2 K3 + K4), the step rk4_series takes for
     f(t, y) = A(t) y. D is kept apart from I so its low bits survive.
     """
-    k2 = a2 @ a1
+    dot = _matmul(a1)
+    k2 = dot(a2, a1)
     k2 *= 0.5 * h
     k2 += a2
-    k3 = a2 @ k2
+    k3 = dot(a2, k2)
     k3 *= 0.5 * h
     k3 += a2
-    k4 = a3 @ k3
+    k4 = dot(a3, k3)
     k4 *= h
     k4 += a3
     k3 += k2
@@ -194,20 +203,21 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
             f"got shape {a.shape}"
         )
 
+    dot = _matmul(a)
     if a.ndim == 2:
         deltas = _step_deltas(a, a, a, dt)[None]
         half = _step_deltas(a, a, a, 0.5 * dt)
-        halves = (half + half + half @ half)[None]  # (I + half)^2 - I
+        halves = (half + half + dot(half, half))[None]  # (I + half)^2 - I
     else:
         deltas = _step_deltas(a[0 : n_half - 1 : 2], a[1:n_half:2], a[2:n_half:2], dt)
         starts, mids = 2 * checked, n_half + 2 * np.arange(len(checked))
         first = _step_deltas(a[starts], a[mids], a[starts + 1], 0.5 * dt)
         second = _step_deltas(a[starts + 1], a[mids + 1], a[starts + 2], 0.5 * dt)
-        halves = second + first + second @ first  # (I + second)(I + first) - I
+        halves = second + first + dot(second, first)  # (I + second)(I + first) - I
     out = _scan(deltas, y, n_steps)
     if len(checked):
         full = deltas if len(deltas) == 1 else deltas[checked]
-        misses = (full - halves) @ out[checked]
+        misses = dot(full - halves, out[checked])
         estimates = np.linalg.norm(misses.reshape(len(checked), -1), axis=1)
         bad = np.nonzero(estimates > local_error_bound)[0]
         if bad.size:

@@ -61,6 +61,7 @@ from .su2 import (
     hermitian_sqrt,
     hermitian_sqrt_derivative,
     hermiticity_residual,
+    mul,
     pauli_compose,
     pauli_decompose,
 )
@@ -279,18 +280,25 @@ class VerificationReport:
 # Stack helpers and output tables
 # ----------------------------------------------------------------------
 
-def _norms(m):
-    """Frobenius norm of each matrix of an (n, 2, 2) stack."""
-    return np.linalg.norm(m, axis=(1, 2))
-
-
 def _unitarity(u):
-    return _norms(dagger(u) @ u - IDENTITY)
+    return frobenius_norm(mul(dagger(u), u) - IDENTITY)
 
 
 def _dot3(a, b):
-    """Row-wise dot products of 3-vectors, summed as numpy sums one a @ b."""
-    return (a[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+    """Row-wise dot products of real 3-vectors, summed entry by entry."""
+    b = np.asarray(b)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _apply(m, psi):
+    """m psi for a matrix or (n, 2, 2) stack m and a state or (n, 2) stack psi."""
+    return mul(m, np.asarray(psi)[..., None])[..., 0]
+
+
+def _braket(a, m, b):
+    """<a| m |b> for (n, 2) state stacks a, b and a matrix or (n, 2, 2) stack m."""
+    mb = _apply(m, b)
+    return a[..., 0].conj() * mb[..., 0] + a[..., 1].conj() * mb[..., 1]
 
 
 def _matrix_header(prefix):
@@ -441,38 +449,37 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     u = u_closed(ts, p)
     h_tilde = physical_hamiltonian(h1m, dys)
     psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
-    phi_p = np.einsum("nij,nj->ni", eta, psi_p)
-    phi_m = np.einsum("nij,nj->ni", eta, psi_m)
+    phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
     e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
 
     dets = det(rho).real
     h_herm = hermiticity_residual(h)
-    flow_residual = _norms(dagger(h1m) @ rho - rho @ h1m - 1j * rho_closed_dot(ts, p))
-    eta_sq = _norms(eta @ eta - rho)
+    flow_residual = frobenius_norm(mul(dagger(h1m), rho) - mul(rho, h1m) - 1j * rho_closed_dot(ts, p))
+    eta_sq = frobenius_norm(mul(eta, eta) - rho)
     dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
     qh_tilde = quasi_hermiticity_residual(h_tilde, rho)
     qh_raw = quasi_hermiticity_residual(h1m, rho)
-    ip = lambda a, b: np.einsum("ni,nij,nj->n", a.conj(), rho, b)
+    ip = lambda a, b: _braket(a, rho, b)
     ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
     ip_cross = np.concatenate([ip(psi_m, psi_p) - 1j * p.gamma, ip(psi_p, psi_m) + 1j * p.gamma])
     psi_resid = phi_resid = energy_h = energy_metric = 0.0
     for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
-        resid = np.linalg.norm(np.einsum("ij,nj->ni", h1m, psi) - energy * psi, axis=1)
+        resid = np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1)
         psi_resid = max(psi_resid, float(np.max(resid)))
         # phi = eta Psi solves the Hermitian equation; the derivative is analytic
-        d_phi = (dys.eta_dot @ psi[..., None] - 1j * energy * (eta @ psi[..., None]))[..., 0]
-        resid = np.linalg.norm(np.einsum("nij,nj->ni", h, phi) - 1j * d_phi, axis=1)
+        d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
+        resid = np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1)
         phi_resid = max(phi_resid, float(np.max(resid)))
-        e_h = np.einsum("ni,nij,nj->n", phi.conj(), h, phi).real
+        e_h = _braket(phi, h, phi).real
         energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
-        e_metric = np.einsum("ni,nij,njk,nk->n", psi.conj(), rho, h_tilde, psi).real
+        e_metric = _braket(psi, rho, _apply(h_tilde, psi)).real
         energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
     # propagator checks: identity at the anchor, unitarity, TDSE by central differences
     u_t0 = u_closed(p.t0, p)
     fd_step = 1e-6
     t_sub = ts[_subsample(len(ts))]
     du = (u_closed(t_sub + fd_step, p) - u_closed(t_sub - fd_step, p)) / (2.0 * fd_step)
-    u_tdse = float(np.max(frobenius_norm(rabi_h(t_sub, p) @ u_closed(t_sub, p) - 1j * du)))
+    u_tdse = float(np.max(frobenius_norm(mul(rabi_h(t_sub, p), u_closed(t_sub, p)) - 1j * du)))
     u_unitarity = _unitarity(u)
     basis = basis_states(p)
     basis_error = max(np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1]))
@@ -533,24 +540,24 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
     h_num = hermitian_counterpart(h1m, dys)
     h_tilde = physical_hamiltonian(h1m, dys)
     u_num = propagator_series(lambda t: rabi_h(t, p), grid).samples
-    u_ref = u_closed(ts, p) @ dagger(u_closed(grid.t_start, p))
+    u_ref = mul(u_closed(ts, p), dagger(u_closed(grid.t_start, p)))
 
     dets = det(rho_num).real
-    dev_metric = _norms(rho_num - rho_closed(ts, p))
-    dev_eta = _norms(dys.eta - eta_closed(ts, p).eta)
-    dev_h = _norms(h_num - rabi_h(ts, p))
-    dev_u = _norms(u_num - u_ref)
+    dev_metric = frobenius_norm(rho_num - rho_closed(ts, p))
+    dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
+    dev_h = frobenius_norm(h_num - rabi_h(ts, p))
+    dev_u = frobenius_norm(u_num - u_ref)
     unitarity = _unitarity(u_num)
     qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
     # the non-Hermitian-picture propagator keeps rho norms but not flat ones
     sub = _subsample(len(ts))
-    u_big = invert_dyson_map(dys.eta[sub]) @ u_num[sub] @ dys.eta[0]
-    nonunitarity = float(np.max(frobenius_norm(dagger(u_big) @ u_big - IDENTITY)))
+    u_big = mul(mul(invert_dyson_map(dys.eta[sub]), u_num[sub]), dys.eta[0])
+    nonunitarity = float(np.max(_unitarity(u_big)))
     inner_drift = 0.0
     for sgn in (+1, -1):
-        moved = u_big @ psi_pm(grid.t_start, sgn, p)
-        inner = (moved.conj()[:, None, :] @ rho_num[sub] @ moved[:, :, None])[:, 0, 0]
+        moved = _apply(u_big, psi_pm(grid.t_start, sgn, p))
+        inner = _braket(moved, rho_num[sub], moved)
         inner_drift = max(inner_drift, float(np.max(np.abs(inner - 1.0))))
 
     checks = [
@@ -570,8 +577,8 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
 
     energies = {}
     for name, sgn in (("E_plus", +1), ("E_minus", -1)):
-        phi = np.einsum("nij,nj->ni", dys.eta, psi_pm(ts, sgn, p))
-        energies[name] = np.einsum("ni,nij,nj->n", phi.conj(), h_num, phi).real
+        phi = _apply(dys.eta, psi_pm(ts, sgn, p))
+        energies[name] = _braket(phi, h_num, phi).real
     invariants = {
         "metric_vs_closed": dev_metric,
         "det_deviation": np.abs(dets - det_ref),
@@ -627,8 +634,8 @@ def _su2_generic(cfg: ScenarioConfig):
 
     h_herm = hermiticity_residual(h_num)
     dets = det(rho_num).real
-    dev_metric = _norms(rho_num - rho_ref)
-    eta_sq = _norms(dys.eta @ dys.eta - rho_num)
+    dev_metric = frobenius_norm(rho_num - rho_ref)
+    eta_sq = frobenius_norm(mul(dys.eta, dys.eta) - rho_num)
     qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
     # coefficient-flow residual of the closed form, via fourth-order differences
@@ -654,15 +661,13 @@ def _su2_generic(cfg: ScenarioConfig):
         Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
     ]
     if not np.any(h.lambda_vec):
-        checks.append(Check("h_matches_static_h", float(np.max(_norms(h_num - hm))), 1e-6))
+        checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
 
     u = energies = None
     if any(o in cfg.outputs for o in ("propagator", "states", "energies")):
         u = propagator_series(_su2_h_source(h, zeta), grid).samples
-        energies = {
-            f"E_{k + 1}": np.einsum("ni,nij,nj->n", u[:, :, k].conj(), h_num, u[:, :, k]).real
-            for k in (0, 1)
-        }
+        # the columns of u are the evolved basis states
+        energies = {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
         checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
 
     invariants = {

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow
 from .series import TimeSeries
-from .su2 import _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt
+from .su2 import _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt, mul
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -142,7 +142,7 @@ def hermitian_counterpart(h_nonhermitian, sample: DysonSample | DysonSeries) -> 
     """
     h_nonhermitian = complex2x2_stack(h_nonhermitian)
     inv = invert_dyson_map(sample.eta)
-    return sample.eta @ h_nonhermitian @ inv + 1j * sample.eta_dot @ inv
+    return mul(mul(sample.eta, h_nonhermitian), inv) + 1j * mul(sample.eta_dot, inv)
 
 
 def physical_hamiltonian(h_nonhermitian, sample: DysonSample | DysonSeries) -> np.ndarray:
@@ -153,7 +153,7 @@ def physical_hamiltonian(h_nonhermitian, sample: DysonSample | DysonSeries) -> n
     """
     h_nonhermitian = complex2x2_stack(h_nonhermitian)
     inv = invert_dyson_map(sample.eta)
-    return h_nonhermitian + 1j * inv @ sample.eta_dot
+    return h_nonhermitian + 1j * mul(inv, sample.eta_dot)
 
 
 def quasi_hermiticity_residual(h_tilde, rho):
@@ -166,4 +166,4 @@ def quasi_hermiticity_residual(h_tilde, rho):
     """
     h_tilde = complex2x2_stack(h_tilde)
     rho = complex2x2_stack(rho)
-    return frobenius_norm(dagger(h_tilde) @ rho - rho @ h_tilde)[()]
+    return frobenius_norm(mul(dagger(h_tilde), rho) - mul(rho, h_tilde))[()]

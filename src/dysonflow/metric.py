@@ -32,6 +32,7 @@ from .su2 import (
     complex2x2_stack,
     dagger,
     det,
+    mul,
     pauli_compose,
     require_hpd,
 )
@@ -193,7 +194,7 @@ def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
     """
     rho = complex2x2_stack(rho)
     hm = h.matrix()
-    return -1j * (dagger(hm) @ rho - rho @ hm)
+    return -1j * (mul(dagger(hm), rho) - mul(rho, hm))
 
 
 @dataclass(frozen=True)

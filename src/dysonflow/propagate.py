@@ -13,7 +13,7 @@ from ._integrate import rk4_linear, stage_times
 from .dyson import DysonSeries, invert_dyson_map
 from .errors import NotHermitian, NotPositiveDefinite
 from .series import IntegrationGrid, TimeSeries, grid_index
-from .su2 import IDENTITY, complex2x2, hermiticity_residual, require_hpd
+from .su2 import IDENTITY, complex2x2, frobenius_norm, hermiticity_residual, mul, require_hpd
 
 
 def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -> TimeSeries:
@@ -36,7 +36,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -
     if hermitian_check:
         stack = hm.reshape((-1,) + hm.shape[-2:])  # one row for a constant generator
         drift = hermiticity_residual(stack)
-        bad = drift > 1e-8 * np.maximum(1.0, np.linalg.norm(stack, axis=(1, 2)))
+        bad = drift > 1e-8 * np.maximum(1.0, frobenius_norm(stack))
         if np.any(bad):
             i = int(np.argmin(np.where(bad, times[: len(bad)], np.inf)))
             warnings.warn(
@@ -125,7 +125,7 @@ def nonhermitian_u(eta_series: DysonSeries, u, t_from: float, t_to: float) -> np
     grid = (eta_series.t0, eta_series.dt, len(eta_series))
     eta_start = eta_series.eta[grid_index(t_from, *grid)]
     eta_end = eta_series.eta[grid_index(t_to, *grid)]
-    return invert_dyson_map(eta_end) @ u @ eta_start
+    return mul(mul(invert_dyson_map(eta_end), u), eta_start)
 
 
 def rho_inner(a, b, rho) -> complex:

