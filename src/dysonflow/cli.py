@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from ._parallel import _fork_map
 from .dyson import (
+    MIN_DERIVATIVE_SAMPLES,
     DysonSample,
     dyson_from_metric,
     hermitian_counterpart,
@@ -210,7 +211,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
 
     An open start is the scenario's natural one (the anchor time t0 for
     Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
-    periods after the start.
+    periods after the start. The numeric scenarios differentiate eta over
+    the window, so they need at least MIN_DERIVATIVE_SAMPLES - 1 steps.
     """
     if cfg.scenario == "su2-generic":
         default_start, period = 0.0, _su2_config(cfg)[2]
@@ -222,6 +224,12 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     if span <= 0.0:
         raise ConfigInvalid(f"t_end must exceed t_start, got span {span}")
     n = max(1, round(span / cfg.dt))
+    min_steps = MIN_DERIVATIVE_SAMPLES - 1
+    if cfg.scenario != "yang-lee-closed" and n < min_steps:
+        raise ConfigInvalid(
+            f"{cfg.scenario} needs a window of at least {min_steps} dt steps for its "
+            f"fourth-order eta_dot, got {n} (span {span:.6g}, dt {cfg.dt:.6g})"
+        )
     return IntegrationGrid(t_start=t_start, t_end=t_start + n * cfg.dt, dt=cfg.dt)
 
 

@@ -26,6 +26,8 @@ from .su2 import _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermi
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
+# The fourth-order stencils of fourth_order_derivative span five samples.
+MIN_DERIVATIVE_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,15 @@ def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
     """First time derivative of a uniformly sampled array stack, O(dt^4).
 
     Five-point central stencil in the interior, one-sided stencils of the
-    same order at the two points on each edge. Needs at least 5 samples.
+    same order at the two points on each edge. Needs at least
+    MIN_DERIVATIVE_SAMPLES = 5 samples.
     """
     samples = np.asarray(samples)
     n = len(samples)
-    if n < 5:
-        raise ValueError(f"fourth-order differentiation needs >= 5 samples, got {n}")
+    if n < MIN_DERIVATIVE_SAMPLES:
+        raise ValueError(
+            f"fourth-order differentiation needs >= {MIN_DERIVATIVE_SAMPLES} samples, got {n}"
+        )
     d = np.empty_like(samples, dtype=complex)
     f = samples
     d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dt)

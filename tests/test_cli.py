@@ -481,6 +481,32 @@ def test_json_series_writer_matches_json_dump(tmp_path):
         assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
 
 
+@pytest.mark.parametrize("scenario", ["yang-lee-numeric", "su2-generic"])
+def test_window_too_short_for_eta_dot_is_a_config_error(scenario, tmp_path, capsys):
+    # eta_dot takes five samples, so a numeric window needs four dt steps
+    base = {"scenario": scenario} if scenario != "su2-generic" else rotated_yang_lee_config(0.6, "x")
+    cfg_path = tmp_path / "cfg.json"
+    for verb in ("run", "verify"):
+        for t_end, status in ((0.03, 2), (0.04, 0)):
+            raw = {**base, "t_start": 0.0, "t_end": t_end, "dt": 0.01, "out_path": str(tmp_path / verb)}
+            cfg_path.write_text(json.dumps({**raw, "outputs": list(cli.OUTPUTS)}), encoding="utf-8")
+            assert cli.main([verb, str(cfg_path)]) == status, (verb, t_end)
+            err = capsys.readouterr().err
+            if status == 2:
+                assert err == (
+                    f"config error: {scenario} needs a window of at least 4 dt steps for its "
+                    "fourth-order eta_dot, got 3 (span 0.03, dt 0.01)\n"
+                )
+            else:
+                assert err == ""
+    assert len((tmp_path / "run" / "metric.csv").read_text().splitlines()) == 1 + 5
+    # a sweep refuses the value whose window is too short, whichever process runs it
+    cfg_path.write_text(json.dumps({**base, "t_start": 0.0, "t_end": 0.3, "out_path": str(tmp_path)}))
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.1"]) == 2
+    assert "needs a window of at least 4 dt steps" in capsys.readouterr().err
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.075"]) == 0
+
+
 def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("a pipeline ran before out_path was checked")
