@@ -21,6 +21,7 @@ from dysonflow import (
     hermitian_sqrt,
     hermiticity_residual,
     integrate_metric,
+    mul,
     pauli_compose,
     pauli_decompose,
     rabi_h,
@@ -272,3 +273,58 @@ def test_hpd_guards_keep_their_exception_types(rho, error):
         integrate_metric(h, rho, IntegrationGrid(0.0, 0.1, 1e-2))
     with pytest.raises(NotPositiveDefinite):
         rho_inner(psi, psi, rho)
+
+
+def random_complex(rng, shape, spread=0):
+    """Gaussian complex entries, each scaled by 10^u with u uniform in [-spread, spread]."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z * 10.0 ** rng.uniform(-spread, spread, shape)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape, out_shape",
+    [
+        ((500, 2, 2), (500, 2, 2), (500, 2, 2)),  # stack x stack
+        ((500, 2, 2), (2, 2), (500, 2, 2)),  # stack x matrix
+        ((2, 2), (500, 2, 2), (500, 2, 2)),  # matrix x stack
+        ((500, 2, 2), (500, 2, 1), (500, 2, 1)),  # stack x column
+        ((500, 2, 2), (2, 3), (500, 2, 3)),  # stack x one 2 x 3 matrix
+        ((3, 1, 2, 2), (4, 2, 2), (3, 4, 2, 2)),  # leading axes broadcast
+        ((2, 2), (2, 2), (2, 2)),  # one matrix
+    ],
+)
+def test_mul_shapes_match_matmul(a_shape, b_shape, out_shape):
+    rng = np.random.default_rng(8)
+    a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
+    c = mul(a, b)
+    assert c.shape == out_shape and c.dtype == complex and c.flags.c_contiguous
+    assert np.allclose(c, a @ b, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(mul(a.real, b.real), mul(a.real + 0j, b.real + 0j).real)
+
+
+def test_mul_refuses_other_shapes():
+    for a, b in [(np.ones((3, 3)), np.ones((3, 3))), (np.ones((2, 2)), np.ones((3, 2))), (np.ones(2), np.ones((2, 2)))]:
+        with pytest.raises(ValueError):
+            mul(a, b)
+
+
+def test_mul_and_matmul_stay_within_the_entrywise_error_bound():
+    # |c - a b| <= 4 eps (|a| |b|) entry by entry, against an extended-precision product
+    rng = np.random.default_rng(17)
+    a, b = random_complex(rng, (20_000, 2, 2), 8), random_complex(rng, (20_000, 2, 2), 8)
+    exact = a.astype(np.clongdouble) @ b.astype(np.clongdouble)
+    bound = 4.0 * np.finfo(float).eps * (np.abs(a).astype(np.longdouble) @ np.abs(b))
+    for c in (mul(a, b), np.matmul(a, b)):
+        assert np.all(np.abs(c - exact) <= bound)
+    assert np.any(mul(a, b) != np.matmul(a, b))  # the two round differently
+
+
+def test_mul_of_a_stack_is_the_stack_of_single_products_bit_for_bit():
+    rng = np.random.default_rng(29)
+    a, b, v = (random_complex(rng, s, 3) for s in ((300, 2, 2), (300, 2, 2), (300, 2, 1)))
+    bits = lambda m: np.ascontiguousarray(m).view(np.uint64)
+    assert np.array_equal(bits(mul(a, b)), bits(np.stack([mul(x, y) for x, y in zip(a, b)])))
+    assert np.array_equal(bits(mul(a, b[7])), bits(np.stack([mul(x, b[7]) for x in a])))
+    assert np.array_equal(bits(mul(a[7], b)), bits(np.stack([mul(a[7], y) for y in b])))
+    assert np.array_equal(bits(mul(a, v)), bits(np.stack([mul(x, y) for x, y in zip(a, v)])))
+    assert np.array_equal(bits(mul(a[5:9], b[5:9])), bits(mul(a, b)[5:9]))
