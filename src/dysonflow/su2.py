@@ -107,10 +107,8 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _components(m, lead: int) -> np.ndarray:
-    """m (..., r, c) as a contiguous (r, c, ...) array with ``lead`` leading axes."""
-    m = m.reshape((1,) * (lead + 2 - m.ndim) + m.shape)
-    return np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+# Matrices per block of mul: its temporaries stay at a few hundred kB.
+_MUL_BLOCK = 4096
 
 
 def mul(a, b) -> np.ndarray:
@@ -120,18 +118,27 @@ def mul(a, b) -> np.ndarray:
     matrix or a (..., 2, k) stack (k = 1 for column vectors); the leading
     axes broadcast. Entry (i, j) is a_i0 b_0j + a_i1 b_1j, formed by
     numpy's elementwise multiply and add on contiguous component arrays,
-    so a matrix rounds the same alone as inside any stack. The result is a
-    C-contiguous (..., 2, k) array.
+    block by block, so a matrix rounds the same alone as inside any stack.
+    The result is a C-contiguous (..., 2, k) array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or a.shape[-2:] != (2, 2) or b.ndim < 2 or b.shape[-2] != 2:
         raise ValueError(f"expected (..., 2, 2) @ (..., 2, k), got shapes {a.shape} and {b.shape}")
-    lead = max(a.ndim, b.ndim) - 2
-    ac, bc = _components(a, lead), _components(b, lead)
-    prod = ac[:, 0, None] * bc[None, 0]
-    prod += ac[:, 1, None] * bc[None, 1]
-    return np.ascontiguousarray(np.moveaxis(prod, (0, 1), (-2, -1)))
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    k = b.shape[-1]
+    out = np.empty(lead + (2, k), dtype=np.result_type(a, b))
+    rows = out.reshape(-1, 2, k)
+    a = np.broadcast_to(a, lead + (2, 2)).reshape(-1, 2, 2)
+    b = np.broadcast_to(b, lead + (2, k)).reshape(-1, 2, k)
+    for s in range(0, len(rows), _MUL_BLOCK):
+        # component-major copies: one entry of every matrix is one contiguous run
+        ac = np.ascontiguousarray(np.moveaxis(a[s : s + _MUL_BLOCK], 0, -1))
+        bc = np.ascontiguousarray(np.moveaxis(b[s : s + _MUL_BLOCK], 0, -1))
+        block = np.moveaxis(rows[s : s + _MUL_BLOCK], 0, -1)
+        np.multiply(ac[:, 0, None], bc[None, 0], out=block)
+        block += ac[:, 1, None] * bc[None, 1]
+    return out
 
 
 def det(m):
