@@ -9,10 +9,9 @@ Hermiticity residual, Hermitian positive-definite check, Pauli split and
 composition) is coded here once.
 
 The product ``mul`` works entry by entry over the stack: numpy's ``@`` on
-an (n, 2, 2) complex stack calls BLAS zgemm once per matrix, about 450 ns
-each (5.8-6.7 ms for 14,501 matrices on a 2-CPU Xeon), while the same
-product as eight entrywise complex multiplies over the stack takes under
-a millisecond.
+an (n, 2, 2) complex stack calls BLAS zgemm once per matrix, 6.3-7.4 ms
+for 14,501 matrices on a 2-CPU Xeon, while the same product as eight
+entrywise complex multiplies over the stack takes 0.8 ms.
 """
 
 from dataclasses import dataclass
