@@ -9,9 +9,10 @@ Hermiticity residual, Hermitian positive-definite check, Pauli split and
 composition) is coded here once.
 
 The product ``mul`` works entry by entry over the stack: numpy's ``@`` on
-an (n, 2, 2) complex stack calls BLAS zgemm once per matrix, 6.3-7.4 ms
-for 14,501 matrices on a 2-CPU Xeon, while the same product as eight
-entrywise complex multiplies over the stack takes 0.8 ms.
+an (n, 2, 2) complex stack calls BLAS zgemm once per matrix. On a 2-CPU
+Xeon (numpy 2.4.6, pinned to one CPU) ``@`` takes 4.5-6.0 ms for 14,501
+matrices and ``mul`` 0.9-1.0 ms; for the 120-matrix stacks of an RK4 scan
+of that many steps, 49-57 us against 24-29 us.
 """
 
 from dataclasses import dataclass
@@ -106,37 +107,31 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-# Matrices per block of mul: its temporaries stay at a few hundred kB.
-_MUL_BLOCK = 4096
-
-
 def mul(a, b) -> np.ndarray:
     """Matrix product a @ b of 2x2 matrices, entry by entry over the stack.
 
     ``a`` is one (2, 2) matrix or a (..., 2, 2) stack, ``b`` one (2, k)
     matrix or a (..., 2, k) stack (k = 1 for column vectors); the leading
     axes broadcast. Entry (i, j) is a_i0 b_0j + a_i1 b_1j, formed by
-    numpy's elementwise multiply and add on contiguous component arrays,
-    block by block, so a matrix rounds the same alone as inside any stack.
-    The result is a C-contiguous (..., 2, k) array.
+    numpy's elementwise multiply and add on strided views of the operands,
+    so a matrix rounds the same alone as inside any stack, and the only
+    temporary is one entry of every matrix. The result is a C-contiguous
+    (..., 2, k) array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or a.shape[-2:] != (2, 2) or b.ndim < 2 or b.shape[-2] != 2:
         raise ValueError(f"expected (..., 2, 2) @ (..., 2, k), got shapes {a.shape} and {b.shape}")
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    k = b.shape[-1]
-    out = np.empty(lead + (2, k), dtype=np.result_type(a, b))
-    rows = out.reshape(-1, 2, k)
-    a = np.broadcast_to(a, lead + (2, 2)).reshape(-1, 2, 2)
-    b = np.broadcast_to(b, lead + (2, k)).reshape(-1, 2, k)
-    for s in range(0, len(rows), _MUL_BLOCK):
-        # component-major copies: one entry of every matrix is one contiguous run
-        ac = np.ascontiguousarray(np.moveaxis(a[s : s + _MUL_BLOCK], 0, -1))
-        bc = np.ascontiguousarray(np.moveaxis(b[s : s + _MUL_BLOCK], 0, -1))
-        block = np.moveaxis(rows[s : s + _MUL_BLOCK], 0, -1)
-        np.multiply(ac[:, 0, None], bc[None, 0], out=block)
-        block += ac[:, 1, None] * bc[None, 1]
+    dtype = np.result_type(a, b)
+    out = np.empty(lead + (2, b.shape[-1]), dtype=dtype)
+    term = np.empty(lead, dtype=dtype)
+    for i in range(2):
+        for j in range(b.shape[-1]):
+            entry = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=entry)
+            np.multiply(a[..., i, 1], b[..., 1, j], out=term)
+            entry += term
     return out
 
 

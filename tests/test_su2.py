@@ -1,6 +1,7 @@
 """Pauli-basis kernel: decomposition round trips, eigensystems, Hermitian roots."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -29,6 +30,7 @@ from dysonflow import (
     rho_inner,
 )
 from dysonflow.errors import NonDiagonalizable, NotHermitian, NotPositiveDefinite
+from dysonflow.su2 import dagger
 
 
 def test_decompose_basis_elements():
@@ -332,3 +334,49 @@ def test_mul_of_a_stack_is_the_stack_of_single_products_bit_for_bit():
     assert np.array_equal(bits(mul(a[7], b)), bits(np.stack([mul(a[7], y) for y in b])))
     assert np.array_equal(bits(mul(a, v)), bits(np.stack([mul(x, y) for x, y in zip(a, v)])))
     assert np.array_equal(bits(mul(a[5:9], b[5:9])), bits(mul(a, b)[5:9]))
+
+
+def bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def assert_stack_rounds_as_single_products(a, b):
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a_each = np.broadcast_to(a, lead + a.shape[-2:])
+    b_each = np.broadcast_to(b, lead + b.shape[-2:])
+    # each single product takes contiguous copies, so it shares no layout with the stack
+    single = np.stack([mul(np.array(x), np.array(y)) for x, y in zip(a_each, b_each)])
+    assert np.array_equal(bits(mul(a, b)), bits(single))
+
+
+# 10,000 matrices: more than one block of the former 4,096-matrix copies
+STACK_OPERANDS = {
+    "contiguous": lambda a, b: (a, b),
+    "dagger view": lambda a, b: (dagger(a), b),
+    "column slices": lambda a, b: (a, b[:, :, 1, None]),
+    "reversed stride": lambda a, b: (a[::-1], b[::-2].repeat(2, axis=0)),
+    "broadcast matrix": lambda a, b: (a[7], b),
+    "broadcast view": lambda a, b: (a, np.broadcast_to(b[3], b.shape)),
+}
+
+
+@pytest.mark.parametrize("operands", STACK_OPERANDS.values(), ids=STACK_OPERANDS)
+def test_mul_of_a_large_strided_stack_is_the_stack_of_single_products(operands):
+    rng = np.random.default_rng(41)
+    a, b = random_complex(rng, (10_000, 2, 2), 3), random_complex(rng, (10_000, 2, 2), 3)
+    assert_stack_rounds_as_single_products(*operands(a, b))
+
+
+def test_mul_allocates_its_output_and_one_entry_per_matrix():
+    n = 14_501
+    rng = np.random.default_rng(43)
+    a, b = random_complex(rng, (n, 2, 2)), random_complex(rng, (n, 2, 2))
+    mul(a[:1], b[:1])
+    tracemalloc.start()
+    try:
+        c = mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, one complex temporary of n entries, and a little for views and Python objects
+    assert peak <= c.nbytes + n * np.dtype(complex).itemsize + 16_384
