@@ -3,9 +3,11 @@
 ``rk4_series`` steps any y' = f(t, y) one step at a time and is the
 reference. ``rk4_linear`` takes the same steps for a linear y' = A(t) y,
 where each step is a matrix, and builds the whole series as a blocked scan
-over those step matrices. Products along the time axis of 2x2 steps go
-through su2.mul; the scan, whose stacks are about sqrt(n) long, and other
-sizes of step use numpy's matmul.
+over those step matrices: one pass composes the deltas of every block's
+first steps, the block starts are stepped through the blocks, and one
+batched product fills every other row. Products of 2x2 steps, along the
+time axis and in the scan, go through su2.mul; other sizes of step use
+numpy's matmul.
 """
 
 import math
@@ -109,26 +111,27 @@ def _step_deltas(a1, a2, a3, h):
 
 
 def _prefix_deltas(blocks):
-    """Deltas of the first 1, 2, .., size steps of every block, as a generator.
+    """Deltas of the first 1, 2, .., size steps of every block, in one pass.
 
-    ``blocks`` is (n_blocks, size, d, d). Each delta is the last one with
-    one more step composed on, X + (D + D X), summed with a running
-    compensation (Kahan): adding nearly the same small D X over and over
-    rounds nearly the same way each time, and a block delta shared by every
-    block would carry that bias through all of them.
+    ``blocks`` is (n_blocks, size, d, d); entry [b, j] of the result, of
+    the same shape, is the delta of block b's first j + 1 steps. Each is
+    the one before with one more step composed on, X + (D + D X), summed
+    with a running compensation (Kahan): adding nearly the same small D X
+    over and over rounds nearly the same way each time, and a block delta
+    shared by every block would carry that bias through all of them.
     """
-    total = blocks[:, 0]
-    carry = np.zeros_like(total)
-    yield total
+    dot = _matmul(blocks)
+    prefix = np.empty(blocks.shape, dtype=complex)
+    prefix[:, 0] = blocks[:, 0]
+    carry = np.zeros_like(prefix[:, 0])
     for j in range(1, blocks.shape[1]):
-        step = blocks[:, j]
-        inc = step @ total
+        step, total = blocks[:, j], prefix[:, j - 1]
+        inc = dot(step, total)
         inc += step
         inc -= carry
-        new = total + inc
+        new = np.add(total, inc, out=prefix[:, j])
         carry = (new - total) - inc
-        total = new
-        yield total
+    return prefix
 
 
 def _scan(deltas, y0, n_steps):
@@ -136,14 +139,15 @@ def _scan(deltas, y0, n_steps):
 
     ``deltas`` is the (n, d, d) stack of D_i, or (1, d, d) for one delta
     shared by every step; ``y0`` is (d, k). The steps are cut into blocks
-    of about sqrt(n). Every block's delta is composed at once, and the
-    block start states are stepped through the blocks in turn. Then the
-    deltas of each block's first j steps are composed again, step by step
-    for all blocks at once, and applied to the block starts, so a block's
-    last row and the next block's start come out of the same arithmetic
-    and the series has no seams for a finite difference to pick up. The
-    work takes about 4 sqrt(n) numpy calls; the n mod size steps left
-    after the last whole block are taken one by one.
+    of about sqrt(n), and the deltas of every block's first 1, 2, .., size
+    steps are composed in one pass, for all blocks at once. The block
+    start states are stepped through the blocks in turn with each block's
+    whole delta, its last prefix. Then every other row of every block is
+    its block start plus a prefix delta applied to it, in one batched
+    product, so a block's last row and the next block's start come out of
+    the same arithmetic and the series has no seams for a finite
+    difference to pick up. The n mod size steps left after the last whole
+    block are taken one by one.
     """
     size = max(1, math.isqrt(n_steps))
     n_blocks = n_steps // size
@@ -154,9 +158,8 @@ def _scan(deltas, y0, n_steps):
         blocks = np.broadcast_to(deltas, (1, size, d, d))
     else:
         blocks = deltas[:whole].reshape(n_blocks, size, d, d)
-    for block_delta in _prefix_deltas(blocks):
-        pass
-    block_delta = np.broadcast_to(block_delta, (n_blocks, d, d))
+    prefix = _prefix_deltas(blocks)
+    block_delta = np.broadcast_to(prefix[:, -1], (n_blocks, d, d))
     out = np.empty((n_steps + 1,) + y0.shape, dtype=complex)
     filled = out[:whole].reshape((n_blocks, size) + y0.shape)
     starts = filled[:, 0]
@@ -165,9 +168,8 @@ def _scan(deltas, y0, n_steps):
         starts[b] = y
         y = y + block_delta[b] @ y
     out[whole] = y
-    for j, prefix in zip(range(1, size), _prefix_deltas(blocks)):
-        np.matmul(prefix, starts, out=filled[:, j])
-        filled[:, j] += starts
+    starts = starts[:, None]
+    np.add(_matmul(deltas)(prefix[:, :-1], starts), starts, out=filled[:, 1:])
     for i in range(whole, n_steps):
         out[i + 1] = out[i] + deltas[0 if shared else i] @ out[i]
     return out

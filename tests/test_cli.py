@@ -371,7 +371,9 @@ def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
 
 # sha256 of every CSV and of report.json written by the two configurations
 # below (numpy 2.4.6), recorded before the 2x2 rules moved into su2 and
-# re-recorded when the 2x2 products went entry by entry (su2.mul)
+# re-recorded when the 2x2 products went entry by entry (su2.mul); the
+# su2-generic propagator, states, energies and report again when the RK4
+# scan composed its 2x2 steps with su2.mul (the numeric ones kept their bytes)
 GOLDEN_NUMERIC = {
     "metric": "f460fa7423825c0e43640afcadb74b71bbb648648cca130a5531e625a19066e3",
     "dyson": "54081992f02a5471d6912cfaee077adcefb5beb977a74ca8f6b5816fe2ec008d",
@@ -386,11 +388,11 @@ GOLDEN_SU2_GENERIC = {
     "metric": "04a05d064cc7315d99e57bda4b60ddd1dd798ab6e3aec93e104c6e755877a21c",
     "dyson": "95e8bd1bb37111fe9ac68b573fc2d566e1fb55a97c49cc8ea00916142467ec0a",
     "hermitian_h": "852f525cef29736221f0a4a7765d984062154cc7095255a7c8667d01e25f73c0",
-    "states": "5c97d20420cfecc82ecc449087d00c93d22943ec0e10ff186600efb598f45a28",
-    "propagator": "155023f0adf4b87941b2b80893cf8d98b0740a02da34abba623cb80c14499fd6",
-    "energies": "daf90a53fb1af5089ed206d2449dd4799b5e5939272431cf80b2d04c1a8b920e",
+    "states": "d8591d9b0ed7bb33701fbe063a3cc2aa04e69c45ef7c6e231f9ecb9de9e2fd3a",
+    "propagator": "abdb9f24fdfc94f63113d2fce45f275bffab240de3e750bc8b548fe954140f08",
+    "energies": "779c2b5282b5c22e05ec2edbb68a0df1e726eb7b6172a4da734199e21a0c89f9",
     "invariants": "6c208c6fa052c4c32a8a4297524bda0115d3289515353fdb1cac34f6d6e226cc",
-    "report": "fa527a2babb12235034d340973e3aec297a037acaaa16e6d2e5b1fca123b74d3",
+    "report": "afcef3de3d6154d2fac273d6f8e477e917c4704ab5040b156f5fe71f08c69b6f",
 }
 
 
@@ -422,16 +424,17 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 
 # sha256 of all 7 series and report.json written as JSON by the su2-generic
 # configuration above, and of a JSON dt sweep of it, recorded while the JSON
-# series still went through json.dump and re-recorded with su2.mul
+# series still went through json.dump and re-recorded with su2.mul; the
+# propagator, states, energies and report again with the su2.mul RK4 scan
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "87b83f62e0796a0314ecdfa8e753d68a2937b92f6e2b4ccbcfe5401967fde7c1",
     "dyson": "ccd339594ca50f4983f48d0c0484f12637f2e92d927985067c23dde5a8e8048b",
     "hermitian_h": "024a97864cf4691117bd3b8e26f8c7ea755a25ef2f55042baaf320c8f2d7ee75",
-    "states": "57429683b9ed343166952d4db6c7dd413bc3c42b9b12db28258ac54dad4c4990",
-    "propagator": "c5b2d8048c5ed404c0b1eefcdd4275bec92b73a8ae119b393938cbe3784fb7cf",
-    "energies": "a80accbaa089a07758e48e6e65e7cd94685ba8f76ed299d2ab60f451261d5793",
+    "states": "3df0e38bfe826d1e01640721b10f8e865eb3dc6ab58c62972a4880a811e046e1",
+    "propagator": "6ae5af2f58fe238c344ca1d383bc16e426ccdbea1192723b893497896e2ea8bf",
+    "energies": "65d3c2ec5c4fb3cdffa8d4d16645cc6aa30c468d2aeb8e128789fe15e618a164",
     "invariants": "437c3506c38b2301784eab701a6d0f009cb70b37c7c6f595c71fc7d3e51490ea",
-    "report": "7f5a5099b8ac06b1556c26bc4999077a1f1ae0c5eda2c595a6cb9ab9763f7e34",
+    "report": "564b7a9ffdbbeb69e3a78d5dcc28d1fd91ea7e88389c6c006368ce04131f6ba3",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "73b694ab0cf23efa4ff0107d812b12d8e5c7b5ea39f12db3afd0b3a1ac7e5fab"
 

@@ -53,9 +53,26 @@ def test_constant_generator_matches_reference(n, bound, every, y0):
     assert_close(ref, new)
 
 
+@pytest.mark.parametrize("n", [0, 1, 144, 150])
+@pytest.mark.parametrize("bound, every", [(1e-6, 100), (None, 100)])
+@pytest.mark.parametrize("y0", [np.array([1.0, 0.5j]), np.eye(2)], ids=["vector", "matrix"])
+def test_constant_2x2_generator_matches_reference(n, bound, every, y0):
+    # one step delta shared by every step, composed through su2.mul
+    ref, new = both(B[0], lambda _t, y: B[0] @ y, y0, 0.0, 1e-2, n, bound, every)
+    assert_close(ref, new)
+
+
 def test_long_series_matches_reference():
     # 1,000 steps: 32 blocks of 31 steps, then 8 steps taken one by one
     t0, dt, n = 0.0, 2e-3, 1000
+    times = stage_times(t0, dt, n)
+    ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)
+    assert_close(ref, new)
+
+
+def test_longer_series_with_a_longer_tail_matches_reference():
+    # 2,000 steps: 45 blocks of 44 steps, then 20 steps taken one by one
+    t0, dt, n = 0.0, 1e-3, 2000
     times = stage_times(t0, dt, n)
     ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)
     assert_close(ref, new)
