@@ -16,6 +16,7 @@ through each of them in one call.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class DysonSample:
     eta: np.ndarray
     eta_dot: np.ndarray
 
+    @cached_property
+    def eta_inverse(self) -> np.ndarray:
+        """eta^-1 by invert_dyson_map, formed on first use and then kept."""
+        return invert_dyson_map(self.eta)
+
 
 @dataclass(frozen=True)
 class DysonSeries:
@@ -53,6 +59,11 @@ class DysonSeries:
 
     def __len__(self) -> int:
         return len(self.eta)
+
+    @cached_property
+    def eta_inverse(self) -> np.ndarray:
+        """eta^-1 of every sample by invert_dyson_map, formed on first use and then kept."""
+        return invert_dyson_map(self.eta)
 
     @property
     def times(self) -> np.ndarray:
@@ -143,10 +154,11 @@ def hermitian_counterpart(h_nonhermitian, sample: DysonSample | DysonSeries) -> 
     One matrix for a DysonSample at one instant, the (n, 2, 2) stack for a
     DysonSeries or stacked sample. Hermiticity of the result is a property
     of a correct (eta, eta_dot) pair, not of this formula; the residual is
-    the standard cross check.
+    the standard cross check. eta^-1 is the sample's ``eta_inverse``, so
+    physical_hamiltonian on the same sample does not invert eta again.
     """
     h_nonhermitian = complex2x2_stack(h_nonhermitian)
-    inv = invert_dyson_map(sample.eta)
+    inv = sample.eta_inverse
     return mul(mul(sample.eta, h_nonhermitian), inv) + 1j * mul(sample.eta_dot, inv)
 
 
@@ -154,10 +166,11 @@ def physical_hamiltonian(h_nonhermitian, sample: DysonSample | DysonSeries) -> n
     """Physical energy observable Htilde = H + i eta^-1 eta_dot.
 
     Quasi-Hermitian with respect to rho = eta^2 and equal to
-    eta^-1 h eta for the counterpart h above; stacked like it.
+    eta^-1 h eta for the counterpart h above; stacked like it, and
+    sharing its ``eta_inverse``.
     """
     h_nonhermitian = complex2x2_stack(h_nonhermitian)
-    inv = invert_dyson_map(sample.eta)
+    inv = sample.eta_inverse
     return h_nonhermitian + 1j * mul(inv, sample.eta_dot)
 
 

@@ -29,6 +29,7 @@ from dysonflow import (
     rho_closed,
     zeta_coefficients,
 )
+from dysonflow import dyson
 from dysonflow.errors import NotPositiveDefinite, SingularDysonMap
 
 YL = YangLeeParams(gamma=0.5, omega=1.0)
@@ -252,3 +253,30 @@ def test_invert_dyson_map_names_the_first_singular_matrix():
     stack[2] = np.ones((2, 2))
     with pytest.raises(SingularDysonMap, match="matrix 2 of the stack"):
         invert_dyson_map(stack)
+
+
+@pytest.mark.parametrize("kind", ["series", "sample"])
+def test_counterpart_and_physical_hamiltonian_share_one_inverse(kind, monkeypatch):
+    p = YangLeeParams(gamma=0.63, omega=0.9)
+    ts = p.t0 + 1e-3 * np.arange(50)
+    stacked = eta_closed(ts, p)
+    h1 = h1_matrix(p)
+    if kind == "series":
+        make = lambda: DysonSeries(t0=ts[0], dt=1e-3, eta=stacked.eta, eta_dot=stacked.eta_dot)
+    else:
+        make = lambda: DysonSample(t=ts, eta=stacked.eta, eta_dot=stacked.eta_dot)
+    expected = [kernel(h1, make()) for kernel in (hermitian_counterpart, physical_hamiltonian)]
+    calls = []
+    original = dyson.invert_dyson_map
+
+    def counted(eta):
+        calls.append(eta)
+        return original(eta)
+
+    monkeypatch.setattr(dyson, "invert_dyson_map", counted)
+    sample = make()
+    h = hermitian_counterpart(h1, sample)
+    h_tilde = physical_hamiltonian(h1, sample)
+    assert len(calls) == 1
+    assert np.array_equal(sample.eta_inverse, original(stacked.eta))
+    assert np.array_equal(h, expected[0]) and np.array_equal(h_tilde, expected[1])
