@@ -15,6 +15,7 @@ from dysonflow import (
     IntegrationGrid,
     PauliCoefficients,
     YangLeeParams,
+    dagger,
     eigensystem,
     frobenius_norm,
     h1_matrix,
@@ -30,7 +31,6 @@ from dysonflow import (
     rho_inner,
 )
 from dysonflow.errors import NonDiagonalizable, NotHermitian, NotPositiveDefinite
-from dysonflow.su2 import dagger
 
 
 def test_decompose_basis_elements():
