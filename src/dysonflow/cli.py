@@ -38,7 +38,6 @@ from .dyson import (
     DysonSample,
     dyson_from_metric,
     hermitian_counterpart,
-    invert_dyson_map,
     physical_hamiltonian,
     quasi_hermiticity_residual,
 )
@@ -49,7 +48,9 @@ from .metric import (
     _require_flow_solvable,
     integrate_metric,
     metric_rhs,
+    positivity_margin,
     zeta_coefficients,
+    zeta_metric,
 )
 from .propagate import propagator_series
 from .series import IntegrationGrid
@@ -200,9 +201,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     )
     if cfg.scenario == "su2-generic":
         try:
-            _su2_config(cfg)  # the closed-form reference exists only where its rule holds
+            h, zeta, _period = _su2_config(cfg)  # the closed-form reference exists only where its rule holds
         except UnsupportedHamiltonian as exc:
             raise ConfigInvalid(f"su2-generic: {exc}") from exc
+        # det rho is conserved along the zeta family, so t = 0 decides every t
+        rho0 = zeta_metric(0.0, h, zeta)
+        margin = positivity_margin(rho0)
+        if rho0.alpha <= 0.0 or margin <= 0.0:
+            raise ConfigInvalid(
+                "su2-generic: zeta_constants give a metric that is not positive definite "
+                f"(alpha = {rho0.alpha:.6g}, det rho = {margin:.6g})"
+            )
     return cfg
 
 
@@ -560,7 +569,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
 
     # the non-Hermitian-picture propagator keeps rho norms but not flat ones
     sub = _subsample(len(ts))
-    u_big = mul(mul(invert_dyson_map(dys.eta[sub]), u_num[sub]), dys.eta[0])
+    u_big = mul(mul(dys.eta_inverse[sub], u_num[sub]), dys.eta[0])
     nonunitarity = float(np.max(_unitarity(u_big)))
     inner_drift = 0.0
     for sgn in (+1, -1):
@@ -629,11 +638,6 @@ def _su2_generic(cfg: ScenarioConfig):
     alpha, beta = zeta_coefficients(ts, h, zeta)
     rho_ref = pauli_compose(PauliCoefficients(alpha, *beta.T))
     margins = alpha**2 - _dot3(beta, beta)
-    if np.min(margins) <= 0.0:
-        raise ConfigInvalid(
-            f"zeta_constants give a non-positive metric (min det rho = {np.min(margins):.6g}); "
-            "choose constants with det > 0"
-        )
     flow = integrate_metric(h, rho_ref[0], grid)
     rho_num = flow.series.samples
     dys = dyson_from_metric(flow.series)

@@ -65,10 +65,6 @@ class DysonSeries:
         """eta^-1 of every sample by invert_dyson_map, formed on first use and then kept."""
         return invert_dyson_map(self.eta)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.eta))
-
     def __getitem__(self, i: int) -> DysonSample:
         i = int(i)
         if i < 0:

@@ -30,28 +30,12 @@ class NotPositiveDefinite(DysonflowError):
         self.index = index
 
 
-class NonDiagonalizable(DysonflowError):
-    """Eigenvectors coalesce numerically (e.g. at an exceptional point)."""
-
-
 class UnsupportedHamiltonian(DysonflowError):
     """The requested construction has no solution for this Hamiltonian."""
 
 
 class PositivityViolation(DysonflowError):
     """A constructed metric fails det rho > 0."""
-
-
-class PositivityLost(DysonflowError):
-    """The integrated metric stopped being positive definite at time ``t``."""
-
-    def __init__(self, t):
-        super().__init__(f"metric positivity lost at t = {t:.9g}")
-        self.t = t
-
-    def __reduce__(self):
-        # args holds the message, not t: rebuild from t, as pickle would from args
-        return type(self), (self.t,), self.__dict__
 
 
 class StepTooLarge(DysonflowError):

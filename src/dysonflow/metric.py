@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import rk4_linear
-from .errors import PositivityLost, PositivityViolation, UnsupportedHamiltonian
+from .errors import PositivityViolation, UnsupportedHamiltonian
 from .series import IntegrationGrid, TimeSeries
 from .su2 import (
     IDENTITY,
@@ -210,17 +210,16 @@ def integrate_metric(
     rho0,
     grid: IntegrationGrid,
     local_error_bound: float | None = 1e-6,
-    check_every: int = 100,
-    require_positive: bool = False,
 ) -> MetricFlow:
     """Integrate the metric flow from a Hermitian positive-definite rho0 with RK4.
 
     A rho0 that is not raises NotHermitian or NotPositiveDefinite, as in
-    su2.require_hpd. Each sample is tested for det > 0 afterwards; the
-    first failure time is recorded on the result, or raised as
-    PositivityLost when ``require_positive`` is set. StepTooLarge propagates
-    from the integrator when the per-step error estimate exceeds
-    ``local_error_bound``.
+    su2.require_hpd. Each sample is tested for det > 0 afterwards and the
+    first failure time is recorded on the result as positivity_lost_at;
+    for a static H that flags integrator error (see the module docstring).
+    StepTooLarge propagates from the integrator when the error estimate of
+    a checked step (step 0 and every 100th after it) exceeds
+    ``local_error_bound``; None turns the checks off.
     """
     rho0 = complex2x2(rho0)
     require_hpd(rho0)
@@ -234,15 +233,9 @@ def integrate_metric(
         grid.dt,
         grid.n_steps,
         local_error_bound=local_error_bound,
-        check_every=check_every,
     ).reshape(-1, 2, 2)
-    lost_at = None
     bad = np.nonzero(det(samples).real <= 0.0)[0]
-    if bad.size:
-        lost_at = float(grid.t_start + grid.dt * bad[0])
-        if require_positive:
-            raise PositivityLost(lost_at)
     return MetricFlow(
         series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples),
-        positivity_lost_at=lost_at,
+        positivity_lost_at=float(grid.t_start + grid.dt * bad[0]) if bad.size else None,
     )

@@ -1,8 +1,11 @@
 """Time-ordered propagation in both pictures and metric inner products.
 
 All propagators are built by integrating states (or basis columns) with the
-shared fixed-step RK4 core, which keeps the time ordering implicit. Unitarity
-is checked by tests and reported as a diagnostic, never re-imposed.
+shared fixed-step RK4 core, which keeps the time ordering implicit and
+checks its local error at step 0 and every 100th step after it. A source
+that is not Hermitian draws one warning, which only evolve_state can
+switch off. Unitarity is checked by tests and reported as a diagnostic,
+never re-imposed.
 """
 
 import warnings
@@ -16,7 +19,7 @@ from .series import IntegrationGrid, TimeSeries, grid_index
 from .su2 import IDENTITY, complex2x2, frobenius_norm, hermiticity_residual, mul, require_hpd
 
 
-def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -> TimeSeries:
+def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSeries:
     """RK4 samples of i dy/dt = h(t) y on the grid, with one h_of_t call for every stage.
 
     h_of_t receives the 1-D array of the integrator's stage times and
@@ -24,7 +27,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -
     generator. ``y0`` None starts from the d x d identity.
     """
     t0, dt, n_steps = grid.t_start, grid.dt, grid.n_steps
-    times = stage_times(t0, dt, n_steps, local_error_bound, check_every)
+    times = stage_times(t0, dt, n_steps, local_error_bound)
     hm = np.asarray(h_of_t(times), dtype=complex)
     if hm.ndim not in (2, 3) or hm.shape[-1] != hm.shape[-2] or (
         hm.ndim == 3 and len(hm) != len(times)
@@ -47,7 +50,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, check_every, hermitian_check) -
     if y0 is None:
         y0 = np.eye(hm.shape[-1], dtype=complex)
     hm = -1j * hm  # rebinding frees the unscaled stack before the steps are formed
-    samples = rk4_linear(hm, y0, t0, dt, n_steps, local_error_bound, check_every)
+    samples = rk4_linear(hm, y0, t0, dt, n_steps, local_error_bound)
     return TimeSeries(t0=t0, dt=dt, samples=samples)
 
 
@@ -56,7 +59,6 @@ def evolve_state(
     psi0,
     grid: IntegrationGrid,
     local_error_bound: float | None = 1e-6,
-    check_every: int = 100,
     hermitian_check: bool = True,
 ) -> TimeSeries:
     """Integrate i d/dt psi = h(t) psi over the grid with fixed-step RK4.
@@ -70,15 +72,13 @@ def evolve_state(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 1:
         raise ValueError(f"psi0 must be a state vector, got shape {psi0.shape}")
-    return _evolve(h_of_t, psi0, grid, local_error_bound, check_every, hermitian_check)
+    return _evolve(h_of_t, psi0, grid, local_error_bound, hermitian_check)
 
 
 def propagator_series(
     h_of_t,
     grid: IntegrationGrid,
     local_error_bound: float | None = 1e-6,
-    check_every: int = 100,
-    hermitian_check: bool = True,
 ) -> TimeSeries:
     """u(t, grid.t_start) at every grid time, integrated once as a matrix ODE.
 
@@ -89,7 +89,7 @@ def propagator_series(
     constant generator. The columns of u are the evolved canonical basis
     states; u(t_start, t_start) is the identity exactly.
     """
-    return _evolve(h_of_t, None, grid, local_error_bound, check_every, hermitian_check)
+    return _evolve(h_of_t, None, grid, local_error_bound)
 
 
 def time_ordered_u(
@@ -98,8 +98,6 @@ def time_ordered_u(
     t_to: float,
     dt: float,
     local_error_bound: float | None = 1e-6,
-    check_every: int = 100,
-    hermitian_check: bool = True,
 ) -> np.ndarray:
     """Time-ordered propagator u(t_to, t_from) for the Hamiltonian source.
 
@@ -111,7 +109,7 @@ def time_ordered_u(
     if t_to == t_from:
         return IDENTITY.copy()
     grid = IntegrationGrid(t_from, t_to, dt)
-    return _evolve(h_of_t, None, grid, local_error_bound, check_every, hermitian_check)[-1]
+    return _evolve(h_of_t, None, grid, local_error_bound)[-1]
 
 
 def nonhermitian_u(eta_series: DysonSeries, u, t_from: float, t_to: float) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Conventions used throughout the package: hbar = 1, all times and energies
 dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
-stacks where a kernel says so). The helper types here only wrap
-decompositions; they never hide the arrays. Each 2x2 rule the package
-applies (product, determinant, conjugate transpose, Frobenius norm,
-Hermiticity residual, Hermitian positive-definite check, Pauli split and
-composition) is coded here once.
+stacks where a kernel says so). The one helper type, PauliCoefficients,
+only wraps the Pauli split; it never hides the arrays. Each 2x2 rule the
+package applies (product, determinant, conjugate transpose, Frobenius
+norm, Hermiticity residual, Hermitian positive-definite check, Pauli split
+and composition, Hermitian square root and its derivative) is coded here
+once.
 
 The product ``mul`` works entry by entry over the stack: numpy's ``@`` on
 an (n, 2, 2) complex stack calls BLAS zgemm once per matrix. On a 2-CPU
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonDiagonalizable, NotHermitian, NotPositiveDefinite
+from .errors import NotHermitian, NotPositiveDefinite
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -27,8 +28,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Absolute Frobenius tolerance; every matrix handled here is O(1).
-DEFAULT_HERMITICITY_TOL = 1e-10
+# Absolute Frobenius tolerance of require_hpd; every matrix handled here is O(1).
+HERMITICITY_TOL = 1e-10
 
 
 def complex2x2(m) -> np.ndarray:
@@ -62,19 +63,6 @@ class PauliCoefficients:
     ax: complex
     ay: complex
     az: complex
-
-
-@dataclass(frozen=True)
-class EigenSystem2:
-    """Eigenpairs of a 2x2 matrix sorted ascending by (Re, Im) of the eigenvalue.
-
-    ``vectors[:, k]`` is the unit-norm eigenvector belonging to
-    ``values[k]``; its largest-magnitude component is rotated to be real and
-    positive, so repeated calls on the same matrix are bitwise identical.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def pauli_decompose(m) -> PauliCoefficients:
@@ -169,39 +157,6 @@ def frobenius_norm(m) -> np.ndarray:
     return np.sqrt(squares(m.real) + squares(m.imag))
 
 
-def eigensystem(m, max_vector_condition: float = 1e6) -> EigenSystem2:
-    """Eigendecomposition of a diagonalizable 2x2 complex matrix.
-
-    Raises NonDiagonalizable when the eigenvector matrix condition number
-    exceeds ``max_vector_condition`` (eigenvectors numerically parallel, as
-    at an exceptional point) or when an eigenpair residual fails
-    ||m v - e v|| <= 1e-12 ||m||.
-    """
-    m = complex2x2(m)
-    values, vectors = np.linalg.eig(m)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    for k in range(2):
-        v = vectors[:, k]
-        v = v / np.linalg.norm(v)
-        pivot = v[int(np.argmax(np.abs(v)))]
-        vectors[:, k] = v * (abs(pivot) / pivot)
-    cond = np.linalg.cond(vectors)
-    if not np.isfinite(cond) or cond > max_vector_condition:
-        raise NonDiagonalizable(
-            f"eigenvector condition number {cond:.3e} exceeds {max_vector_condition:.1e}"
-        )
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    for k in range(2):
-        residual = np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k])
-        if residual > 1e-12 * scale:
-            raise NonDiagonalizable(
-                f"eigenpair residual {residual:.3e} too large relative to ||m|| = {scale:.3e}"
-            )
-    return EigenSystem2(values=values, vectors=vectors)
-
-
 def _first_invalid(bad: np.ndarray):
     """Index and message prefix of the first True of a mask over a stack.
 
@@ -216,11 +171,11 @@ def _first_invalid(bad: np.ndarray):
     return i, f"matrix {i} of the stack: "
 
 
-def require_hpd(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
+def require_hpd(m):
     """Check that m is Hermitian positive definite; return its Hermitian part, trace, det.
 
     Accepts one (2, 2) matrix or a (..., 2, 2) stack. The first matrix that
-    is not Hermitian within ``hermiticity_tol`` (Frobenius) raises
+    is not Hermitian within HERMITICITY_TOL (Frobenius) raises
     NotHermitian; the first whose Hermitian part has a trace or determinant
     <= 0 raises NotPositiveDefinite. Its position is in the message and in
     the error's ``index`` (None for a single matrix). The trace and the
@@ -228,11 +183,11 @@ def require_hpd(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
     """
     m = complex2x2_stack(m)
     residual = hermiticity_residual(m)
-    bad = residual > hermiticity_tol
+    bad = residual > HERMITICITY_TOL
     if np.any(bad):
         i, where = _first_invalid(bad)
         raise NotHermitian(
-            f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {hermiticity_tol:.1e}",
+            f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {HERMITICITY_TOL:.1e}",
             index=i,
         )
     sym = 0.5 * (m + dagger(m))
@@ -248,7 +203,7 @@ def require_hpd(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
     return sym, tr, d
 
 
-def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
+def hermitian_sqrt(m) -> np.ndarray:
     """Principal square root of Hermitian positive-definite 2x2 matrices.
 
     Accepts one (2, 2) matrix or a (..., 2, 2) stack and returns the same
@@ -260,7 +215,7 @@ def hermitian_sqrt(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.nd
     definite and c I maps to sqrt(c) I. Invalid matrices raise as in
     require_hpd.
     """
-    sym, tr, d = require_hpd(m, hermiticity_tol)
+    sym, tr, d = require_hpd(m)
     s = np.sqrt(d)[..., None, None]
     return (sym + s * IDENTITY) / np.sqrt(tr[..., None, None] + 2.0 * s)
 

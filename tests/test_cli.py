@@ -19,7 +19,7 @@ from dysonflow import (
     zeta_metric,
 )
 from dysonflow._parallel import _fork_map
-from dysonflow.errors import NotPositiveDefinite, PositivityLost
+from dysonflow.errors import NotPositiveDefinite, StepTooLarge
 
 T0 = -1.8137993642342178  # anchor time for gamma = 1/2
 
@@ -236,6 +236,40 @@ def test_su2_generic_config_guards(tmp_path):
     assert cli.main(["verify", str(cfg_path)]) == 2
     cfg_path.write_text(json.dumps({**base, "lambda_vec": [-0.5, 0.0, 0.3]}), encoding="utf-8")
     assert cli.main(["verify", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "zeta, message",
+    [
+        # det rho = 0.75 > 0 but alpha = -1: negative definite for all t
+        ([0.0, 0.0, 1.0, 0.0], "(alpha = -1, det rho = 0.75)"),
+        # det rho = -1: indefinite for all t
+        ([0.0, 0.0, 0.0, 1.0], "(alpha = 0, det rho = -1)"),
+    ],
+)
+def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, message, tmp_path, capsys):
+    # kappa = -e_z, lambda = -e_x / 2: det rho = 0.75 c3^2 - c4^2 - 0.25 (c1^2 + c2^2)
+    out = tmp_path / "out"
+    cfg = {
+        "scenario": "su2-generic",
+        "t_start": 0.0,
+        "t_end": 0.5,
+        "dt": 1e-2,
+        "kappa_vec": [0.0, 0.0, -1.0],
+        "lambda_vec": [-0.5, 0.0, 0.0],
+        "zeta_constants": zeta,
+        "outputs": ["metric"],
+        "out_path": str(out),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for argv in (["run"], ["verify"], ["sweep", "--param", "dt", "--values", "0.01,0.005"]):
+        assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, argv
+        assert capsys.readouterr().err == (
+            "config error: su2-generic: zeta_constants give a metric that is not "
+            f"positive definite {message}\n"
+        )
+        assert not out.exists(), argv
 
 
 # sha256 of each CSV written by the configuration below. The six closed-form
@@ -584,7 +618,7 @@ def test_sweep_raises_the_error_of_the_first_failing_value(cpus, tmp_path, monke
         if cfg.dt == 0.02:
             raise NotPositiveDefinite("rho lost positivity", t=0.25, index=7)
         if cfg.dt == 0.04:
-            raise PositivityLost(0.5)
+            raise StepTooLarge("local error estimate too large at t = 0.5")
         return (1.0, 0.0, 0.0)
 
     monkeypatch.setattr(cli, "_sweep_row", row)
@@ -595,9 +629,9 @@ def test_sweep_raises_the_error_of_the_first_failing_value(cpus, tmp_path, monke
         cli.sweep(cfg, "dt", [0.04, 0.03, 0.02, 0.01])
     assert (str(info.value), info.value.t, info.value.index) == ("rho lost positivity", 0.25, 7)
     assert len(forks) == {1: 0, 3: 2}[cpus]
-    with pytest.raises(PositivityLost) as info:
+    with pytest.raises(StepTooLarge) as info:
         cli.sweep(cfg, "dt", [0.04, 0.03])
-    assert (str(info.value), info.value.t) == ("metric positivity lost at t = 0.5", 0.5)
+    assert str(info.value) == "local error estimate too large at t = 0.5"
 
 
 @pytest.mark.parametrize("death", ["exit 3", "SIGKILL"])

@@ -11,10 +11,8 @@ CASES = [
     errors.DysonflowError("base"),
     errors.NotHermitian("not Hermitian", index=3),
     errors.NotPositiveDefinite("not positive definite", t=0.25, index=4),
-    errors.NonDiagonalizable("eigenvectors coalesce"),
     errors.UnsupportedHamiltonian("no flow"),
     errors.PositivityViolation("det rho <= 0"),
-    errors.PositivityLost(1.5),
     errors.StepTooLarge("step too large"),
     errors.SingularDysonMap("singular"),
     errors.ConfigInvalid("bad config"),

@@ -109,9 +109,7 @@ def test_time_ordered_u_matches_closed_form():
 
 def test_time_ordered_u_step_too_large_guard():
     with pytest.raises(StepTooLarge):
-        time_ordered_u(
-            lambda t: rabi_h(t, YL), 0.0, 5.0, 0.5, local_error_bound=1e-12, check_every=1
-        )
+        time_ordered_u(lambda t: rabi_h(t, YL), 0.0, 5.0, 0.5, local_error_bound=1e-12)
 
 
 def test_richardson_fourth_order_convergence():

@@ -1,4 +1,4 @@
-"""Pauli-basis kernel: decomposition round trips, eigensystems, Hermitian roots."""
+"""Pauli-basis kernel: decomposition round trips, products, Hermitian roots."""
 
 import math
 import tracemalloc
@@ -16,7 +16,6 @@ from dysonflow import (
     PauliCoefficients,
     YangLeeParams,
     dagger,
-    eigensystem,
     frobenius_norm,
     h1_matrix,
     h1_su2,
@@ -30,7 +29,7 @@ from dysonflow import (
     rho_closed,
     rho_inner,
 )
-from dysonflow.errors import NonDiagonalizable, NotHermitian, NotPositiveDefinite
+from dysonflow.errors import NotHermitian, NotPositiveDefinite
 
 
 def test_decompose_basis_elements():
@@ -75,51 +74,6 @@ def test_hermitian_iff_real_coefficients():
     assert max(abs(x.imag) for x in (c.a0, c.ax, c.ay, c.az)) < 1e-14
     real_c = PauliCoefficients(0.3, -1.2, 0.7, 2.1)
     assert hermiticity_residual(pauli_compose(real_c)) < 1e-14
-
-
-def test_eigensystem_sigma_z_sorted():
-    es = eigensystem(SIGMA_Z)
-    assert np.allclose(es.values, [-1.0, 1.0], atol=1e-15)
-    assert np.allclose(np.abs(es.vectors[:, 0]), [0.0, 1.0], atol=1e-15)
-
-
-def test_eigensystem_h1():
-    p = YangLeeParams(gamma=0.5, omega=1.0)
-    m = h1_matrix(p)
-    es = eigensystem(m)
-    # E_pm = (-omega +- sqrt(1 - gamma^2)) / 2, ascending
-    phi = math.sqrt(1.0 - 0.5**2)
-    assert np.allclose(es.values, [(-1.0 - phi) / 2, (-1.0 + phi) / 2], atol=1e-12)
-    for k in range(2):
-        residual = np.linalg.norm(m @ es.vectors[:, k] - es.values[k] * es.vectors[:, k])
-        assert residual <= 1e-12 * np.linalg.norm(m)
-
-
-def test_eigensystem_exceptional_point_raises():
-    # at gamma = 1 the two eigenvectors coalesce
-    m = -0.5 * (IDENTITY + SIGMA_Z + 1j * SIGMA_X)
-    with pytest.raises(NonDiagonalizable):
-        eigensystem(m)
-
-
-def test_eigensystem_deterministic():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    a = eigensystem(m)
-    b = eigensystem(m)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.vectors, b.vectors)
-
-
-def test_eigensystem_hermitian_input():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = 0.5 * (m + m.conj().T)
-        es = eigensystem(m)
-        assert np.max(np.abs(es.values.imag)) <= 1e-12
-        gram = es.vectors.conj().T @ es.vectors
-        assert np.linalg.norm(gram - IDENTITY) < 1e-10
 
 
 def test_hermitian_sqrt_scalar_shortcut():
