@@ -3,19 +3,20 @@
 ``_fork_map(fn, items)`` returns ``[fn(x) for x in items]``. With one usable
 CPU, one item, or without ``os.fork`` or ``os.sched_getaffinity`` (Windows;
 macOS, whose system libraries are not fork-safe) it is exactly that list
-comprehension. Otherwise the items are dealt into one share per usable CPU,
-largest ``cost`` first to the lightest share; this process runs the first
-share and each other share runs in an ``os.fork()``ed worker, which sends
-its results back pickled over a pipe and leaves with ``os._exit``. Pin the
-worker count with ``taskset``: ``taskset -c 0`` forks nothing.
+comprehension. Otherwise the items are dealt round-robin into one share per
+usable CPU, so with as many items as CPUs each share holds one item and
+this process runs the first; each other share runs in an ``os.fork()``ed
+worker, which sends its results back pickled over a pipe and leaves with
+``os._exit``. That exit flushes no file: a worker that writes to a file
+flushes it before its ``fn`` returns. Pin the worker count with
+``taskset``: ``taskset -c 0`` forks nothing.
 
 Serial semantics hold: when items raise, the exception of the first failing
 item in input order is raised, with its type, message and attributes (so
 exceptions must pickle). A worker that dies or exits nonzero raises
 RuntimeError. On Python >= 3.12, forking while other threads are alive
 emits a DeprecationWarning; that is safe here because workers only format,
-write and pickle, and never take a lock another thread could hold.
-"""
+write and pickle, and never take a lock another thread could hold."""
 
 import os
 import pickle
@@ -29,15 +30,9 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _deal(costs, n):
-    """Item indices in at most n shares, largest cost first to the lightest; each share ascending."""
-    shares = [[] for _ in range(min(n, len(costs)))]
-    loads = [0] * len(shares)
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += costs[i]
-    return [sorted(share) for share in shares]
+def _deal(count, n):
+    """Item indices 0..count-1 dealt round-robin into at most n shares; each share ascending."""
+    return [list(range(k, count, n)) for k in range(min(n, count))]
 
 
 def _run_share(fn, items, share):
@@ -74,13 +69,13 @@ def _collect(pid, fd):
     return pickle.loads(data)
 
 
-def _fork_map(fn, items, cost=None):
-    """``[fn(x) for x in items]``, computed over the usable CPUs; ``cost(x)`` ranks the items."""
+def _fork_map(fn, items):
+    """``[fn(x) for x in items]``, computed over the usable CPUs."""
     items = list(items)
     cpus = _usable_cpus()
     if cpus < 2 or len(items) < 2:
         return [fn(x) for x in items]
-    own, *rest = _deal([1 if cost is None else cost(x) for x in items], cpus)
+    own, *rest = _deal(len(items), cpus)
     workers = {}  # pid -> read end of its pipe
     try:
         for share in rest:

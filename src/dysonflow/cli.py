@@ -18,21 +18,28 @@ once on the whole time grid, not once per sample.
 CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
 spells them. Either way identical configs produce byte-identical files.
-Series files and sweep values are computed side by side over the usable
-CPUs (``_parallel._fork_map``), with the same bytes as one after the other.
+``run`` writes every requested series in one pass: the grid's rows are cut
+into one contiguous range per usable CPU, and each process formats each
+distinct column of its range once for all the tables that show it.
+``sweep`` computes its values side by side over the usable CPUs. Both go
+through ``_parallel._fork_map``, with the same bytes as one process.
 """
 
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._parallel import _fork_map
+from ._parallel import _fork_map, _usable_cpus
 from .dyson import (
     MIN_DERIVATIVE_SAMPLES,
     DysonSample,
@@ -327,39 +334,53 @@ def _state_header(prefix):
 
 
 def _float_columns(c):
-    """A real column as is; a complex (n, ...) stack as its re/im parts, row-major."""
-    c = np.asarray(c)
-    if np.iscomplexobj(c):
-        return np.ascontiguousarray(c).reshape(len(c), -1).view(float)
-    return c
+    """The columns of a complex (n, ...) stack: its re/im parts, row-major, as 1-D views."""
+    return list(np.ascontiguousarray(c).reshape(len(c), -1).view(float).T)
 
 
 def _series(ts, metric, eta, h, invariants, u=None, energies=None):
-    """The output tables of a scenario, as name -> (header, build_rows).
+    """The output tables of a scenario, as name -> build, build() -> (header, columns).
 
-    ``metric`` holds the alpha, beta_x, beta_y, beta_z and det_rho columns;
-    ``invariants`` and ``energies`` map column names to columns. A complex
-    stack fills eight columns per matrix (or four per state), real part
-    first. build_rows() assembles the (n, k) table only when it is written.
-    Without a propagator stack ``u`` there are no propagator, states or
-    energies tables.
+    A table's columns are 1-D float arrays, t first; a complex stack fills
+    eight columns per matrix (or four per state), real part first.
+    ``invariants`` maps column names to columns; ``metric`` returns the
+    alpha, beta_x, beta_y, beta_z and det_rho columns and ``energies`` the
+    name -> column map, so what only those tables show is computed only
+    when they are written. Tables that show the same values hold the same
+    column objects, which the writer formats once: every table starts with
+    ``ts``, and states is propagator in another order. Without a
+    propagator stack ``u`` there are no propagator, states or energies
+    tables.
     """
 
-    def table(header, *columns):
-        return ["t", *header], lambda: np.column_stack([ts, *map(_float_columns, columns)])
+    def matrix(prefix, m):
+        return lambda: (["t", *_matrix_header(prefix)], [ts, *_float_columns(m)])
 
     series = {
-        "metric": table(["alpha", "beta_x", "beta_y", "beta_z", "det_rho"], *metric),
-        "dyson": table(_matrix_header("eta"), eta),
-        "hermitian_h": table(_matrix_header("h"), h),
-        "invariants": table(list(invariants), *invariants.values()),
+        "metric": lambda: (["t", "alpha", "beta_x", "beta_y", "beta_z", "det_rho"], [ts, *metric()]),
+        "dyson": matrix("eta", eta),
+        "hermitian_h": matrix("h", h),
+        "invariants": lambda: (["t", *invariants], [ts, *invariants.values()]),
     }
     if u is not None:
-        series["propagator"] = table(_matrix_header("u"), u)
-        # the columns of u are the evolved basis states
-        series["states"] = table(_state_header("phi1") + _state_header("phi2"), np.swapaxes(u, 1, 2))
-        series["energies"] = table(list(energies), *energies.values())
+        u_columns = _float_columns(u)
+        # the columns of u are the evolved basis states: phi1 is u_00, u_10 and phi2 is u_01, u_11
+        phi = [u_columns[k] for k in (0, 1, 4, 5, 2, 3, 6, 7)]
+        series["propagator"] = lambda: (["t", *_matrix_header("u")], [ts, *u_columns])
+        series["states"] = lambda: (["t", *_state_header("phi1"), *_state_header("phi2")], [ts, *phi])
+
+        def energy_table():
+            columns = energies()
+            return ["t", *columns], [ts, *columns.values()]
+
+        series["energies"] = energy_table
     return series
+
+
+def _metric_columns(rho, dets):
+    """The metric table's columns of a stack rho: its Pauli split alpha, beta_x, beta_y, beta_z, then det rho."""
+    c = pauli_decompose(rho)
+    return c.a0.real, c.ax.real, c.ay.real, c.az.real, dets
 
 
 def _write_json(path: Path, payload):
@@ -370,37 +391,19 @@ def _write_json(path: Path, payload):
 
 
 def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
-    """Write one table, a time series or a sweep, as <name>.csv or <name>.json.
+    """Write one table, a time series or a sweep, as <name>.csv or <name>.json (see _write_tables).
 
-    CSV floats keep 17 significant digits. The JSON file holds the bytes
-    ``json.dump(indent=2, sort_keys=True)`` writes for {"columns", "metadata",
-    key: one dict per row}, key being "samples" for a time series (first
-    column t) and "rows" for a sweep: floats in their shortest round-trip
-    repr. Only the head goes through ``json``; the rows are filled into a
-    template, because ``json`` drops to its pure-Python encoder when
-    ``indent`` is set.
+    The table is written by this process alone: a sweep table holds one row
+    per value, too few to pay for a fork.
     """
-    rows = np.asarray(rows, dtype=float)
-    if cfg.format == "json":
-        path = out_dir / f"{name}.json"
-        key = "samples" if header[0] == "t" else "rows"
-        head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            # key sorts after "metadata": reopen the head's closing "\n}" for it
-            fh.write(f'{head[:-2]},\n  "{key}": ')
-            _write_json_rows(fh, header, rows)
-            fh.write("\n}\n")
-        return path
-    path = out_dir / f"{name}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        for row in rows:
-            fh.write(line % tuple(row.tolist()))
-    return path
+    rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    return _write_tables(out_dir, [(name, header, list(rows.T))], cfg)[0]
 
 
-_JSON_BLOCK_ROWS = 1024
+# rows per block; a block holds one string per value of every distinct column
+# at once, about 2,400 strings for the 37 distinct columns of all 7 series
+_BLOCK_ROWS = 64
+_JSON_BLOCK_ROWS = _BLOCK_ROWS  # the name the JSON writer's tests place their edge cases by
 
 
 def _json_float(x: float) -> str:
@@ -414,29 +417,106 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _write_json_rows(fh, header, rows):
-    """Write rows as a JSON list of header -> value dicts at nesting depth 1.
+def _format_column(values, as_json: bool):
+    """The strings of one column block: "%.17g" for CSV, the shortest round-trip repr for JSON."""
+    if not as_json:
+        return list(map("%.17g".__mod__, values.tolist()))
+    fmt = float.__repr__ if np.isfinite(values).all() else _json_float
+    return list(map(fmt, values.tolist()))
 
-    The list's items and keys are indented and separated as
-    ``json.dump(indent=2, sort_keys=True)`` does, and a repeated name keeps
-    its last value, as ``dict(zip(header, row))`` would. Rows go out in
-    blocks, one ``%`` fill and one write each, so memory stays flat.
+
+def _write_tables(out_dir: Path, tables, cfg: ScenarioConfig, parts: int = 1):
+    """Write tables of one row count, each (name, header, columns), as <name>.csv or <name>.json.
+
+    CSV floats keep 17 significant digits. A JSON file holds the bytes
+    ``json.dump(indent=2, sort_keys=True)`` writes for {"columns",
+    "metadata", key: one dict per row}, key being "samples" for a time
+    series (first column t) and "rows" for a sweep: floats in their
+    shortest round-trip repr, a repeated name keeping its last value as
+    ``dict(zip(header, row))`` would. Only the head goes through ``json``;
+    the rows are filled into a template, because ``json`` drops to its
+    pure-Python encoder when ``indent`` is set.
+
+    The rows are cut into ``parts`` contiguous ranges, one per process
+    (``_parallel._fork_map``). A process walks its range in blocks of
+    _BLOCK_ROWS rows, formats each distinct column of the block once
+    (columns are told apart by identity) and writes every table's rows of
+    the block. This process writes the first range straight into the
+    files; each worker writes its range into unnamed temporary files in
+    ``out_dir``, opened before the fork so that nothing is left behind
+    when a process fails, and this process appends them in range order.
+    The bytes do not depend on ``parts``. Returns the paths, in table order.
     """
-    if not len(rows):
-        fh.write("[]")
-        return
-    last = {name: i for i, name in enumerate(header)}
-    names = sorted(last)
-    order = [last[name] for name in names]
-    fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
-    row = "    {\n" + fields + "\n    }"
-    sep = "[\n"
-    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
-        block = rows[start : start + _JSON_BLOCK_ROWS][:, order]
-        fmt = float.__repr__ if np.isfinite(block).all() else _json_float
-        fh.write(sep + ",\n".join([row] * len(block)) % tuple(map(fmt, block.ravel().tolist())))
-        sep = ",\n"
-    fh.write("\n  ]")
+    if not tables:
+        return []
+    as_json = cfg.format == "json"
+    n = len(tables[0][2][0])
+    distinct = {}  # id of a column -> its index in columns
+    columns = []
+    paths, heads, layouts, tails = [], [], [], []
+    for name, header, cols in tables:
+        if as_json:
+            last = {field: i for i, field in enumerate(header)}
+            fields = sorted(last)
+            cols = [cols[last[field]] for field in fields]
+            key = "samples" if header[0] == "t" else "rows"
+            head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
+            # key sorts after "metadata": reopen the head's closing "\n}" for it
+            heads.append(f'{head[:-2]},\n  "{key}": ' + ("[\n" if n else "[]"))
+            tails.append(("\n  ]" if n else "") + "\n}\n")
+            row = ",\n".join(f"      {json.dumps(field).replace('%', '%%')}: %s" for field in fields)
+            # (fill one row, between rows, after a block, before a block that does not start the table)
+            layout = ("    {\n" + row + "\n    }").__mod__, ",\n", "", ",\n"
+        else:
+            heads.append(",".join(header) + "\n")
+            tails.append("")
+            layout = ",".join, "\n", "\n", ""
+        for col in cols:
+            if id(col) not in distinct:
+                distinct[id(col)] = len(columns)
+                columns.append(np.asarray(col, dtype=float))
+        layouts.append(([distinct[id(col)] for col in cols], *layout))
+        paths.append(out_dir / f"{name}.{cfg.format}")
+
+    def write_rows(files, lo, hi):
+        for start in range(lo, hi, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, hi)
+            strings = [_format_column(col[start:stop], as_json) for col in columns]
+            for fh, (order, fill, between, after, before) in zip(files, layouts):
+                rows = between.join(map(fill, zip(*[strings[i] for i in order])))
+                fh.write(((before if start else "") + rows + after).encode())
+        for fh in files:
+            fh.flush()  # a worker leaves through os._exit, which flushes nothing
+
+    parts = max(1, min(parts, n))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh, head in zip(files, heads):
+            fh.write(head.encode())
+        spills = [
+            [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in tables] for _ in range(parts - 1)
+        ]
+        targets = [files, *spills]
+        _fork_map(lambda k: write_rows(targets[k], bounds[k], bounds[k + 1]), range(parts))
+        for j, (fh, tail) in enumerate(zip(files, tails)):
+            for spill in spills:
+                _append(fh, spill[j])
+            fh.write(tail.encode())
+    return paths
+
+
+def _append(dst, src):
+    """Append the whole file ``src`` to ``dst``, both binary, ``dst`` flushed."""
+    size = os.fstat(src.fileno()).st_size
+    offset = 0
+    try:
+        while offset < size and (copied := os.copy_file_range(src.fileno(), dst.fileno(), size - offset, offset)):
+            offset += copied
+    except (AttributeError, OSError):  # no copy_file_range here, or not between these two files
+        pass
+    src.seek(offset)  # what copy_file_range did not copy goes through dst itself: usually nothing
+    shutil.copyfileobj(src, dst, 1 << 20)
 
 
 def _metadata(cfg: ScenarioConfig) -> dict:
@@ -536,10 +616,9 @@ def _yang_lee_closed(cfg: ScenarioConfig):
         "htilde_quasi_hermiticity": qh_tilde,
         "u_unitarity": u_unitarity,
     }
-    c = pauli_decompose(rho)
     series = _series(
-        ts, (c.a0.real, c.ax.real, c.ay.real, c.az.real, dets), eta, h, invariants,
-        u=u, energies={"E_plus": e_plus, "E_minus": e_minus},
+        ts, lambda: _metric_columns(rho, dets), eta, h, invariants,
+        u=u, energies=lambda: {"E_plus": e_plus, "E_minus": e_minus},
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
@@ -592,10 +671,13 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
         Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
     ]
 
-    energies = {}
-    for name, sgn in (("E_plus", +1), ("E_minus", -1)):
-        phi = _apply(dys.eta, psi_pm(ts, sgn, p))
-        energies[name] = _braket(phi, h_num, phi).real
+    def energies():
+        out = {}
+        for name, sgn in (("E_plus", +1), ("E_minus", -1)):
+            phi = _apply(dys.eta, psi_pm(ts, sgn, p))
+            out[name] = _braket(phi, h_num, phi).real
+        return out
+
     invariants = {
         "metric_vs_closed": dev_metric,
         "det_deviation": np.abs(dets - det_ref),
@@ -605,9 +687,8 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
         "u_unitarity": unitarity,
         "htilde_quasi_hermiticity": qh_tilde,
     }
-    c = pauli_decompose(rho_num)
     series = _series(
-        ts, (c.a0.real, c.ax.real, c.ay.real, c.az.real, dets), dys.eta, h_num, invariants,
+        ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants,
         u=u_num, energies=energies,
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
@@ -679,7 +760,7 @@ def _su2_generic(cfg: ScenarioConfig):
     if any(o in cfg.outputs for o in ("propagator", "states", "energies")):
         u = propagator_series(_su2_h_source(h, zeta), grid).samples
         # the columns of u are the evolved basis states
-        energies = {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
+        energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
         checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
 
     invariants = {
@@ -690,7 +771,7 @@ def _su2_generic(cfg: ScenarioConfig):
         "htilde_quasi_hermiticity": qh_tilde,
     }
     series = _series(
-        ts, (alpha, *beta.T, dets), dys.eta, h_num, invariants, u=u, energies=energies
+        ts, lambda: (alpha, *beta.T, dets), dys.eta, h_num, invariants, u=u, energies=energies
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
@@ -741,24 +822,19 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
-    Pipelines return each series as (header, build_rows); rows are built
-    only for the requested outputs. The series are dealt over the usable
-    CPUs, largest first, and each process builds and writes its own share;
+    Pipelines return each series as a build function; tables are built
+    only for the requested outputs. One writer emits every requested
+    table, its rows cut over the usable CPUs (see _write_tables);
     report.json is written last, by this process.
     """
     out_dir = _out_dir(cfg) if write_files else None
     report, series = _PIPELINES[cfg.scenario](cfg)
     written = []
     if write_files:
-        def write(name):
-            header, build_rows = series[name]
-            return _write_series(out_dir, name, header, build_rows(), cfg)
-
         names = [name for name in cfg.outputs if name in series]
         unique = list(dict.fromkeys(names))  # a name listed twice is written once
-        # every series of a run has one row per sample, so its columns rank its cost
-        paths = _fork_map(write, unique, cost=lambda name: len(series[name][0]))
-        path_of = dict(zip(unique, paths))
+        tables = [(name, *series[name]()) for name in unique]
+        path_of = dict(zip(unique, _write_tables(out_dir, tables, cfg, _usable_cpus())))
         written = [path_of[name] for name in names]
         report_payload = {"metadata": _metadata(cfg), "report": report.to_dict()}
         written.append(_write_json(out_dir / "report.json", report_payload))

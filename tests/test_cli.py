@@ -664,3 +664,100 @@ def test_no_process_is_forked_with_one_cpu_or_without_fork(cpus, has_fork, tmp_p
     write_config(cfg_path, t_end=T0 + 0.5, dt=1e-2, outputs=list(cli.OUTPUTS))
     assert cli.main(["run", str(cfg_path)]) == 0
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.02,0.01"]) == 0
+
+
+def per_row_bytes(header, rows, cfg):
+    """A table as the per-row writers wrote it: one "%.17g" line per row, or json.dumps of it all."""
+    rows = np.asarray(rows, dtype=float).tolist()
+    if cfg.format == "csv":
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        return (",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)).encode()
+    key = "samples" if header[0] == "t" else "rows"
+    payload = {"columns": header, "metadata": cli._metadata(cfg), key: [dict(zip(header, row)) for row in rows]}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("cpus, copy_file_range", [(1, True), (2, True), (3, True), (3, False)])
+def test_shared_columns_are_written_as_per_row(fmt, cpus, copy_file_range, tmp_path, monkeypatch):
+    # propagator and states share their columns, and all three tables share t;
+    # the edge values sit in the last rows, in the last process's range
+    forks = use_cpus(monkeypatch, cpus)
+    if not copy_file_range:
+        monkeypatch.delattr(os, "copy_file_range")  # the workers' files are appended by plain copies
+    cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
+    rng = np.random.default_rng(11)
+    edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1e300]
+    block = cli._BLOCK_ROWS
+    for n in (1, 2, 3, block - 1, block, block + 1):
+        ts = np.arange(n) * 0.01 - 0.05
+        u = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        u *= 10.0 ** rng.integers(-20, 20, (n, 2, 2))
+        u.reshape(-1).view(float)[-len(edge):] = edge
+        e1, e2 = rng.standard_normal((2, n))
+        e2[-1] = math.nan
+        series = cli._series(ts, None, None, None, None, u=u, energies=lambda: {"E_1": e1, "E_2": e2})
+        tables = [(name, *series[name]()) for name in ("propagator", "states", "energies")]
+        expected = {
+            "propagator": np.column_stack([ts, u.reshape(n, -1).view(float)]),
+            "states": np.column_stack([ts, np.swapaxes(u, 1, 2).reshape(n, -1).view(float)]),
+            "energies": np.column_stack([ts, e1, e2]),
+        }
+        out = tmp_path / str(n)
+        out.mkdir()
+        before = len(forks)
+        paths = cli._write_tables(out, tables, cfg, cli._usable_cpus())
+        assert len(forks) - before == min(n, cpus) - 1
+        assert sorted(os.listdir(out)) == sorted(f"{name}.{fmt}" for name in expected)
+        for (name, header, _), path in zip(tables, paths):
+            assert path == out / f"{name}.{fmt}"
+            assert path.read_bytes() == per_row_bytes(header, expected[name], cfg), (n, name)
+
+
+def test_one_output_is_written_over_every_cpu(tmp_path, monkeypatch):
+    data = {}
+    for cpus in (1, 3):
+        forks = use_cpus(monkeypatch, cpus)
+        cfg = cli.validate_config(
+            cli.ScenarioConfig(
+                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 1.0, dt=1e-2,
+                outputs=("propagator",), out_path=str(tmp_path / str(cpus)),
+            )
+        )
+        _, written = cli.run_scenario(cfg)
+        assert len(forks) == cpus - 1  # one worker per further CPU
+        data[cpus] = written[0].read_bytes()
+    assert data[3] == data[1]
+
+
+def test_a_failing_range_raises_its_error_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    cfg = cli.ScenarioConfig(scenario="yang-lee-closed")
+    ts = np.arange(30.0)  # rows 0-9 fall to this process, 10-19 and 20-29 to the two workers
+    tables = [("table", ["t", "x"], [ts, -ts])]
+    format_column = cli._format_column
+
+    def fail_in_the_workers(values, as_json):
+        first = abs(values[0])
+        if first >= 20:
+            raise StepTooLarge("the third range failed")
+        if first >= 10:
+            raise NotPositiveDefinite("the second range failed", t=first, index=3)
+        return format_column(values, as_json)
+
+    monkeypatch.setattr(cli, "_format_column", fail_in_the_workers)
+    with pytest.raises(NotPositiveDefinite) as info:
+        cli._write_tables(tmp_path, tables, cfg, 3)
+    assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", 10.0, 3)
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+    def exit_in_the_workers(values, as_json):
+        if os.getpid() != parent:
+            os._exit(3)
+        return format_column(values, as_json)
+
+    monkeypatch.setattr(cli, "_format_column", exit_in_the_workers)
+    with pytest.raises(RuntimeError, match="exited with status 3$"):
+        cli._write_tables(tmp_path, tables, cfg, 3)
+    assert os.listdir(tmp_path) == ["table.csv"]
