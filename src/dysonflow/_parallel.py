@@ -16,7 +16,8 @@ item in input order is raised, with its type, message and attributes (so
 exceptions must pickle). A worker that dies or exits nonzero raises
 RuntimeError. On Python >= 3.12, forking while other threads are alive
 emits a DeprecationWarning; that is safe here because workers only format,
-write and pickle, and never take a lock another thread could hold."""
+write and pickle, and never take a lock another thread could hold.
+"""
 
 import os
 import pickle

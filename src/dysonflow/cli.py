@@ -465,17 +465,18 @@ def _write_tables(out_dir: Path, tables, cfg: ScenarioConfig, parts: int = 1):
             heads.append(f'{head[:-2]},\n  "{key}": ' + ("[\n" if n else "[]"))
             tails.append(("\n  ]" if n else "") + "\n}\n")
             row = ",\n".join(f"      {json.dumps(field).replace('%', '%%')}: %s" for field in fields)
-            # (fill one row, between rows, after a block, before a block that does not start the table)
-            layout = ("    {\n" + row + "\n    }").__mod__, ",\n", "", ",\n"
+            fill = ("    {\n" + row + "\n    }").__mod__
+            # "before" goes ahead of every block but the table's first
+            between, after, before = ",\n", "", ",\n"
         else:
             heads.append(",".join(header) + "\n")
             tails.append("")
-            layout = ",".join, "\n", "\n", ""
+            fill, between, after, before = ",".join, "\n", "\n", ""
         for col in cols:
             if id(col) not in distinct:
                 distinct[id(col)] = len(columns)
                 columns.append(np.asarray(col, dtype=float))
-        layouts.append(([distinct[id(col)] for col in cols], *layout))
+        layouts.append(([distinct[id(col)] for col in cols], fill, between, after, before))
         paths.append(out_dir / f"{name}.{cfg.format}")
 
     def write_rows(files, lo, hi):
