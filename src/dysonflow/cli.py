@@ -19,8 +19,9 @@ CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
 spells them. Either way identical configs produce byte-identical files.
 ``run`` writes every requested series in one pass: the grid's rows are cut
-into one contiguous range per usable CPU, and each process formats each
-distinct column of its range once for all the tables that show it.
+into one contiguous range per usable CPU (at most 16), and each process
+formats each distinct column of its range once for all the tables that
+show it.
 ``sweep`` computes its values side by side over the usable CPUs. Both go
 through ``_parallel._fork_map``, with the same bytes as one process.
 """
@@ -28,7 +29,6 @@ through ``_parallel._fork_map``, with the same bytes as one process.
 import argparse
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
@@ -384,7 +384,7 @@ def _metric_columns(rho, dets):
 
 
 def _write_json(path: Path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -404,6 +404,9 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
 # at once, about 2,400 strings for the 37 distinct columns of all 7 series
 _BLOCK_ROWS = 64
 _JSON_BLOCK_ROWS = _BLOCK_ROWS  # the name the JSON writer's tests place their edge cases by
+# at most this many row ranges, so processes: each range past the first holds
+# one temporary file per table and a pipe open in this process until the end
+_MAX_RANGES = 16
 
 
 def _json_float(x: float) -> str:
@@ -437,15 +440,17 @@ def _write_tables(out_dir: Path, tables, cfg: ScenarioConfig, parts: int = 1):
     the rows are filled into a template, because ``json`` drops to its
     pure-Python encoder when ``indent`` is set.
 
-    The rows are cut into ``parts`` contiguous ranges, one per process
-    (``_parallel._fork_map``). A process walks its range in blocks of
-    _BLOCK_ROWS rows, formats each distinct column of the block once
-    (columns are told apart by identity) and writes every table's rows of
-    the block. This process writes the first range straight into the
-    files; each worker writes its range into unnamed temporary files in
-    ``out_dir``, opened before the fork so that nothing is left behind
-    when a process fails, and this process appends them in range order.
-    The bytes do not depend on ``parts``. Returns the paths, in table order.
+    The rows are cut into ``parts`` contiguous ranges (at most one per row
+    and _MAX_RANGES in all), one per process (``_parallel._fork_map``). A
+    process walks its range in blocks of _BLOCK_ROWS rows, formats each
+    distinct column of the block once (columns are told apart by identity)
+    and writes every table's rows of the block. This process writes the
+    first range straight into the files; each worker writes its range into
+    unnamed temporary files in ``out_dir``, opened before the fork so that
+    nothing is left behind when a process fails, and this process appends
+    them in range order. The bytes do not depend on ``parts``; every line
+    ends in "\n" on every platform. When any range fails, the table files
+    are removed before the error is raised. Returns the paths, in table order.
     """
     if not tables:
         return []
@@ -489,35 +494,28 @@ def _write_tables(out_dir: Path, tables, cfg: ScenarioConfig, parts: int = 1):
         for fh in files:
             fh.flush()  # a worker leaves through os._exit, which flushes nothing
 
-    parts = max(1, min(parts, n))
+    parts = max(1, min(parts, n, _MAX_RANGES))
     bounds = [n * k // parts for k in range(parts + 1)]
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for fh, head in zip(files, heads):
-            fh.write(head.encode())
-        spills = [
-            [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in tables] for _ in range(parts - 1)
-        ]
-        targets = [files, *spills]
-        _fork_map(lambda k: write_rows(targets[k], bounds[k], bounds[k + 1]), range(parts))
-        for j, (fh, tail) in enumerate(zip(files, tails)):
-            for spill in spills:
-                _append(fh, spill[j])
-            fh.write(tail.encode())
-    return paths
-
-
-def _append(dst, src):
-    """Append the whole file ``src`` to ``dst``, both binary, ``dst`` flushed."""
-    size = os.fstat(src.fileno()).st_size
-    offset = 0
     try:
-        while offset < size and (copied := os.copy_file_range(src.fileno(), dst.fileno(), size - offset, offset)):
-            offset += copied
-    except (AttributeError, OSError):  # no copy_file_range here, or not between these two files
-        pass
-    src.seek(offset)  # what copy_file_range did not copy goes through dst itself: usually nothing
-    shutil.copyfileobj(src, dst, 1 << 20)
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "wb")) for path in paths]
+            for fh, head in zip(files, heads):
+                fh.write(head.encode())
+            spills = [
+                [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in tables] for _ in range(parts - 1)
+            ]
+            targets = [files, *spills]
+            _fork_map(lambda k: write_rows(targets[k], bounds[k], bounds[k + 1]), range(parts))
+            for j, (fh, tail) in enumerate(zip(files, tails)):
+                for spill in spills:
+                    spill[j].seek(0)
+                    shutil.copyfileobj(spill[j], fh, 1 << 20)
+                fh.write(tail.encode())
+    except BaseException:
+        for path in paths:  # a table cut short would still parse: leave none
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def _metadata(cfg: ScenarioConfig) -> dict:

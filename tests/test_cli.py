@@ -678,13 +678,11 @@ def per_row_bytes(header, rows, cfg):
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
-@pytest.mark.parametrize("cpus, copy_file_range", [(1, True), (2, True), (3, True), (3, False)])
-def test_shared_columns_are_written_as_per_row(fmt, cpus, copy_file_range, tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_shared_columns_are_written_as_per_row(fmt, cpus, tmp_path, monkeypatch):
     # propagator and states share their columns, and all three tables share t;
     # the edge values sit in the last rows, in the last process's range
     forks = use_cpus(monkeypatch, cpus)
-    if not copy_file_range:
-        monkeypatch.delattr(os, "copy_file_range")  # the workers' files are appended by plain copies
     cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
     rng = np.random.default_rng(11)
     edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1e300]
@@ -730,7 +728,26 @@ def test_one_output_is_written_over_every_cpu(tmp_path, monkeypatch):
     assert data[3] == data[1]
 
 
-def test_a_failing_range_raises_its_error_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_many_cpus_fork_at_most_max_ranges_minus_one_workers(fmt, tmp_path, monkeypatch):
+    # each range past the first holds a temporary file per table open in this
+    # process, so the range count, not the CPU count, bounds the descriptors
+    data = {}
+    for cpus in (1, 40):
+        forks = use_cpus(monkeypatch, cpus)
+        cfg = cli.validate_config(
+            cli.ScenarioConfig(
+                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 1.0, dt=1e-2,
+                outputs=cli.OUTPUTS, format=fmt, out_path=str(tmp_path),  # the metadata names it
+            )
+        )
+        _, written = cli.run_scenario(cfg)
+        assert len(forks) == {1: 0, 40: cli._MAX_RANGES - 1}[cpus]
+        data[cpus] = [path.read_bytes() for path in written]
+    assert data[40] == data[1]
+
+
+def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 3)
     parent = os.getpid()
     cfg = cli.ScenarioConfig(scenario="yang-lee-closed")
@@ -750,7 +767,7 @@ def test_a_failing_range_raises_its_error_and_leaves_no_temporary_file(tmp_path,
     with pytest.raises(NotPositiveDefinite) as info:
         cli._write_tables(tmp_path, tables, cfg, 3)
     assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", 10.0, 3)
-    assert os.listdir(tmp_path) == ["table.csv"]
+    assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
     def exit_in_the_workers(values, as_json):
         if os.getpid() != parent:
@@ -760,4 +777,4 @@ def test_a_failing_range_raises_its_error_and_leaves_no_temporary_file(tmp_path,
     monkeypatch.setattr(cli, "_format_column", exit_in_the_workers)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
         cli._write_tables(tmp_path, tables, cfg, 3)
-    assert os.listdir(tmp_path) == ["table.csv"]
+    assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
