@@ -714,7 +714,7 @@ def test_shared_columns_are_written_as_per_row(fmt, cpus, tmp_path, monkeypatch)
 
 def test_one_output_is_written_over_every_cpu(tmp_path, monkeypatch):
     data = {}
-    for cpus in (1, 3):
+    for cpus in (1, 3, 40):
         forks = use_cpus(monkeypatch, cpus)
         cfg = cli.validate_config(
             cli.ScenarioConfig(
@@ -723,28 +723,10 @@ def test_one_output_is_written_over_every_cpu(tmp_path, monkeypatch):
             )
         )
         _, written = cli.run_scenario(cfg)
-        assert len(forks) == cpus - 1  # one worker per further CPU
+        # one worker per further CPU, up to the range cap that bounds the files held open
+        assert len(forks) == {1: 0, 3: 2, 40: cli._MAX_RANGES - 1}[cpus]
         data[cpus] = written[0].read_bytes()
-    assert data[3] == data[1]
-
-
-@pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_many_cpus_fork_at_most_max_ranges_minus_one_workers(fmt, tmp_path, monkeypatch):
-    # each range past the first holds a temporary file per table open in this
-    # process, so the range count, not the CPU count, bounds the descriptors
-    data = {}
-    for cpus in (1, 40):
-        forks = use_cpus(monkeypatch, cpus)
-        cfg = cli.validate_config(
-            cli.ScenarioConfig(
-                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 1.0, dt=1e-2,
-                outputs=cli.OUTPUTS, format=fmt, out_path=str(tmp_path),  # the metadata names it
-            )
-        )
-        _, written = cli.run_scenario(cfg)
-        assert len(forks) == {1: 0, 40: cli._MAX_RANGES - 1}[cpus]
-        data[cpus] = [path.read_bytes() for path in written]
-    assert data[40] == data[1]
+    assert data[40] == data[3] == data[1]
 
 
 def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypatch):
