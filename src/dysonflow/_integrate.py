@@ -7,7 +7,9 @@ over those step matrices: one pass composes the deltas of every block's
 first steps, the block starts are stepped through the blocks, and one
 batched product fills every other row. Products of 2x2 steps, along the
 time axis and in the scan, go through su2.mul; other sizes of step use
-numpy's matmul.
+numpy's matmul. The series is stored time-last, so each entry of the
+state is one contiguous array over the steps (the entry-major layout of
+su2).
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import StepTooLarge
-from .su2 import mul
+from .su2 import _entry_major, mul
 
 
 def _rk4_step(f, t, y, h):
@@ -114,14 +116,18 @@ def _prefix_deltas(blocks):
     """Deltas of the first 1, 2, .., size steps of every block, in one pass.
 
     ``blocks`` is (n_blocks, size, d, d); entry [b, j] of the result, of
-    the same shape, is the delta of block b's first j + 1 steps. Each is
-    the one before with one more step composed on, X + (D + D X), summed
-    with a running compensation (Kahan): adding nearly the same small D X
-    over and over rounds nearly the same way each time, and a block delta
-    shared by every block would carry that bias through all of them.
+    the same shape (entry-major for 2x2 steps), is the delta of block b's
+    first j + 1 steps. Each is the one before with one more step composed
+    on, X + (D + D X), summed with a running compensation (Kahan): adding
+    nearly the same small D X over and over rounds nearly the same way
+    each time, and a block delta shared by every block would carry that
+    bias through all of them.
     """
     dot = _matmul(blocks)
-    prefix = np.empty(blocks.shape, dtype=complex)
+    if dot is mul:
+        prefix = _entry_major(blocks.shape[:2], blocks.shape[2:])
+    else:  # numpy's matmul takes BLAS, and rounds as BLAS does, only on matrices with contiguous rows
+        prefix = np.empty(blocks.shape, dtype=complex)
     prefix[:, 0] = blocks[:, 0]
     carry = np.zeros_like(prefix[:, 0])
     for j in range(1, blocks.shape[1]):
@@ -147,7 +153,9 @@ def _scan(deltas, y0, n_steps):
     product, so a block's last row and the next block's start come out of
     the same arithmetic and the series has no seams for a finite
     difference to pick up. The n mod size steps left after the last whole
-    block are taken one by one.
+    block are taken one by one. The (n + 1, d, k) result is stored as
+    (d, k, n + 1) memory, so a (d,) state's series reshapes to a stack of
+    matrices without a copy.
     """
     size = max(1, math.isqrt(n_steps))
     n_blocks = n_steps // size
@@ -160,14 +168,16 @@ def _scan(deltas, y0, n_steps):
         blocks = deltas[:whole].reshape(n_blocks, size, d, d)
     prefix = _prefix_deltas(blocks)
     block_delta = np.broadcast_to(prefix[:, -1], (n_blocks, d, d))
-    out = np.empty((n_steps + 1,) + y0.shape, dtype=complex)
-    filled = out[:whole].reshape((n_blocks, size) + y0.shape)
-    starts = filled[:, 0]
+    out = _entry_major((n_steps + 1,), y0.shape)
+    filled = out[:whole].reshape((n_blocks, size) + y0.shape)  # a view: only the time axis is split
+    # apart from out: an add that reads out while writing it would copy the whole product first
+    starts = np.empty((n_blocks,) + y0.shape, dtype=complex)
     y = y0
     for b in range(n_blocks):
         starts[b] = y
         y = y + block_delta[b] @ y
     out[whole] = y
+    filled[:, 0] = starts
     starts = starts[:, None]
     np.add(_matmul(deltas)(prefix[:, :-1], starts), starts, out=filled[:, 1:])
     for i in range(whole, n_steps):

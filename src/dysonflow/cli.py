@@ -334,8 +334,8 @@ def _state_header(prefix):
 
 
 def _float_columns(c):
-    """The columns of a complex (n, ...) stack: its re/im parts, row-major, as 1-D views."""
-    return list(np.ascontiguousarray(c).reshape(len(c), -1).view(float).T)
+    """The columns of a complex (n, ...) stack: the re/im parts of each entry, row-major, as 1-D views."""
+    return [part for entry in c.reshape(len(c), -1).T for part in (entry.real, entry.imag)]
 
 
 def _series(ts, metric, eta, h, invariants, u=None, energies=None):
@@ -403,7 +403,6 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
 # rows per block; a block holds one string per value of every distinct column
 # at once, about 2,400 strings for the 37 distinct columns of all 7 series
 _BLOCK_ROWS = 64
-_JSON_BLOCK_ROWS = _BLOCK_ROWS  # the name the JSON writer's tests place their edge cases by
 # at most this many row ranges, so processes: each range past the first holds
 # one temporary file per table and a pipe open in this process until the end
 _MAX_RANGES = 16

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow
 from .series import TimeSeries
-from .su2 import _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt, mul
+from .su2 import _entry_major, _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt, mul
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -90,8 +90,10 @@ def invert_dyson_map(eta) -> np.ndarray:
         raise SingularDysonMap(
             f"{where}|det eta| = {np.abs(det)[small][0]:.3e} below {MIN_DYSON_DET:.1e}"
         )
-    adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-    return adj / det[..., None, None]
+    inv = _entry_major(det.shape)
+    for (i, j), x in zip(np.ndindex(2, 2), (d, -b, -c, a)):
+        np.divide(x, det, out=inv[..., i, j])
+    return inv
 
 
 def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:

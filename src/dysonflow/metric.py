@@ -224,7 +224,8 @@ def integrate_metric(
     rho0 = complex2x2(rho0)
     require_hpd(rho0)
 
-    # the flow on row-major vec(rho): vec(A rho B) = kron(A, B^T) vec(rho)
+    # the flow on row-major vec(rho): vec(A rho B) = kron(A, B^T) vec(rho); the scan
+    # stores the series time-last, so it reshapes to an entry-major stack without a copy
     hm = h.matrix()
     samples = rk4_linear(
         -1j * (np.kron(dagger(hm), IDENTITY) - np.kron(IDENTITY, hm.T)),

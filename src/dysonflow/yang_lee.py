@@ -30,7 +30,7 @@ import numpy as np
 
 from .dyson import DysonSample
 from .metric import SU2Hamiltonian, ZetaConstants
-from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _entry_major, _entrywise
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,6 @@ def eigenvalues_h1(p: YangLeeParams) -> tuple[float, float]:
     return 0.5 * (-p.omega + p.phi), 0.5 * (-p.omega - p.phi)
 
 
-def _stack(x):
-    """Coefficients of shape (...) as (..., 1, 1), to scale 2x2 matrices elementwise."""
-    return np.asarray(x)[..., None, None]
-
-
 def psi_pm(t, sign: int, p: YangLeeParams) -> np.ndarray:
     """Eigenstate solution of the non-Hermitian TDSE i d/dt Psi = H1 Psi.
 
@@ -137,20 +132,22 @@ def _rho_coeffs(t, p: YangLeeParams):
     return 1.0 / p.gamma + p.gamma * s, p.phi * c, -(1.0 + s)
 
 
+def _pauli_xy(a, bx, by) -> np.ndarray:
+    """The stack a I + bx sigma_x + by sigma_y of coefficients of shape (...), summed in that order."""
+    a, bx, by = np.asarray(a), np.asarray(bx), np.asarray(by)
+    return _entrywise(a.shape, lambda i, j: a * IDENTITY[i, j] + bx * SIGMA_X[i, j] + by * SIGMA_Y[i, j])
+
+
 def rho_closed(t, p: YangLeeParams) -> np.ndarray:
     """Oscillatory metric rho(t); Hermitian with constant det = phi^4 / gamma^2."""
-    alpha, bx, by = _rho_coeffs(t, p)
-    return _stack(alpha) * IDENTITY + _stack(bx) * SIGMA_X + _stack(by) * SIGMA_Y
+    return _pauli_xy(*_rho_coeffs(t, p))
 
 
 def rho_closed_dot(t, p: YangLeeParams) -> np.ndarray:
     """Analytic time derivative of rho_closed."""
     s, c = _sin_cos(t, p)
-    return (
-        _stack(p.gamma * p.phi * c) * IDENTITY
-        - _stack(p.phi**2 * s) * SIGMA_X
-        - _stack(p.phi * c) * SIGMA_Y
-    )
+    a, bx, by = (np.asarray(x) for x in (p.gamma * p.phi * c, p.phi**2 * s, p.phi * c))
+    return _entrywise(a.shape, lambda i, j: a * IDENTITY[i, j] - bx * SIGMA_X[i, j] - by * SIGMA_Y[i, j])
 
 
 def rho_closed_constants(p: YangLeeParams) -> ZetaConstants:
@@ -178,13 +175,13 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     a = np.sqrt(0.5 * (alpha + delta))
     bx = beta_x / (2.0 * a)
     by = beta_y / (2.0 * a)
-    eta = _stack(a) * IDENTITY + _stack(bx) * SIGMA_X + _stack(by) * SIGMA_Y
+    eta = _pauli_xy(a, bx, by)
 
     alpha_dot = p.gamma * p.phi * c
     a_dot = alpha_dot / (4.0 * a)
     bx_dot = -p.phi**2 * s / (2.0 * a) - p.phi * c * a_dot / (2.0 * a * a)
     by_dot = -p.phi * c / (2.0 * a) + (1.0 + s) * a_dot / (2.0 * a * a)
-    eta_dot = _stack(a_dot) * IDENTITY + _stack(bx_dot) * SIGMA_X + _stack(by_dot) * SIGMA_Y
+    eta_dot = _pauli_xy(a_dot, bx_dot, by_dot)
     return DysonSample(t=np.asarray(t, dtype=float)[()], eta=eta, eta_dot=eta_dot)
 
 
@@ -197,7 +194,10 @@ def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     matrix, or an array of times, giving a (..., 2, 2) stack.
     """
     denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
-    return -0.5 * (p.omega * IDENTITY + (2.0 * p.phi**2 / denom)[..., None, None] * SIGMA_Z)
+    z = np.asarray(2.0 * p.phi**2 / denom)
+    w = p.omega * IDENTITY
+    # np.multiply: for one matrix the sum is a numpy scalar, which `*` would not take through the array loop
+    return _entrywise(z.shape, lambda i, j: np.multiply(-0.5, w[i, j] + z * SIGMA_Z[i, j]))
 
 
 def theta(t, p: YangLeeParams):
@@ -244,7 +244,8 @@ def u_closed(t, p: YangLeeParams) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     th = theta(t, p)
-    out = np.zeros(t.shape + (2, 2), dtype=complex)
+    out = _entry_major(t.shape)
+    out[..., 0, 1] = out[..., 1, 0] = 0.0
     out[..., 0, 0] = np.exp(1j * th)
     out[..., 1, 1] = np.exp(1j * (np.pi * p.omega / (2.0 * p.phi) + p.omega * t - th))
     return out

@@ -486,7 +486,7 @@ def test_json_series_writer_matches_json_dump(tmp_path):
     cfg = cli.ScenarioConfig(scenario="yang-lee-closed", format="json")
     edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0, 0.1, -1e-300, 1e300]
     rng = np.random.default_rng(7)
-    block = cli._JSON_BLOCK_ROWS
+    block = cli._BLOCK_ROWS
     # E_1 sorts before t and u_00_re after it, so the keys are reordered
     series = ["t", "u_00_re", "E_1", "u_00_im", "p%s"]
     sweep = ["dt", "min_positivity_margin", "max_closed_vs_numeric_deviation"]

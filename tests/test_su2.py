@@ -257,7 +257,10 @@ def test_mul_shapes_match_matmul(a_shape, b_shape, out_shape):
     rng = np.random.default_rng(8)
     a, b = random_complex(rng, a_shape), random_complex(rng, b_shape)
     c = mul(a, b)
-    assert c.shape == out_shape and c.dtype == complex and c.flags.c_contiguous
+    assert c.shape == out_shape and c.dtype == complex
+    # entry-major: each entry of a stack is one contiguous array, one matrix is C-contiguous
+    assert all(c[..., i, j].flags.c_contiguous for i, j in np.ndindex(c.shape[-2:]))
+    assert c.ndim > 2 or c.flags.c_contiguous
     assert np.allclose(c, a @ b, rtol=1e-14, atol=1e-14)
     assert np.array_equal(mul(a.real, b.real), mul(a.real + 0j, b.real + 0j).real)
 
