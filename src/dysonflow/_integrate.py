@@ -1,15 +1,14 @@
 """Shared fixed-step classical Runge-Kutta core for complex array ODEs.
 
 ``rk4_series`` steps any y' = f(t, y) one step at a time and is the
-reference. ``rk4_linear`` takes the same steps for a linear y' = A(t) y,
-where each step is a matrix, and builds the whole series as a blocked scan
-over those step matrices: one pass composes the deltas of every block's
-first steps, the block starts are stepped through the blocks, and one
-batched product fills every other row. Products of 2x2 steps, along the
-time axis and in the scan, go through su2.mul; other sizes of step use
-numpy's matmul. The series is stored time-last, so each entry of the
-state is one contiguous array over the steps (the entry-major layout of
-su2).
+reference. ``rk4_linear`` takes the same steps for a linear y' = A(t) y
+with a 2x2 generator, where each step is a 2x2 matrix, and builds the
+whole series as a blocked scan over those step matrices: one pass
+composes the deltas of every block's first steps, the block starts are
+stepped through the blocks, and one batched product fills every other
+row. Stacks of steps multiply with su2.mul, one matrix with numpy's @.
+The series is stored time-last, so each entry of the state is one
+contiguous array over the steps (the entry-major layout of su2).
 """
 
 import math
@@ -80,11 +79,6 @@ def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     return out
 
 
-def _matmul(m):
-    """The product for stacks of m's d x d matrices: su2.mul for d = 2, else numpy's."""
-    return mul if m.shape[-1] == 2 else np.matmul
-
-
 def _step_deltas(a1, a2, a3, h):
     """Deltas D = S - I of the RK4 steps S of y' = A y, over stacks of steps.
 
@@ -93,8 +87,9 @@ def _step_deltas(a1, a2, a3, h):
     K4 = A3 (I + h K3), a step maps y to y + D y with
     D = h/6 (K1 + 2 K2 + 2 K3 + K4), the step rk4_series takes for
     f(t, y) = A(t) y. D is kept apart from I so its low bits survive.
+    Stacks multiply with su2.mul, one constant matrix with numpy's @.
     """
-    dot = _matmul(a1)
+    dot = mul if a1.ndim == 3 else np.matmul
     k2 = dot(a2, a1)
     k2 *= 0.5 * h
     k2 += a2
@@ -115,19 +110,20 @@ def _step_deltas(a1, a2, a3, h):
 def _prefix_deltas(blocks):
     """Deltas of the first 1, 2, .., size steps of every block, in one pass.
 
-    ``blocks`` is (n_blocks, size, d, d); entry [b, j] of the result, of
-    the same shape (entry-major for 2x2 steps), is the delta of block b's
-    first j + 1 steps. Each is the one before with one more step composed
-    on, X + (D + D X), summed with a running compensation (Kahan): adding
-    nearly the same small D X over and over rounds nearly the same way
-    each time, and a block delta shared by every block would carry that
-    bias through all of them.
+    ``blocks`` is (n_blocks, size, 2, 2); entry [b, j] of the entry-major
+    result, of the same shape, is the delta of block b's first j + 1 steps.
+    Each is the one before with one more step composed on, X + (D + D X),
+    summed with a running compensation (Kahan): adding nearly the same
+    small D X over and over rounds nearly the same way each time, and a
+    block delta shared by every block would carry that bias through all of
+    them. A stack of blocks composes with su2.mul. A single block (the
+    delta shared by every step of a constant generator, or one step) is a
+    chain of one matrix and composes with @, as _scan steps its block
+    starts: su2.mul's twelve elementwise calls cost more than the
+    arithmetic of one 2x2 product.
     """
-    dot = _matmul(blocks)
-    if dot is mul:
-        prefix = _entry_major(blocks.shape[:2], blocks.shape[2:])
-    else:  # numpy's matmul takes BLAS, and rounds as BLAS does, only on matrices with contiguous rows
-        prefix = np.empty(blocks.shape, dtype=complex)
+    dot = mul if len(blocks) > 1 else np.matmul
+    prefix = _entry_major(blocks.shape[:2])
     prefix[:, 0] = blocks[:, 0]
     carry = np.zeros_like(prefix[:, 0])
     for j in range(1, blocks.shape[1]):
@@ -143,8 +139,8 @@ def _prefix_deltas(blocks):
 def _scan(deltas, y0, n_steps):
     """States y_0 .. y_n of y_{i+1} = y_i + D_i y_i, as one blocked scan.
 
-    ``deltas`` is the (n, d, d) stack of D_i, or (1, d, d) for one delta
-    shared by every step; ``y0`` is (d, k). The steps are cut into blocks
+    ``deltas`` is the (n, 2, 2) stack of D_i, or (1, 2, 2) for one delta
+    shared by every step; ``y0`` is (2, k). The steps are cut into blocks
     of about sqrt(n), and the deltas of every block's first 1, 2, .., size
     steps are composed in one pass, for all blocks at once. The block
     start states are stepped through the blocks in turn with each block's
@@ -153,21 +149,20 @@ def _scan(deltas, y0, n_steps):
     product, so a block's last row and the next block's start come out of
     the same arithmetic and the series has no seams for a finite
     difference to pick up. The n mod size steps left after the last whole
-    block are taken one by one. The (n + 1, d, k) result is stored as
-    (d, k, n + 1) memory, so a (d,) state's series reshapes to a stack of
-    matrices without a copy.
+    block are taken one by one, or, for a shared delta, as one more block
+    cut short. The (n + 1, 2, k) result is stored as (2, k, n + 1) memory,
+    so each entry's series is one contiguous array.
     """
     size = max(1, math.isqrt(n_steps))
     n_blocks = n_steps // size
     whole = n_blocks * size
-    d = deltas.shape[-1]
     shared = len(deltas) == 1
     if shared:
-        blocks = np.broadcast_to(deltas, (1, size, d, d))
+        blocks = np.broadcast_to(deltas, (1, size, 2, 2))
     else:
-        blocks = deltas[:whole].reshape(n_blocks, size, d, d)
+        blocks = deltas[:whole].reshape(n_blocks, size, 2, 2)
     prefix = _prefix_deltas(blocks)
-    block_delta = np.broadcast_to(prefix[:, -1], (n_blocks, d, d))
+    block_delta = np.broadcast_to(prefix[:, -1], (n_blocks, 2, 2))
     out = _entry_major((n_steps + 1,), y0.shape)
     filled = out[:whole].reshape((n_blocks, size) + y0.shape)  # a view: only the time axis is split
     # apart from out: an add that reads out while writing it would copy the whole product first
@@ -179,18 +174,22 @@ def _scan(deltas, y0, n_steps):
     out[whole] = y
     filled[:, 0] = starts
     starts = starts[:, None]
-    np.add(_matmul(deltas)(prefix[:, :-1], starts), starts, out=filled[:, 1:])
-    for i in range(whole, n_steps):
-        out[i + 1] = out[i] + deltas[0 if shared else i] @ out[i]
+    np.add(mul(prefix[:, :-1], starts), starts, out=filled[:, 1:])
+    if shared:  # the rest is a partial block, whose prefix deltas are the shared ones
+        np.add(mul(prefix[0, : n_steps - whole], out[whole]), out[whole], out=out[whole + 1 :])
+    else:
+        for i in range(whole, n_steps):
+            out[i + 1] = out[i] + deltas[i] @ out[i]
     return out
 
 
 def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     """rk4_series for a linear y' = A(t) y, built as a scan over step matrices.
 
-    ``a`` is one constant (d, d) generator, or the (m, d, d) stack of A at
+    ``a`` is one constant (2, 2) generator, or the (m, 2, 2) stack of A at
     every row of ``stage_times(t0, dt, n_steps, local_error_bound,
-    check_every)``. ``y0`` is a (d,) vector or a (d, k) matrix of columns.
+    check_every)``. ``y0`` is a (2,) vector or a (2, k) matrix of columns.
+    Generators of any other size raise ValueError.
     Returns the n_steps + 1 samples rk4_series gives for f(t, y) = A(t) y,
     equal up to rounding. The local error checks are those of rk4_series:
     every ``check_every``-th step is also taken as two half steps, the
@@ -203,9 +202,11 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     vector = y.ndim == 1
     if vector:
         y = y[:, None]
-    d = a.shape[-1] if a.ndim else 0
-    if a.ndim not in (2, 3) or a.shape[-2] != d or y.ndim != 2 or y.shape[0] != d:
-        raise ValueError(f"generator shape {a.shape} does not fit state shape {np.shape(y0)}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (2, 2) or y.ndim != 2 or y.shape[0] != 2:
+        raise ValueError(
+            f"generator shape {a.shape} does not fit state shape {np.shape(y0)}; "
+            "steps must be 2x2, on a (2,) or (2, k) state"
+        )
     every = _check_every(local_error_bound, check_every)
     checked = np.arange(0, n_steps, every) if every else np.arange(0)
     n_half = 2 * n_steps + 1
@@ -215,21 +216,20 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
             f"got shape {a.shape}"
         )
 
-    dot = _matmul(a)
     if a.ndim == 2:
         deltas = _step_deltas(a, a, a, dt)[None]
         half = _step_deltas(a, a, a, 0.5 * dt)
-        halves = (half + half + dot(half, half))[None]  # (I + half)^2 - I
+        halves = (half + half + half @ half)[None]  # (I + half)^2 - I
     else:
         deltas = _step_deltas(a[0 : n_half - 1 : 2], a[1:n_half:2], a[2:n_half:2], dt)
         starts, mids = 2 * checked, n_half + 2 * np.arange(len(checked))
         first = _step_deltas(a[starts], a[mids], a[starts + 1], 0.5 * dt)
         second = _step_deltas(a[starts + 1], a[mids + 1], a[starts + 2], 0.5 * dt)
-        halves = second + first + dot(second, first)  # (I + second)(I + first) - I
+        halves = second + first + mul(second, first)  # (I + second)(I + first) - I
     out = _scan(deltas, y, n_steps)
     if len(checked):
         full = deltas if len(deltas) == 1 else deltas[checked]
-        misses = dot(full - halves, out[checked])
+        misses = mul(full - halves, out[checked])
         estimates = np.linalg.norm(misses.reshape(len(checked), -1), axis=1)
         bad = np.nonzero(estimates > local_error_bound)[0]
         if bad.size:

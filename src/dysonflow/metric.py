@@ -10,11 +10,14 @@ which in coefficients reads alpha' = -alpha*lambda0 - beta.l and
 beta' = k x beta - lambda0*beta - alpha*l, writing k and l for the kappa and
 lambda vectors. This module provides the stationary solution, the
 closed-form oscillatory family available when k.l = 0, and direct numeric
-integration of the flow. Positivity (det rho = alpha^2 - |beta|^2 > 0) is
-monitored and reported, never silently enforced. For a static H the exact
-flow is the congruence rho(t) = A rho(0) A^dag with A = exp(-i H^dag t), so
-a positive-definite start stays positive definite for all t, at and beyond
-the exceptional point too; a lost positivity flags integrator error.
+integration of the flow. For a static H the flow is solved by the
+congruence rho(t) = A rho(0) A^dag with A' = -i H^dag A, A(0) = I, and the
+integration takes RK4 steps of A, not of rho. Positivity (det rho =
+alpha^2 - |beta|^2 > 0) is monitored and reported, never silently
+enforced. In exact arithmetic det rho(t) = |det A|^2 det rho(0) > 0, at
+and beyond the exceptional point too, since A is invertible. A recorded
+loss of positivity therefore comes only from rounding the computed det
+of a start within rounding of singular, such as det rho(0) = 2^-52.
 """
 
 import math
@@ -214,27 +217,20 @@ def integrate_metric(
     """Integrate the metric flow from a Hermitian positive-definite rho0 with RK4.
 
     A rho0 that is not raises NotHermitian or NotPositiveDefinite, as in
-    su2.require_hpd. Each sample is tested for det > 0 afterwards and the
-    first failure time is recorded on the result as positivity_lost_at;
-    for a static H that flags integrator error (see the module docstring).
-    StepTooLarge propagates from the integrator when the error estimate of
-    a checked step (step 0 and every 100th after it) exceeds
+    su2.require_hpd. RK4 integrates A' = -i H^dag A from A = I, and each
+    sample is the congruence A rho0 A^dag (see the module docstring). Each
+    sample is tested for det > 0 afterwards and the first failure time is
+    recorded on the result as positivity_lost_at. StepTooLarge propagates
+    from the integrator when the local error estimate of A's step at a
+    checked step (step 0 and every 100th after it) exceeds
     ``local_error_bound``; None turns the checks off.
     """
     rho0 = complex2x2(rho0)
     require_hpd(rho0)
-
-    # the flow on row-major vec(rho): vec(A rho B) = kron(A, B^T) vec(rho); the scan
-    # stores the series time-last, so it reshapes to an entry-major stack without a copy
-    hm = h.matrix()
-    samples = rk4_linear(
-        -1j * (np.kron(dagger(hm), IDENTITY) - np.kron(IDENTITY, hm.T)),
-        rho0.ravel(),
-        grid.t_start,
-        grid.dt,
-        grid.n_steps,
-        local_error_bound=local_error_bound,
-    ).reshape(-1, 2, 2)
+    a = rk4_linear(
+        -1j * dagger(h.matrix()), IDENTITY, grid.t_start, grid.dt, grid.n_steps, local_error_bound
+    )
+    samples = mul(mul(a, rho0), dagger(a))
     bad = np.nonzero(det(samples).real <= 0.0)[0]
     return MetricFlow(
         series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples),

@@ -1,11 +1,11 @@
 """Time-ordered propagation in both pictures and metric inner products.
 
-All propagators are built by integrating states (or basis columns) with the
-shared fixed-step RK4 core, which keeps the time ordering implicit and
-checks its local error at step 0 and every 100th step after it. A source
-that is not Hermitian draws one warning, which only evolve_state can
-switch off. Unitarity is checked by tests and reported as a diagnostic,
-never re-imposed.
+All propagators are built by integrating two-level states (or basis
+columns) under 2x2 Hamiltonians with the shared fixed-step RK4 core,
+which keeps the time ordering implicit and checks its local error at
+step 0 and every 100th step after it. A source that is not Hermitian draws one warning, which
+only evolve_state can switch off. Unitarity is checked by tests and
+reported as a diagnostic, never re-imposed.
 """
 
 import warnings
@@ -23,17 +23,18 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
     """RK4 samples of i dy/dt = h(t) y on the grid, with one h_of_t call for every stage.
 
     h_of_t receives the 1-D array of the integrator's stage times and
-    returns an (m, d, d) stack, or one (d, d) matrix for a constant
-    generator. ``y0`` None starts from the d x d identity.
+    returns an (m, 2, 2) stack, or one (2, 2) matrix for a constant
+    generator; any other size raises ValueError. ``y0`` None starts from
+    the 2x2 identity.
     """
     t0, dt, n_steps = grid.t_start, grid.dt, grid.n_steps
     times = stage_times(t0, dt, n_steps, local_error_bound)
     hm = np.asarray(h_of_t(times), dtype=complex)
-    if hm.ndim not in (2, 3) or hm.shape[-1] != hm.shape[-2] or (
+    if hm.ndim not in (2, 3) or hm.shape[-2:] != (2, 2) or (
         hm.ndim == 3 and len(hm) != len(times)
     ):
         raise ValueError(
-            f"h_of_t must return a ({len(times)}, d, d) stack or one (d, d) matrix "
+            f"h_of_t must return a ({len(times)}, 2, 2) stack or one (2, 2) matrix "
             f"for {len(times)} stage times, got shape {hm.shape}"
         )
     if hermitian_check:
@@ -48,7 +49,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
                 stacklevel=3,
             )
     if y0 is None:
-        y0 = np.eye(hm.shape[-1], dtype=complex)
+        y0 = IDENTITY
     hm = -1j * hm  # rebinding frees the unscaled stack before the steps are formed
     samples = rk4_linear(hm, y0, t0, dt, n_steps, local_error_bound)
     return TimeSeries(t0=t0, dt=dt, samples=samples)
@@ -85,9 +86,10 @@ def propagator_series(
     ``h_of_t`` is called exactly once, with the 1-D array of every RK4
     stage time (grid points, midpoints and the quarter points of the
     error-check steps; see ``_integrate.stage_times``). It returns the
-    matching (m, d, d) stack of Hamiltonians, or one (d, d) matrix for a
-    constant generator. The columns of u are the evolved canonical basis
-    states; u(t_start, t_start) is the identity exactly.
+    matching (m, 2, 2) stack of Hamiltonians, or one (2, 2) matrix for a
+    constant generator; any other size raises ValueError. The columns of u
+    are the evolved canonical basis states; u(t_start, t_start) is the
+    identity exactly.
     """
     return _evolve(h_of_t, None, grid, local_error_bound)
 

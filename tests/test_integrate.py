@@ -5,14 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from dysonflow import IntegrationGrid, propagator_series
 from dysonflow._integrate import rk4_linear, rk4_series, stage_times
 from dysonflow.errors import StepTooLarge
 
 RNG = np.random.default_rng(20161024)
 # non-Hermitian coefficient matrices of A(t) = B0 + cos(2 t) B1 + sin(3 t) B2
 B = 0.5 * (RNG.normal(size=(3, 2, 2)) + 1j * RNG.normal(size=(3, 2, 2)))
-# a constant generator acting on 4-vectors, like the vec form of the metric flow
-G4 = 0.5 * (RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
 
 
 def a_of_t(t):
@@ -46,10 +45,12 @@ def test_time_dependent_generator_matches_reference(n, bound, every, y0):
 @pytest.mark.parametrize("n", [0, 1, 144, 150])
 @pytest.mark.parametrize("bound, every", [(1e-6, 100), (None, 100)])
 @pytest.mark.parametrize(
-    "y0", [np.arange(1.0, 5.0) + 1j, np.eye(4)[:, :2]], ids=["vector", "matrix"]
+    "y0", [np.array([1.0, 2.0]) + 1j, np.arange(6.0).reshape(2, 3) - 1j], ids=["vector", "matrix"]
 )
 def test_constant_generator_matches_reference(n, bound, every, y0):
-    ref, new = both(G4, lambda _t, y: G4 @ y, y0, 0.0, 1e-2, n, bound, every)
+    # the shared delta applied to a complex vector and to three columns, not
+    # only to the identity; 150 steps end in a block of 6 cut short
+    ref, new = both(B[1], lambda _t, y: B[1] @ y, y0, 0.0, 1e-2, n, bound, every)
     assert_close(ref, new)
 
 
@@ -109,3 +110,10 @@ def test_stage_rows_and_shapes_are_checked():
         rk4_linear(a_of_t(times), np.ones(3), 0.0, 1e-2, 10)
     with pytest.raises(ValueError, match="does not fit"):
         rk4_linear(np.ones((2, 3)), np.ones(2), 0.0, 1e-2, 10)
+    # the steps are 2x2 matrices only, for a constant generator and for a stage stack
+    with pytest.raises(ValueError, match="steps must be 2x2"):
+        rk4_linear(np.eye(4), np.ones(4), 0.0, 1e-2, 10)
+    with pytest.raises(ValueError, match="steps must be 2x2"):
+        rk4_linear(np.broadcast_to(np.eye(4), (len(times), 4, 4)), np.eye(4), 0.0, 1e-2, 10)
+    with pytest.raises(ValueError, match=r"h_of_t must return .* \(2, 2\) matrix"):
+        propagator_series(lambda t: np.eye(4), IntegrationGrid(0.0, 0.1, 1e-2))

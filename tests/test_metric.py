@@ -258,8 +258,9 @@ def test_integrate_rejects_bad_rho0():
 
 
 def test_integrate_flags_positivity_loss_near_degenerate_start():
-    # det(rho0) = 2^-52 is positive but within roundoff of zero, so the
-    # conserved determinant crosses zero numerically within a few steps
+    # det rho = |det A|^2 det rho0 stays positive in exact arithmetic; with
+    # det(rho0) = 2^-52, within rounding of zero, the computed det of the
+    # congruence A rho0 A^dag still rounds to zero or below within a few steps
     edge = 1.0 - 2.0**-53
     rho0 = np.array([[1.0, edge], [edge, 1.0]], dtype=complex)
     grid = IntegrationGrid(0.0, 0.5, 1e-3)
