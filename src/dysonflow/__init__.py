@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from . import errors
 from .dyson import (
     DysonSample,
-    DysonSeries,
     dyson_from_metric,
     fourth_order_derivative,
     hermitian_counterpart,
@@ -29,8 +28,6 @@ from .metric import (
     integrate_metric,
     metric_rhs,
     positivity_margin,
-    static_metric,
-    zeta_coefficients,
     zeta_metric,
 )
 from .propagate import (
@@ -107,11 +104,8 @@ __all__ = [
     "integrate_metric",
     "metric_rhs",
     "positivity_margin",
-    "static_metric",
-    "zeta_coefficients",
     "zeta_metric",
     "DysonSample",
-    "DysonSeries",
     "dyson_from_metric",
     "fourth_order_derivative",
     "hermitian_counterpart",

@@ -52,18 +52,17 @@ from .errors import ConfigInvalid, DysonflowError, UnsupportedHamiltonian
 from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
+    _dot3,
     _require_flow_solvable,
     integrate_metric,
     metric_rhs,
     positivity_margin,
-    zeta_coefficients,
     zeta_metric,
 )
 from .propagate import propagator_series
 from .series import IntegrationGrid
 from .su2 import (
     IDENTITY,
-    PauliCoefficients,
     dagger,
     det,
     frobenius_norm,
@@ -71,7 +70,6 @@ from .su2 import (
     hermitian_sqrt_derivative,
     hermiticity_residual,
     mul,
-    pauli_compose,
     pauli_decompose,
 )
 from .yang_lee import (
@@ -162,8 +160,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     dt = _as_float(cfg.dt, "dt")
     if dt <= 0.0:
         raise ConfigInvalid(f"dt must be positive, got {dt}")
-    if cfg.scenario.startswith("yang-lee") and not (0.0 < gamma < 1.0):
-        raise ConfigInvalid(f"gamma must lie in (0, 1) for Yang-Lee scenarios, got {gamma}")
+    if cfg.scenario.startswith("yang-lee"):
+        try:
+            p = YangLeeParams(gamma=gamma, omega=omega)
+        except ValueError as exc:
+            raise ConfigInvalid(f"Yang-Lee scenarios: {exc}") from exc
     zeta = cfg.zeta_constants
     if zeta is not None:
         if not isinstance(zeta, (list, tuple)) or len(zeta) != 4:
@@ -172,7 +173,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.scenario.startswith("yang-lee") and zeta is not None:
         # the Yang-Lee oracle chain (eta, h, u) exists only for the canonical
         # metric family; other constants belong to the su2-generic scenario
-        p = YangLeeParams(gamma=gamma, omega=omega)
         canonical = rho_closed_constants(p)
         if max(abs(z - c) for z, c in zip(zeta, astuple(canonical))) > 1e-12:
             raise ConfigInvalid(
@@ -306,12 +306,6 @@ class VerificationReport:
 
 def _unitarity(u):
     return frobenius_norm(mul(dagger(u), u) - IDENTITY)
-
-
-def _dot3(a, b):
-    """Row-wise dot products of real 3-vectors, summed entry by entry."""
-    b = np.asarray(b)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _apply(m, psi):
@@ -572,9 +566,9 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     # propagator checks: identity at the anchor, unitarity, TDSE by central differences
     u_t0 = u_closed(p.t0, p)
     fd_step = 1e-6
-    t_sub = ts[_subsample(len(ts))]
-    du = (u_closed(t_sub + fd_step, p) - u_closed(t_sub - fd_step, p)) / (2.0 * fd_step)
-    u_tdse = float(np.max(frobenius_norm(mul(rabi_h(t_sub, p), u_closed(t_sub, p)) - 1j * du)))
+    sub = _subsample(len(ts))
+    du = (u_closed(ts[sub] + fd_step, p) - u_closed(ts[sub] - fd_step, p)) / (2.0 * fd_step)
+    u_tdse = float(np.max(frobenius_norm(mul(rabi_h(ts[sub], p), u[sub]) - 1j * du)))
     u_unitarity = _unitarity(u)
     basis = basis_states(p)
     basis_error = max(np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1]))
@@ -704,7 +698,7 @@ def _su2_config(cfg: ScenarioConfig):
         lambda_vec=cfg.lambda_vec,
     )
     zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
-    k2, l2 = _require_flow_solvable(h, need_real_frequency=True)
+    k2, l2 = _require_flow_solvable(h)
     return h, zeta, 2.0 * math.pi / math.sqrt(k2 - l2)
 
 
@@ -714,9 +708,10 @@ def _su2_generic(cfg: ScenarioConfig):
     ts = grid.times
     hm = h.matrix()
 
-    alpha, beta = zeta_coefficients(ts, h, zeta)
-    rho_ref = pauli_compose(PauliCoefficients(alpha, *beta.T))
-    margins = alpha**2 - _dot3(beta, beta)
+    ref = zeta_metric(ts, h, zeta)
+    alpha, beta = ref.alpha, ref.beta_vec
+    rho_ref = ref.matrix()
+    margins = positivity_margin(ref)
     flow = integrate_metric(h, rho_ref[0], grid)
     rho_num = flow.series.samples
     dys = dyson_from_metric(flow.series)
@@ -732,11 +727,9 @@ def _su2_generic(cfg: ScenarioConfig):
     # coefficient-flow residual of the closed form, via fourth-order differences
     fd = 1e-3
     sub = _subsample(len(ts), want=50)
-    (a0, b0), (a1, b1), (a2, b2), (a3, b3) = (
-        zeta_coefficients(ts[sub] + k * fd, h, zeta) for k in (-2, -1, 1, 2)
-    )
-    alpha_dot = (a0 - 8 * a1 + 8 * a2 - a3) / (12 * fd)
-    beta_dot = (b0 - 8 * b1 + 8 * b2 - b3) / (12 * fd)
+    s0, s1, s2, s3 = (zeta_metric(ts[sub] + k * fd, h, zeta) for k in (-2, -1, 1, 2))
+    alpha_dot = (s0.alpha - 8 * s1.alpha + 8 * s2.alpha - s3.alpha) / (12 * fd)
+    beta_dot = (s0.beta_vec - 8 * s1.beta_vec + 8 * s2.beta_vec - s3.beta_vec) / (12 * fd)
     r_alpha = np.abs(alpha_dot + _dot3(beta[sub], h.lambda_vec))
     r_beta = beta_dot - (np.cross(h.kappa_vec, beta[sub]) - alpha[sub, None] * h.lambda_vec)
     flow_resid = float(max(np.max(r_alpha), np.max(np.sqrt(_dot3(r_beta, r_beta)))))
@@ -787,8 +780,7 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     hm = h.matrix()
 
     def source(t):
-        alpha, beta = zeta_coefficients(t, h, zeta)
-        rho = pauli_compose(PauliCoefficients(alpha, *beta.T))
+        rho = zeta_metric(t, h, zeta).matrix()
         eta = hermitian_sqrt(rho)
         eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
         return hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot))

@@ -11,8 +11,8 @@ Hermitian branch of the square root is implemented; the unitary gauge
 family eta' = V eta with V unitary is out of scope.
 
 The relations below take one (2, 2) matrix or a (..., 2, 2) stack, and a
-DysonSeries wherever they take a DysonSample, so a whole series goes
-through each of them in one call.
+DysonSample at one time or over a whole series, so a series goes through
+each of them in one call.
 """
 
 from dataclasses import dataclass
@@ -35,41 +35,22 @@ MIN_DERIVATIVE_SAMPLES = 5
 class DysonSample:
     """Dyson map eta(t) = sqrt(rho(t)) and its time derivative.
 
-    At one instant t, or over an array of times with (..., 2, 2) stacks.
+    At one instant t, or over an array of times with (..., 2, 2) stacks;
+    indexing a sample over a 1-D array of times gives the sample at one of
+    them.
     """
 
     t: float | np.ndarray
     eta: np.ndarray
     eta_dot: np.ndarray
 
+    def __getitem__(self, i) -> "DysonSample":
+        return DysonSample(t=self.t[i], eta=self.eta[i], eta_dot=self.eta_dot[i])
+
     @cached_property
     def eta_inverse(self) -> np.ndarray:
         """eta^-1 by invert_dyson_map, formed on first use and then kept."""
         return invert_dyson_map(self.eta)
-
-
-@dataclass(frozen=True)
-class DysonSeries:
-    """Dyson samples on a uniform grid; eta and eta_dot are (n, 2, 2) stacks."""
-
-    t0: float
-    dt: float
-    eta: np.ndarray
-    eta_dot: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.eta)
-
-    @cached_property
-    def eta_inverse(self) -> np.ndarray:
-        """eta^-1 of every sample by invert_dyson_map, formed on first use and then kept."""
-        return invert_dyson_map(self.eta)
-
-    def __getitem__(self, i: int) -> DysonSample:
-        i = int(i)
-        if i < 0:
-            i += len(self.eta)
-        return DysonSample(t=self.t0 + self.dt * i, eta=self.eta[i], eta_dot=self.eta_dot[i])
 
 
 def invert_dyson_map(eta) -> np.ndarray:
@@ -119,15 +100,16 @@ def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def dyson_from_metric(metric_series) -> DysonSeries:
+def dyson_from_metric(metric_series) -> DysonSample:
     """Hermitian Dyson maps eta = sqrt(rho) for a positive-definite metric series.
 
     One closed-form hermitian_sqrt call roots the whole sample stack.
     eta_dot comes from fourth-order finite differences on the sampled family,
     one-sided at the endpoints; callers with an analytic derivative should
-    prefer it. Accepts a TimeSeries of matrices or a MetricFlow.
-    Raises NotPositiveDefinite (carrying the sample time) on the first
-    invalid sample.
+    prefer it. Accepts a TimeSeries of matrices or a MetricFlow, and
+    returns one DysonSample over the series' times. Raises
+    NotPositiveDefinite (carrying the sample time) on the first invalid
+    sample.
     """
     if isinstance(metric_series, MetricFlow):
         metric_series = metric_series.series
@@ -143,14 +125,14 @@ def dyson_from_metric(metric_series) -> DysonSeries:
             f"metric sample at t = {t_i:.9g} is not a valid metric: {exc}", t=t_i
         ) from exc
     eta_dot = fourth_order_derivative(eta, metric_series.dt)
-    return DysonSeries(t0=metric_series.t0, dt=metric_series.dt, eta=eta, eta_dot=eta_dot)
+    return DysonSample(t=metric_series.times, eta=eta, eta_dot=eta_dot)
 
 
-def hermitian_counterpart(h_nonhermitian, sample: DysonSample | DysonSeries) -> np.ndarray:
+def hermitian_counterpart(h_nonhermitian, sample: DysonSample) -> np.ndarray:
     """Hermitian counterpart h = eta H eta^-1 + i eta_dot eta^-1.
 
     One matrix for a DysonSample at one instant, the (n, 2, 2) stack for a
-    DysonSeries or stacked sample. Hermiticity of the result is a property
+    sample over n times. Hermiticity of the result is a property
     of a correct (eta, eta_dot) pair, not of this formula; the residual is
     the standard cross check. eta^-1 is the sample's ``eta_inverse``, so
     physical_hamiltonian on the same sample does not invert eta again.
@@ -160,7 +142,7 @@ def hermitian_counterpart(h_nonhermitian, sample: DysonSample | DysonSeries) -> 
     return mul(mul(sample.eta, h_nonhermitian), inv) + 1j * mul(sample.eta_dot, inv)
 
 
-def physical_hamiltonian(h_nonhermitian, sample: DysonSample | DysonSeries) -> np.ndarray:
+def physical_hamiltonian(h_nonhermitian, sample: DysonSample) -> np.ndarray:
     """Physical energy observable Htilde = H + i eta^-1 eta_dot.
 
     Quasi-Hermitian with respect to rho = eta^2 and equal to

@@ -34,10 +34,6 @@ class UnsupportedHamiltonian(DysonflowError):
     """The requested construction has no solution for this Hamiltonian."""
 
 
-class PositivityViolation(DysonflowError):
-    """A constructed metric fails det rho > 0."""
-
-
 class StepTooLarge(DysonflowError):
     """The fixed integration step exceeds the local error bound."""
 

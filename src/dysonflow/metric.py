@@ -8,8 +8,8 @@ the flow
 
 which in coefficients reads alpha' = -alpha*lambda0 - beta.l and
 beta' = k x beta - lambda0*beta - alpha*l, writing k and l for the kappa and
-lambda vectors. This module provides the stationary solution, the
-closed-form oscillatory family available when k.l = 0, and direct numeric
+lambda vectors. This module provides the closed-form oscillatory family
+available when k.l = 0, stationary for c1 = c2 = 0, and direct numeric
 integration of the flow. For a static H the flow is solved by the
 congruence rho(t) = A rho(0) A^dag with A' = -i H^dag A, A(0) = I, and the
 integration takes RK4 steps of A, not of rho. Positivity (det rho =
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import rk4_linear
-from .errors import PositivityViolation, UnsupportedHamiltonian
+from .errors import UnsupportedHamiltonian
 from .series import IntegrationGrid, TimeSeries
 from .su2 import (
     IDENTITY,
@@ -75,24 +75,33 @@ class SU2Hamiltonian:
 
 @dataclass(frozen=True)
 class MetricState:
-    """Metric coefficients at one instant: rho = alpha I + beta.sigma.
+    """Metric coefficients rho = alpha I + beta.sigma, at one time or over an array of times.
 
-    The composed matrix is Hermitian by construction. Validity as an inner
-    product additionally needs det rho = alpha^2 - |beta|^2 > 0, which is
-    deliberately not enforced here; query positivity_margin.
+    alpha and t are floats, or arrays of the times' shape; beta_vec has that
+    shape plus a trailing axis of 3. The composed matrix is Hermitian by
+    construction. Validity as an inner product additionally needs
+    det rho = alpha^2 - |beta|^2 > 0, which is deliberately not enforced
+    here; query positivity_margin.
     """
 
-    alpha: float
+    alpha: float | np.ndarray
     beta_vec: np.ndarray
-    t: float = 0.0
+    t: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta_vec", _as_vec3(self.beta_vec, "beta_vec"))
-        object.__setattr__(self, "t", float(self.t))
+        alpha = np.asarray(self.alpha, dtype=float)
+        beta = np.asarray(self.beta_vec, dtype=float)
+        if beta.shape != (*alpha.shape, 3):
+            raise ValueError(f"beta_vec must have shape {(*alpha.shape, 3)}, got {beta.shape}")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+            raise ValueError("metric coefficients must be finite")
+        object.__setattr__(self, "alpha", alpha[()])
+        object.__setattr__(self, "beta_vec", beta)
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=float)[()])
 
     def matrix(self) -> np.ndarray:
-        return pauli_compose(PauliCoefficients(self.alpha, *self.beta_vec))
+        """rho, one (2, 2) matrix or the (..., 2, 2) stack over the times."""
+        return pauli_compose(PauliCoefficients(self.alpha, *np.moveaxis(self.beta_vec, -1, 0)))
 
 
 @dataclass(frozen=True)
@@ -105,12 +114,18 @@ class ZetaConstants:
     c4: float
 
 
-def positivity_margin(state: MetricState) -> float:
-    """det rho = alpha^2 - beta.beta; positive exactly when the metric is valid."""
-    return float(state.alpha**2 - state.beta_vec @ state.beta_vec)
+def _dot3(a, b):
+    """Dot products of real 3-vectors along the last axis, summed entry by entry."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _require_flow_solvable(h: SU2Hamiltonian, need_real_frequency: bool):
+def positivity_margin(state: MetricState):
+    """det rho = alpha^2 - beta.beta at each time; positive exactly when the metric is valid."""
+    return state.alpha**2 - _dot3(state.beta_vec, state.beta_vec)
+
+
+def _require_flow_solvable(h: SU2Hamiltonian):
+    """|k|^2 and |l|^2 of an H with lambda0 = 0, k.l = 0 and |k| > |l|; refuses any other."""
     if abs(h.lambda0) > ORTHOGONALITY_TOL:
         raise UnsupportedHamiltonian(
             f"closed forms require lambda0 = 0, got {h.lambda0:.6g}"
@@ -124,7 +139,7 @@ def _require_flow_solvable(h: SU2Hamiltonian, need_real_frequency: bool):
             "closed forms require kappa_vec.lambda_vec = 0; "
             "use integrate_metric for the general case"
         )
-    if need_real_frequency and k2 <= l2:
+    if k2 <= l2:
         raise UnsupportedHamiltonian(
             f"|kappa| > |lambda| required for a real frequency, got |k|^2 = {k2:.6g}, "
             f"|l|^2 = {l2:.6g}"
@@ -132,28 +147,26 @@ def _require_flow_solvable(h: SU2Hamiltonian, need_real_frequency: bool):
     return k2, l2
 
 
-def static_metric(h: SU2Hamiltonian, alpha: float, nu: float) -> MetricState:
-    """Stationary metric beta = (alpha/|k|^2) l x k + nu k for lambda0 = 0, k.l = 0.
+def zeta_metric(t, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
+    """Closed-form oscillatory metric for lambda0 = 0 and k.l = 0, at scalar or array ``t``.
 
-    The returned coefficients make H^dag rho - rho H vanish identically.
-    Raises UnsupportedHamiltonian when no stationary solution of this form
-    exists and PositivityViolation when det rho <= 0.
+    With phi = sqrt(|k|^2 - |l|^2), the expansion
+    beta(t) = z1 k + z2 l + z3 k x l solves the metric flow for
+
+        z1 = c4,
+        z2 = c1 sin(phi t) + c2 cos(phi t),
+        z3 = -(c1/phi) cos(phi t) + (c2/phi) sin(phi t) + c3,
+        alpha = (c1 |k|^2/phi - c1 phi) cos(phi t)
+              + (c2 phi - c2 |k|^2/phi) sin(phi t) - c3 |k|^2.
+
+    c1 = c2 = 0 freezes the time dependence: those members are the
+    stationary metrics alpha = -c3 |k|^2, beta = (alpha/|k|^2) l x k + c4 k,
+    for which H^dag rho - rho H vanishes. det rho is conserved along the
+    family: det = c3^2 |k|^2 phi^2 - c4^2 |k|^2 - |l|^2 (c1^2 + c2^2). An
+    array of times gives one MetricState over all of them, each time
+    bit-identical to its scalar evaluation.
     """
-    k2, _ = _require_flow_solvable(h, need_real_frequency=False)
-    beta = (alpha / k2) * np.cross(h.lambda_vec, h.kappa_vec) + nu * h.kappa_vec
-    state = MetricState(alpha=alpha, beta_vec=beta, t=0.0)
-    margin = positivity_margin(state)
-    if margin <= 0.0:
-        raise PositivityViolation(f"det rho = {margin:.6g} is not positive")
-    return state
-
-
-def zeta_coefficients(t, h: SU2Hamiltonian, c: ZetaConstants):
-    """Coefficients (alpha, beta) of zeta_metric at scalar or array ``t``.
-
-    alpha has the shape of ``t`` and beta that shape plus a trailing 3.
-    """
-    k2, l2 = _require_flow_solvable(h, need_real_frequency=True)
+    k2, l2 = _require_flow_solvable(h)
     phi = math.sqrt(k2 - l2)
     t = np.asarray(t, dtype=float)
     s, co = np.sin(phi * t), np.cos(phi * t)
@@ -166,27 +179,6 @@ def zeta_coefficients(t, h: SU2Hamiltonian, c: ZetaConstants):
         + z2[..., None] * h.lambda_vec
         + z3[..., None] * np.cross(h.kappa_vec, h.lambda_vec)
     )
-    return alpha, beta
-
-
-def zeta_metric(t: float, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
-    """Closed-form oscillatory metric for lambda0 = 0 and k.l = 0.
-
-    With phi = sqrt(|k|^2 - |l|^2), the expansion
-    beta(t) = z1 k + z2 l + z3 k x l solves the metric flow for
-
-        z1 = c4,
-        z2 = c1 sin(phi t) + c2 cos(phi t),
-        z3 = -(c1/phi) cos(phi t) + (c2/phi) sin(phi t) + c3,
-        alpha = (c1 |k|^2/phi - c1 phi) cos(phi t)
-              + (c2 phi - c2 |k|^2/phi) sin(phi t) - c3 |k|^2.
-
-    c1 = c2 = 0 freezes the time dependence and reproduces static_metric
-    with alpha = -c3 |k|^2, nu = c4. det rho is conserved along the family:
-    det = c3^2 |k|^2 phi^2 - c4^2 |k|^2 - |l|^2 (c1^2 + c2^2).
-    zeta_coefficients evaluates the same family over an array of times.
-    """
-    alpha, beta = zeta_coefficients(t, h, c)
     return MetricState(alpha=alpha, beta_vec=beta, t=t)
 
 

@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 
 from ._integrate import rk4_linear, stage_times
-from .dyson import DysonSeries, invert_dyson_map
+from .dyson import DysonSample, invert_dyson_map
 from .errors import NotHermitian, NotPositiveDefinite
-from .series import IntegrationGrid, TimeSeries, grid_index
+from .series import IntegrationGrid, TimeSeries
 from .su2 import IDENTITY, complex2x2, frobenius_norm, hermiticity_residual, mul, require_hpd
 
 
@@ -114,18 +114,25 @@ def time_ordered_u(
     return _evolve(h_of_t, None, grid, local_error_bound)[-1]
 
 
-def nonhermitian_u(eta_series: DysonSeries, u, t_from: float, t_to: float) -> np.ndarray:
+def _eta_at(sample: DysonSample, t: float) -> np.ndarray:
+    """eta of the sample at time t, one of its times to within 1e-6 of their spacing."""
+    times = np.atleast_1d(sample.t)
+    i = int(np.argmin(np.abs(times - t)))
+    spacing = abs(times[1] - times[0]) if len(times) > 1 else 0.0
+    if not abs(times[i] - t) <= 1e-6 * spacing:
+        raise ValueError(f"t = {t:.9g} is not a sample time")
+    return sample.eta if np.ndim(sample.t) == 0 else sample.eta[i]
+
+
+def nonhermitian_u(eta_series: DysonSample, u, t_from: float, t_to: float) -> np.ndarray:
     """Non-Hermitian-picture propagator U(t_to, t_from) = eta^-1(t_to) u eta(t_from).
 
     Generally not unitary in the flat inner product, but it preserves the
-    rho-weighted one. The Dyson maps at both endpoints are looked up on the
-    sample grid of ``eta_series``.
+    rho-weighted one. The Dyson maps at both endpoints are looked up among
+    the times ``t`` of ``eta_series``; any other time raises ValueError.
     """
     u = np.asarray(u, dtype=complex)
-    grid = (eta_series.t0, eta_series.dt, len(eta_series))
-    eta_start = eta_series.eta[grid_index(t_from, *grid)]
-    eta_end = eta_series.eta[grid_index(t_to, *grid)]
-    return mul(mul(invert_dyson_map(eta_end), u), eta_start)
+    return mul(mul(invert_dyson_map(_eta_at(eta_series, t_to)), u), _eta_at(eta_series, t_from))
 
 
 def rho_inner(a, b, rho) -> complex:

@@ -5,14 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def grid_index(t: float, t0: float, dt: float, n: int) -> int:
-    """Index of time ``t`` on the grid t0 + i dt, i < n; rejects off-grid times."""
-    i = round((t - t0) / dt)
-    if i < 0 or i >= n or abs(t0 + i * dt - t) > 1e-6 * dt:
-        raise ValueError(f"t = {t:.9g} is not on the sample grid")
-    return i
-
-
 @dataclass(frozen=True)
 class IntegrationGrid:
     """Fixed-step grid on [t_start, t_end]; the span must be a whole number of steps."""
@@ -68,7 +60,3 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.samples))
-
-    def index_at(self, t: float) -> int:
-        """Index of the grid point at time ``t``; rejects off-grid queries."""
-        return grid_index(t, self.t0, self.dt, len(self.samples))

@@ -175,7 +175,7 @@ def det(m):
 def hermiticity_residual(m):
     """Frobenius norm of m - m^dagger; zero exactly when m is Hermitian.
 
-    A float for one square matrix, an array of residuals for a stack.
+    A float for one 2x2 matrix, an array of residuals for a stack.
     """
     m = np.asarray(m, dtype=complex)
     return frobenius_norm(m - dagger(m))[()]
@@ -187,12 +187,12 @@ def frobenius_norm(m) -> np.ndarray:
     The squares are summed in one fixed order, column-wise pairs of the real
     parts and then of the imaginary parts: the order in which numpy's
     OpenBLAS build sums np.linalg.norm of a single 2x2 matrix. A stack thus
-    gives that per-matrix norm bit for bit, whatever its size. Square
-    matrices of another size go to np.linalg.norm.
+    gives that per-matrix norm bit for bit, whatever its size. Any other
+    shape raises ValueError.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (2, 2):
-        return np.linalg.norm(m, axis=(-2, -1))
+    if m.ndim < 2 or m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {m.shape}")
 
     def squares(x):
         return (x[..., 0, 0] ** 2 + x[..., 1, 0] ** 2) + (x[..., 0, 1] ** 2 + x[..., 1, 1] ** 2)

@@ -39,7 +39,9 @@ class YangLeeParams:
 
     gamma is restricted to (0, 1): at gamma = 1 the eigenvalues of H1
     coalesce (exceptional point) and beyond it they form a complex-conjugate
-    pair, so no positive-definite metric exists. The anchor time
+    pair, so no positive-definite metric exists. At gamma <= 2^-27,
+    phi = sqrt(1 - gamma^2) rounds to 1 and the closed forms divide by
+    1 - phi, so those gamma are refused too. The anchor time
     t0 = -pi/(2 phi) is where the metric becomes the scalar (phi^2/gamma) I.
     """
 
@@ -49,6 +51,11 @@ class YangLeeParams:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if self.phi == 1.0:
+            raise ValueError(
+                f"gamma must exceed 2^-27 = {2.0**-27:.6g}: at or below it "
+                f"phi = sqrt(1 - gamma^2) rounds to 1, got {self.gamma}"
+            )
         if not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
 
@@ -56,14 +63,6 @@ class YangLeeParams:
     def phi(self) -> float:
         """Level splitting E_plus - E_minus = sqrt(1 - gamma^2)."""
         return math.sqrt(1.0 - self.gamma**2)
-
-    @property
-    def phi_plus(self) -> float:
-        return math.sqrt(1.0 + self.gamma)
-
-    @property
-    def phi_minus(self) -> float:
-        return math.sqrt(1.0 - self.gamma)
 
     @property
     def t0(self) -> float:
@@ -81,15 +80,6 @@ def _pauli_sign(sign) -> int:
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def h1_matrix(p: YangLeeParams) -> np.ndarray:
-    """One-site Hamiltonian H1 = -1/2 (omega I + sigma_z + i gamma sigma_x).
-
-    The terms are subtracted from zero one at a time, which fixes the signs
-    of the zero entries (those of -1/2 (...) in one product differ).
-    """
-    return 0.0 - 0.5 * SIGMA_Z - 0.5 * p.omega * IDENTITY - 0.5j * p.gamma * SIGMA_X
-
-
 def h1_su2(p: YangLeeParams) -> SU2Hamiltonian:
     """H1 in coefficient form: kappa0 = -omega, kappa = -e_z, lambda = -gamma e_x."""
     return SU2Hamiltonian(
@@ -98,6 +88,11 @@ def h1_su2(p: YangLeeParams) -> SU2Hamiltonian:
         kappa_vec=(0.0, 0.0, -1.0),
         lambda_vec=(-p.gamma, 0.0, 0.0),
     )
+
+
+def h1_matrix(p: YangLeeParams) -> np.ndarray:
+    """One-site Hamiltonian H1 = -1/2 (omega I + sigma_z + i gamma sigma_x), composed from h1_su2."""
+    return h1_su2(p).matrix()
 
 
 def eigenvalues_h1(p: YangLeeParams) -> tuple[float, float]:
@@ -200,38 +195,31 @@ def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     return _entrywise(z.shape, lambda i, j: np.multiply(-0.5, w[i, j] + z * SIGMA_Z[i, j]))
 
 
+def _phase(t, p: YangLeeParams):
+    """The linear phase and the arctan argument X of theta, at scalar or array t."""
+    t = np.asarray(t, dtype=float)
+    s, c = _sin_cos(t, p)
+    g2 = p.gamma**2
+    x = g2 * c / (2.0 - g2 + 2.0 * p.phi + g2 * s)
+    return 0.5 * p.omega * (t - p.t0) + 0.5 * p.phi * t + np.pi / 4.0, x
+
+
 def theta(t, p: YangLeeParams):
     """Accumulated phase of the upper propagator component.
 
-    theta(t) = pi/4 + (omega/2)(t - t0)
-             + arctan[ ((1-phi)^2 + gamma^2 tan(phi t/2))
-                     / (gamma^2 + (1-phi)^2 tan(phi t/2)) ],
+    theta(t) = (omega/2)(t - t0) + phi t/2 + pi/4 + arctan X(t),
+    X(t) = gamma^2 cos(phi t) / (2 - gamma^2 + 2 phi + gamma^2 sin(phi t)).
 
-    with the arctan continued across its branch jumps (the quotient blows up
-    whenever gamma^2 + (1-phi)^2 tan(phi t/2) crosses zero, once per period
-    of the tangent, and each crossing costs +pi). The continued phase is
-    smooth, satisfies theta(t0) = 0 and
+    The denominator of X is at least 2 phi (1 + phi) > 0, so theta is
+    smooth with no branch of the arctan to continue, theta(t0) = 0 and
 
-        d theta / dt = omega/2 + phi^2 / (2 + gamma^2 sin(phi t) - gamma^2),
+        d theta / dt = omega/2 + phi^2 / (2 + gamma^2 sin(phi t) - gamma^2).
 
-    so it stays finite across the tangent poles as well. Accepts scalar or
-    array t.
+    Accepts scalar or array t.
     """
-    t_arr = np.asarray(t, dtype=float)
-    a = (1.0 - p.phi) ** 2
-    g2 = p.gamma**2
-    half = 0.5 * p.phi * t_arr
-    tan_half = np.tan(half)
-    with np.errstate(divide="ignore"):
-        branch = np.arctan((a + g2 * tan_half) / (g2 + a * tan_half))
-    jump_phase = np.arctan(g2 / a)
-    winding = np.floor((half + jump_phase) / np.pi) - math.floor(
-        (0.5 * p.phi * p.t0 + jump_phase) / np.pi
-    )
-    out = np.pi / 4.0 + 0.5 * p.omega * (t_arr - p.t0) + branch + np.pi * winding
-    if np.isscalar(t):
-        return float(out)
-    return out
+    lin, x = _phase(t, p)
+    out = lin + np.arctan(x)
+    return float(out) if np.isscalar(t) else out
 
 
 def u_closed(t, p: YangLeeParams) -> np.ndarray:
@@ -240,14 +228,20 @@ def u_closed(t, p: YangLeeParams) -> np.ndarray:
     Diagonal because h(t) is:
     u = diag(e^{i theta(t)}, e^{i [pi omega/(2 phi) + omega t - theta(t)]}),
     so u(t0, t0) = I, u is unitary, and det u = e^{i omega (t - t0)}.
-    An array of times gives a (..., 2, 2) stack.
+    e^{i arctan X} of theta is formed as (1 + i X)/sqrt(1 + X^2), so u takes
+    only sin, cos, sqrt, division, products and the complex exp, which
+    round the same on numpy's AVX2 and AVX512 loops. An array of times
+    gives a (..., 2, 2) stack.
     """
     t = np.asarray(t, dtype=float)
-    th = theta(t, p)
+    lin, x = _phase(t, p)
+    cos_a = 1.0 / np.sqrt(1.0 + x * x)
+    rot = cos_a + 1j * (x * cos_a)
     out = _entry_major(t.shape)
     out[..., 0, 1] = out[..., 1, 0] = 0.0
-    out[..., 0, 0] = np.exp(1j * th)
-    out[..., 1, 1] = np.exp(1j * (np.pi * p.omega / (2.0 * p.phi) + p.omega * t - th))
+    np.multiply(np.exp(1j * lin), rot, out=out[..., 0, 0])
+    lower = np.exp(1j * (np.pi * p.omega / (2.0 * p.phi) + p.omega * t - lin))
+    np.multiply(lower, np.conj(rot), out=out[..., 1, 1])
     return out
 
 
@@ -258,8 +252,8 @@ class BasisStates:
     phi1 and phi2 are rebuilt from the Dyson-mapped eigenstates
     phi_pm(t0) = eta(t0) Psi_pm(t0) as
 
-        phi1 = c_plus  phi_minus + c_minus phi_plus   (= (1, 0) up to numerics)
-        phi2 = c_minus phi_minus - c_plus  phi_plus   (= (0, 1) up to numerics)
+        phi1 = c_plus  phi_- + c_minus phi_+   (= (1, 0) up to numerics)
+        phi2 = c_minus phi_- - c_plus  phi_+   (= (0, 1) up to numerics)
     """
 
     phi1: np.ndarray
@@ -288,11 +282,11 @@ def basis_states(p: YangLeeParams) -> BasisStates:
         root_minus - p.gamma * root_plus
     )
     eta0 = eta_closed(p.t0, p).eta
-    phi_plus = eta0 @ psi_pm(p.t0, +1, p)
-    phi_minus = eta0 @ psi_pm(p.t0, -1, p)
+    phi_p = eta0 @ psi_pm(p.t0, +1, p)
+    phi_m = eta0 @ psi_pm(p.t0, -1, p)
     return BasisStates(
-        phi1=c_plus * phi_minus + c_minus * phi_plus,
-        phi2=c_minus * phi_minus - c_plus * phi_plus,
+        phi1=c_plus * phi_m + c_minus * phi_p,
+        phi2=c_minus * phi_m - c_plus * phi_p,
         c_plus=complex(c_plus),
         c_minus=complex(c_minus),
     )

@@ -275,15 +275,17 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
 # sha256 of each CSV written by the configuration below. The six closed-form
 # series were recorded before the numeric kernels were batched and must not
 # move a byte; the invariants were re-recorded when the 2x2 products went
-# entry by entry (su2.mul)
+# entry by entry (su2.mul), and the states, propagator and invariants when
+# u_closed stopped taking tan and arctan, whose bits depend on numpy's SIMD
+# loops (all three hold the same bytes on numpy's AVX2 and AVX512 loops)
 GOLDEN_CLOSED_CSV = {
     "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
     "hermitian_h": "bed03994ecf978fce47b0b37f06cbe1b46ffe0a3b29da055dff969cf7a8150bc",
-    "states": "616f40b2be62d050427b36f091b47a3fa00b628ea250b9a83d116b141ac5c5aa",
-    "propagator": "854e97560497da5e51625fcc94dffc965a30e06ff4d6310844c48dd04a9a011d",
+    "states": "0e26a563d61d0c08a61c6b571d6f19788123e628070f8615aa15040823e704d0",
+    "propagator": "65d0f68f5db1767abf5ebf5ad0491454c6a5f07fb3dd4ca2f384fa3a9d626262",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
-    "invariants": "f446d7d8da165837207b1ffb79149a615ab29da5481370a0e3495b772bdc7208",
+    "invariants": "bac0c02f22be97587c0024307fd131228fad6d93360a43f7e4f427ccdf29ed20",
 }
 
 
@@ -403,6 +405,27 @@ def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
         assert cli.main(["verify", str(cfg_path)]) == 0  # overall PASS
 
 
+@pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric"])
+def test_gamma_where_phi_rounds_to_one_is_a_config_error(scenario, tmp_path, capsys):
+    # at gamma <= 2^-27, phi = sqrt(1 - gamma^2) rounds to 1, and the closed forms divide by 1 - phi
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, scenario=scenario, gamma=1e-9, t_start=0.0, t_end=1.0, dt=1e-2, outputs=[])
+    assert cli.main(["verify", str(cfg_path)]) == 2
+    assert "gamma must exceed 2^-27" in capsys.readouterr().err
+    assert cli.main(["sweep", str(cfg_path), "--param", "gamma", "--values", "0.5,1e-9"]) == 2
+    assert "gamma must exceed 2^-27" in capsys.readouterr().err
+
+
+def test_closed_scenario_just_above_the_gamma_bound_prints_a_report(tmp_path, capsys):
+    # whatever its checks say; the numeric scenario still ends in an error here,
+    # its metric entries (about 1/gamma) too large for the absolute Hermiticity check
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, gamma=1e-8, t_start=0.0, t_end=1.0, dt=1e-2, outputs=[])
+    cli.main(["verify", str(cfg_path)])
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("scenario: yang-lee-closed\n") and "overall:" in out
+
+
 def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, capsys):
     # gamma = 0.9999 over the default window (two periods, 762,212 steps):
     # a metric that drifts from Hermitian by 1e-10 would end the run with an
@@ -424,7 +447,9 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # su2-generic propagator, states, energies and report again when the RK4
 # scan composed its 2x2 steps with su2.mul (the numeric ones kept their bytes);
 # every file derived from the metric (all but propagator and states) again
-# when the metric was integrated as the 2x2 congruence A rho0 A^dag
+# when the metric was integrated as the 2x2 congruence A rho0 A^dag; the
+# numeric invariants and report again when u_closed stopped taking tan and
+# arctan
 GOLDEN_NUMERIC = {
     "metric": "4081db82f402114ba5ad0193eb4d829cc2cd70d9ca83029251786316d0a7c488",
     "dyson": "8de9147475d36ba4ac5bb3bfa0d8ac7af626e38dff336e704fc357a0b6e3f910",
@@ -432,8 +457,8 @@ GOLDEN_NUMERIC = {
     "states": "0bb0e0e0733ed17bbae6c8128096e855454528b1b3c4a5f36b6deb30f71e2ae0",
     "propagator": "f6810995849d1a7fe4ac3fba7bc971f95dfc2983a5ad97ff8cba423757a8a824",
     "energies": "763acfb078cf90751880f052546b1cd253afa30e0b87bdbe4613ebc96639464c",
-    "invariants": "e087be1bff683412e19da9932cdd9be72b123a42ebace0c84434cdb221799100",
-    "report": "ade4387557d0174df1d01782fbe760ef602310fc754d541ec9734559ee601788",
+    "invariants": "6c74e8f3bb11bacfc42fabbc28047dc937ebd606080b8961b74beb2acb81fd84",
+    "report": "af8311ccf0e904f94aec45972e1fee2a3fc82341225aa82d1ee6b94de56a7b10",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "1bcf2456ad5fbb292ce31eae2a470ea3bddcc303228376ed71113a7b6ef8cbd4",

@@ -5,7 +5,6 @@ import pytest
 
 from dysonflow import (
     DysonSample,
-    DysonSeries,
     IDENTITY,
     PAULIS,
     SIGMA_Z,
@@ -27,7 +26,7 @@ from dysonflow import (
     quasi_hermiticity_residual,
     rabi_h,
     rho_closed,
-    zeta_coefficients,
+    zeta_metric,
 )
 from dysonflow import dyson
 from dysonflow.errors import NotPositiveDefinite, SingularDysonMap
@@ -68,6 +67,22 @@ def test_dyson_rejects_invalid_sample():
     with pytest.raises(NotPositiveDefinite) as err:
         dyson_from_metric(series)
     assert err.value.t == 2.0
+
+
+def test_indexing_a_sample_over_many_times_gives_the_sample_at_one():
+    p = YangLeeParams(gamma=0.63, omega=0.9)
+    ts = p.t0 + 1e-3 * np.arange(50)
+    dys = dyson_from_metric(TimeSeries(t0=ts[0], dt=1e-3, samples=rho_closed(ts, p)))
+    h1 = h1_matrix(p)
+    assert np.array_equal(dys.t, ts)
+    whole = hermitian_counterpart(h1, dys)
+    for i in (0, 7, 49, -1, -50):
+        one = dys[i]
+        assert one.t == ts[i]
+        assert np.array_equal(one.eta, dys.eta[i]) and np.array_equal(one.eta_dot, dys.eta_dot[i])
+        assert np.array_equal(hermitian_counterpart(h1, one), whole[i])
+    with pytest.raises(IndexError):
+        dys[50]
 
 
 def test_dyson_needs_five_samples():
@@ -131,7 +146,7 @@ def test_counterpart_hermiticity_budgets(dyson_fd_window, window_grid, params):
         for t in np.linspace(params.t0, params.t0 + 2 * params.period, 301)
     )
     assert analytic < 1e-10
-    sub = range(0, len(dyson_fd_window), 37)
+    sub = range(0, len(dyson_fd_window.t), 37)
     fd = max(
         hermiticity_residual(hermitian_counterpart(H1, dyson_fd_window[i])) for i in sub
     )
@@ -205,8 +220,8 @@ def zeta_path(t):
     h = SU2Hamiltonian(
         kappa0=-1.0, lambda0=0.0, kappa_vec=rot @ [0.0, 0.0, -1.0], lambda_vec=rot @ [-0.6, 0.0, 0.0]
     )
-    alpha, beta = zeta_coefficients(t, h, ZetaConstants(c1=0.5, c2=-1.0, c3=-2.0, c4=0.3))
-    rho = alpha[:, None, None] * IDENTITY + np.einsum("nj,jkl->nkl", beta, PAULIS)
+    state = zeta_metric(t, h, ZetaConstants(c1=0.5, c2=-1.0, c3=-2.0, c4=0.3))
+    rho = state.alpha[:, None, None] * IDENTITY + np.einsum("nj,jkl->nkl", state.beta_vec, PAULIS)
     return h, rho
 
 
@@ -228,17 +243,15 @@ def test_dyson_kernels_on_a_stack_equal_single_calls():
     p = YangLeeParams(gamma=0.63, omega=0.9)
     ts = p.t0 + 1e-3 * np.arange(14_501)
     stacked = eta_closed(ts, p)
-    series = DysonSeries(t0=ts[0], dt=1e-3, eta=stacked.eta, eta_dot=stacked.eta_dot)
     rho = rho_closed(ts, p)
     h1 = h1_matrix(p)
-    samples = [DysonSample(t=t, eta=e, eta_dot=d) for t, e, d in zip(ts, series.eta, series.eta_dot)]
-    inverses = invert_dyson_map(series.eta)
+    samples = [DysonSample(t=t, eta=e, eta_dot=d) for t, e, d in zip(ts, stacked.eta, stacked.eta_dot)]
+    inverses = invert_dyson_map(stacked.eta)
     assert np.array_equal(inverses, np.stack([invert_dyson_map(s.eta) for s in samples]))
     for kernel in (hermitian_counterpart, physical_hamiltonian):
         single = np.stack([kernel(h1, s) for s in samples])
-        assert np.array_equal(kernel(h1, series), single)
         assert np.array_equal(kernel(h1, stacked), single)
-    h_tilde = physical_hamiltonian(h1, series)
+    h_tilde = physical_hamiltonian(h1, stacked)
     residuals = quasi_hermiticity_residual(h_tilde, rho)
     assert residuals.shape == (14_501,)
     assert np.array_equal(residuals, [quasi_hermiticity_residual(a, b) for a, b in zip(h_tilde, rho)])
@@ -262,7 +275,7 @@ def test_counterpart_and_physical_hamiltonian_share_one_inverse(kind, monkeypatc
     stacked = eta_closed(ts, p)
     h1 = h1_matrix(p)
     if kind == "series":
-        make = lambda: DysonSeries(t0=ts[0], dt=1e-3, eta=stacked.eta, eta_dot=stacked.eta_dot)
+        make = lambda: dyson_from_metric(TimeSeries(t0=ts[0], dt=1e-3, samples=rho_closed(ts, p)))
     else:
         make = lambda: DysonSample(t=ts, eta=stacked.eta, eta_dot=stacked.eta_dot)
     expected = [kernel(h1, make()) for kernel in (hermitian_counterpart, physical_hamiltonian)]
@@ -278,5 +291,5 @@ def test_counterpart_and_physical_hamiltonian_share_one_inverse(kind, monkeypatc
     h = hermitian_counterpart(h1, sample)
     h_tilde = physical_hamiltonian(h1, sample)
     assert len(calls) == 1
-    assert np.array_equal(sample.eta_inverse, original(stacked.eta))
+    assert np.array_equal(sample.eta_inverse, original(sample.eta))
     assert np.array_equal(h, expected[0]) and np.array_equal(h_tilde, expected[1])

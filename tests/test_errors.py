@@ -12,7 +12,6 @@ CASES = [
     errors.NotHermitian("not Hermitian", index=3),
     errors.NotPositiveDefinite("not positive definite", t=0.25, index=4),
     errors.UnsupportedHamiltonian("no flow"),
-    errors.PositivityViolation("det rho <= 0"),
     errors.StepTooLarge("step too large"),
     errors.SingularDysonMap("singular"),
     errors.ConfigInvalid("bad config"),

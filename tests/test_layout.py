@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dysonflow import (
-    DysonSeries,
+    DysonSample,
     IntegrationGrid,
     PauliCoefficients,
     YangLeeParams,
@@ -127,7 +127,7 @@ def test_one_matrix_stays_c_contiguous():
 
 
 def hermitian_counterparts(h, eta, eta_dot):
-    return hermitian_counterpart(h, DysonSeries(P.t0, 1e-3, eta, eta_dot))
+    return hermitian_counterpart(h, DysonSample(T, eta, eta_dot))
 
 
 def rk4_of(a, y0):

@@ -1,4 +1,4 @@
-"""Metric flow: stationary solution, closed-form family, numeric integration."""
+"""Metric flow: closed-form family and its stationary members, numeric integration."""
 
 import math
 
@@ -18,15 +18,9 @@ from dysonflow import (
     positivity_margin,
     rho_closed,
     rho_closed_constants,
-    static_metric,
     zeta_metric,
 )
-from dysonflow.errors import (
-    NotPositiveDefinite,
-    PositivityViolation,
-    StepTooLarge,
-    UnsupportedHamiltonian,
-)
+from dysonflow.errors import NotPositiveDefinite, StepTooLarge, UnsupportedHamiltonian
 
 YL = YangLeeParams(gamma=0.5, omega=1.0)
 H_YL = h1_su2(YL)
@@ -45,50 +39,37 @@ def random_orthogonal_hamiltonian(rng, lambda_fraction=None):
 
 
 # ----------------------------------------------------------------------
-# static_metric
+# static metrics: the c1 = c2 = 0 members of zeta_metric
 # ----------------------------------------------------------------------
 
+def static_constants(h, alpha, nu):
+    """The zeta constants of the stationary metric beta = (alpha/|k|^2) l x k + nu k."""
+    return ZetaConstants(c1=0.0, c2=0.0, c3=-alpha / float(h.kappa_vec @ h.kappa_vec), c4=nu)
+
+
 def test_static_metric_yang_lee():
-    state = static_metric(H_YL, alpha=1.0, nu=0.0)
+    ts = np.linspace(-4.0, 4.0, 9)
+    state = zeta_metric(ts, H_YL, static_constants(H_YL, alpha=1.0, nu=0.0))
+    assert np.all(state.alpha == 1.0)
     assert np.allclose(state.beta_vec, [0.0, -0.5, 0.0], atol=1e-15)
     # rho = I - gamma sigma_y kills the flow right side entirely
-    assert np.linalg.norm(metric_rhs(H_YL, state.matrix())) < 1e-12
+    assert np.max(np.linalg.norm(metric_rhs(H_YL, state.matrix()), axis=(1, 2))) < 1e-12
 
 
 def test_static_metric_hermitian_case():
     h = SU2Hamiltonian(kappa0=0.3, lambda0=0.0, kappa_vec=(0, 0, -1), lambda_vec=(0, 0, 0))
-    state = static_metric(h, alpha=1.0, nu=0.0)
+    state = zeta_metric(0.7, h, static_constants(h, alpha=1.0, nu=0.0))
     assert np.allclose(state.beta_vec, 0.0, atol=1e-15)
     assert np.allclose(state.matrix(), np.eye(2), atol=1e-15)
 
 
-def test_static_metric_positivity_violation_at_boundary():
-    h = SU2Hamiltonian(kappa0=-1.0, lambda0=0.0, kappa_vec=(0, 0, -1), lambda_vec=(-1.0, 0, 0))
-    with pytest.raises(PositivityViolation):
-        static_metric(h, alpha=1.0, nu=0.0)
-
-
-def test_static_metric_rejects_unsupported():
-    with pytest.raises(UnsupportedHamiltonian):
-        static_metric(
-            SU2Hamiltonian(0.0, 0.5, (0, 0, -1), (-0.5, 0, 0)), alpha=1.0, nu=0.0
-        )
-    with pytest.raises(UnsupportedHamiltonian):
-        static_metric(
-            SU2Hamiltonian(0.0, 0.0, (0, 0, -1), (0.1, 0, -0.4)), alpha=1.0, nu=0.0
-        )
-    with pytest.raises(UnsupportedHamiltonian):
-        static_metric(
-            SU2Hamiltonian(0.0, 0.0, (0, 0, 0), (0.1, 0, 0)), alpha=1.0, nu=0.0
-        )
-
-
 def test_static_metric_random_family_is_stationary():
     rng = np.random.default_rng(11)
+    ts = np.linspace(-3.0, 3.0, 25)
     for _ in range(25):
         h = random_orthogonal_hamiltonian(rng)
-        state = static_metric(h, alpha=rng.uniform(1.0, 3.0), nu=0.0)
-        assert np.linalg.norm(metric_rhs(h, state.matrix())) < 1e-12
+        rho = zeta_metric(ts, h, static_constants(h, alpha=rng.uniform(1.0, 3.0), nu=0.0)).matrix()
+        assert np.max(np.linalg.norm(metric_rhs(h, rho), axis=(1, 2))) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -132,15 +113,11 @@ def test_zeta_reduces_to_static_when_c1_c2_vanish():
         h = random_orthogonal_hamiltonian(rng)
         k2 = float(h.kappa_vec @ h.kappa_vec)
         c3, c4 = rng.uniform(-1.0, -0.2), rng.uniform(-0.3, 0.3)
-        c = ZetaConstants(c1=0.0, c2=0.0, c3=c3, c4=c4)
-        try:
-            stationary = static_metric(h, alpha=-c3 * k2, nu=c4)
-        except PositivityViolation:
-            continue
-        for t in rng.uniform(-3, 3, size=5):
-            state = zeta_metric(t, h, c)
-            assert abs(state.alpha - stationary.alpha) < 1e-12
-            assert np.allclose(state.beta_vec, stationary.beta_vec, atol=1e-12)
+        alpha = -c3 * k2
+        beta = (alpha / k2) * np.cross(h.lambda_vec, h.kappa_vec) + c4 * h.kappa_vec
+        state = zeta_metric(rng.uniform(-3, 3, size=5), h, ZetaConstants(0.0, 0.0, c3, c4))
+        assert np.max(np.abs(state.alpha - alpha)) < 1e-12
+        assert np.allclose(state.beta_vec, beta, atol=1e-12)
 
 
 def test_zeta_metric_rejects_unsupported():
@@ -149,8 +126,11 @@ def test_zeta_metric_rejects_unsupported():
     with pytest.raises(UnsupportedHamiltonian):
         zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, -1), (0, 0.2, -0.5)), ZetaConstants(0, 0, -1, 0))
     with pytest.raises(UnsupportedHamiltonian):
-        # |lambda| >= |kappa| has no real oscillation frequency
-        zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, -1), (-1.5, 0, 0)), ZetaConstants(0, 0, -1, 0))
+        zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, 0), (0.1, 0, 0)), ZetaConstants(0, 0, -1, 0))
+    for lam in (-1.0, -1.5):
+        with pytest.raises(UnsupportedHamiltonian):
+            # |lambda| >= |kappa| has no real oscillation frequency
+            zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, -1), (lam, 0, 0)), ZetaConstants(0, 0, -1, 0))
 
 
 def test_zeta_closed_form_satisfies_coefficient_flow():
@@ -190,7 +170,7 @@ def test_zeta_closed_form_satisfies_coefficient_flow():
 def test_metric_rhs_trivial_cases():
     h = SU2Hamiltonian(kappa0=1.0, lambda0=0.0, kappa_vec=(0.4, -0.2, 0.9), lambda_vec=(0, 0, 0))
     assert np.linalg.norm(metric_rhs(h, np.eye(2))) < 1e-15
-    state = static_metric(H_YL, alpha=1.2, nu=0.1)
+    state = zeta_metric(0.0, H_YL, static_constants(H_YL, alpha=1.2, nu=0.1))
     assert np.linalg.norm(metric_rhs(H_YL, state.matrix())) < 1e-12
 
 
@@ -215,7 +195,7 @@ def test_metric_rhs_preserves_hermiticity():
 # ----------------------------------------------------------------------
 
 def test_integrate_constant_for_stationary_start():
-    state = static_metric(H_YL, alpha=1.0, nu=0.0)
+    state = zeta_metric(0.0, H_YL, static_constants(H_YL, alpha=1.0, nu=0.0))
     grid = IntegrationGrid(0.0, 2.0, 1e-3)
     flow = integrate_metric(H_YL, state.matrix(), grid)
     dev = np.max(np.linalg.norm(flow.series.samples - state.matrix(), axis=(1, 2)))
@@ -281,3 +261,26 @@ def test_integrate_step_too_large():
 def test_positivity_margin_values():
     assert abs(positivity_margin(MetricState(2.0, (math.sqrt(3) / 2, -1.0, 0.0))) - 2.25) < 1e-14
     assert positivity_margin(MetricState(1.0, (0.0, 0.0, 1.0))) == 0.0
+
+
+def test_positivity_margin_of_an_array_state_sums_the_squares_in_order():
+    rng = np.random.default_rng(8)
+    h = random_orthogonal_hamiltonian(rng)
+    c = ZetaConstants(*rng.uniform(-2.0, 2.0, size=4))
+    state = zeta_metric(np.linspace(-5.0, 5.0, 14_501), h, c)
+    b = state.beta_vec
+    margins = positivity_margin(state)
+    dot3 = b[:, 0] * b[:, 0] + b[:, 1] * b[:, 1] + b[:, 2] * b[:, 2]
+    assert margins.tobytes() == (state.alpha**2 - dot3).tobytes()
+    singles = [positivity_margin(zeta_metric(t, h, c)) for t in state.t[::97]]
+    assert np.array_equal(margins[::97], singles)
+
+
+def test_metric_state_over_many_times():
+    state = MetricState(alpha=np.full(3, 2.0), beta_vec=np.tile([0.5, 0.0, 1.0], (3, 1)), t=np.arange(3.0))
+    assert state.matrix().shape == (3, 2, 2)
+    assert np.array_equal(state.matrix()[1], MetricState(2.0, (0.5, 0.0, 1.0)).matrix())
+    with pytest.raises(ValueError, match="beta_vec must have shape"):
+        MetricState(alpha=np.ones(3), beta_vec=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        MetricState(alpha=np.array([1.0, np.nan]), beta_vec=np.zeros((2, 3)))

@@ -8,12 +8,16 @@ import pytest
 from dysonflow import (
     IDENTITY,
     SIGMA_Z,
-    DysonSeries,
+    DysonSample,
     IntegrationGrid,
+    TimeSeries,
     YangLeeParams,
+    dyson_from_metric,
     eta_closed,
     evolve_state,
     h1_matrix,
+    invert_dyson_map,
+    mul,
     nonhermitian_u,
     propagator_series,
     psi_pm,
@@ -37,7 +41,7 @@ def snapped_grid(t_start, span, dt):
 def closed_dyson_series(grid):
     etas = np.stack([eta_closed(t, YL).eta for t in grid.times])
     dots = np.stack([eta_closed(t, YL).eta_dot for t in grid.times])
-    return DysonSeries(t0=grid.t_start, dt=grid.dt, eta=etas, eta_dot=dots)
+    return DysonSample(t=grid.times, eta=etas, eta_dot=dots)
 
 
 def test_stationary_state_picks_up_phase_only():
@@ -129,7 +133,7 @@ def test_nonhermitian_u_reduces_to_u_for_identity_map():
     grid = snapped_grid(0.0, 1.0, 1e-2)
     eye = np.stack([IDENTITY] * (grid.n_steps + 1))
     zero = np.zeros_like(eye)
-    series = DysonSeries(t0=0.0, dt=1e-2, eta=eye, eta_dot=zero)
+    series = DysonSample(t=grid.times, eta=eye, eta_dot=zero)
     u = time_ordered_u(lambda t: rabi_h(t, YL), 0.0, 1.0, 1e-2)
     assert np.allclose(nonhermitian_u(series, u, 0.0, 1.0), u, atol=1e-14)
 
@@ -174,9 +178,34 @@ def test_nonhermitian_u_regression_magnitude():
 def test_nonhermitian_u_singular_map_guard():
     grid = snapped_grid(0.0, 0.1, 1e-2)
     singular = np.stack([np.ones((2, 2), dtype=complex)] * (grid.n_steps + 1))
-    series = DysonSeries(t0=0.0, dt=1e-2, eta=singular, eta_dot=np.zeros_like(singular))
+    series = DysonSample(t=grid.times, eta=singular, eta_dot=np.zeros_like(singular))
     with pytest.raises(SingularDysonMap):
         nonhermitian_u(series, IDENTITY, 0.0, 0.1)
+
+
+def test_nonhermitian_u_looks_up_its_endpoints_among_the_sample_times():
+    grid = snapped_grid(YL.t0, 0.05, 1e-3)
+    dyson = dyson_from_metric(TimeSeries(grid.t_start, grid.dt, rho_closed(grid.times, YL)))
+    ts = grid.times
+    u = time_ordered_u(lambda t: rabi_h(t, YL), ts[3], ts[40], 1e-3)
+    expected = mul(mul(invert_dyson_map(dyson.eta[40]), u), dyson.eta[3])
+    assert np.array_equal(nonhermitian_u(dyson, u, ts[3], ts[40]), expected)
+    # within a millionth of a step is on the grid; anything else is refused
+    assert np.array_equal(nonhermitian_u(dyson, u, ts[3] + 1e-10, ts[40] - 1e-10), expected)
+    for t_from, t_to in ((ts[3] + 0.5e-3, ts[40]), (ts[3], ts[-1] + 1e-3), (ts[0] - 1e-3, ts[40])):
+        with pytest.raises(ValueError, match="is not a sample time"):
+            nonhermitian_u(dyson, u, t_from, t_to)
+
+
+def test_nonhermitian_u_on_a_single_time():
+    u = u_closed(0.3, YL)
+    at_one = eta_closed(0.3, YL)
+    one_sample = DysonSample(t=np.array([0.3]), eta=at_one.eta[None], eta_dot=at_one.eta_dot[None])
+    expected = mul(mul(invert_dyson_map(at_one.eta), u), at_one.eta)
+    for sample in (at_one, one_sample):
+        assert np.array_equal(nonhermitian_u(sample, u, 0.3, 0.3), expected)
+        with pytest.raises(ValueError, match="is not a sample time"):
+            nonhermitian_u(sample, u, 0.3, 0.3 + 1e-12)
 
 
 def test_picture_equivalence_under_numeric_evolution():

@@ -1,4 +1,4 @@
-"""Grid and time-series plumbing: step divisibility, lookup, validation."""
+"""Grid and time-series plumbing: step divisibility, indexing, validation."""
 
 import numpy as np
 import pytest
@@ -34,11 +34,6 @@ def test_time_series_indexing():
     assert len(series) == 4
     assert np.array_equal(series[1], [3, 4, 5])
     assert np.allclose(series.times, [2.0, 2.5, 3.0, 3.5])
-    assert series.index_at(3.0) == 2
-    with pytest.raises(ValueError):
-        series.index_at(3.1)
-    with pytest.raises(ValueError):
-        series.index_at(4.0)
 
 
 def test_time_series_validation():

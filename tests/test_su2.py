@@ -211,10 +211,13 @@ def test_frobenius_norm_of_a_stack_equals_norm_of_each_matrix():
     stack *= rng.uniform(1e-14, 10.0, (20_000, 1, 1))
     assert np.array_equal(frobenius_norm(stack), [np.linalg.norm(m) for m in stack])
     assert frobenius_norm(stack[0]).shape == ()
-    # other square sizes, as the propagator's generic d x d sources give
+    # any other shape is refused, as complex2x2_stack refuses it
     cube = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    assert np.array_equal(frobenius_norm(cube), np.linalg.norm(cube, axis=(1, 2)))
-    assert hermiticity_residual(cube[0]) == np.linalg.norm(cube[0] - cube[0].conj().T)
+    for m in (cube, cube[0], np.ones(2)):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            frobenius_norm(m)
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        hermiticity_residual(cube[0])
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from dysonflow import (
     SIGMA_Z,
     IntegrationGrid,
     YangLeeParams,
+    ZetaConstants,
     basis_states,
     eigenvalues_h1,
     energy_expectation,
@@ -43,9 +44,21 @@ def test_params_invariants():
         YangLeeParams(gamma=0.0)
     with pytest.raises(ValueError):
         YangLeeParams(gamma=-0.2)
+    # below 2^-27, phi = sqrt(1 - gamma^2) rounds to 1 and the closed forms divide by 1 - phi
+    for gamma in (1e-9, 2.0**-27):
+        with pytest.raises(ValueError, match="2\\^-27"):
+            YangLeeParams(gamma=gamma)
+    assert YangLeeParams(gamma=1e-8).phi < 1.0
     assert abs(YL.phi**2 + YL.gamma**2 - 1.0) < 1e-15
-    assert abs(YL.phi_plus * YL.phi_minus - YL.phi) < 1e-15
     assert abs(YL.t0 + math.pi / (2.0 * YL.phi)) < 1e-15
+
+
+def test_h1_matrix_is_h1_su2_composed():
+    rng = np.random.default_rng(29)
+    pairs = list(zip(rng.uniform(1e-6, 1.0, 2000), rng.uniform(-5.0, 5.0, 2000)))
+    for gamma, omega in pairs + [(0.5, 0.0), (0.5, -0.0)]:
+        p = YangLeeParams(gamma=gamma, omega=omega)
+        assert h1_matrix(p).tobytes() == h1_su2(p).matrix().tobytes()
 
 
 def test_chain_single_site_reduction():
@@ -312,6 +325,13 @@ def test_closed_forms_on_a_time_array_equal_scalar_calls():
     assert np.array_equal(stacked.t, ts)
     assert np.array_equal(stacked.eta, np.stack([s.eta for s in singles]))
     assert np.array_equal(stacked.eta_dot, np.stack([s.eta_dot for s in singles]))
+    h, zeta = h1_su2(YL), ZetaConstants(c1=0.4, c2=-1.1, c3=-2.0, c4=0.3)
+    states = zeta_metric(ts, h, zeta)
+    single_states = [zeta_metric(t, h, zeta) for t in ts]
+    assert np.array_equal(states.t, ts)
+    assert np.array_equal(states.alpha, [s.alpha for s in single_states])
+    assert np.array_equal(states.beta_vec, np.stack([s.beta_vec for s in single_states]))
+    assert np.array_equal(states.matrix(), np.stack([s.matrix() for s in single_states]))
     for sign in (+1, -1):
         assert np.array_equal(psi_pm(ts, sign, YL), np.stack([psi_pm(t, sign, YL) for t in ts]))
         energies = energy_expectation(ts, sign, YL)
