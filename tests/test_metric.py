@@ -72,6 +72,17 @@ def test_static_metric_random_family_is_stationary():
         assert np.max(np.linalg.norm(metric_rhs(h, rho), axis=(1, 2))) < 1e-12
 
 
+def test_static_metric_rejects_unsupported():
+    # the stationary (c1 = c2 = 0) members refuse lambda0 != 0, k.l != 0 and kappa = 0
+    static = ZetaConstants(0.0, 0.0, -1.0, 0.0)
+    with pytest.raises(UnsupportedHamiltonian):
+        zeta_metric(0.0, SU2Hamiltonian(0.0, 0.5, (0, 0, -1), (-0.5, 0, 0)), static)
+    with pytest.raises(UnsupportedHamiltonian):
+        zeta_metric(0.0, SU2Hamiltonian(0.0, 0.0, (0, 0, -1), (0.1, 0, -0.4)), static)
+    with pytest.raises(UnsupportedHamiltonian):
+        zeta_metric(0.0, SU2Hamiltonian(0.0, 0.0, (0, 0, 0), (0.1, 0, 0)), static)
+
+
 # ----------------------------------------------------------------------
 # zeta_metric
 # ----------------------------------------------------------------------
@@ -125,8 +136,6 @@ def test_zeta_metric_rejects_unsupported():
         zeta_metric(0.0, SU2Hamiltonian(0, 0.3, (0, 0, -1), (-0.5, 0, 0)), ZetaConstants(0, 0, -1, 0))
     with pytest.raises(UnsupportedHamiltonian):
         zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, -1), (0, 0.2, -0.5)), ZetaConstants(0, 0, -1, 0))
-    with pytest.raises(UnsupportedHamiltonian):
-        zeta_metric(0.0, SU2Hamiltonian(0, 0, (0, 0, 0), (0.1, 0, 0)), ZetaConstants(0, 0, -1, 0))
     for lam in (-1.0, -1.5):
         with pytest.raises(UnsupportedHamiltonian):
             # |lambda| >= |kappa| has no real oscillation frequency
