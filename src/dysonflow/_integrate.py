@@ -3,15 +3,13 @@
 ``rk4_series`` steps any y' = f(t, y) one step at a time and is the
 reference. ``rk4_linear`` takes the same steps for a linear y' = A(t) y
 with a 2x2 generator, where each step is a 2x2 matrix, and builds the
-whole series as a blocked scan over those step matrices: one pass
-composes the deltas of every block's first steps, the block starts are
-stepped through the blocks, and one batched product fills every other
-row. Stacks of steps multiply with su2.mul, one matrix with numpy's @.
-The series is stored time-last, so each entry of the state is one
-contiguous array over the steps (the entry-major layout of su2).
+whole series as a pairwise (log-depth) scan over the deltas S - I of
+those step matrices. Every product goes entry by entry through
+su2.mul, never through numpy's BLAS-backed matrix product, so the series
+has the same bits whatever BLAS kernel numpy loads. The series is stored
+time-last, so each entry of the state is one contiguous array over the
+steps (the entry-major layout of su2).
 """
-
-import math
 
 import numpy as np
 
@@ -82,21 +80,19 @@ def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
 def _step_deltas(a1, a2, a3, h):
     """Deltas D = S - I of the RK4 steps S of y' = A y, over stacks of steps.
 
-    ``a1``, ``a2`` and ``a3`` hold A at the start, middle and end of each
-    step. With K1 = A1, K2 = A2 (I + h/2 K1), K3 = A2 (I + h/2 K2) and
-    K4 = A3 (I + h K3), a step maps y to y + D y with
-    D = h/6 (K1 + 2 K2 + 2 K3 + K4), the step rk4_series takes for
+    ``a1``, ``a2`` and ``a3`` are (n, 2, 2) stacks of A at the start,
+    middle and end of each step. With K1 = A1, K2 = A2 (I + h/2 K1),
+    K3 = A2 (I + h/2 K2) and K4 = A3 (I + h K3), a step maps y to y + D y
+    with D = h/6 (K1 + 2 K2 + 2 K3 + K4), the step rk4_series takes for
     f(t, y) = A(t) y. D is kept apart from I so its low bits survive.
-    Stacks multiply with su2.mul, one constant matrix with numpy's @.
     """
-    dot = mul if a1.ndim == 3 else np.matmul
-    k2 = dot(a2, a1)
+    k2 = mul(a2, a1)
     k2 *= 0.5 * h
     k2 += a2
-    k3 = dot(a2, k2)
+    k3 = mul(a2, k2)
     k3 *= 0.5 * h
     k3 += a2
-    k4 = dot(a3, k3)
+    k4 = mul(a3, k3)
     k4 *= h
     k4 += a3
     k3 += k2
@@ -107,80 +103,51 @@ def _step_deltas(a1, a2, a3, h):
     return k3
 
 
-def _prefix_deltas(blocks):
-    """Deltas of the first 1, 2, .., size steps of every block, in one pass.
+def _compose(x, y):
+    """Delta of step y then step x: (I + X)(I + Y) - I = X + Y + XY, over stacks."""
+    xy = mul(x, y)
+    xy += x + y
+    return xy
 
-    ``blocks`` is (n_blocks, size, 2, 2); entry [b, j] of the entry-major
-    result, of the same shape, is the delta of block b's first j + 1 steps.
-    Each is the one before with one more step composed on, X + (D + D X),
-    summed with a running compensation (Kahan): adding nearly the same
-    small D X over and over rounds nearly the same way each time, and a
-    block delta shared by every block would carry that bias through all of
-    them. A stack of blocks composes with su2.mul. A single block (the
-    delta shared by every step of a constant generator, or one step) is a
-    chain of one matrix and composes with @, as _scan steps its block
-    starts: su2.mul's twelve elementwise calls cost more than the
-    arithmetic of one 2x2 product.
+
+def _prefix_deltas(deltas):
+    """Delta of the first i + 1 steps at every row i, as a pairwise scan.
+
+    Each pair of adjacent steps composes into one delta, and the n // 2
+    pair deltas are scanned the same way, so the scan takes about
+    2 log2(n) stack operations (G. E. Blelloch, "Prefix sums and their
+    applications", CMU-CS-90-190, 1990). Row 2k + 1 is row k of the pair
+    scan; row 2k > 0 composes step 2k onto row k - 1 of it. From two steps
+    on, the result is an entry-major (n, 2, 2) stack; fewer come back as
+    given.
     """
-    dot = mul if len(blocks) > 1 else np.matmul
-    prefix = _entry_major(blocks.shape[:2])
-    prefix[:, 0] = blocks[:, 0]
-    carry = np.zeros_like(prefix[:, 0])
-    for j in range(1, blocks.shape[1]):
-        step, total = blocks[:, j], prefix[:, j - 1]
-        inc = dot(step, total)
-        inc += step
-        inc -= carry
-        new = np.add(total, inc, out=prefix[:, j])
-        carry = (new - total) - inc
-    return prefix
-
-
-def _scan(deltas, y0, n_steps):
-    """States y_0 .. y_n of y_{i+1} = y_i + D_i y_i, as one blocked scan.
-
-    ``deltas`` is the (n, 2, 2) stack of D_i, or (1, 2, 2) for one delta
-    shared by every step; ``y0`` is (2, k). The steps are cut into blocks
-    of about sqrt(n), and the deltas of every block's first 1, 2, .., size
-    steps are composed in one pass, for all blocks at once. The block
-    start states are stepped through the blocks in turn with each block's
-    whole delta, its last prefix. Then every other row of every block is
-    its block start plus a prefix delta applied to it, in one batched
-    product, so a block's last row and the next block's start come out of
-    the same arithmetic and the series has no seams for a finite
-    difference to pick up. The n mod size steps left after the last whole
-    block are taken one by one, or, for a shared delta, as one more block
-    cut short. The (n + 1, 2, k) result is stored as (2, k, n + 1) memory,
-    so each entry's series is one contiguous array.
-    """
-    size = max(1, math.isqrt(n_steps))
-    n_blocks = n_steps // size
-    whole = n_blocks * size
-    shared = len(deltas) == 1
-    if shared:
-        blocks = np.broadcast_to(deltas, (1, size, 2, 2))
-    else:
-        blocks = deltas[:whole].reshape(n_blocks, size, 2, 2)
-    prefix = _prefix_deltas(blocks)
-    block_delta = np.broadcast_to(prefix[:, -1], (n_blocks, 2, 2))
-    out = _entry_major((n_steps + 1,), y0.shape)
-    filled = out[:whole].reshape((n_blocks, size) + y0.shape)  # a view: only the time axis is split
-    # apart from out: an add that reads out while writing it would copy the whole product first
-    starts = np.empty((n_blocks,) + y0.shape, dtype=complex)
-    y = y0
-    for b in range(n_blocks):
-        starts[b] = y
-        y = y + block_delta[b] @ y
-    out[whole] = y
-    filled[:, 0] = starts
-    starts = starts[:, None]
-    np.add(mul(prefix[:, :-1], starts), starts, out=filled[:, 1:])
-    if shared:  # the rest is a partial block, whose prefix deltas are the shared ones
-        np.add(mul(prefix[0, : n_steps - whole], out[whole]), out[whole], out=out[whole + 1 :])
-    else:
-        for i in range(whole, n_steps):
-            out[i + 1] = out[i] + deltas[i] @ out[i]
+    n = len(deltas)
+    if n < 2:
+        return deltas
+    pairs = _prefix_deltas(_compose(deltas[1::2], deltas[: n - n % 2 : 2]))
+    out = _entry_major((n,))
+    out[0] = deltas[0]
+    out[1::2] = pairs
+    out[2::2] = _compose(deltas[2::2], pairs[: (n - 1) // 2])
     return out
+
+
+def _scan(deltas, y, out):
+    """Fill out with the states y_0 = y .. y_n of y_{i+1} = y_i + D_i y_i.
+
+    ``deltas`` is the (n, 2, 2) stack of D_i, ``y`` the (2, k) start and
+    ``out`` the (n + 1, 2, k) series. The top level of the pairwise scan
+    works on the states: every even row 2k applies to y the delta of its
+    first 2k steps, a prefix of the n // 2 pair deltas, in one product, and
+    every odd row is the even row before it with one more step. No
+    (n, 2, 2) stack of prefix deltas is formed.
+    """
+    n = len(deltas)
+    out[0] = y
+    pairs = _prefix_deltas(_compose(deltas[1::2], deltas[: n - n % 2 : 2]))
+    np.add(mul(pairs, y), y, out=out[2::2])
+    before = out[:n:2]
+    np.add(mul(deltas[::2], before), before, out=out[1::2])
 
 
 def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
@@ -191,7 +158,10 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     check_every)``. ``y0`` is a (2,) vector or a (2, k) matrix of columns.
     Generators of any other size raise ValueError.
     Returns the n_steps + 1 samples rk4_series gives for f(t, y) = A(t) y,
-    equal up to rounding. The local error checks are those of rk4_series:
+    equal up to rounding, from the pairwise scan _scan. A constant
+    generator's one step delta is broadcast over every step and goes
+    through the same scan, so it gives the bits of its constant stage
+    stack. The local error checks are those of rk4_series:
     every ``check_every``-th step is also taken as two half steps, the
     estimate is the norm of the difference applied to y at that step, and
     StepTooLarge names the first step whose estimate exceeds
@@ -217,19 +187,20 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
         )
 
     if a.ndim == 2:
-        deltas = _step_deltas(a, a, a, dt)[None]
+        a = a[None]
+        deltas = np.broadcast_to(_step_deltas(a, a, a, dt), (n_steps, 2, 2))
         half = _step_deltas(a, a, a, 0.5 * dt)
-        halves = (half + half + half @ half)[None]  # (I + half)^2 - I
+        halves = _compose(half, half)
     else:
         deltas = _step_deltas(a[0 : n_half - 1 : 2], a[1:n_half:2], a[2:n_half:2], dt)
         starts, mids = 2 * checked, n_half + 2 * np.arange(len(checked))
         first = _step_deltas(a[starts], a[mids], a[starts + 1], 0.5 * dt)
         second = _step_deltas(a[starts + 1], a[mids + 1], a[starts + 2], 0.5 * dt)
-        halves = second + first + mul(second, first)  # (I + second)(I + first) - I
-    out = _scan(deltas, y, n_steps)
+        halves = _compose(second, first)
+    out = _entry_major((n_steps + 1,), y.shape)
+    _scan(deltas, y, out)
     if len(checked):
-        full = deltas if len(deltas) == 1 else deltas[checked]
-        misses = mul(full - halves, out[checked])
+        misses = mul(deltas[checked] - halves, out[checked])
         estimates = np.linalg.norm(misses.reshape(len(checked), -1), axis=1)
         bad = np.nonzero(estimates > local_error_bound)[0]
         if bad.size:

@@ -130,11 +130,11 @@ def _require_flow_solvable(h: SU2Hamiltonian):
         raise UnsupportedHamiltonian(
             f"closed forms require lambda0 = 0, got {h.lambda0:.6g}"
         )
-    k2 = float(h.kappa_vec @ h.kappa_vec)
-    l2 = float(h.lambda_vec @ h.lambda_vec)
+    k2 = float(_dot3(h.kappa_vec, h.kappa_vec))
+    l2 = float(_dot3(h.lambda_vec, h.lambda_vec))
     if k2 <= 0.0:
         raise UnsupportedHamiltonian("kappa_vec must be nonzero")
-    if abs(float(h.kappa_vec @ h.lambda_vec)) > ORTHOGONALITY_TOL:
+    if abs(float(_dot3(h.kappa_vec, h.lambda_vec))) > ORTHOGONALITY_TOL:
         raise UnsupportedHamiltonian(
             "closed forms require kappa_vec.lambda_vec = 0; "
             "use integrate_metric for the general case"

@@ -40,7 +40,9 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
     if hermitian_check:
         stack = hm.reshape((-1,) + hm.shape[-2:])  # one row for a constant generator
         drift = hermiticity_residual(stack)
-        bad = drift > 1e-8 * np.maximum(1.0, frobenius_norm(stack))
+        bad = drift > 1e-8  # the norm is needed only there: the scale max(1, norm) is >= 1
+        if np.any(bad):
+            bad = drift > 1e-8 * np.maximum(1.0, frobenius_norm(stack))
         if np.any(bad):
             i = int(np.argmin(np.where(bad, times[: len(bad)], np.inf)))
             warnings.warn(

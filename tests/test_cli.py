@@ -449,26 +449,29 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # every file derived from the metric (all but propagator and states) again
 # when the metric was integrated as the 2x2 congruence A rho0 A^dag; the
 # numeric invariants and report again when u_closed stopped taking tan and
-# arctan
+# arctan; every file of both again when the RK4 scan became a pairwise scan
+# composed through su2.mul alone and the su2-generic |k|^2 and |l|^2 were
+# summed entry by entry, after which no BLAS call feeds them (they hold the
+# same bytes under OPENBLAS_CORETYPE=Haswell)
 GOLDEN_NUMERIC = {
-    "metric": "4081db82f402114ba5ad0193eb4d829cc2cd70d9ca83029251786316d0a7c488",
-    "dyson": "8de9147475d36ba4ac5bb3bfa0d8ac7af626e38dff336e704fc357a0b6e3f910",
-    "hermitian_h": "42d65fc09dfb50817fb1d48546b5a37c316ec901c616f693d44d1ff290ac6f85",
-    "states": "0bb0e0e0733ed17bbae6c8128096e855454528b1b3c4a5f36b6deb30f71e2ae0",
-    "propagator": "f6810995849d1a7fe4ac3fba7bc971f95dfc2983a5ad97ff8cba423757a8a824",
-    "energies": "763acfb078cf90751880f052546b1cd253afa30e0b87bdbe4613ebc96639464c",
-    "invariants": "6c74e8f3bb11bacfc42fabbc28047dc937ebd606080b8961b74beb2acb81fd84",
-    "report": "af8311ccf0e904f94aec45972e1fee2a3fc82341225aa82d1ee6b94de56a7b10",
+    "metric": "c3f1ff5b17da20700c026a113d82e040ac0960ad6b276d090a03b28ed7f472fd",
+    "dyson": "3c1fc5852c1d4bf844a3fd6925a45499f0151919b78e2905f73bbe5f0de7c503",
+    "hermitian_h": "2aecc8a1074cf4fc939e343f80437dc189690b494826bb981f666cc1ab720447",
+    "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
+    "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
+    "energies": "751d74d352e2239327b3be0a1ea1852d58998e8d9e8440ff2c460f04d1cdb50a",
+    "invariants": "3845a7f55c58f8b4ef09c88027d8b37ab007252d3a0c1cd01824fd433e3cdb98",
+    "report": "40967b0d0d66ca104d9b942925b459b795638892a7be95268218a7b42029b9a3",
 }
 GOLDEN_SU2_GENERIC = {
-    "metric": "1bcf2456ad5fbb292ce31eae2a470ea3bddcc303228376ed71113a7b6ef8cbd4",
-    "dyson": "d78467ecbd5fabc157d54f2eaead2cbdfc854f7edc2158892984ad474578f626",
-    "hermitian_h": "d9a38490401019a646402238e9fc0cc303095541a49e0a3b0c9118bfd0aa7ad3",
-    "states": "d8591d9b0ed7bb33701fbe063a3cc2aa04e69c45ef7c6e231f9ecb9de9e2fd3a",
-    "propagator": "abdb9f24fdfc94f63113d2fce45f275bffab240de3e750bc8b548fe954140f08",
-    "energies": "624fc3eab65e49f90a03d5abcffffc0ad4cecea2cb460e8fa2a2c9d501a479e6",
-    "invariants": "d6f849fe097a7ca3921fa13c332ea19b93d20fc86e57e5c62e39e58b6b74c497",
-    "report": "024762b10358a114110ef379b8f4179d92bb35b627745b4fa63f307db2a56b27",
+    "metric": "c8cc6b01ffaf839b11e0ea17a6e3be221ebee9cdc9da07fa342d2f15b21334f7",
+    "dyson": "a5a7609a3114b65b1c76d7b52aa58fe9d393c57ba5a8d4a386a38cc4b52dd94e",
+    "hermitian_h": "918b3666f852437e419fef838b39148d17ef790d61550412f60fdd41c165dc5d",
+    "states": "26a75aa85dfadfddaed1a41312c14a8d5f4cbcc6068f71b78bb0ae83f486b7e8",
+    "propagator": "6a5d3d37939ff8f79bc16ccb43399b81f9f5b52fb89d5e06eef13f943586820a",
+    "energies": "9f265505855cce8c0537e725484c88d07637e432c27f8c637796bfbddafb9d8d",
+    "invariants": "4ba8e8147bca0a63c23bf7cd9cea591205f1c81b6cc0de99946cf0e1e477f5e0",
+    "report": "0ca4c6e372c5feecd0ee2c78c9cf50465cb014ce375469c4578e075b0be3086e",
 }
 
 
@@ -502,18 +505,19 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 # configuration above, and of a JSON dt sweep of it, recorded while the JSON
 # series still went through json.dump and re-recorded with su2.mul; the
 # propagator, states, energies and report again with the su2.mul RK4 scan;
-# the metric-derived files and the sweep again with the metric congruence
+# the metric-derived files and the sweep again with the metric congruence;
+# every file and the sweep again with the pairwise scan
 GOLDEN_SU2_GENERIC_JSON = {
-    "metric": "a3122b6f2a4775d5b5d9c14c3597e20858f18f8063b92beebc3689fb92dd3fc1",
-    "dyson": "1cd9846b006e3ddb75162cd16b4c14b1e2b7d9639bfb01c79e1e487eaddd2def",
-    "hermitian_h": "eee50de5fbfa5a5ab1cf2c215b7f0eb5666c7744720c6719189a201de8f35391",
-    "states": "3df0e38bfe826d1e01640721b10f8e865eb3dc6ab58c62972a4880a811e046e1",
-    "propagator": "6ae5af2f58fe238c344ca1d383bc16e426ccdbea1192723b893497896e2ea8bf",
-    "energies": "335e33835294f50eabd97afc117bd93943300997e86b1e3cc78804f6effaa931",
-    "invariants": "7116d537d999ab8f3a35eb77a60e8fab98022dfd0f714db1505072ca09691439",
-    "report": "bc441fe8698278f5d2610949287812d5cbf72b60c8709a4a5d04c6161b8ccc0a",
+    "metric": "9b675e6829b40bfccb8c906c2fb4d13f86194e409595dd97fbbf1fb770615342",
+    "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
+    "hermitian_h": "2abda4f15c261561d456c43953eea87935fc6ce21283f53a059893c120534405",
+    "states": "28450938a7a2ff92d436d560e552e2cc6d5652dad9ffacd570db8c69723221f1",
+    "propagator": "97e7f04918e1331ca4917801efeed9afa4a035904141df3e648723def996f509",
+    "energies": "7b952a8831411792bca27fa0ed84ffd554cc6533bbbdc70ce84d266ccec67bd2",
+    "invariants": "d91b177fdfb33dce1f119c37af9c3e952bcb6c2cffcae55c9378c5fc52b8322a",
+    "report": "cf50eeb2a012589c7b48722363010c6174cdc1b0e68d6ef6799b2f416db2adf0",
 }
-GOLDEN_SU2_SWEEP_DT_JSON = "cfffa880722e0794c981b5c31809cec26ab90272519e38cc08ac63f8cd5e3f65"
+GOLDEN_SU2_SWEEP_DT_JSON = "3ae687dbba6e29656ecda47ca88b9c80a5fed867295bef0654c4c3d23ee02d2f"
 
 
 def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):

@@ -1,9 +1,16 @@
 """The linear RK4 scan against the generic step-by-step RK4 reference."""
 
+import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dysonflow
 
 from dysonflow import IntegrationGrid, propagator_series
 from dysonflow._integrate import rk4_linear, rk4_series, stage_times
@@ -25,12 +32,17 @@ def both(a, f, y0, t0, dt, n, bound, every):
     return ref, new
 
 
+# every step count up to 9, and each side of 2^5 and 2^10: odd and even pair
+# counts at every level of the pairwise scan, down to a single step
+N_STEPS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 144, 150, 1023, 1025]
+
+
 def assert_close(ref, new):
     assert new.shape == ref.shape
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n", [0, 1, 144, 150])
+@pytest.mark.parametrize("n", N_STEPS)
 @pytest.mark.parametrize("bound, every", [(1e-6, 100), (1e-6, 7), (None, 100), (1e-6, 0)])
 @pytest.mark.parametrize("y0", [np.array([1.0, 0.5j]), np.eye(2)], ids=["vector", "matrix"])
 def test_time_dependent_generator_matches_reference(n, bound, every, y0):
@@ -42,29 +54,29 @@ def test_time_dependent_generator_matches_reference(n, bound, every, y0):
     assert_close(ref, new)
 
 
-@pytest.mark.parametrize("n", [0, 1, 144, 150])
+@pytest.mark.parametrize("n", N_STEPS)
 @pytest.mark.parametrize("bound, every", [(1e-6, 100), (None, 100)])
 @pytest.mark.parametrize(
     "y0", [np.array([1.0, 2.0]) + 1j, np.arange(6.0).reshape(2, 3) - 1j], ids=["vector", "matrix"]
 )
 def test_constant_generator_matches_reference(n, bound, every, y0):
-    # the shared delta applied to a complex vector and to three columns, not
-    # only to the identity; 150 steps end in a block of 6 cut short
+    # the constant step applied to a complex vector and to three columns, not
+    # only to the identity
     ref, new = both(B[1], lambda _t, y: B[1] @ y, y0, 0.0, 1e-2, n, bound, every)
     assert_close(ref, new)
 
 
-@pytest.mark.parametrize("n", [0, 1, 144, 150])
+@pytest.mark.parametrize("n", N_STEPS)
 @pytest.mark.parametrize("bound, every", [(1e-6, 100), (None, 100)])
 @pytest.mark.parametrize("y0", [np.array([1.0, 0.5j]), np.eye(2)], ids=["vector", "matrix"])
 def test_constant_2x2_generator_matches_reference(n, bound, every, y0):
-    # one step delta shared by every step, composed through su2.mul
+    # one step delta broadcast over every step, composed through su2.mul
     ref, new = both(B[0], lambda _t, y: B[0] @ y, y0, 0.0, 1e-2, n, bound, every)
     assert_close(ref, new)
 
 
 def test_long_series_matches_reference():
-    # 1,000 steps: 32 blocks of 31 steps, then 8 steps taken one by one
+    # 1,000 steps: 11 levels of the pairwise scan, 125 pairs at the third
     t0, dt, n = 0.0, 2e-3, 1000
     times = stage_times(t0, dt, n)
     ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)
@@ -72,11 +84,42 @@ def test_long_series_matches_reference():
 
 
 def test_longer_series_with_a_longer_tail_matches_reference():
-    # 2,000 steps: 45 blocks of 44 steps, then 20 steps taken one by one
+    # 2,000 steps: 12 levels of the pairwise scan, odd pair counts (125, 63) below the third
     t0, dt, n = 0.0, 1e-3, 2000
     times = stage_times(t0, dt, n)
     ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)
     assert_close(ref, new)
+
+
+def test_constant_generator_gives_the_bits_of_its_stage_stack():
+    # a constant generator goes through the same scan as any stage stack
+    n = 150
+    stages = np.broadcast_to(B[1], (len(stage_times(0.0, 1e-2, n)), 2, 2))
+    for y0 in (np.eye(2), np.array([1.0, 0.5j])):
+        const = rk4_linear(B[1], y0, 0.0, 1e-2, n)
+        assert np.array_equal(const, rk4_linear(stages, y0, 0.0, 1e-2, n))
+
+
+def scan_digest():
+    """sha256 of rk4_linear's series for a time-dependent and a constant generator."""
+    t0, dt, n = 0.0, 2e-3, 1000
+    times = stage_times(t0, dt, n)
+    digest = hashlib.sha256()
+    for a in (a_of_t(times), B[1]):
+        for y0 in (np.eye(2), np.array([1.0, 0.5j])):
+            digest.update(np.ascontiguousarray(rk4_linear(a, y0, t0, dt, n)).tobytes())
+    return digest.hexdigest()
+
+
+def test_scan_bits_do_not_depend_on_the_blas_core():
+    # the scan makes no BLAS call: OpenBLAS's Haswell kernels, which round
+    # 2x2 zgemm differently from its SkylakeX ones, give the same bits
+    paths = [str(Path(dysonflow.__file__).parents[1]), str(Path(__file__).parent)]
+    code = f"import sys; sys.path[:0] = {paths!r}; import test_integrate; print(test_integrate.scan_digest())"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == scan_digest()
 
 
 def failure_time(call):

@@ -21,6 +21,7 @@ from dysonflow import (
     h1_su2,
     hermitian_counterpart,
     hermitian_sqrt,
+    hermiticity_residual,
     integrate_metric,
     invert_dyson_map,
     mul,
@@ -147,6 +148,7 @@ KERNELS = {
     "hermitian_sqrt_derivative": (hermitian_sqrt_derivative, lambda: (ETA, RHO_DOT)),
     "invert_dyson_map": (invert_dyson_map, lambda: (random_stack(5),)),
     "frobenius_norm": (frobenius_norm, lambda: (random_stack(5),)),
+    "hermiticity_residual": (hermiticity_residual, lambda: (random_stack(5),)),
     "quasi_hermiticity_residual": (quasi_hermiticity_residual, lambda: (random_stack(5), RHO)),
     "hermitian_counterpart": (hermitian_counterparts, lambda: (h1_matrix(P), ETA, random_stack(5))),
     "rk4_linear": (rk4_of, lambda: (stage_stack(), np.eye(2, dtype=complex))),

@@ -7,6 +7,7 @@ import pytest
 
 from dysonflow import (
     IDENTITY,
+    SIGMA_X,
     SIGMA_Z,
     DysonSample,
     IntegrationGrid,
@@ -80,6 +81,24 @@ def test_evolve_warns_once_for_nonhermitian_source():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evolve_state(lambda t: H1, np.array([1.0, 0.0]), grid, hermitian_check=False)
+
+
+def test_evolve_warns_at_the_first_nonhermitian_stage_time():
+    grid = IntegrationGrid(0.0, 1.0, 1e-2)
+
+    def drifting(scale, start):
+        def h_of_t(t):
+            t = np.asarray(t)[:, None, None]
+            return scale * SIGMA_Z + np.where(t > start, 1e-6j, 0.0) * SIGMA_X
+
+        return h_of_t
+
+    with pytest.warns(UserWarning, match=r"at t = 0\.405 \(residual 2\.828e-06\)"):
+        evolve_state(drifting(1.0, 0.4025), np.array([1.0, 0.0]), grid)
+    # the same drift is no warning on a source a thousand times larger
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve_state(drifting(1e3, 0.4025), np.array([1.0, 0.0]), grid, local_error_bound=None)
 
 
 def test_time_ordered_u_identity_and_divisibility():
