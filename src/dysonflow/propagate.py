@@ -40,7 +40,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
     if hermitian_check:
         stack = hm.reshape((-1,) + hm.shape[-2:])  # one row for a constant generator
         drift = hermiticity_residual(stack)
-        bad = drift > 1e-8  # the norm is needed only there: the scale max(1, norm) is >= 1
+        bad = drift > 1e-8  # max(1, norm) >= 1: only these can fail, so take the norm only for them
         if np.any(bad):
             bad = drift > 1e-8 * np.maximum(1.0, frobenius_norm(stack))
         if np.any(bad):

@@ -18,10 +18,13 @@ elementwise ops, which keep their inputs' layout, carry it downstream. A
 stack in any other layout is accepted and gives the same bits.
 
 The product ``mul`` works entry by entry over the stack: numpy's ``@`` on
-an (n, 2, 2) complex stack calls BLAS zgemm once per matrix. On a 2-CPU
-Xeon (numpy 2.4.6, pinned to one CPU) ``@`` takes 4.5-6.0 ms for 14,501
-matrices; ``mul`` takes 0.24 ms on entry-major operands and 0.54 ms on
-C-ordered ones, whose entries are 64-byte-strided views.
+an (n, 2, 2) complex stack calls BLAS zgemm once per matrix, which is
+slower and rounds as the OpenBLAS kernel numpy loads does (its SkylakeX
+and Haswell kernels differ). On a 2-CPU Xeon (numpy 2.4.6, pinned to one
+CPU) ``@`` takes 7.1 ms for 14,501 matrices; ``mul`` takes 0.18 ms on
+entry-major operands and 0.23 ms on C-ordered ones, whose entries are
+64-byte-strided views. No series the package computes goes through ``@``,
+so its bits do not depend on the BLAS kernel.
 """
 
 from dataclasses import dataclass

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import dysonflow
-
 from dysonflow import IntegrationGrid, propagator_series
 from dysonflow._integrate import rk4_linear, rk4_series, stage_times
 from dysonflow.errors import StepTooLarge
@@ -76,7 +75,7 @@ def test_constant_2x2_generator_matches_reference(n, bound, every, y0):
 
 
 def test_long_series_matches_reference():
-    # 1,000 steps: 11 levels of the pairwise scan, 125 pairs at the third
+    # 1,000 steps: pair counts 500, 250, 125, 62, 31, .., odd ones from the third level on
     t0, dt, n = 0.0, 2e-3, 1000
     times = stage_times(t0, dt, n)
     ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)
@@ -84,7 +83,7 @@ def test_long_series_matches_reference():
 
 
 def test_longer_series_with_a_longer_tail_matches_reference():
-    # 2,000 steps: 12 levels of the pairwise scan, odd pair counts (125, 63) below the third
+    # 2,000 steps: one level of the pairwise scan more than 1,000
     t0, dt, n = 0.0, 1e-3, 2000
     times = stage_times(t0, dt, n)
     ref, new = both(a_of_t(times), lambda t, y: a_of_t(t) @ y, np.eye(2), t0, dt, n, 1e-6, 100)

@@ -134,8 +134,8 @@ def test_hermiticity_residual_has_the_bits_of_the_norm_of_the_difference():
     shape = (1_000, 2, 2)
     random = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     near = random + dagger(random) + 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    zeros = np.array([-0.0, 0.0])[rng.integers(0, 2, (64, 2, 2, 2))]
-    signed = zeros[..., 0] + 1j * zeros[..., 1]
+    # (re, im) pairs of +-0.0 in every sign combination, viewed as complex
+    signed = np.array([-0.0, 0.0])[rng.integers(0, 2, (64, 2, 2, 2))].view(complex)[..., 0]
     for m in (random, near, signed, random[0], random[:3].reshape(3, 1, 2, 2)):
         expected = frobenius_norm(m - dagger(m))[()]
         assert np.array_equal(bits(hermiticity_residual(m)), bits(expected))
