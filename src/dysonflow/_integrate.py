@@ -115,7 +115,7 @@ def _prefix_deltas(deltas):
 
     Each pair of adjacent steps composes into one delta, and the n // 2
     pair deltas are scanned the same way, so the scan takes about
-    2 log2(n) stack operations (G. E. Blelloch, "Prefix sums and their
+    2 log2(n) stack products (G. E. Blelloch, "Prefix sums and their
     applications", CMU-CS-90-190, 1990). Row 2k + 1 is row k of the pair
     scan; row 2k > 0 composes step 2k onto row k - 1 of it. From two steps
     on, the result is an entry-major (n, 2, 2) stack; fewer come back as
@@ -132,22 +132,24 @@ def _prefix_deltas(deltas):
     return out
 
 
-def _scan(deltas, y, out):
-    """Fill out with the states y_0 = y .. y_n of y_{i+1} = y_i + D_i y_i.
+def _scan(deltas, y):
+    """The states y_0 = y .. y_n of y_{i+1} = y_i + D_i y_i, entry-major.
 
-    ``deltas`` is the (n, 2, 2) stack of D_i, ``y`` the (2, k) start and
-    ``out`` the (n + 1, 2, k) series. The top level of the pairwise scan
+    ``deltas`` is the (n, 2, 2) stack of D_i and ``y`` the (2, k) start;
+    the series is (n + 1, 2, k). The top level of the pairwise scan
     works on the states: every even row 2k applies to y the delta of its
     first 2k steps, a prefix of the n // 2 pair deltas, in one product, and
     every odd row is the even row before it with one more step. No
     (n, 2, 2) stack of prefix deltas is formed.
     """
     n = len(deltas)
+    out = _entry_major((n + 1,), y.shape)
     out[0] = y
     pairs = _prefix_deltas(_compose(deltas[1::2], deltas[: n - n % 2 : 2]))
     np.add(mul(pairs, y), y, out=out[2::2])
     before = out[:n:2]
     np.add(mul(deltas[::2], before), before, out=out[1::2])
+    return out
 
 
 def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
@@ -197,8 +199,7 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
         first = _step_deltas(a[starts], a[mids], a[starts + 1], 0.5 * dt)
         second = _step_deltas(a[starts + 1], a[mids + 1], a[starts + 2], 0.5 * dt)
         halves = _compose(second, first)
-    out = _entry_major((n_steps + 1,), y.shape)
-    _scan(deltas, y, out)
+    out = _scan(deltas, y)
     if len(checked):
         misses = mul(deltas[checked] - halves, out[checked])
         estimates = np.linalg.norm(misses.reshape(len(checked), -1), axis=1)
