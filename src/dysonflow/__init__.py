@@ -44,7 +44,6 @@ from .su2 import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    PauliCoefficients,
     complex2x2,
     dagger,
     det,
@@ -83,7 +82,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "PauliCoefficients",
     "complex2x2",
     "dagger",
     "det",

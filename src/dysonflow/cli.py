@@ -227,7 +227,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
 
     An open start is the scenario's natural one (the anchor time t0 for
     Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
-    periods after the start. The numeric scenarios differentiate eta over
+    periods after the start. A window of at most half a step is refused,
+    not widened to one step. The numeric scenarios differentiate eta over
     the window, so they need at least MIN_DERIVATIVE_SAMPLES - 1 steps.
     """
     if cfg.scenario == "su2-generic":
@@ -239,7 +240,9 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     span = (cfg.t_end - t_start) if cfg.t_end is not None else periods * period
     if span <= 0.0:
         raise ConfigInvalid(f"t_end must exceed t_start, got span {span}")
-    n = max(1, round(span / cfg.dt))
+    n = round(span / cfg.dt)
+    if n == 0:
+        raise ConfigInvalid(f"the window spans at most half a dt step (span {span:.6g}, dt {cfg.dt:.6g})")
     min_steps = MIN_DERIVATIVE_SAMPLES - 1
     if cfg.scenario != "yang-lee-closed" and n < min_steps:
         raise ConfigInvalid(
@@ -373,8 +376,7 @@ def _series(ts, metric, eta, h, invariants, u=None, energies=None):
 
 def _metric_columns(rho, dets):
     """The metric table's columns of a stack rho: its Pauli split alpha, beta_x, beta_y, beta_z, then det rho."""
-    c = pauli_decompose(rho)
-    return c.a0.real, c.ax.real, c.ay.real, c.az.real, dets
+    return (*(c.real for c in pauli_decompose(rho)), dets)
 
 
 def _write_json(path: Path, payload):
@@ -762,7 +764,7 @@ def _su2_generic(cfg: ScenarioConfig):
         "htilde_quasi_hermiticity": qh_tilde,
     }
     series = _series(
-        ts, lambda: (alpha, *beta.T, dets), dys.eta, h_num, invariants, u=u, energies=energies
+        ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow
 from .series import TimeSeries
-from .su2 import _entry_major, _first_invalid, complex2x2_stack, dagger, frobenius_norm, hermitian_sqrt, mul
+from .su2 import _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm, hermitian_sqrt, mul
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -56,25 +56,16 @@ class DysonSample:
 def invert_dyson_map(eta) -> np.ndarray:
     """Closed-form 2x2 inverse via adjugate, of one matrix or a (..., 2, 2) stack.
 
-    Refuses |det| < 1e-12, naming the first such matrix of a stack. The
-    determinant is formed in real arithmetic, which rounds each matrix of
-    a stack exactly as numpy's scalar complex product does.
+    Refuses |det| < 1e-12, naming the first such matrix of a stack.
     """
     eta = complex2x2_stack(eta)
-    a, b, c, d = eta[..., 0, 0], eta[..., 0, 1], eta[..., 1, 0], eta[..., 1, 1]
-    det = np.empty(a.shape, dtype=complex)
-    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
-    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
-    small = np.abs(det) < MIN_DYSON_DET
+    d = np.asarray(det(eta))
+    small = np.abs(d) < MIN_DYSON_DET
     if np.any(small):
         _, where = _first_invalid(small)
-        raise SingularDysonMap(
-            f"{where}|det eta| = {np.abs(det)[small][0]:.3e} below {MIN_DYSON_DET:.1e}"
-        )
-    inv = _entry_major(det.shape)
-    for (i, j), x in zip(np.ndindex(2, 2), (d, -b, -c, a)):
-        np.divide(x, det, out=inv[..., i, j])
-    return inv
+        raise SingularDysonMap(f"{where}|det eta| = {np.abs(d)[small][0]:.3e} below {MIN_DYSON_DET:.1e}")
+    # the adjugate swaps the diagonal entries and negates the off-diagonal ones
+    return _entrywise(d.shape, lambda i, j: np.divide(eta[..., 1 - i, 1 - j] if i == j else -eta[..., i, j], d))
 
 
 def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:

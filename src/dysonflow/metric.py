@@ -30,7 +30,6 @@ from .errors import UnsupportedHamiltonian
 from .series import IntegrationGrid, TimeSeries
 from .su2 import (
     IDENTITY,
-    PauliCoefficients,
     complex2x2,
     complex2x2_stack,
     dagger,
@@ -70,7 +69,7 @@ class SU2Hamiltonian:
 
     def matrix(self) -> np.ndarray:
         vec = 0.5 * (self.kappa_vec + 1j * self.lambda_vec)
-        return pauli_compose(PauliCoefficients(0.5 * (self.kappa0 + 1j * self.lambda0), *vec))
+        return pauli_compose(0.5 * (self.kappa0 + 1j * self.lambda0), *vec)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class MetricState:
 
     def matrix(self) -> np.ndarray:
         """rho, one (2, 2) matrix or the (..., 2, 2) stack over the times."""
-        return pauli_compose(PauliCoefficients(self.alpha, *np.moveaxis(self.beta_vec, -1, 0)))
+        return pauli_compose(self.alpha, *np.moveaxis(self.beta_vec, -1, 0))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 Conventions used throughout the package: hbar = 1, all times and energies
 dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
-stacks where a kernel says so). The one helper type, PauliCoefficients,
-only wraps the Pauli split; it never hides the arrays. Each 2x2 rule the
-package applies (product, determinant, conjugate transpose, Frobenius
-norm, Hermiticity residual, Hermitian positive-definite check, Pauli split
-and composition, Hermitian square root and its derivative) is coded here
-once.
+stacks where a kernel says so). Each 2x2 rule the package applies
+(product, determinant, conjugate transpose, Frobenius norm, Hermiticity
+residual, Hermitian positive-definite check, Pauli split
+``pauli_decompose(m) -> (a0, ax, ay, az)`` and Pauli sum
+``pauli_compose(a0, ax, ay, az)``, Hermitian square root and its
+derivative) is coded here once.
 
 Every stack the package builds is stored entry-major: a (..., 2, k) stack
 has the memory layout of a C-ordered (2, k, ...) array, so each entry
@@ -26,8 +26,6 @@ entry-major operands and 0.23 ms on C-ordered ones, whose entries are
 64-byte-strided views. No series the package computes goes through ``@``,
 so its bits do not depend on the BLAS kernel.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,39 +90,27 @@ def complex2x2_stack(m) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PauliCoefficients:
-    """Expansion coefficients of a matrix over {I, sigma_x, sigma_y, sigma_z}.
+def pauli_decompose(m):
+    """Pauli coefficients (a0, ax, ay, az) of m: a0 = tr(m)/2, a_j = tr(sigma_j m)/2.
 
-    Scalars for one matrix, arrays of a stack's shape for a (..., 2, 2) stack.
-    """
-
-    a0: complex
-    ax: complex
-    ay: complex
-    az: complex
-
-
-def pauli_decompose(m) -> PauliCoefficients:
-    """Project onto the Pauli basis: a0 = tr(m)/2, a_j = tr(sigma_j m)/2.
-
-    Of one (2, 2) matrix or of each matrix of a (..., 2, 2) stack.
+    Scalars for one (2, 2) matrix, arrays of the stack's shape for a
+    (..., 2, 2) stack.
     """
     m = complex2x2_stack(m)
     a0 = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
     ax = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
     ay = 0.5j * (m[..., 0, 1] - m[..., 1, 0])
     az = 0.5 * (m[..., 0, 0] - m[..., 1, 1])
-    return PauliCoefficients(a0, ax, ay, az)
+    return a0, ax, ay, az
 
 
-def pauli_compose(c: PauliCoefficients) -> np.ndarray:
-    """Rebuild a0*I + ax*sigma_x + ay*sigma_y + az*sigma_z, summed in that order.
+def pauli_compose(a0, ax, ay, az) -> np.ndarray:
+    """The sum a0*I + ax*sigma_x + ay*sigma_y + az*sigma_z, added in that order.
 
-    Coefficients of shape (...) give the (..., 2, 2) stack, built entry by
-    entry.
+    Coefficients of shapes that broadcast to (...) give the (..., 2, 2)
+    stack, built entry by entry.
     """
-    coeffs = [np.asarray(x) for x in (c.a0, c.ax, c.ay, c.az)]
+    coeffs = [np.asarray(x) for x in (a0, ax, ay, az)]
 
     def entry(i, j):
         out = coeffs[0] * IDENTITY[i, j]

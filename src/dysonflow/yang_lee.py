@@ -30,7 +30,7 @@ import numpy as np
 
 from .dyson import DysonSample
 from .metric import SU2Hamiltonian, ZetaConstants
-from .su2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, _entry_major, _entrywise
+from .su2 import _entry_major, pauli_compose
 
 
 @dataclass(frozen=True)
@@ -127,22 +127,15 @@ def _rho_coeffs(t, p: YangLeeParams):
     return 1.0 / p.gamma + p.gamma * s, p.phi * c, -(1.0 + s)
 
 
-def _pauli_xy(a, bx, by) -> np.ndarray:
-    """The stack a I + bx sigma_x + by sigma_y of coefficients of shape (...), summed in that order."""
-    a, bx, by = np.asarray(a), np.asarray(bx), np.asarray(by)
-    return _entrywise(a.shape, lambda i, j: a * IDENTITY[i, j] + bx * SIGMA_X[i, j] + by * SIGMA_Y[i, j])
-
-
 def rho_closed(t, p: YangLeeParams) -> np.ndarray:
     """Oscillatory metric rho(t); Hermitian with constant det = phi^4 / gamma^2."""
-    return _pauli_xy(*_rho_coeffs(t, p))
+    return pauli_compose(*_rho_coeffs(t, p), 0.0)
 
 
 def rho_closed_dot(t, p: YangLeeParams) -> np.ndarray:
     """Analytic time derivative of rho_closed."""
     s, c = _sin_cos(t, p)
-    a, bx, by = (np.asarray(x) for x in (p.gamma * p.phi * c, p.phi**2 * s, p.phi * c))
-    return _entrywise(a.shape, lambda i, j: a * IDENTITY[i, j] - bx * SIGMA_X[i, j] - by * SIGMA_Y[i, j])
+    return pauli_compose(p.gamma * p.phi * c, -(p.phi**2 * s), -(p.phi * c), 0.0)
 
 
 def rho_closed_constants(p: YangLeeParams) -> ZetaConstants:
@@ -170,13 +163,13 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     a = np.sqrt(0.5 * (alpha + delta))
     bx = beta_x / (2.0 * a)
     by = beta_y / (2.0 * a)
-    eta = _pauli_xy(a, bx, by)
+    eta = pauli_compose(a, bx, by, 0.0)
 
     alpha_dot = p.gamma * p.phi * c
     a_dot = alpha_dot / (4.0 * a)
     bx_dot = -p.phi**2 * s / (2.0 * a) - p.phi * c * a_dot / (2.0 * a * a)
     by_dot = -p.phi * c / (2.0 * a) + (1.0 + s) * a_dot / (2.0 * a * a)
-    eta_dot = _pauli_xy(a_dot, bx_dot, by_dot)
+    eta_dot = pauli_compose(a_dot, bx_dot, by_dot, 0.0)
     return DysonSample(t=np.asarray(t, dtype=float)[()], eta=eta, eta_dot=eta_dot)
 
 
@@ -189,10 +182,7 @@ def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     matrix, or an array of times, giving a (..., 2, 2) stack.
     """
     denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
-    z = np.asarray(2.0 * p.phi**2 / denom)
-    w = p.omega * IDENTITY
-    # np.multiply: for one matrix the sum is a numpy scalar, which `*` would not take through the array loop
-    return _entrywise(z.shape, lambda i, j: np.multiply(-0.5, w[i, j] + z * SIGMA_Z[i, j]))
+    return -0.5 * pauli_compose(p.omega, 0.0, 0.0, 2.0 * p.phi**2 / denom)
 
 
 def _phase(t, p: YangLeeParams):

@@ -272,33 +272,33 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
         assert not out.exists(), argv
 
 
-# sha256 of each CSV written by the configuration below. The six closed-form
-# series were recorded before the numeric kernels were batched and must not
-# move a byte; the invariants were re-recorded when the 2x2 products went
-# entry by entry (su2.mul), and the states, propagator and invariants when
-# u_closed stopped taking tan and arctan, whose bits depend on numpy's SIMD
-# loops (all three hold the same bytes on numpy's AVX2 and AVX512 loops)
-GOLDEN_CLOSED_CSV = {
+# sha256 of each CSV and of report.json written by the configuration below.
+# The six closed-form series were recorded before the numeric kernels were
+# batched and must not move a byte; the invariants were re-recorded when the
+# 2x2 products went entry by entry (su2.mul), the states, propagator and
+# invariants when u_closed stopped taking tan and arctan, whose bits depend
+# on numpy's SIMD loops (all three hold the same bytes on numpy's AVX2 and
+# AVX512 loops), and the invariants again when invert_dyson_map took its
+# determinant from su2.det. The report pins rho_closed_dot, whose only use
+# is the metric_flow_residual check
+GOLDEN_CLOSED = {
     "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
     "hermitian_h": "bed03994ecf978fce47b0b37f06cbe1b46ffe0a3b29da055dff969cf7a8150bc",
     "states": "0e26a563d61d0c08a61c6b571d6f19788123e628070f8615aa15040823e704d0",
     "propagator": "65d0f68f5db1767abf5ebf5ad0491454c6a5f07fb3dd4ca2f384fa3a9d626262",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
-    "invariants": "bac0c02f22be97587c0024307fd131228fad6d93360a43f7e4f427ccdf29ed20",
+    "invariants": "ec9e9f791dace91ea0f2fc3f7fe5564d359d578c1dbd81e3567c5855613d4842",
+    "report": "fdae0cbcf98f4e9a207b20926749a475b1e9550ead4814fb2071128f6134bf74",
 }
 
 
-def test_closed_scenario_csv_matches_golden_hashes(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    write_config(
-        cfg_path, gamma=0.37, omega=0.8, t_start=-0.25, t_end=0.75, dt=0.01,
-        outputs=list(GOLDEN_CLOSED_CSV),
-    )
-    assert cli.main(["run", str(cfg_path)]) == 0
-    for name, digest in GOLDEN_CLOSED_CSV.items():
-        data = (tmp_path / "out" / f"{name}.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, name
+def test_closed_scenario_csv_matches_golden_hashes(tmp_path, monkeypatch):
+    cfg = {
+        "scenario": "yang-lee-closed", "gamma": 0.37, "omega": 0.8,
+        "t_start": -0.25, "t_end": 0.75, "dt": 0.01,
+    }
+    assert_run_matches_golden(cfg, GOLDEN_CLOSED, tmp_path, monkeypatch)
 
 
 def rotated_yang_lee_config(lam, out_path, **overrides):
@@ -342,6 +342,20 @@ def test_su2_generic_propagation_with_lambda_passes(tmp_path):
     assert unitary["value"] <= 1e-9
     for name in ("propagator", "states", "energies"):
         assert len((tmp_path / "out" / f"{name}.csv").read_text().splitlines()) == 1002
+
+
+def test_su2_generic_metric_rows_are_one_metric(tmp_path):
+    # alpha, beta and det_rho of a row all come from the integrated metric, so
+    # det_rho = alpha^2 - |beta|^2 to rounding (1.6e-15 of det_rho here); the
+    # closed-form alpha and beta beside the integrated det missed by 3.5e-11
+    cfg = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=1.5, dt=0.02, outputs=["metric"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    metric = np.loadtxt(tmp_path / "out" / "metric.csv", delimiter=",", skiprows=1)
+    _t, alpha, bx, by, bz, det = metric.T
+    assert len(metric) == 76
+    assert np.max(np.abs(det - (alpha**2 - (bx**2 + by**2 + bz**2))) / det) < 1e-13
 
 
 def test_su2_source_matches_finite_difference_formula():
@@ -452,26 +466,30 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # arctan; every file of both again when the RK4 scan became a pairwise scan
 # composed through su2.mul alone and the su2-generic |k|^2 and |l|^2 were
 # summed entry by entry, after which no BLAS call feeds them (they hold the
-# same bytes under OPENBLAS_CORETYPE=Haswell)
+# same bytes under OPENBLAS_CORETYPE=Haswell); the files derived from
+# eta^-1 (hermitian_h, energies, invariants, and the su2-generic propagator,
+# states and report) again when invert_dyson_map took its determinant from
+# su2.det, and the su2-generic metric when its alpha and beta columns became
+# the Pauli split of the integrated metric whose det_rho they sit beside
 GOLDEN_NUMERIC = {
     "metric": "c3f1ff5b17da20700c026a113d82e040ac0960ad6b276d090a03b28ed7f472fd",
     "dyson": "3c1fc5852c1d4bf844a3fd6925a45499f0151919b78e2905f73bbe5f0de7c503",
-    "hermitian_h": "2aecc8a1074cf4fc939e343f80437dc189690b494826bb981f666cc1ab720447",
+    "hermitian_h": "5b0c62cd416b5675a21c326d881e9b5b46c6478e4f6fae4a3d6bb805bdbe8930",
     "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
-    "energies": "751d74d352e2239327b3be0a1ea1852d58998e8d9e8440ff2c460f04d1cdb50a",
-    "invariants": "3845a7f55c58f8b4ef09c88027d8b37ab007252d3a0c1cd01824fd433e3cdb98",
+    "energies": "e530c78b25a0fd7bf6f183cb63bd84c61dac70e5b54602a1445c9c0568962d61",
+    "invariants": "dbae92eb9d0ecee0b99e3d64c8ab8cea42189b075320f587c3a105977e22e549",
     "report": "40967b0d0d66ca104d9b942925b459b795638892a7be95268218a7b42029b9a3",
 }
 GOLDEN_SU2_GENERIC = {
-    "metric": "c8cc6b01ffaf839b11e0ea17a6e3be221ebee9cdc9da07fa342d2f15b21334f7",
+    "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
     "dyson": "a5a7609a3114b65b1c76d7b52aa58fe9d393c57ba5a8d4a386a38cc4b52dd94e",
-    "hermitian_h": "918b3666f852437e419fef838b39148d17ef790d61550412f60fdd41c165dc5d",
-    "states": "26a75aa85dfadfddaed1a41312c14a8d5f4cbcc6068f71b78bb0ae83f486b7e8",
-    "propagator": "6a5d3d37939ff8f79bc16ccb43399b81f9f5b52fb89d5e06eef13f943586820a",
-    "energies": "9f265505855cce8c0537e725484c88d07637e432c27f8c637796bfbddafb9d8d",
-    "invariants": "4ba8e8147bca0a63c23bf7cd9cea591205f1c81b6cc0de99946cf0e1e477f5e0",
-    "report": "0ca4c6e372c5feecd0ee2c78c9cf50465cb014ce375469c4578e075b0be3086e",
+    "hermitian_h": "8e371100d651728621ad3d6b07a213e08a0a9755457954e48298e0a3d01744da",
+    "states": "31ca6996013f2e24dbb26b067f6b986663a5b7d2abb4ab20e490cb2fdc30d474",
+    "propagator": "09d05e912b9e48c9f4ac64cd4b139cb0db401bf67f5d6def47eff7e9fa13d300",
+    "energies": "baf0476a02704acf81bb26f6d023f259860b90bf6ceb9b91741b5611603adbed",
+    "invariants": "af1899433eebb1fc32321f10e6a2ac7394001cec1a283756b6842e57ecff610a",
+    "report": "44c6f28a43c851cc9f31ee7d436a7ae4c8a200d77e7e32dfe3eb819f017bd600",
 }
 
 
@@ -506,16 +524,18 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 # series still went through json.dump and re-recorded with su2.mul; the
 # propagator, states, energies and report again with the su2.mul RK4 scan;
 # the metric-derived files and the sweep again with the metric congruence;
-# every file and the sweep again with the pairwise scan
+# every file and the sweep again with the pairwise scan; every file but dyson
+# (the sweep kept its bytes) again with su2.det in invert_dyson_map and the
+# metric table taken from the integrated metric
 GOLDEN_SU2_GENERIC_JSON = {
-    "metric": "9b675e6829b40bfccb8c906c2fb4d13f86194e409595dd97fbbf1fb770615342",
+    "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
     "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
-    "hermitian_h": "2abda4f15c261561d456c43953eea87935fc6ce21283f53a059893c120534405",
-    "states": "28450938a7a2ff92d436d560e552e2cc6d5652dad9ffacd570db8c69723221f1",
-    "propagator": "97e7f04918e1331ca4917801efeed9afa4a035904141df3e648723def996f509",
-    "energies": "7b952a8831411792bca27fa0ed84ffd554cc6533bbbdc70ce84d266ccec67bd2",
-    "invariants": "d91b177fdfb33dce1f119c37af9c3e952bcb6c2cffcae55c9378c5fc52b8322a",
-    "report": "cf50eeb2a012589c7b48722363010c6174cdc1b0e68d6ef6799b2f416db2adf0",
+    "hermitian_h": "375a6a7cf458c3b7e1cf58af54e81ebbabded720dbead6a9d866d7beaf509aed",
+    "states": "a4dcecd635b2bb7ec0d77eec519f5f3aabc1fee9c3baad4d504d57768a0e41a0",
+    "propagator": "fb52b479d8a547619385f873f3cff36f84f2ef3b14e117604c20e79ae3154ae4",
+    "energies": "9bd7e1b6ff2ff4ada5c3146c0c3c66991295fd9b8c4055d6b1e34de94f7b1d0c",
+    "invariants": "ad35633ebd553415747efa8d7e759293811bd16650a192d222bb8626294439da",
+    "report": "105fbce70db2dc3ec4de0b7eeb78b17851aa03964ad836a2617dbd66304552a0",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "3ae687dbba6e29656ecda47ca88b9c80a5fed867295bef0654c4c3d23ee02d2f"
 
@@ -591,6 +611,23 @@ def test_window_too_short_for_eta_dot_is_a_config_error(scenario, tmp_path, caps
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.075"]) == 0
 
 
+def test_window_of_at_most_half_a_step_is_a_config_error(tmp_path, capsys):
+    # such a window is refused, not widened to one step, by every verb
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, t_start=0.0, t_end=0.001, dt=0.5, outputs=["metric"])
+    message = "the window spans at most half a dt step (span 0.001, dt 0.5)"
+    for argv in (["run", str(cfg_path)], ["verify", str(cfg_path)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert cli.main(["sweep", str(cfg_path), "--param", "gamma", "--values", "0.3,0.5"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metric.csv").exists()
+    # a little over half a step rounds to one step
+    write_config(cfg_path, t_start=0.0, t_end=0.26, dt=0.5, outputs=["metric"])
+    assert cli.main(["run", str(cfg_path)]) == 0
+    assert len((tmp_path / "out" / "metric.csv").read_text().splitlines()) == 1 + 2
+
+
 def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("a pipeline ran before out_path was checked")
@@ -632,7 +669,7 @@ def test_goldens_hold_with_one_and_three_cpus(cpus, tmp_path, monkeypatch):
     dirs = [tmp_path / name for name in ("closed", "numeric", "su2", "su2_json")]
     for d in dirs:
         d.mkdir()
-    test_closed_scenario_csv_matches_golden_hashes(dirs[0])
+    test_closed_scenario_csv_matches_golden_hashes(dirs[0], monkeypatch)
     test_numeric_scenario_matches_golden_hashes(dirs[1], monkeypatch)
     test_su2_generic_scenario_matches_golden_hashes(dirs[2], monkeypatch)
     test_su2_generic_json_matches_golden_hashes(dirs[3], monkeypatch)  # and a JSON sweep of 2 dt values

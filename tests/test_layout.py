@@ -12,7 +12,6 @@ import pytest
 from dysonflow import (
     DysonSample,
     IntegrationGrid,
-    PauliCoefficients,
     YangLeeParams,
     dyson_from_metric,
     eta_closed,
@@ -82,8 +81,8 @@ def test_an_entry_major_copy_keeps_the_values():
 BUILDERS = {
     "mul": lambda: [mul(ETA, RHO), mul(ETA, RHO[:, :, :1]), mul(ETA[0], RHO[:7])],
     "pauli_compose": lambda: [
-        pauli_compose(PauliCoefficients(T, 0.5 * T, 1j * T, 2.0)),
-        pauli_compose(PauliCoefficients(*np.ones((4, 3, 5)))),
+        pauli_compose(T, 0.5 * T, 1j * T, 2.0),
+        pauli_compose(*np.ones((4, 3, 5))),
     ],
     "hermitian_sqrt": lambda: [hermitian_sqrt(RHO)],
     "hermitian_sqrt_derivative": lambda: [hermitian_sqrt_derivative(ETA, RHO_DOT)],
@@ -113,7 +112,7 @@ def test_one_matrix_stays_c_contiguous():
     rho, eta, rho_dot, t = RHO[3], ETA[3], RHO_DOT[3], float(T[3])
     for out in (
         mul(eta, rho),
-        pauli_compose(PauliCoefficients(1.0, 0.5, 0.25j, 2.0)),
+        pauli_compose(1.0, 0.5, 0.25j, 2.0),
         hermitian_sqrt(rho),
         hermitian_sqrt_derivative(eta, rho_dot),
         invert_dyson_map(eta),

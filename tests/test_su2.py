@@ -13,9 +13,9 @@ from dysonflow import (
     SIGMA_Y,
     SIGMA_Z,
     IntegrationGrid,
-    PauliCoefficients,
     YangLeeParams,
     dagger,
+    det,
     frobenius_norm,
     h1_matrix,
     h1_su2,
@@ -33,21 +33,19 @@ from dysonflow.errors import NotHermitian, NotPositiveDefinite
 
 
 def test_decompose_basis_elements():
-    c = pauli_decompose(SIGMA_Z)
-    assert np.allclose([c.a0, c.ax, c.ay, c.az], [0, 0, 0, 1], atol=1e-15)
-    c = pauli_decompose(IDENTITY)
-    assert np.allclose([c.a0, c.ax, c.ay, c.az], [1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(pauli_decompose(SIGMA_Z), [0, 0, 0, 1], atol=1e-15)
+    assert np.allclose(pauli_decompose(IDENTITY), [1, 0, 0, 0], atol=1e-15)
 
 
 def test_decompose_h1():
     # H1 = -1/2 (I + sigma_z + i/2 sigma_x) entrywise gives these projections
     c = pauli_decompose(h1_matrix(YangLeeParams(gamma=0.5, omega=1.0)))
-    assert np.allclose([c.a0, c.ax, c.ay, c.az], [-0.5, -0.25j, 0.0, -0.5], atol=1e-15)
+    assert np.allclose(c, [-0.5, -0.25j, 0.0, -0.5], atol=1e-15)
 
 
 def test_compose_identity_and_hand_expansion():
-    assert np.allclose(pauli_compose(PauliCoefficients(1, 0, 0, 0)), IDENTITY)
-    m = pauli_compose(PauliCoefficients(2.0, math.sqrt(3) / 2, -1.0, 0.0))
+    assert np.allclose(pauli_compose(1, 0, 0, 0), IDENTITY)
+    m = pauli_compose(2.0, math.sqrt(3) / 2, -1.0, 0.0)
     expected = np.array(
         [[2.0, math.sqrt(3) / 2 + 1j], [math.sqrt(3) / 2 - 1j, 2.0]], dtype=complex
     )
@@ -58,22 +56,17 @@ def test_roundtrip_random_matrices():
     rng = np.random.default_rng(1234)
     for _ in range(1000):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.linalg.norm(pauli_compose(pauli_decompose(m)) - m) < 1e-13
-        c = PauliCoefficients(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        back = pauli_decompose(pauli_compose(c))
-        assert np.allclose(
-            [back.a0, back.ax, back.ay, back.az], [c.a0, c.ax, c.ay, c.az], atol=1e-13
-        )
+        assert np.linalg.norm(pauli_compose(*pauli_decompose(m)) - m) < 1e-13
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.allclose(pauli_decompose(pauli_compose(*c)), c, atol=1e-13)
 
 
 def test_hermitian_iff_real_coefficients():
     rng = np.random.default_rng(99)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     herm = 0.5 * (m + m.conj().T)
-    c = pauli_decompose(herm)
-    assert max(abs(x.imag) for x in (c.a0, c.ax, c.ay, c.az)) < 1e-14
-    real_c = PauliCoefficients(0.3, -1.2, 0.7, 2.1)
-    assert hermiticity_residual(pauli_compose(real_c)) < 1e-14
+    assert max(abs(x.imag) for x in pauli_decompose(herm)) < 1e-14
+    assert hermiticity_residual(pauli_compose(0.3, -1.2, 0.7, 2.1)) < 1e-14
 
 
 def test_hermitian_sqrt_scalar_shortcut():
@@ -307,6 +300,18 @@ def test_mul_of_a_stack_is_the_stack_of_single_products_bit_for_bit():
     assert np.array_equal(bits(mul(a[7], b)), bits(np.stack([mul(a[7], y) for y in b])))
     assert np.array_equal(bits(mul(a, v)), bits(np.stack([mul(x, y) for x, y in zip(a, v)])))
     assert np.array_equal(bits(mul(a[5:9], b[5:9])), bits(mul(a, b)[5:9]))
+
+
+@pytest.mark.parametrize("layout", ["entry-major", "C-ordered"])
+def test_det_of_a_stack_is_the_stack_of_single_determinants_bit_for_bit(layout):
+    # invert_dyson_map divides by det, so its stack equals its single calls by this rule
+    rng = np.random.default_rng(31)
+    m = random_complex(rng, (14_501, 2, 2), 3)
+    if layout == "entry-major":
+        m = np.moveaxis(np.ascontiguousarray(np.moveaxis(m, 0, -1)), -1, 0)
+        assert m[:, 0, 0].flags.c_contiguous
+    single = np.array([det(np.array(x)) for x in m])
+    assert np.array_equal(bits(det(m)), bits(single))
 
 
 def bits(m):
