@@ -71,6 +71,7 @@ from .yang_lee import (
     rho_closed_constants,
     rho_closed_dot,
     theta,
+    theta_dot,
     u_closed,
 )
 
@@ -129,5 +130,6 @@ __all__ = [
     "rho_closed_constants",
     "rho_closed_dot",
     "theta",
+    "theta_dot",
     "u_closed",
 ]

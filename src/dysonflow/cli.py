@@ -41,7 +41,6 @@ import numpy as np
 from . import __version__
 from ._parallel import _fork_map, _usable_cpus
 from .dyson import (
-    MIN_DERIVATIVE_SAMPLES,
     DysonSample,
     dyson_from_metric,
     hermitian_counterpart,
@@ -85,6 +84,7 @@ from .yang_lee import (
     rho_closed,
     rho_closed_dot,
     rho_closed_constants,
+    theta_dot,
     u_closed,
 )
 
@@ -228,8 +228,7 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     An open start is the scenario's natural one (the anchor time t0 for
     Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
     periods after the start. A window of at most half a step is refused,
-    not widened to one step. The numeric scenarios differentiate eta over
-    the window, so they need at least MIN_DERIVATIVE_SAMPLES - 1 steps.
+    not widened to one step.
     """
     if cfg.scenario == "su2-generic":
         default_start, period = 0.0, _su2_config(cfg)[2]
@@ -243,12 +242,6 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     n = round(span / cfg.dt)
     if n == 0:
         raise ConfigInvalid(f"the window spans at most half a dt step (span {span:.6g}, dt {cfg.dt:.6g})")
-    min_steps = MIN_DERIVATIVE_SAMPLES - 1
-    if cfg.scenario != "yang-lee-closed" and n < min_steps:
-        raise ConfigInvalid(
-            f"{cfg.scenario} needs a window of at least {min_steps} dt steps for its "
-            f"fourth-order eta_dot, got {n} (span {span:.6g}, dt {cfg.dt:.6g})"
-        )
     return IntegrationGrid(t_start=t_start, t_end=t_start + n * cfg.dt, dt=cfg.dt)
 
 
@@ -565,11 +558,11 @@ def _yang_lee_closed(cfg: ScenarioConfig):
         energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
         e_metric = _braket(psi, rho, _apply(h_tilde, psi)).real
         energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
-    # propagator checks: identity at the anchor, unitarity, TDSE by central differences
+    # propagator checks: identity at the anchor, unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
     u_t0 = u_closed(p.t0, p)
-    fd_step = 1e-6
     sub = _subsample(len(ts))
-    du = (u_closed(ts[sub] + fd_step, p) - u_closed(ts[sub] - fd_step, p)) / (2.0 * fd_step)
+    rate = theta_dot(ts[sub], p)
+    du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[sub]
     u_tdse = float(np.max(frobenius_norm(mul(rabi_h(ts[sub], p), u[sub]) - 1j * du)))
     u_unitarity = _unitarity(u)
     basis = basis_states(p)
@@ -626,7 +619,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig):
 
     flow = integrate_metric(h1_su2(p), rho_closed(grid.t_start, p), grid)
     rho_num = flow.series.samples
-    dys = dyson_from_metric(flow.series)
+    dys = dyson_from_metric(flow)
     h_num = hermitian_counterpart(h1m, dys)
     h_tilde = physical_hamiltonian(h1m, dys)
     u_num = propagator_series(lambda t: rabi_h(t, p), grid).samples
@@ -716,7 +709,7 @@ def _su2_generic(cfg: ScenarioConfig):
     margins = positivity_margin(ref)
     flow = integrate_metric(h, rho_ref[0], grid)
     rho_num = flow.series.samples
-    dys = dyson_from_metric(flow.series)
+    dys = dyson_from_metric(flow)
     h_num = hermitian_counterpart(hm, dys)
     h_tilde = physical_hamiltonian(hm, dys)
 

@@ -10,9 +10,10 @@ picture is Htilde(t) = H + i eta^-1 (d/dt eta) = eta^-1 h eta. Only the
 Hermitian branch of the square root is implemented; the unitary gauge
 family eta' = V eta with V unitary is out of scope.
 
-The relations below take one (2, 2) matrix or a (..., 2, 2) stack, and a
-DysonSample at one time or over a whole series, so a series goes through
-each of them in one call.
+eta_dot of an integrated metric comes from its flow; finite differences
+serve only a series whose flow is unknown. The relations below take one
+(2, 2) matrix or a (..., 2, 2) stack, and a DysonSample at one time or
+over a whole series, so a series goes through each of them in one call.
 """
 
 from dataclasses import dataclass
@@ -21,9 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
-from .metric import MetricFlow
+from .metric import MetricFlow, metric_rhs
 from .series import TimeSeries
-from .su2 import _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm, hermitian_sqrt, mul
+from .su2 import (
+    _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm, hermitian_sqrt,
+    hermitian_sqrt_derivative, mul,
+)
 
 # Refuse inversion of maps this close to singular.
 MIN_DYSON_DET = 1e-12
@@ -94,29 +98,31 @@ def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
 def dyson_from_metric(metric_series) -> DysonSample:
     """Hermitian Dyson maps eta = sqrt(rho) for a positive-definite metric series.
 
-    One closed-form hermitian_sqrt call roots the whole sample stack.
-    eta_dot comes from fourth-order finite differences on the sampled family,
-    one-sided at the endpoints; callers with an analytic derivative should
-    prefer it. Accepts a TimeSeries of matrices or a MetricFlow, and
-    returns one DysonSample over the series' times. Raises
-    NotPositiveDefinite (carrying the sample time) on the first invalid
-    sample.
+    One closed-form hermitian_sqrt call roots the whole sample stack. For a
+    MetricFlow, eta_dot solves eta X + X eta = rho' (hermitian_sqrt_derivative)
+    with rho' = metric_rhs(flow.h, rho), the flow itself, at every sample; a
+    bare TimeSeries, whose flow is unknown, takes fourth-order differences
+    (fourth_order_derivative). Returns one DysonSample over the series'
+    times. Raises NotPositiveDefinite (carrying the sample time) on the
+    first invalid sample.
     """
-    if isinstance(metric_series, MetricFlow):
-        metric_series = metric_series.series
-    if not isinstance(metric_series, TimeSeries):
+    series = metric_series.series if isinstance(metric_series, MetricFlow) else metric_series
+    if not isinstance(series, TimeSeries):
         raise TypeError("expected a TimeSeries or MetricFlow of metric samples")
-    if metric_series.samples.shape[1:] != (2, 2):
-        raise ValueError(f"expected (n, 2, 2) metric samples, got {metric_series.samples.shape}")
+    if series.samples.shape[1:] != (2, 2):
+        raise ValueError(f"expected (n, 2, 2) metric samples, got {series.samples.shape}")
     try:
-        eta = hermitian_sqrt(metric_series.samples)
+        eta = hermitian_sqrt(series.samples)
     except (NotHermitian, NotPositiveDefinite) as exc:
-        t_i = metric_series.t0 + exc.index * metric_series.dt
+        t_i = series.t0 + exc.index * series.dt
         raise NotPositiveDefinite(
             f"metric sample at t = {t_i:.9g} is not a valid metric: {exc}", t=t_i
         ) from exc
-    eta_dot = fourth_order_derivative(eta, metric_series.dt)
-    return DysonSample(t=metric_series.times, eta=eta, eta_dot=eta_dot)
+    if isinstance(metric_series, MetricFlow):
+        eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(metric_series.h, series.samples))
+    else:
+        eta_dot = fourth_order_derivative(eta, series.dt)
+    return DysonSample(t=series.times, eta=eta, eta_dot=eta_dot)
 
 
 def hermitian_counterpart(h_nonhermitian, sample: DysonSample) -> np.ndarray:

@@ -193,9 +193,10 @@ def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricFlow:
-    """Integrated metric samples plus the first time positivity failed, if any."""
+    """Integrated metric samples, the H whose flow they solve, and the first time positivity failed, if any."""
 
     series: TimeSeries
+    h: SU2Hamiltonian
     positivity_lost_at: float | None = None
 
 
@@ -211,9 +212,9 @@ def integrate_metric(
     su2.require_hpd. RK4 integrates A' = -i H^dag A from A = I, and each
     sample is the congruence A rho0 A^dag (see the module docstring). Each
     sample is tested for det > 0 afterwards and the first failure time is
-    recorded on the result as positivity_lost_at. StepTooLarge propagates
-    from the integrator when the local error estimate of A's step at a
-    checked step (step 0 and every 100th after it) exceeds
+    recorded on the result as positivity_lost_at, beside h. StepTooLarge
+    propagates from the integrator when the local error estimate of A's
+    step at a checked step (step 0 and every 100th after it) exceeds
     ``local_error_bound``; None turns the checks off.
     """
     rho0 = complex2x2(rho0)
@@ -225,5 +226,6 @@ def integrate_metric(
     bad = np.nonzero(det(samples).real <= 0.0)[0]
     return MetricFlow(
         series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples),
+        h=h,
         positivity_lost_at=float(grid.t_start + grid.dt * bad[0]) if bad.size else None,
     )

@@ -212,6 +212,23 @@ def theta(t, p: YangLeeParams):
     return float(out) if np.isscalar(t) else out
 
 
+def theta_dot(t, p: YangLeeParams):
+    """d theta / dt = omega/2 + phi/2 + X'/(1 + X^2), differentiated from theta's arctan X form.
+
+    X' = -gamma^2 phi (D sin(phi t) + gamma^2 cos^2(phi t)) / D^2, D being the
+    denominator of X. It takes only sin, cos and arithmetic, which round the
+    same on numpy's AVX2 and AVX512 loops, and not rabi_h's form of the
+    same rate. Accepts scalar or array t.
+    """
+    s, c = _sin_cos(t, p)
+    g2 = p.gamma**2
+    den = 2.0 - g2 + 2.0 * p.phi + g2 * s
+    x = g2 * c / den
+    x_dot = -g2 * p.phi * (den * s + g2 * c * c) / (den * den)
+    out = 0.5 * p.omega + 0.5 * p.phi + x_dot / (1.0 + x * x)
+    return float(out) if np.isscalar(t) else out
+
+
 def u_closed(t, p: YangLeeParams) -> np.ndarray:
     """Closed-form propagator u(t, t0) of the Rabi-type Hamiltonian.
 

@@ -13,9 +13,14 @@ import pytest
 
 from dysonflow import (
     DysonSample,
+    IntegrationGrid,
+    MetricFlow,
+    TimeSeries,
     cli,
+    dyson_from_metric,
     hermitian_counterpart,
     hermitian_sqrt,
+    integrate_metric,
     zeta_metric,
 )
 from dysonflow._parallel import _fork_map
@@ -280,7 +285,8 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
 # on numpy's SIMD loops (all three hold the same bytes on numpy's AVX2 and
 # AVX512 loops), and the invariants again when invert_dyson_map took its
 # determinant from su2.det. The report pins rho_closed_dot, whose only use
-# is the metric_flow_residual check
+# is the metric_flow_residual check; it moved, in u_tdse_residual alone,
+# when that check took du/dt from theta_dot instead of central differences
 GOLDEN_CLOSED = {
     "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
@@ -289,7 +295,7 @@ GOLDEN_CLOSED = {
     "propagator": "65d0f68f5db1767abf5ebf5ad0491454c6a5f07fb3dd4ca2f384fa3a9d626262",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
     "invariants": "ec9e9f791dace91ea0f2fc3f7fe5564d359d578c1dbd81e3567c5855613d4842",
-    "report": "fdae0cbcf98f4e9a207b20926749a475b1e9550ead4814fb2071128f6134bf74",
+    "report": "ba977f8cb077bb6e7a0d1242a070b589e619eff961fc0d67173905ce4c436fc5",
 }
 
 
@@ -372,6 +378,40 @@ def test_su2_source_matches_finite_difference_formula():
         assert np.linalg.norm(h_exact - h_exact.conj().T) < 1e-13
 
 
+def rotated_hamiltonian():
+    """H and the zeta constants of rotated_yang_lee_config at lambda 0.6."""
+    cfg = cli.validate_config(cli.ScenarioConfig(**rotated_yang_lee_config(0.6, "unused")))
+    h, zeta, _period = cli._su2_config(cfg)
+    return h, zeta
+
+
+def test_flow_eta_dot_is_the_limit_of_the_finite_difference_one():
+    # on the rotated su2-generic flow the fourth-order difference of the
+    # sampled eta closes on the flow's eta_dot about 16x per halved step, and
+    # at dt 1e-3 the two agree to the difference's roundoff (2.4e-12 here,
+    # 8.8e-13 away from the one-sided edge stencils)
+    h, zeta = rotated_hamiltonian()
+    rho0 = zeta_metric(0.0, h, zeta).matrix()
+    gaps = []
+    for dt in (0.04, 0.02, 0.01, 1e-3):
+        flow = integrate_metric(h, rho0, IntegrationGrid(0.0, 4.0, dt))
+        gap = np.linalg.norm(dyson_from_metric(flow).eta_dot - dyson_from_metric(flow.series).eta_dot, axis=(1, 2))
+        gaps.append(np.max(gap))
+    assert 12.0 < gaps[0] / gaps[1] < 20.0 and 12.0 < gaps[1] / gaps[2] < 20.0
+    assert gaps[3] < 1e-11
+
+
+def test_flow_eta_dot_is_the_su2_source_bit_for_bit():
+    # dyson_from_metric on a MetricFlow and _su2_h_source apply one rule
+    h, zeta = rotated_hamiltonian()
+    ts = 0.37 + 1e-2 * np.arange(300)
+    series = TimeSeries(t0=ts[0], dt=1e-2, samples=zeta_metric(ts, h, zeta).matrix())
+    via_dyson = hermitian_counterpart(h.matrix(), dyson_from_metric(MetricFlow(series, h)))
+    exact = cli._su2_h_source(h, zeta)(ts)
+    bits = lambda m: np.ascontiguousarray(m).view(np.uint64)
+    assert np.array_equal(bits(via_dyson), bits(exact))
+
+
 def test_sweep_rows_are_the_numeric_report_values(tmp_path):
     # each row is read from the report verify prints for the same config and
     # window, t_end included; su2-generic sweeps used to drop t_end
@@ -409,8 +449,9 @@ def test_su2_sweep_refuses_what_run_refuses(tmp_path):
 
 
 def test_numeric_scenario_passes_at_the_edges_of_gamma(tmp_path):
-    # gamma near 0 and near the exceptional point at 1, from the anchor time to t = 6
-    for gamma in (0.01, 0.99, 0.999):
+    # gamma near 0 and near the exceptional point at 1, from the anchor time to t = 6;
+    # from 0.9998 on, a finite-difference eta_dot failed h_hermitian (6.1e-6 at 0.9998)
+    for gamma in (0.01, 0.99, 0.999, 0.9995, 0.9998, 0.9999):
         cfg_path = tmp_path / f"cfg_{gamma}.json"
         t0 = -math.pi / (2.0 * math.sqrt(1.0 - gamma**2))
         write_config(
@@ -430,6 +471,14 @@ def test_gamma_where_phi_rounds_to_one_is_a_config_error(scenario, tmp_path, cap
     assert "gamma must exceed 2^-27" in capsys.readouterr().err
 
 
+def test_closed_scenario_passes_near_the_exceptional_point(tmp_path):
+    # over the default window; u_tdse_residual read 1.4e-8 against 1e-8 here
+    # while du/dt came from central differences of u_closed, not from theta_dot
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, gamma=0.995, omega=0.8, t_start=None, t_end=None, outputs=[])
+    assert cli.main(["verify", str(cfg_path)]) == 0
+
+
 def test_closed_scenario_just_above_the_gamma_bound_prints_a_report(tmp_path, capsys):
     # whatever its checks say; the numeric scenario still ends in an error here,
     # its metric entries (about 1/gamma) too large for the absolute Hermiticity check
@@ -443,11 +492,10 @@ def test_closed_scenario_just_above_the_gamma_bound_prints_a_report(tmp_path, ca
 def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, capsys):
     # gamma = 0.9999 over the default window (two periods, 762,212 steps):
     # a metric that drifts from Hermitian by 1e-10 would end the run with an
-    # error instead of a report. h_hermitian and h_numeric_vs_closed FAIL
-    # here, from the finite-difference eta_dot, so the exit code is left open.
+    # error instead of a report
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "yang-lee-numeric", "gamma": 0.9999}), encoding="utf-8")
-    cli.main(["verify", str(cfg_path)])
+    assert cli.main(["verify", str(cfg_path)]) == 0
     out, err = capsys.readouterr()
     assert "error:" not in err
     assert out.startswith("scenario: yang-lee-numeric\n") and "overall:" in out
@@ -470,26 +518,29 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # eta^-1 (hermitian_h, energies, invariants, and the su2-generic propagator,
 # states and report) again when invert_dyson_map took its determinant from
 # su2.det, and the su2-generic metric when its alpha and beta columns became
-# the Pauli split of the integrated metric whose det_rho they sit beside
+# the Pauli split of the integrated metric whose det_rho they sit beside;
+# hermitian_h, energies, invariants and report of both again when eta_dot
+# came from the metric flow instead of finite differences (by at most
+# 1.0e-10, in the numeric invariants)
 GOLDEN_NUMERIC = {
     "metric": "c3f1ff5b17da20700c026a113d82e040ac0960ad6b276d090a03b28ed7f472fd",
     "dyson": "3c1fc5852c1d4bf844a3fd6925a45499f0151919b78e2905f73bbe5f0de7c503",
-    "hermitian_h": "5b0c62cd416b5675a21c326d881e9b5b46c6478e4f6fae4a3d6bb805bdbe8930",
+    "hermitian_h": "b858062b16f2ef7529e9a6d74ccb046c599ea98324da2d41a249cbfa4b52b02f",
     "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
-    "energies": "e530c78b25a0fd7bf6f183cb63bd84c61dac70e5b54602a1445c9c0568962d61",
-    "invariants": "dbae92eb9d0ecee0b99e3d64c8ab8cea42189b075320f587c3a105977e22e549",
-    "report": "40967b0d0d66ca104d9b942925b459b795638892a7be95268218a7b42029b9a3",
+    "energies": "7f06e2567b45dabadc255c598ff4033a1106ec5e1d8e87d1f38870b10f700f45",
+    "invariants": "8d860406914c13bfd556d6af4c603d0bb3892dd0d98872cfa9195cd13fabc6f4",
+    "report": "f61a2555b3f7a798348e3471f3b2c95da2cdee9d73ccb93d9988d91ca69b4218",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
     "dyson": "a5a7609a3114b65b1c76d7b52aa58fe9d393c57ba5a8d4a386a38cc4b52dd94e",
-    "hermitian_h": "8e371100d651728621ad3d6b07a213e08a0a9755457954e48298e0a3d01744da",
+    "hermitian_h": "cf7a45cb9724bebf2d343c4a838792dd0e113f425ad94bb65f8b0dbf7c0d192d",
     "states": "31ca6996013f2e24dbb26b067f6b986663a5b7d2abb4ab20e490cb2fdc30d474",
     "propagator": "09d05e912b9e48c9f4ac64cd4b139cb0db401bf67f5d6def47eff7e9fa13d300",
-    "energies": "baf0476a02704acf81bb26f6d023f259860b90bf6ceb9b91741b5611603adbed",
-    "invariants": "af1899433eebb1fc32321f10e6a2ac7394001cec1a283756b6842e57ecff610a",
-    "report": "44c6f28a43c851cc9f31ee7d436a7ae4c8a200d77e7e32dfe3eb819f017bd600",
+    "energies": "639fc7f6e6b0ea6d43f7115cc8b163e5533b9c85a7112eb3778bee9cb37d0542",
+    "invariants": "ab740251b82f1805d00c82644f20b0f4a179d9b22c9eb7a5241568e60dd1959f",
+    "report": "d351ac20587b53f802db931a9904f0fdecf7b2c45d7c66eb62ae0096dca02b33",
 }
 
 
@@ -526,18 +577,19 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 # the metric-derived files and the sweep again with the metric congruence;
 # every file and the sweep again with the pairwise scan; every file but dyson
 # (the sweep kept its bytes) again with su2.det in invert_dyson_map and the
-# metric table taken from the integrated metric
+# metric table taken from the integrated metric; hermitian_h, energies,
+# invariants, report and the sweep again with eta_dot from the metric flow
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
     "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
-    "hermitian_h": "375a6a7cf458c3b7e1cf58af54e81ebbabded720dbead6a9d866d7beaf509aed",
+    "hermitian_h": "cc3e1f974da0c965f9a716e96de7ca4df34002bf69b758a256b052df5d44901f",
     "states": "a4dcecd635b2bb7ec0d77eec519f5f3aabc1fee9c3baad4d504d57768a0e41a0",
     "propagator": "fb52b479d8a547619385f873f3cff36f84f2ef3b14e117604c20e79ae3154ae4",
-    "energies": "9bd7e1b6ff2ff4ada5c3146c0c3c66991295fd9b8c4055d6b1e34de94f7b1d0c",
-    "invariants": "ad35633ebd553415747efa8d7e759293811bd16650a192d222bb8626294439da",
-    "report": "105fbce70db2dc3ec4de0b7eeb78b17851aa03964ad836a2617dbd66304552a0",
+    "energies": "40985aed4631719eb7d33bd42b102152928112750aea4373a32c86387f3d2aa7",
+    "invariants": "8c6696c138580a05406765eda32ed7c363157e43d1c30aefab11f595c341da1e",
+    "report": "ba45dce21b1e6ed6bb60a2da17b7ac5af8d4eebce12c10e396b178482f6256a3",
 }
-GOLDEN_SU2_SWEEP_DT_JSON = "3ae687dbba6e29656ecda47ca88b9c80a5fed867295bef0654c4c3d23ee02d2f"
+GOLDEN_SU2_SWEEP_DT_JSON = "02307d27e82d28d81ab63bb1b23e8f0587621c8d9db98d150e9d8dbdfd39b6df"
 
 
 def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):
@@ -586,29 +638,25 @@ def test_json_series_writer_matches_json_dump(tmp_path):
 
 
 @pytest.mark.parametrize("scenario", ["yang-lee-numeric", "su2-generic"])
-def test_window_too_short_for_eta_dot_is_a_config_error(scenario, tmp_path, capsys):
-    # eta_dot takes five samples, so a numeric window needs four dt steps
-    base = {"scenario": scenario} if scenario != "su2-generic" else rotated_yang_lee_config(0.6, "x")
+def test_numeric_windows_of_one_to_three_steps_run(scenario, tmp_path, capsys):
+    # eta_dot comes from the metric flow at each sample, so no numeric window
+    # is too short for it; a five-point difference needed four steps
+    if scenario == "su2-generic":
+        base, dt = rotated_yang_lee_config(0.6, "x"), 0.01
+    else:
+        base, dt = {"scenario": scenario}, 0.02
     cfg_path = tmp_path / "cfg.json"
-    for verb in ("run", "verify"):
-        for t_end, status in ((0.03, 2), (0.04, 0)):
-            raw = {**base, "t_start": 0.0, "t_end": t_end, "dt": 0.01, "out_path": str(tmp_path / verb)}
+    for steps in (1, 2, 3):
+        for verb in ("run", "verify"):
+            out = tmp_path / f"{verb}{steps}"
+            raw = {**base, "t_start": 0.0, "t_end": steps * dt, "dt": dt, "out_path": str(out)}
             cfg_path.write_text(json.dumps({**raw, "outputs": list(cli.OUTPUTS)}), encoding="utf-8")
-            assert cli.main([verb, str(cfg_path)]) == status, (verb, t_end)
-            err = capsys.readouterr().err
-            if status == 2:
-                assert err == (
-                    f"config error: {scenario} needs a window of at least 4 dt steps for its "
-                    "fourth-order eta_dot, got 3 (span 0.03, dt 0.01)\n"
-                )
-            else:
-                assert err == ""
-    assert len((tmp_path / "run" / "metric.csv").read_text().splitlines()) == 1 + 5
-    # a sweep refuses the value whose window is too short, whichever process runs it
+            assert cli.main([verb, str(cfg_path)]) == 0, (verb, steps)
+            assert capsys.readouterr().err == ""
+        assert len((tmp_path / f"run{steps}" / "metric.csv").read_text().splitlines()) == 1 + steps + 1
+    # a sweep runs a value whose window holds three steps
     cfg_path.write_text(json.dumps({**base, "t_start": 0.0, "t_end": 0.3, "out_path": str(tmp_path)}))
-    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.1"]) == 2
-    assert "needs a window of at least 4 dt steps" in capsys.readouterr().err
-    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.075"]) == 0
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.1"]) == 0
 
 
 def test_window_of_at_most_half_a_step_is_a_config_error(tmp_path, capsys):

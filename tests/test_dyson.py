@@ -6,6 +6,7 @@ import pytest
 from dysonflow import (
     DysonSample,
     IDENTITY,
+    IntegrationGrid,
     PAULIS,
     SIGMA_Z,
     SU2Hamiltonian,
@@ -16,10 +17,12 @@ from dysonflow import (
     eta_closed,
     fourth_order_derivative,
     h1_matrix,
+    h1_su2,
     hermitian_counterpart,
     hermitian_sqrt,
     hermitian_sqrt_derivative,
     hermiticity_residual,
+    integrate_metric,
     invert_dyson_map,
     metric_rhs,
     physical_hamiltonian,
@@ -89,6 +92,24 @@ def test_dyson_needs_five_samples():
     rho = rho_closed(0.0, YL)
     with pytest.raises(ValueError):
         dyson_from_metric(TimeSeries(t0=0.0, dt=0.1, samples=np.stack([rho] * 4)))
+
+
+def test_flow_eta_dot_matches_the_closed_form(metric_flow_window, params, window_grid):
+    # eta_dot solves eta X + X eta = rho' with the flow's own rho' at each
+    # sample: 4.2e-14 here, where a fourth-order difference of the same
+    # samples misses by 1.0e-12
+    dys = dyson_from_metric(metric_flow_window)
+    ref = eta_closed(window_grid.times, params).eta_dot
+    assert np.max(np.linalg.norm(dys.eta_dot - ref, axis=(1, 2))) < 1e-13
+
+
+def test_a_flow_of_one_step_gives_both_samples_their_eta_dot():
+    # no stencil, so no minimum sample count
+    grid = IntegrationGrid(YL.t0, YL.t0 + 0.02, 0.02)
+    dys = dyson_from_metric(integrate_metric(h1_su2(YL), rho_closed(grid.t_start, YL), grid))
+    ref = eta_closed(grid.times, YL).eta_dot
+    assert dys.eta_dot.shape == (2, 2, 2)
+    assert np.max(np.linalg.norm(dys.eta_dot - ref, axis=(1, 2))) < 1e-9
 
 
 def test_fourth_order_derivative_on_smooth_function():

@@ -28,6 +28,7 @@ from dysonflow import (
     rho_closed_dot,
     rho_inner,
     theta,
+    theta_dot,
     u_closed,
     zeta_metric,
 )
@@ -205,6 +206,18 @@ def test_theta_derivative_including_tan_pole():
         denom = 2.0 + YL.gamma**2 * math.sin(YL.phi * t) - YL.gamma**2
         expected = 0.5 * YL.omega + YL.phi**2 / denom
         assert abs(rate(t) - expected) < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.5, 0.995, 0.9999])
+def test_theta_dot_matches_a_richardson_difference_of_theta(gamma):
+    # central differences of step h and h/2, extrapolated to O(h^4), over two periods
+    p = YangLeeParams(gamma=gamma, omega=0.8)
+    ts = np.linspace(p.t0, p.t0 + 2 * p.period, 301)
+    central = lambda h: (theta(ts + h, p) - theta(ts - h, p)) / (2.0 * h)
+    richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+    assert np.max(np.abs(theta_dot(ts, p) - richardson)) < 1e-9
+    assert isinstance(theta_dot(0.3, p), float)
+    assert np.array_equal(theta_dot(ts[:3], p), [theta_dot(t, p) for t in ts[:3]])
 
 
 def test_u_closed_identity_unitarity_tdse():
