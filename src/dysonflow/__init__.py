@@ -26,6 +26,7 @@ from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
     integrate_metric,
+    integrate_metric_from,
     metric_rhs,
     positivity_margin,
     zeta_metric,
@@ -101,6 +102,7 @@ __all__ = [
     "SU2Hamiltonian",
     "ZetaConstants",
     "integrate_metric",
+    "integrate_metric_from",
     "metric_rhs",
     "positivity_margin",
     "zeta_metric",

@@ -104,7 +104,14 @@ def _step_deltas(a1, a2, a3, h):
 
 
 def _compose(x, y):
-    """Delta of step y then step x: (I + X)(I + Y) - I = X + Y + XY, over stacks."""
+    """Delta of step y then step x: (I + X)(I + Y) - I = X + Y + XY, over stacks.
+
+    When x and y each repeat one matrix (a constant generator's broadcast
+    delta, whose stride along the steps is 0), the one product is formed
+    once and broadcast, with the bits of forming it in every row.
+    """
+    if len(x) > 1 and x.strides[0] == 0 == y.strides[0]:
+        return np.broadcast_to(_compose(x[0], y[0]), np.broadcast_shapes(x.shape, y.shape))
     xy = mul(x, y)
     xy += x + y
     return xy

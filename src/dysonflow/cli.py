@@ -12,8 +12,14 @@ the report only; ``sweep`` writes one aggregate table, each row read from
 the numeric scenario's report for one parameter value. Exit status: 0 when
 every check passes, 1 on a failed check, 2 on a config error.
 
-Each scenario is one pass over (n, 2, 2) stacks: every kernel is called
-once on the whole time grid, not once per sample.
+Every kernel is called on a stack of samples, never once per sample. The
+closed scenario is one pass over (n, 2, 2) stacks of the whole time grid.
+The numeric scenarios run in chunks of CHUNK_STEPS = 8,000 steps: each
+chunk continues the RK4 solutions of the one before and forms its own
+Dyson maps, closed forms and checks. The checks fold into one report, and
+only the rows of the tables ``run`` writes are kept, so the peak memory of
+``verify`` no longer grows with the window. A window of at most one chunk
+is one pass, with the same bits.
 
 CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
@@ -47,18 +53,18 @@ from .dyson import (
     physical_hamiltonian,
     quasi_hermiticity_residual,
 )
-from .errors import ConfigInvalid, DysonflowError, UnsupportedHamiltonian
+from .errors import ConfigInvalid, DysonflowError, StepTooLarge, UnsupportedHamiltonian
 from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
     _dot3,
     _require_flow_solvable,
-    integrate_metric,
+    integrate_metric_from,
     metric_rhs,
     positivity_margin,
     zeta_metric,
 )
-from .propagate import propagator_series
+from .propagate import evolve_state
 from .series import IntegrationGrid
 from .su2 import (
     IDENTITY,
@@ -516,10 +522,142 @@ def _subsample(n: int, want: int = 200) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Numeric runs in chunks
+# ----------------------------------------------------------------------
+
+# Steps per chunk of a numeric run, so that its memory does not grow with the
+# window. A multiple of the 100-step stride of the RK4 local error checks, so
+# every chunk checks the steps a one-chunk run checks.
+CHUNK_STEPS = 8_000
+
+# the numeric check whose value is a least sample; every other value is a greatest one
+_LEAST = ("positivity_maintained",)
+
+
+def _times(grid: IntegrationGrid, lo: int, hi: int) -> np.ndarray:
+    """The times of grid rows lo .. hi - 1, each t_start + dt * k as in grid.times."""
+    return grid.t_start + grid.dt * np.arange(lo, hi)
+
+
+def _rows_in(picked: np.ndarray, rows: slice) -> np.ndarray:
+    """The grid rows of ``picked`` that lie in ``rows``, counted from its start."""
+    return picked[(picked >= rows.start) & (picked < rows.stop)] - rows.start
+
+
+def _peak(values) -> float:
+    """The largest value, NaN if one is NaN, and -inf for none (a chunk without a subsampled row)."""
+    return float(np.max(values, initial=-np.inf))
+
+
+def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None):
+    """The metric flow, Dyson map and propagator over the grid, in chunks of CHUNK_STEPS steps.
+
+    Yields (rows, ts, rho, dys, u) for each chunk: the slice of grid rows it
+    holds, their times, the integrated metric, its DysonSample (eta_dot from
+    the flow) and u(t, t_start) of the Hermitian ``source``, or None without
+    one. A chunk starts on the last row of the chunk before it and yields the
+    rows after that one. It continues the RK4 solutions of that chunk from
+    their last values, never from a closed form: the metric's A through
+    integrate_metric_from and u through evolve_state, so the local error
+    checks see the A and u of one pass. The first chunk starts both from the
+    identity, as integrate_metric and propagator_series do, so a window of
+    at most CHUNK_STEPS steps is one pass over the whole grid, with its bits.
+
+    Errors are raised as one pass raises them. The metric and its Dyson map
+    come before the propagator, so once the propagator's local error check
+    fails, only they run on through the chunks left; a StepTooLarge or
+    NotPositiveDefinite among them is raised instead of the propagator's.
+    """
+    n, a_end, u_end = grid.n_steps, IDENTITY, IDENTITY
+    failed = None  # the propagator's StepTooLarge, raised once the metric has run to the end
+    for lo in range(0, n, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, n)
+        start = grid.t_start + grid.dt * lo
+        part = grid if hi - lo == n else IntegrationGrid(start, start + grid.dt * (hi - lo), grid.dt)
+        own = slice(1 if lo else 0, None)
+        flow, a_end = integrate_metric_from(h, rho0, a_end, part)
+        rho, dys = flow.series.samples[own], dyson_from_metric(flow)[own]
+        del flow  # only the rows yielded stay alive: each del here lowers the peak RSS
+        if failed is not None:
+            continue
+        u = None
+        if source is not None:
+            try:
+                u = evolve_state(source, u_end, part).samples[own]
+            except StepTooLarge as exc:
+                failed = exc
+                continue
+            u_end = u[-1].copy()
+        rows = slice(lo + own.start, hi + 1)
+        yield rows, _times(grid, rows.start, rows.stop), rho, dys, u
+        del rho, dys, u  # before the next chunk is formed
+    if failed is not None:
+        raise failed
+
+
+def _reduce_checks(checks, more):
+    """Fold a chunk's checks into those of the chunks before it, name by name.
+
+    positivity_maintained keeps the least value, every other check the
+    greatest; a NaN in either stays.
+    """
+    return [
+        replace(a, value=float((np.minimum if a.name in _LEAST else np.maximum)(a.value, b.value)))
+        for a, b in zip(checks, more, strict=True)
+    ]
+
+
+def _gather(gathered, series, names, rows: slice, n: int):
+    """Copy one chunk's rows of the tables ``names`` into float columns of the whole grid.
+
+    ``gathered`` is None on the first chunk, which allocates the columns;
+    returns (columns, layout), with layout the (name, header, column indices)
+    of every table the chunk's ``series`` has. A column that tables share in
+    the chunk (t, the propagator's) is one column, which _write_tables
+    formats once.
+    """
+    tables = [(name, *series[name]()) for name in names if name in series]
+    distinct = {}
+    for _, _, cols in tables:
+        for col in cols:
+            distinct.setdefault(id(col), (len(distinct), col))
+    if gathered is None:
+        layout = [(name, header, [distinct[id(col)][0] for col in cols]) for name, header, cols in tables]
+        gathered = [np.empty(n) for _ in distinct], layout
+    for k, col in distinct.values():
+        gathered[0][k][rows] = col
+    return gathered
+
+
+def _run_chunks(scenario: str, grid: IntegrationGrid, chunks, step, tables):
+    """A numeric pipeline's report and series, from ``step`` on each of its ``chunks``.
+
+    ``step(rows, ts, rho, dys, u)`` returns one chunk's checks and its
+    series (see _series), and the checks of all chunks fold into one report
+    (_reduce_checks). Only the rows of the named ``tables`` are kept,
+    gathered chunk by chunk (_gather); each chunk's other arrays go before
+    the next chunk is formed.
+    """
+    checks = gathered = None
+    for rows, ts, *state in chunks:
+        more, series = step(rows, ts, *state)
+        checks = more if checks is None else _reduce_checks(checks, more)
+        gathered = _gather(gathered, series, tables, rows, grid.n_steps + 1)
+        del state, ts, more, series  # before the next chunk is formed
+    columns, layout = gathered
+    series = {
+        name: (lambda header=header, idx=idx: (header, [columns[k] for k in idx]))
+        for name, header, idx in layout
+    }
+    return VerificationReport(scenario, tuple(checks)), series
+
+
+# ----------------------------------------------------------------------
 # Yang-Lee pipelines
 # ----------------------------------------------------------------------
 
-def _yang_lee_closed(cfg: ScenarioConfig):
+def _yang_lee_closed(cfg: ScenarioConfig, tables):
+    # every table of the closed forms is built lazily, on the whole grid
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     ts = _resolve_window(cfg).times
     h1m = h1_matrix(p)
@@ -610,75 +748,81 @@ def _yang_lee_closed(cfg: ScenarioConfig):
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
-def _yang_lee_numeric(cfg: ScenarioConfig):
+def _yang_lee_numeric(cfg: ScenarioConfig, tables):
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     grid = _resolve_window(cfg)
-    ts = grid.times
     h1m = h1_matrix(p)
     det_ref = p.phi**4 / p.gamma**2
+    u_start = dagger(u_closed(grid.t_start, p))
+    psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
+    sub = _subsample(grid.n_steps + 1)
+    eta_start = None
 
-    flow = integrate_metric(h1_su2(p), rho_closed(grid.t_start, p), grid)
-    rho_num = flow.series.samples
-    dys = dyson_from_metric(flow)
-    h_num = hermitian_counterpart(h1m, dys)
-    h_tilde = physical_hamiltonian(h1m, dys)
-    u_num = propagator_series(lambda t: rabi_h(t, p), grid).samples
-    u_ref = mul(u_closed(ts, p), dagger(u_closed(grid.t_start, p)))
+    def chunk(rows, ts, rho_num, dys, u_num):
+        nonlocal eta_start
+        if eta_start is None:
+            eta_start = dys.eta[0].copy()
+        h_num = hermitian_counterpart(h1m, dys)
+        h_tilde = physical_hamiltonian(h1m, dys)
+        u_ref = mul(u_closed(ts, p), u_start)
 
-    dets = det(rho_num).real
-    dev_metric = frobenius_norm(rho_num - rho_closed(ts, p))
-    dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
-    dev_h = frobenius_norm(h_num - rabi_h(ts, p))
-    dev_u = frobenius_norm(u_num - u_ref)
-    unitarity = _unitarity(u_num)
-    qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
+        dets = det(rho_num).real
+        dev_metric = frobenius_norm(rho_num - rho_closed(ts, p))
+        dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
+        dev_h = frobenius_norm(h_num - rabi_h(ts, p))
+        dev_u = frobenius_norm(u_num - u_ref)
+        unitarity = _unitarity(u_num)
+        qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
-    # the non-Hermitian-picture propagator keeps rho norms but not flat ones
-    sub = _subsample(len(ts))
-    u_big = mul(mul(dys.eta_inverse[sub], u_num[sub]), dys.eta[0])
-    nonunitarity = float(np.max(_unitarity(u_big)))
-    inner_drift = 0.0
-    for sgn in (+1, -1):
-        moved = _apply(u_big, psi_pm(grid.t_start, sgn, p))
-        inner = _braket(moved, rho_num[sub], moved)
-        inner_drift = max(inner_drift, float(np.max(np.abs(inner - 1.0))))
+        # the non-Hermitian-picture propagator keeps rho norms but not flat ones
+        at = _rows_in(sub, rows)
+        u_big = mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
+        nonunitarity = _peak(_unitarity(u_big))
+        inner_drift = 0.0
+        for psi in psi_start:
+            moved = _apply(u_big, psi)
+            inner = _braket(moved, rho_num[at], moved)
+            inner_drift = max(inner_drift, _peak(np.abs(inner - 1.0)))
 
-    checks = [
-        Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
-        Check("det_rho_drift", float(np.max(np.abs(dets - det_ref))), 1e-8),
-        Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
-        Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
-        Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
-        Check("h_hermitian", float(np.max(hermiticity_residual(h_num))), 1e-6),
-        Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
-        Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
-        Check("u_unitary", float(np.max(unitarity)), 1e-9),
-        Check("rho_inner_preserved", inner_drift, 1e-7),
-        Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
-    ]
+        checks = [
+            Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
+            Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
+            Check("det_rho_drift", float(np.max(np.abs(dets - det_ref))), 1e-8),
+            Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
+            Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
+            Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
+            Check("h_hermitian", float(np.max(hermiticity_residual(h_num))), 1e-6),
+            Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
+            Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
+            Check("u_unitary", float(np.max(unitarity)), 1e-9),
+            Check("rho_inner_preserved", inner_drift, 1e-7),
+            Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
+        ]
 
-    def energies():
-        out = {}
-        for name, sgn in (("E_plus", +1), ("E_minus", -1)):
-            phi = _apply(dys.eta, psi_pm(ts, sgn, p))
-            out[name] = _braket(phi, h_num, phi).real
-        return out
+        def energies():
+            out = {}
+            for name, sgn in (("E_plus", +1), ("E_minus", -1)):
+                phi = _apply(dys.eta, psi_pm(ts, sgn, p))
+                out[name] = _braket(phi, h_num, phi).real
+            return out
 
-    invariants = {
-        "metric_vs_closed": dev_metric,
-        "det_deviation": np.abs(dets - det_ref),
-        "eta_vs_closed": dev_eta,
-        "h_vs_closed": dev_h,
-        "u_vs_closed": dev_u,
-        "u_unitarity": unitarity,
-        "htilde_quasi_hermiticity": qh_tilde,
-    }
-    series = _series(
-        ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants,
-        u=u_num, energies=energies,
-    )
-    return VerificationReport(cfg.scenario, tuple(checks)), series
+        invariants = {
+            "metric_vs_closed": dev_metric,
+            "det_deviation": np.abs(dets - det_ref),
+            "eta_vs_closed": dev_eta,
+            "h_vs_closed": dev_h,
+            "u_vs_closed": dev_u,
+            "u_unitarity": unitarity,
+            "htilde_quasi_hermiticity": qh_tilde,
+        }
+        series = _series(
+            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants,
+            u=u_num, energies=energies,
+        )
+        return checks, series
+
+    chunks = _numeric_chunks(grid, h1_su2(p), rho_closed(grid.t_start, p), lambda t: rabi_h(t, p))
+    return _run_chunks(cfg.scenario, grid, chunks, chunk, tables)
 
 
 # ----------------------------------------------------------------------
@@ -697,69 +841,70 @@ def _su2_config(cfg: ScenarioConfig):
     return h, zeta, 2.0 * math.pi / math.sqrt(k2 - l2)
 
 
-def _su2_generic(cfg: ScenarioConfig):
+def _su2_generic(cfg: ScenarioConfig, tables):
     h, zeta, _period = _su2_config(cfg)
     grid = _resolve_window(cfg)
-    ts = grid.times
     hm = h.matrix()
-
-    ref = zeta_metric(ts, h, zeta)
-    alpha, beta = ref.alpha, ref.beta_vec
-    rho_ref = ref.matrix()
-    margins = positivity_margin(ref)
-    flow = integrate_metric(h, rho_ref[0], grid)
-    rho_num = flow.series.samples
-    dys = dyson_from_metric(flow)
-    h_num = hermitian_counterpart(hm, dys)
-    h_tilde = physical_hamiltonian(hm, dys)
-
-    h_herm = hermiticity_residual(h_num)
-    dets = det(rho_num).real
-    dev_metric = frobenius_norm(rho_num - rho_ref)
-    eta_sq = frobenius_norm(mul(dys.eta, dys.eta) - rho_num)
-    qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
-
-    # coefficient-flow residual of the closed form, via fourth-order differences
     fd = 1e-3
-    sub = _subsample(len(ts), want=50)
-    s0, s1, s2, s3 = (zeta_metric(ts[sub] + k * fd, h, zeta) for k in (-2, -1, 1, 2))
-    alpha_dot = (s0.alpha - 8 * s1.alpha + 8 * s2.alpha - s3.alpha) / (12 * fd)
-    beta_dot = (s0.beta_vec - 8 * s1.beta_vec + 8 * s2.beta_vec - s3.beta_vec) / (12 * fd)
-    r_alpha = np.abs(alpha_dot + _dot3(beta[sub], h.lambda_vec))
-    r_beta = beta_dot - (np.cross(h.kappa_vec, beta[sub]) - alpha[sub, None] * h.lambda_vec)
-    flow_resid = float(max(np.max(r_alpha), np.max(np.sqrt(_dot3(r_beta, r_beta)))))
+    sub = _subsample(grid.n_steps + 1, want=50)
 
-    checks = [
-        Check("metric_flow_residual_fd", flow_resid, 1e-9),
-        Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-        Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
-        Check("det_rho_drift", float(np.max(np.abs(dets - margins))), 1e-8),
-        Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
-        Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
-        Check("h_hermitian", float(np.max(h_herm)), 1e-6),
-        Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
-    ]
-    if not np.any(h.lambda_vec):
-        checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
+    def chunk(rows, ts, rho_num, dys, u):
+        ref = zeta_metric(ts, h, zeta)
+        alpha, beta = ref.alpha, ref.beta_vec
+        margins = positivity_margin(ref)
+        h_num = hermitian_counterpart(hm, dys)
+        h_tilde = physical_hamiltonian(hm, dys)
 
-    u = energies = None
-    if any(o in cfg.outputs for o in ("propagator", "states", "energies")):
-        u = propagator_series(_su2_h_source(h, zeta), grid).samples
-        # the columns of u are the evolved basis states
-        energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
-        checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
+        h_herm = hermiticity_residual(h_num)
+        dets = det(rho_num).real
+        dev_metric = frobenius_norm(rho_num - ref.matrix())
+        eta_sq = frobenius_norm(mul(dys.eta, dys.eta) - rho_num)
+        qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
 
-    invariants = {
-        "metric_vs_closed": dev_metric,
-        "det_deviation": np.abs(dets - margins),
-        "eta_sq_residual": eta_sq,
-        "h_hermiticity": h_herm,
-        "htilde_quasi_hermiticity": qh_tilde,
-    }
-    series = _series(
-        ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
-    )
-    return VerificationReport(cfg.scenario, tuple(checks)), series
+        # coefficient-flow residual of the closed form, via fourth-order differences
+        at = _rows_in(sub, rows)
+        s0, s1, s2, s3 = (zeta_metric(ts[at] + k * fd, h, zeta) for k in (-2, -1, 1, 2))
+        alpha_dot = (s0.alpha - 8 * s1.alpha + 8 * s2.alpha - s3.alpha) / (12 * fd)
+        beta_dot = (s0.beta_vec - 8 * s1.beta_vec + 8 * s2.beta_vec - s3.beta_vec) / (12 * fd)
+        r_alpha = np.abs(alpha_dot + _dot3(beta[at], h.lambda_vec))
+        r_beta = beta_dot - (np.cross(h.kappa_vec, beta[at]) - alpha[at, None] * h.lambda_vec)
+        flow_resid = max(_peak(r_alpha), _peak(np.sqrt(_dot3(r_beta, r_beta))))
+
+        checks = [
+            Check("metric_flow_residual_fd", flow_resid, 1e-9),
+            Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
+            Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
+            Check("det_rho_drift", float(np.max(np.abs(dets - margins))), 1e-8),
+            Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
+            Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
+            Check("h_hermitian", float(np.max(h_herm)), 1e-6),
+            Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
+        ]
+        if not np.any(h.lambda_vec):
+            checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
+
+        energies = None
+        if u is not None:
+            # the columns of u are the evolved basis states
+            energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
+            checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
+
+        invariants = {
+            "metric_vs_closed": dev_metric,
+            "det_deviation": np.abs(dets - margins),
+            "eta_sq_residual": eta_sq,
+            "h_hermiticity": h_herm,
+            "htilde_quasi_hermiticity": qh_tilde,
+        }
+        series = _series(
+            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
+        )
+        return checks, series
+
+    propagate = any(o in cfg.outputs for o in ("propagator", "states", "energies"))
+    rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
+    chunks = _numeric_chunks(grid, h, rho0, _su2_h_source(h, zeta) if propagate else None)
+    return _run_chunks(cfg.scenario, grid, chunks, chunk, tables)
 
 
 def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
@@ -808,12 +953,15 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
     Pipelines return each series as a build function; tables are built
-    only for the requested outputs. One writer emits every requested
-    table, its rows cut over the usable CPUs (see _write_tables);
-    report.json is written last, by this process.
+    only for the requested outputs. A numeric scenario runs in chunks of
+    CHUNK_STEPS steps (see _run_chunks) and keeps the rows of the requested
+    outputs alone, and of none for ``verify``, whose peak memory therefore
+    does not grow with the window. One writer emits
+    every requested table, its rows cut over the usable CPUs (see
+    _write_tables); report.json is written last, by this process.
     """
     out_dir = _out_dir(cfg) if write_files else None
-    report, series = _PIPELINES[cfg.scenario](cfg)
+    report, series = _PIPELINES[cfg.scenario](cfg, cfg.outputs if write_files else ())
     written = []
     if write_files:
         names = [name for name in cfg.outputs if name in series]
@@ -839,7 +987,7 @@ def _sweep_row(cfg: ScenarioConfig):
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
     cfg = replace(cfg, scenario=scenario, outputs=())
     grid = _resolve_window(cfg, periods=1)
-    report, _ = _PIPELINES[scenario](replace(cfg, t_start=grid.t_start, t_end=grid.t_end))
+    report, _ = _PIPELINES[scenario](replace(cfg, t_start=grid.t_start, t_end=grid.t_end), ())
     value = {c.name: c.value for c in report.checks}
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
     return (

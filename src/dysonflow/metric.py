@@ -217,15 +217,34 @@ def integrate_metric(
     step at a checked step (step 0 and every 100th after it) exceeds
     ``local_error_bound``; None turns the checks off.
     """
+    return integrate_metric_from(h, rho0, IDENTITY, grid, local_error_bound)[0]
+
+
+def integrate_metric_from(
+    h: SU2Hamiltonian,
+    rho0,
+    a0,
+    grid: IntegrationGrid,
+    local_error_bound: float | None = 1e-6,
+):
+    """integrate_metric over a grid on which A starts at ``a0``; returns the flow and A's last value.
+
+    The samples are A rho0 A^dag, with A' = -i H^dag A integrated from a0
+    at grid.t_start. A grid that starts where this one ends continues the
+    same flow from the returned A, so a long window runs as a chain of
+    short grids; the local error checks see the same A as on one grid.
+    a0 = I is integrate_metric.
+    """
     rho0 = complex2x2(rho0)
     require_hpd(rho0)
     a = rk4_linear(
-        -1j * dagger(h.matrix()), IDENTITY, grid.t_start, grid.dt, grid.n_steps, local_error_bound
+        -1j * dagger(h.matrix()), a0, grid.t_start, grid.dt, grid.n_steps, local_error_bound
     )
     samples = mul(mul(a, rho0), dagger(a))
     bad = np.nonzero(det(samples).real <= 0.0)[0]
-    return MetricFlow(
+    flow = MetricFlow(
         series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples),
         h=h,
         positivity_lost_at=float(grid.t_start + grid.dt * bad[0]) if bad.size else None,
     )
+    return flow, a[-1].copy()

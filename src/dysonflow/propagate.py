@@ -66,6 +66,8 @@ def evolve_state(
 ) -> TimeSeries:
     """Integrate i d/dt psi = h(t) psi over the grid with fixed-step RK4.
 
+    ``psi0`` is a (2,) state vector or a (2, k) matrix of column states;
+    from u(grid.t_start, t0) it continues a propagator to u(t, t0).
     ``h_of_t`` follows the contract of propagator_series. A non-Hermitian
     source triggers a single warning, naming the first non-Hermitian stage
     time, when ``hermitian_check`` is on; the integrator itself is happy to
@@ -73,8 +75,8 @@ def evolve_state(
     where the flat norm is not conserved).
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.ndim != 1:
-        raise ValueError(f"psi0 must be a state vector, got shape {psi0.shape}")
+    if psi0.ndim not in (1, 2):
+        raise ValueError(f"psi0 must be a state vector or a matrix of them, got shape {psi0.shape}")
     return _evolve(h_of_t, psi0, grid, local_error_bound, hermitian_check)
 
 

@@ -490,7 +490,7 @@ def test_closed_scenario_just_above_the_gamma_bound_prints_a_report(tmp_path, ca
 
 
 def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, capsys):
-    # gamma = 0.9999 over the default window (two periods, 762,212 steps):
+    # gamma = 0.9999 over the default window (two periods, 888,599 steps):
     # a metric that drifts from Hermitian by 1e-10 would end the run with an
     # error instead of a report
     cfg_path = tmp_path / "cfg.json"
@@ -892,3 +892,128 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
     with pytest.raises(RuntimeError, match="exited with status 3$"):
         cli._write_tables(tmp_path, tables, cfg, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
+
+
+# --- numeric runs in chunks ----------------------------------------------
+
+# A chunk of 200 steps, so that windows of a few hundred steps cross chunk
+# boundaries. Runs of more than one chunk must give every series value and
+# report value within CHUNK_BOUND * max(1, |value|) of one pass over the
+# grid (the largest difference seen is 3.1e-15, in the metric), and the t
+# column and the closed forms of each chunk byte for byte.
+CHUNK = 200
+CHUNK_BOUND = 1e-13
+
+
+def chunk_config(scenario, steps, out_path):
+    if scenario == "su2-generic":
+        return rotated_yang_lee_config(0.6, str(out_path), t_start=0.0, t_end=steps * 5e-3, dt=5e-3)
+    return {
+        "scenario": scenario, "gamma": 0.6, "omega": 0.9, "t_start": -0.5,
+        "t_end": -0.5 + steps * 5e-3, "dt": 5e-3, "out_path": str(out_path),
+    }
+
+
+def run_in_chunks(monkeypatch, chunk_steps, raw, tmp_path):
+    """report.json and the CSV lines of every output of one run, with chunks of chunk_steps steps."""
+    monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "outputs": list(cli.OUTPUTS)}), encoding="utf-8")
+    assert cli.main(["run", str(cfg_path)]) == 0
+    out = Path(raw["out_path"])
+    tables = {name: (out / f"{name}.csv").read_text().splitlines() for name in cli.OUTPUTS}
+    return json.loads((out / "report.json").read_text())["report"], tables
+
+
+def assert_within_chunk_bound(ref, new):
+    ref, new = np.asarray(ref, dtype=float), np.asarray(new, dtype=float)
+    assert np.all(np.abs(new - ref) <= CHUNK_BOUND * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("scenario", ["yang-lee-numeric", "su2-generic"])
+@pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch):
+    times = []
+    real_times = cli._times
+    monkeypatch.setattr(cli, "_times", lambda grid, lo, hi: times.append(real_times(grid, lo, hi)) or times[-1])
+    whole = run_in_chunks(monkeypatch, 10**9, chunk_config(scenario, steps, tmp_path / "whole"), tmp_path)
+    whole_times, times[:] = times[:], []
+    report, tables = run_in_chunks(monkeypatch, CHUNK, chunk_config(scenario, steps, tmp_path / "chunks"), tmp_path)
+    assert len(times) == max(1, -(-steps // CHUNK))
+    if steps <= CHUNK:  # one chunk: one pass, every byte kept
+        assert (report, tables) == whole
+        return
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in whole[0]["checks"]]
+    assert report["overall"] == whole[0]["overall"] == "PASS"
+    assert_within_chunk_bound([c["value"] for c in whole[0]["checks"]], [c["value"] for c in report["checks"]])
+    for name, lines in tables.items():
+        ref = whole[1][name]
+        assert lines[0] == ref[0] and len(lines) == len(ref) == steps + 2, name
+        assert [line.split(",")[0] for line in lines] == [line.split(",")[0] for line in ref], name
+        assert_within_chunk_bound(np.loadtxt(ref[1:], delimiter=","), np.loadtxt(lines[1:], delimiter=","))
+    # each chunk's times, and the closed forms over them, are those rows of the whole grid
+    (grid_times,) = whole_times
+    assert np.array_equal(np.concatenate(times), grid_times)
+    assert not np.any(np.signbit(np.concatenate(times)) != np.signbit(grid_times))
+    p = cli.YangLeeParams(gamma=0.6, omega=0.9)
+    raw = chunk_config(scenario, steps, tmp_path)
+    h, zeta, _ = cli._su2_config(cli.validate_config(cli.ScenarioConfig(**raw)))
+    closed_forms = (
+        [lambda t: zeta_metric(t, h, zeta).matrix()] if scenario == "su2-generic"
+        else [lambda t: cli.rho_closed(t, p), lambda t: cli.eta_closed(t, p).eta, lambda t: cli.rabi_h(t, p),
+              lambda t: cli.u_closed(t, p), lambda t: cli.psi_pm(t, +1, p)]
+    )
+    lo = 0
+    for ts in times:
+        for form in closed_forms:
+            whole_rows, chunk_rows = form(grid_times)[lo : lo + len(ts)], form(ts)
+            assert whole_rows.tobytes() == np.ascontiguousarray(chunk_rows).tobytes()
+            assert np.ascontiguousarray(whole_rows).tobytes() == np.ascontiguousarray(chunk_rows).tobytes()
+        lo += len(ts)
+
+
+@pytest.mark.parametrize("dt, step", [(0.16, 300), (0.17, 200)])
+def test_a_step_too_large_in_a_later_chunk_names_the_time_of_one_pass(dt, step, monkeypatch, capsys):
+    # near the exceptional point the metric's local error check fails first
+    # at this step, past the first chunk; with dt 0.17 the propagator's fails
+    # at step 0 of the first chunk, but one pass integrates the metric first
+    # and names its failure, and so must a run in chunks
+    p = cli.YangLeeParams(gamma=0.999, omega=1.0)
+    cfg = cli.validate_config(cli.ScenarioConfig(
+        scenario="yang-lee-numeric", gamma=0.999, omega=1.0, dt=dt, t_start=p.t0, t_end=p.t0 + 1000 * dt,
+    ))
+    messages = []
+    for chunk_steps in (10**9, CHUNK):
+        monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
+        with pytest.raises(StepTooLarge) as info:
+            cli.run_scenario(cfg, write_files=False)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"at t = {p.t0 + step * dt:.6g}; reduce dt")
+
+
+def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_pass(monkeypatch):
+    # a source 40 times as large from t = 3.5 on fails the local error check
+    # at step 400 (t = 4), in the third chunk; one that is not Hermitian from
+    # t = 2.5 on draws its first warning at the first stage time after that
+    p = cli.YangLeeParams(gamma=0.5, omega=1.0)
+    grid = IntegrationGrid(0.0, 6.05, 0.01)
+    rho0 = cli.rho_closed(0.0, p)
+
+    def large(t):
+        return cli.rabi_h(t, p) * np.where(t > 3.5, 40.0, 1.0)[:, None, None]
+
+    def leaky(t):
+        return cli.rabi_h(t, p) + np.where(t > 2.5, 1e-3j, 0.0)[:, None, None] * np.eye(2)
+
+    messages, warned = [], []
+    for chunk_steps in (10**9, CHUNK):
+        monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
+        with pytest.raises(StepTooLarge) as info:
+            list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, large))
+        messages.append(str(info.value))
+        with pytest.warns(UserWarning) as record:
+            list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, leaky))
+        warned.append(str(record[0].message))
+    assert messages[0] == messages[1] and "at t = 4;" in messages[0]
+    assert warned[0] == warned[1] and warned[0].startswith("Hamiltonian source is not Hermitian at t = 2.505 ")

@@ -99,6 +99,20 @@ def test_constant_generator_gives_the_bits_of_its_stage_stack():
         assert np.array_equal(const, rk4_linear(stages, y0, 0.0, 1e-2, n))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4001, 8000])
+def test_a_broadcast_step_gives_the_bits_of_its_materialised_stack(n):
+    # a constant generator's pair delta at each level of the scan is formed
+    # once and broadcast; a stage stack that holds the generator in every
+    # row forms every pair, and the two must agree bit for bit, zero signs too
+    stages = np.ascontiguousarray(np.broadcast_to(B[1], (len(stage_times(0.0, 1e-3, n)), 2, 2)))
+    for y0 in (np.eye(2), np.array([1.0, 0.5j])):
+        const = rk4_linear(B[1], y0, 0.0, 1e-3, n)
+        full = rk4_linear(stages, y0, 0.0, 1e-3, n)
+        assert np.array_equal(const, full)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(const)), np.signbit(part(full)))
+
+
 def scan_digest():
     """sha256 of rk4_linear's series for a time-dependent and a constant generator."""
     t0, dt, n = 0.0, 2e-3, 1000

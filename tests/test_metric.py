@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dysonflow import (
+    IDENTITY,
     IntegrationGrid,
     MetricState,
     SU2Hamiltonian,
@@ -14,6 +15,7 @@ from dysonflow import (
     h1_su2,
     hermiticity_residual,
     integrate_metric,
+    integrate_metric_from,
     metric_rhs,
     positivity_margin,
     rho_closed,
@@ -261,6 +263,27 @@ def test_integrate_step_too_large():
     grid = IntegrationGrid(0.0, 5.0, 0.5)
     with pytest.raises(StepTooLarge):
         integrate_metric(H_YL, rho_closed(0.0, YL), grid, local_error_bound=1e-12)
+
+
+def test_integrate_metric_from_continues_the_flow_over_a_second_grid():
+    # a0 = I is integrate_metric, bit for bit; a second grid that starts from
+    # the first one's last A gives the rest of the one-grid flow, to rounding
+    whole = integrate_metric(H_YL, rho_closed(0.0, YL), IntegrationGrid(0.0, 4.0, 1e-3))
+    first, a_end = integrate_metric_from(H_YL, rho_closed(0.0, YL), IDENTITY, IntegrationGrid(0.0, 2.0, 1e-3))
+    second, _ = integrate_metric_from(H_YL, rho_closed(0.0, YL), a_end, IntegrationGrid(2.0, 4.0, 1e-3))
+    assert np.array_equal(first.series.samples, whole.series.samples[:2001])
+    assert np.array_equal(second.series.samples[0], first.series.samples[-1])
+    assert np.max(np.abs(second.series.samples - whole.series.samples[2000:])) < 1e-14
+    assert second.h == H_YL and second.series.t0 == 2.0
+
+
+def test_integrate_metric_from_checks_the_local_error_of_the_continued_a():
+    # the check applies the step's error to A itself, so a grid continued from
+    # a large A fails where the same grid started from A = I passes
+    grid = IntegrationGrid(0.0, 1.0, 0.05)
+    integrate_metric_from(H_YL, rho_closed(0.0, YL), IDENTITY, grid)
+    with pytest.raises(StepTooLarge):
+        integrate_metric_from(H_YL, rho_closed(0.0, YL), 1e4 * IDENTITY, grid)
 
 
 # ----------------------------------------------------------------------

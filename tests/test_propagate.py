@@ -119,6 +119,20 @@ def test_time_ordered_u_composition():
     assert np.linalg.norm(u21 @ u10 - u20) < 1e-8
 
 
+def test_evolve_state_continues_a_propagator_from_a_matrix():
+    # from u(t1, t0) as a (2, 2) matrix of column states, the second half of
+    # a grid gives the rest of u(t, t0), to rounding; a 3-D start is refused
+    h_of_t = lambda t: rabi_h(t, YL)
+    whole = propagator_series(h_of_t, IntegrationGrid(0.0, 2.0, 1e-3)).samples
+    first = propagator_series(h_of_t, IntegrationGrid(0.0, 1.0, 1e-3)).samples
+    second = evolve_state(h_of_t, first[-1], IntegrationGrid(1.0, 2.0, 1e-3)).samples
+    assert np.array_equal(first, whole[:1001])
+    assert second.shape == (1001, 2, 2) and np.array_equal(second[0], first[-1])
+    assert np.max(np.abs(second - whole[1000:])) < 1e-14
+    with pytest.raises(ValueError, match="state vector or a matrix"):
+        evolve_state(h_of_t, np.ones((1, 2, 2)), IntegrationGrid(0.0, 1.0, 1e-3))
+
+
 def test_time_ordered_u_matches_closed_form():
     h_of_t = lambda t: rabi_h(t, YL)
     for t in (YL.t0 + 0.5, YL.t0 + 2.0, YL.t0 + 0.5 * YL.period):
