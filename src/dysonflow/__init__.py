@@ -30,6 +30,7 @@ from .metric import (
     metric_rhs,
     positivity_margin,
     zeta_metric,
+    zeta_metric_dot,
 )
 from .propagate import (
     evolve_state,
@@ -106,6 +107,7 @@ __all__ = [
     "metric_rhs",
     "positivity_margin",
     "zeta_metric",
+    "zeta_metric_dot",
     "DysonSample",
     "dyson_from_metric",
     "fourth_order_derivative",

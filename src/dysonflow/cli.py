@@ -14,9 +14,11 @@ every check passes, 1 on a failed check, 2 on a config error.
 
 Every kernel is called on a stack of samples, never once per sample. The
 closed scenario is one pass over (n, 2, 2) stacks of the whole time grid.
-The numeric scenarios run in chunks of CHUNK_STEPS = 8,000 steps: each
-chunk continues the RK4 solutions of the one before and forms its own
-Dyson maps, closed forms and checks. The checks fold into one report, and
+The two numeric scenarios are one pipeline, _numeric: yang-lee-numeric is
+su2-generic on H1 with the canonical metric constants, plus its Yang-Lee
+oracles. It runs in chunks of CHUNK_STEPS = 8,000 steps: each chunk
+continues the RK4 solutions of the one before and forms its own Dyson
+maps, closed forms and checks. The checks fold into one report, and
 only the rows of the tables ``run`` writes are kept, so the peak memory of
 ``verify`` no longer grows with the window. A window of at most one chunk
 is one pass, with the same bits.
@@ -63,6 +65,7 @@ from .metric import (
     metric_rhs,
     positivity_margin,
     zeta_metric,
+    zeta_metric_dot,
 )
 from .propagate import evolve_state
 from .series import IntegrationGrid
@@ -378,6 +381,24 @@ def _metric_columns(rho, dets):
     return (*(c.real for c in pauli_decompose(rho)), dets)
 
 
+def _chain_columns(hm, rho, dys: DysonSample, h, det_closed):
+    """det rho, Htilde and the residuals of the chain rho -> eta -> (h, Htilde) that every scenario checks.
+
+    The residuals are invariant columns: det_deviation |det rho -
+    det_closed|, eta_sq_residual |eta^2 - rho|, h_hermiticity of h, and
+    htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot for the
+    static ``hm``.
+    """
+    dets = det(rho).real
+    h_tilde = physical_hamiltonian(hm, dys)
+    return dets, h_tilde, {
+        "det_deviation": np.abs(dets - det_closed),
+        "eta_sq_residual": frobenius_norm(mul(dys.eta, dys.eta) - rho),
+        "h_hermiticity": hermiticity_residual(h),
+        "htilde_quasi_hermiticity": quasi_hermiticity_residual(h_tilde, rho),
+    }
+
+
 def _write_json(path: Path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -653,7 +674,7 @@ def _run_chunks(scenario: str, grid: IntegrationGrid, chunks, step, tables):
 
 
 # ----------------------------------------------------------------------
-# Yang-Lee pipelines
+# The closed Yang-Lee pipeline
 # ----------------------------------------------------------------------
 
 def _yang_lee_closed(cfg: ScenarioConfig, tables):
@@ -661,7 +682,6 @@ def _yang_lee_closed(cfg: ScenarioConfig, tables):
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     ts = _resolve_window(cfg).times
     h1m = h1_matrix(p)
-    det_ref = p.phi**4 / p.gamma**2
     e_p, e_m = eigenvalues_h1(p)
 
     rho = rho_closed(ts, p)
@@ -669,17 +689,13 @@ def _yang_lee_closed(cfg: ScenarioConfig, tables):
     eta = dys.eta
     h = rabi_h(ts, p)
     u = u_closed(ts, p)
-    h_tilde = physical_hamiltonian(h1m, dys)
+    dets, h_tilde, chain = _chain_columns(h1m, rho, dys, h, p.phi**4 / p.gamma**2)
     psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
     phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
     e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
 
-    dets = det(rho).real
-    h_herm = hermiticity_residual(h)
     flow_residual = frobenius_norm(mul(dagger(h1m), rho) - mul(rho, h1m) - 1j * rho_closed_dot(ts, p))
-    eta_sq = frobenius_norm(mul(eta, eta) - rho)
     dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
-    qh_tilde = quasi_hermiticity_residual(h_tilde, rho)
     qh_raw = quasi_hermiticity_residual(h1m, rho)
     ip = lambda a, b: _braket(a, rho, b)
     ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
@@ -715,12 +731,12 @@ def _yang_lee_closed(cfg: ScenarioConfig, tables):
     checks = [
         Check("metric_hermitian", float(np.max(hermiticity_residual(rho))), 1e-12),
         Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
-        Check("det_rho_constant", float(np.max(np.abs(dets - det_ref))), 1e-10),
-        Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
+        Check("det_rho_constant", float(np.max(chain["det_deviation"])), 1e-10),
+        Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
         Check("eta_hermitian", float(np.max(hermiticity_residual(eta))), 1e-12),
-        Check("h_hermitian", float(np.max(h_herm)), 1e-12),
+        Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-12),
         Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
-        Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-9),
+        Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-9),
         Check("h1_not_quasi_hermitian", float(np.min(qh_raw)), 1e-2, mode="min_gt"),
         Check("inner_product_unit", float(np.max(np.abs(ip_unit))), 1e-9),
         Check("inner_product_cross", float(np.max(np.abs(ip_cross))), 1e-9),
@@ -734,100 +750,80 @@ def _yang_lee_closed(cfg: ScenarioConfig, tables):
         Check("energy_matches_metric_expectation", energy_metric, 1e-9),
         Check("energy_endpoint_values", float(endpoint), 1e-12),
     ]
-    invariants = {
-        "det_deviation": np.abs(dets - det_ref),
-        "eta_sq_residual": eta_sq,
-        "h_hermiticity": h_herm,
-        "htilde_quasi_hermiticity": qh_tilde,
-        "u_unitarity": u_unitarity,
-    }
     series = _series(
-        ts, lambda: _metric_columns(rho, dets), eta, h, invariants,
+        ts, lambda: _metric_columns(rho, dets), eta, h, {**chain, "u_unitarity": u_unitarity},
         u=u, energies=lambda: {"E_plus": e_plus, "E_minus": e_minus},
     )
     return VerificationReport(cfg.scenario, tuple(checks)), series
 
 
-def _yang_lee_numeric(cfg: ScenarioConfig, tables):
-    p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
+# ----------------------------------------------------------------------
+# The numeric pipeline
+# ----------------------------------------------------------------------
+
+def _numeric(cfg: ScenarioConfig, tables, h: SU2Hamiltonian, zeta: ZetaConstants, source, oracle=None):
+    """The numeric pipeline of a static H whose closed-form metric is zeta_metric(t, h, zeta).
+
+    The metric starts at the closed form's rho(t_start) and runs through
+    _numeric_chunks with the Hermitian ``source`` of the propagator, or
+    None for no propagator. Each chunk forms h and Htilde, and checks the
+    metric against the closed form, its flow against the closed form's
+    analytic derivative, det rho, positivity, eta^2 = rho and the
+    Hermiticity of h and quasi-Hermiticity of Htilde, and the unitarity of
+    u. ``oracle(rows, ts, rho, dys, u, h_num, unitarity)``, given, returns
+    the chunk's further (checks, invariant columns, energies build), the
+    energies replacing those of the evolved basis states.
+    """
     grid = _resolve_window(cfg)
-    h1m = h1_matrix(p)
-    det_ref = p.phi**4 / p.gamma**2
-    u_start = dagger(u_closed(grid.t_start, p))
-    psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
-    sub = _subsample(grid.n_steps + 1)
-    eta_start = None
+    hm = h.matrix()
+    sub = _subsample(grid.n_steps + 1, want=50)
 
-    def chunk(rows, ts, rho_num, dys, u_num):
-        nonlocal eta_start
-        if eta_start is None:
-            eta_start = dys.eta[0].copy()
-        h_num = hermitian_counterpart(h1m, dys)
-        h_tilde = physical_hamiltonian(h1m, dys)
-        u_ref = mul(u_closed(ts, p), u_start)
+    def chunk(rows, ts, rho_num, dys, u):
+        ref = zeta_metric(ts, h, zeta)
+        h_num = hermitian_counterpart(hm, dys)
+        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_num, positivity_margin(ref))
+        dev_metric = frobenius_norm(rho_num - ref.matrix())
 
-        dets = det(rho_num).real
-        dev_metric = frobenius_norm(rho_num - rho_closed(ts, p))
-        dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
-        dev_h = frobenius_norm(h_num - rabi_h(ts, p))
-        dev_u = frobenius_norm(u_num - u_ref)
-        unitarity = _unitarity(u_num)
-        qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
-
-        # the non-Hermitian-picture propagator keeps rho norms but not flat ones
+        # coefficient-flow residual of the closed form, with its analytic derivative
         at = _rows_in(sub, rows)
-        u_big = mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
-        nonunitarity = _peak(_unitarity(u_big))
-        inner_drift = 0.0
-        for psi in psi_start:
-            moved = _apply(u_big, psi)
-            inner = _braket(moved, rho_num[at], moved)
-            inner_drift = max(inner_drift, _peak(np.abs(inner - 1.0)))
+        alpha, beta, rate = ref.alpha[at], ref.beta_vec[at], zeta_metric_dot(ts[at], h, zeta)
+        r_alpha = np.abs(rate.alpha + _dot3(beta, h.lambda_vec))
+        r_beta = rate.beta_vec - (np.cross(h.kappa_vec, beta) - alpha[:, None] * h.lambda_vec)
+        flow_resid = max(_peak(r_alpha), _peak(np.sqrt(_dot3(r_beta, r_beta))))
 
         checks = [
+            Check("metric_flow_residual_fd", flow_resid, 1e-9),
             Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
             Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
-            Check("det_rho_drift", float(np.max(np.abs(dets - det_ref))), 1e-8),
+            Check("det_rho_drift", float(np.max(chain["det_deviation"])), 1e-8),
             Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
-            Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
-            Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
-            Check("h_hermitian", float(np.max(hermiticity_residual(h_num))), 1e-6),
-            Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
-            Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
-            Check("u_unitary", float(np.max(unitarity)), 1e-9),
-            Check("rho_inner_preserved", inner_drift, 1e-7),
-            Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
+            Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
+            Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-6),
+            Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-6),
         ]
+        if not np.any(h.lambda_vec):
+            checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
 
-        def energies():
-            out = {}
-            for name, sgn in (("E_plus", +1), ("E_minus", -1)):
-                phi = _apply(dys.eta, psi_pm(ts, sgn, p))
-                out[name] = _braket(phi, h_num, phi).real
-            return out
+        energies = unitarity = None
+        if u is not None:
+            # the columns of u are the evolved basis states
+            energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
+            unitarity = _unitarity(u)
+            checks.append(Check("u_unitary", float(np.max(unitarity)), 1e-9))
 
-        invariants = {
-            "metric_vs_closed": dev_metric,
-            "det_deviation": np.abs(dets - det_ref),
-            "eta_vs_closed": dev_eta,
-            "h_vs_closed": dev_h,
-            "u_vs_closed": dev_u,
-            "u_unitarity": unitarity,
-            "htilde_quasi_hermiticity": qh_tilde,
-        }
+        invariants = {"metric_vs_closed": dev_metric, **chain}
+        if oracle is not None:
+            more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_num, unitarity)
+            checks += more
+            invariants.update(columns)
         series = _series(
-            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants,
-            u=u_num, energies=energies,
+            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
         )
         return checks, series
 
-    chunks = _numeric_chunks(grid, h1_su2(p), rho_closed(grid.t_start, p), lambda t: rabi_h(t, p))
-    return _run_chunks(cfg.scenario, grid, chunks, chunk, tables)
+    rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
+    return _run_chunks(cfg.scenario, grid, _numeric_chunks(grid, h, rho0, source), chunk, tables)
 
-
-# ----------------------------------------------------------------------
-# Generic SU(2) pipeline
-# ----------------------------------------------------------------------
 
 def _su2_config(cfg: ScenarioConfig):
     h = SU2Hamiltonian(
@@ -839,72 +835,6 @@ def _su2_config(cfg: ScenarioConfig):
     zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
     k2, l2 = _require_flow_solvable(h)
     return h, zeta, 2.0 * math.pi / math.sqrt(k2 - l2)
-
-
-def _su2_generic(cfg: ScenarioConfig, tables):
-    h, zeta, _period = _su2_config(cfg)
-    grid = _resolve_window(cfg)
-    hm = h.matrix()
-    fd = 1e-3
-    sub = _subsample(grid.n_steps + 1, want=50)
-
-    def chunk(rows, ts, rho_num, dys, u):
-        ref = zeta_metric(ts, h, zeta)
-        alpha, beta = ref.alpha, ref.beta_vec
-        margins = positivity_margin(ref)
-        h_num = hermitian_counterpart(hm, dys)
-        h_tilde = physical_hamiltonian(hm, dys)
-
-        h_herm = hermiticity_residual(h_num)
-        dets = det(rho_num).real
-        dev_metric = frobenius_norm(rho_num - ref.matrix())
-        eta_sq = frobenius_norm(mul(dys.eta, dys.eta) - rho_num)
-        qh_tilde = quasi_hermiticity_residual(h_tilde, rho_num)
-
-        # coefficient-flow residual of the closed form, via fourth-order differences
-        at = _rows_in(sub, rows)
-        s0, s1, s2, s3 = (zeta_metric(ts[at] + k * fd, h, zeta) for k in (-2, -1, 1, 2))
-        alpha_dot = (s0.alpha - 8 * s1.alpha + 8 * s2.alpha - s3.alpha) / (12 * fd)
-        beta_dot = (s0.beta_vec - 8 * s1.beta_vec + 8 * s2.beta_vec - s3.beta_vec) / (12 * fd)
-        r_alpha = np.abs(alpha_dot + _dot3(beta[at], h.lambda_vec))
-        r_beta = beta_dot - (np.cross(h.kappa_vec, beta[at]) - alpha[at, None] * h.lambda_vec)
-        flow_resid = max(_peak(r_alpha), _peak(np.sqrt(_dot3(r_beta, r_beta))))
-
-        checks = [
-            Check("metric_flow_residual_fd", flow_resid, 1e-9),
-            Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-            Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
-            Check("det_rho_drift", float(np.max(np.abs(dets - margins))), 1e-8),
-            Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
-            Check("eta_squared_matches_rho", float(np.max(eta_sq)), 1e-10),
-            Check("h_hermitian", float(np.max(h_herm)), 1e-6),
-            Check("htilde_quasi_hermitian", float(np.max(qh_tilde)), 1e-6),
-        ]
-        if not np.any(h.lambda_vec):
-            checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
-
-        energies = None
-        if u is not None:
-            # the columns of u are the evolved basis states
-            energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
-            checks.append(Check("u_unitary", float(np.max(_unitarity(u))), 1e-9))
-
-        invariants = {
-            "metric_vs_closed": dev_metric,
-            "det_deviation": np.abs(dets - margins),
-            "eta_sq_residual": eta_sq,
-            "h_hermiticity": h_herm,
-            "htilde_quasi_hermiticity": qh_tilde,
-        }
-        series = _series(
-            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
-        )
-        return checks, series
-
-    propagate = any(o in cfg.outputs for o in ("propagator", "states", "energies"))
-    rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
-    chunks = _numeric_chunks(grid, h, rho0, _su2_h_source(h, zeta) if propagate else None)
-    return _run_chunks(cfg.scenario, grid, chunks, chunk, tables)
 
 
 def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
@@ -926,6 +856,71 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
         return hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot))
 
     return source
+
+
+def _su2_generic(cfg: ScenarioConfig, tables):
+    h, zeta, _period = _su2_config(cfg)
+    propagate = any(o in cfg.outputs for o in ("propagator", "states", "energies"))
+    return _numeric(cfg, tables, h, zeta, _su2_h_source(h, zeta) if propagate else None)
+
+
+def _yang_lee_numeric(cfg: ScenarioConfig, tables):
+    """_numeric on H1 and its closed-form metric, rabi_h driving the propagator, plus the Yang-Lee oracles.
+
+    The oracles check eta, h and u against their closed forms, and that the
+    non-Hermitian-picture propagator eta^-1 u eta(t_start) keeps rho norms
+    but not flat ones; the energies are <phi_pm| h |phi_pm> of
+    phi_pm = eta psi_pm.
+    """
+    p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
+    grid = _resolve_window(cfg)
+    u_start = dagger(u_closed(grid.t_start, p))
+    psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
+    sub = _subsample(grid.n_steps + 1)
+    eta_start = None
+
+    def oracle(rows, ts, rho_num, dys, u_num, h_num, unitarity):
+        nonlocal eta_start
+        if eta_start is None:
+            eta_start = dys.eta[0].copy()
+        dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
+        dev_h = frobenius_norm(h_num - rabi_h(ts, p))
+        dev_u = frobenius_norm(u_num - mul(u_closed(ts, p), u_start))
+
+        # the non-Hermitian-picture propagator keeps rho norms but not flat ones
+        at = _rows_in(sub, rows)
+        u_big = mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
+        nonunitarity = _peak(_unitarity(u_big))
+        inner_drift = 0.0
+        for psi in psi_start:
+            moved = _apply(u_big, psi)
+            inner = _braket(moved, rho_num[at], moved)
+            inner_drift = max(inner_drift, _peak(np.abs(inner - 1.0)))
+
+        checks = [
+            Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
+            Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
+            Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
+            Check("rho_inner_preserved", inner_drift, 1e-7),
+            Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="min_gt"),
+        ]
+
+        def energies():
+            out = {}
+            for name, sgn in (("E_plus", +1), ("E_minus", -1)):
+                phi = _apply(dys.eta, psi_pm(ts, sgn, p))
+                out[name] = _braket(phi, h_num, phi).real
+            return out
+
+        invariants = {
+            "eta_vs_closed": dev_eta,
+            "h_vs_closed": dev_h,
+            "u_vs_closed": dev_u,
+            "u_unitarity": unitarity,
+        }
+        return checks, invariants, energies
+
+    return _numeric(cfg, tables, h1_su2(p), rho_closed_constants(p), lambda t: rabi_h(t, p), oracle)
 
 
 # ----------------------------------------------------------------------

@@ -173,12 +173,28 @@ def zeta_metric(t, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
     z2 = c.c1 * s + c.c2 * co
     z3 = -(c.c1 / phi) * co + (c.c2 / phi) * s + c.c3
     alpha = (c.c1 * k2 / phi - c.c1 * phi) * co + (c.c2 * phi - c.c2 * k2 / phi) * s - c.c3 * k2
-    beta = (
-        z1 * h.kappa_vec
-        + z2[..., None] * h.lambda_vec
-        + z3[..., None] * np.cross(h.kappa_vec, h.lambda_vec)
-    )
-    return MetricState(alpha=alpha, beta_vec=beta, t=t)
+    # one contiguous array per component of beta, each summed in the order above
+    kxl = np.cross(h.kappa_vec, h.lambda_vec)
+    beta = [z1 * k + z2 * l + z3 * x for k, l, x in zip(h.kappa_vec, h.lambda_vec, kxl)]
+    return MetricState(alpha=alpha, beta_vec=np.moveaxis(np.stack(beta), 0, -1), t=t)
+
+
+def zeta_metric_dot(t, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
+    """d/dt of zeta_metric in closed form: the coefficients alpha' and beta' at scalar or array ``t``.
+
+    In zeta_metric's notation z1' = 0, z3' = z2, z2' = phi (c1 cos(phi t) -
+    c2 sin(phi t)) and alpha' = -|l|^2 z2, so beta' = z2' l + z2 k x l.
+    Stacked like zeta_metric, each time bit-identical to its scalar
+    evaluation.
+    """
+    k2, l2 = _require_flow_solvable(h)
+    phi = math.sqrt(k2 - l2)
+    t = np.asarray(t, dtype=float)
+    s, co = np.sin(phi * t), np.cos(phi * t)
+    z2 = c.c1 * s + c.c2 * co
+    z2_dot = phi * (c.c1 * co - c.c2 * s)
+    beta = [z2_dot * l + z2 * x for l, x in zip(h.lambda_vec, np.cross(h.kappa_vec, h.lambda_vec))]
+    return MetricState(alpha=-l2 * z2, beta_vec=np.moveaxis(np.stack(beta), 0, -1), t=t)
 
 
 def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:

@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -521,16 +522,25 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # the Pauli split of the integrated metric whose det_rho they sit beside;
 # hermitian_h, energies, invariants and report of both again when eta_dot
 # came from the metric flow instead of finite differences (by at most
-# 1.0e-10, in the numeric invariants)
+# 1.0e-10, in the numeric invariants); every numeric file but propagator and
+# states again when yang-lee-numeric became su2-generic on H1 plus its
+# oracles, its metric starting from zeta_metric instead of rho_closed, max
+# |new - old| metric 1.8e-15, dyson 4.4e-16, hermitian_h 5.6e-16, energies
+# 1.0e-15, the invariant columns kept 3.6e-15 (two were added,
+# eta_sq_residual and h_hermiticity, and the order changed) and the report
+# values kept 6.7e-16 (two checks were added, metric_flow_residual_fd and
+# eta_squared_matches_rho, and the order changed); and the su2-generic report
+# in metric_flow_residual_fd alone (4.1e-13 -> 3.7e-16) when that check took
+# the analytic derivative zeta_metric_dot instead of five-point stencils
 GOLDEN_NUMERIC = {
-    "metric": "c3f1ff5b17da20700c026a113d82e040ac0960ad6b276d090a03b28ed7f472fd",
-    "dyson": "3c1fc5852c1d4bf844a3fd6925a45499f0151919b78e2905f73bbe5f0de7c503",
-    "hermitian_h": "b858062b16f2ef7529e9a6d74ccb046c599ea98324da2d41a249cbfa4b52b02f",
+    "metric": "f761aef7c98bfac605188ecdcea3c14847658a50f0d95f1bab56fb3b05421dc0",
+    "dyson": "080d89c0a96f95a80c21e9144f44ab45e547bf3df564bfbb5fe0fff1dcc67b37",
+    "hermitian_h": "6c29e5bbcfff4c1d322f7212d2d7d95c295638c1c49dd55f0857703c6c6acbef",
     "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
-    "energies": "7f06e2567b45dabadc255c598ff4033a1106ec5e1d8e87d1f38870b10f700f45",
-    "invariants": "8d860406914c13bfd556d6af4c603d0bb3892dd0d98872cfa9195cd13fabc6f4",
-    "report": "f61a2555b3f7a798348e3471f3b2c95da2cdee9d73ccb93d9988d91ca69b4218",
+    "energies": "c82f55bdf668451d4f5f818b3e4082bec5efa97ba891eae07d0c62d6b93d4a39",
+    "invariants": "450c408e63b3df4f6d19150335ca218921b2c3cb11d0fcbea34a2dac09de9cdf",
+    "report": "2b97c6330e3c806a42ac19a40c52d1dd72aabdde59ef7e0b2ba84cabdb4354eb",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
@@ -540,7 +550,7 @@ GOLDEN_SU2_GENERIC = {
     "propagator": "09d05e912b9e48c9f4ac64cd4b139cb0db401bf67f5d6def47eff7e9fa13d300",
     "energies": "639fc7f6e6b0ea6d43f7115cc8b163e5533b9c85a7112eb3778bee9cb37d0542",
     "invariants": "ab740251b82f1805d00c82644f20b0f4a179d9b22c9eb7a5241568e60dd1959f",
-    "report": "d351ac20587b53f802db931a9904f0fdecf7b2c45d7c66eb62ae0096dca02b33",
+    "report": "ce14f3296497c9cbb6df4123c2aa22f1680289ee0a212dbc12da8808b8284b90",
 }
 
 
@@ -570,6 +580,41 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
     assert_run_matches_golden(cfg, GOLDEN_SU2_GENERIC, tmp_path, monkeypatch)
 
 
+@pytest.mark.parametrize("chunk_steps", [10**9, 150])
+def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatch):
+    # yang-lee-numeric runs the su2-generic pipeline on H1 with the canonical
+    # metric constants, and adds its Yang-Lee oracles: over one window, in one
+    # chunk or in three, the metric, Dyson map and h of both are the same bytes,
+    # and each check su2-generic reports has the same value in both reports
+    monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
+    p = cli.YangLeeParams(gamma=0.6, omega=0.9)
+    window = {"t_start": -0.5, "t_end": 1.5, "dt": 5e-3, "outputs": ["metric", "dyson", "hermitian_h"]}
+    h1 = {
+        "kappa0": -p.omega, "kappa_vec": [0.0, 0.0, -1.0], "lambda_vec": [-p.gamma, 0.0, 0.0],
+        "zeta_constants": list(astuple(cli.rho_closed_constants(p))),
+    }
+    runs = {
+        "yang-lee-numeric": {"gamma": p.gamma, "omega": p.omega},
+        "su2-generic": h1,
+    }
+    reports = {}
+    for scenario, fields in runs.items():
+        cfg_path = tmp_path / f"{scenario}.json"
+        cfg_path.write_text(
+            json.dumps({"scenario": scenario, **fields, **window, "out_path": str(tmp_path / scenario)}),
+            encoding="utf-8",
+        )
+        assert cli.main(["run", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / scenario / "report.json").read_text())["report"]
+        reports[scenario] = {c["name"]: c["value"] for c in report["checks"]}
+    for name in window["outputs"]:
+        yang_lee, su2 = ((tmp_path / scenario / f"{name}.csv").read_bytes() for scenario in runs)
+        assert yang_lee == su2, name
+    su2 = reports["su2-generic"]
+    assert "metric_flow_residual_fd" in su2 and "eta_squared_matches_rho" in su2 and "u_unitary" not in su2
+    assert {name: reports["yang-lee-numeric"][name] for name in su2} == su2
+
+
 # sha256 of all 7 series and report.json written as JSON by the su2-generic
 # configuration above, and of a JSON dt sweep of it, recorded while the JSON
 # series still went through json.dump and re-recorded with su2.mul; the
@@ -578,7 +623,9 @@ def test_su2_generic_scenario_matches_golden_hashes(tmp_path, monkeypatch):
 # every file and the sweep again with the pairwise scan; every file but dyson
 # (the sweep kept its bytes) again with su2.det in invert_dyson_map and the
 # metric table taken from the integrated metric; hermitian_h, energies,
-# invariants, report and the sweep again with eta_dot from the metric flow
+# invariants, report and the sweep again with eta_dot from the metric flow;
+# the report again, in metric_flow_residual_fd alone (4.1e-13 -> 3.7e-16),
+# with the analytic zeta_metric_dot in that check
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
     "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
@@ -587,7 +634,7 @@ GOLDEN_SU2_GENERIC_JSON = {
     "propagator": "fb52b479d8a547619385f873f3cff36f84f2ef3b14e117604c20e79ae3154ae4",
     "energies": "40985aed4631719eb7d33bd42b102152928112750aea4373a32c86387f3d2aa7",
     "invariants": "8c6696c138580a05406765eda32ed7c363157e43d1c30aefab11f595c341da1e",
-    "report": "ba45dce21b1e6ed6bb60a2da17b7ac5af8d4eebce12c10e396b178482f6256a3",
+    "report": "22bb227e2035b28c5952c55ffd7216d3dc2d1e19ed2f41e2ebcfe16eee287d98",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "02307d27e82d28d81ab63bb1b23e8f0587621c8d9db98d150e9d8dbdfd39b6df"
 
@@ -957,12 +1004,14 @@ def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch
     assert not np.any(np.signbit(np.concatenate(times)) != np.signbit(grid_times))
     p = cli.YangLeeParams(gamma=0.6, omega=0.9)
     raw = chunk_config(scenario, steps, tmp_path)
-    h, zeta, _ = cli._su2_config(cli.validate_config(cli.ScenarioConfig(**raw)))
-    closed_forms = (
-        [lambda t: zeta_metric(t, h, zeta).matrix()] if scenario == "su2-generic"
-        else [lambda t: cli.rho_closed(t, p), lambda t: cli.eta_closed(t, p).eta, lambda t: cli.rabi_h(t, p),
-              lambda t: cli.u_closed(t, p), lambda t: cli.psi_pm(t, +1, p)]
-    )
+    if scenario == "su2-generic":
+        h, zeta, _ = cli._su2_config(cli.validate_config(cli.ScenarioConfig(**raw)))
+    else:
+        h, zeta = cli.h1_su2(p), cli.rho_closed_constants(p)
+    closed_forms = [lambda t: zeta_metric(t, h, zeta).matrix()]
+    if scenario == "yang-lee-numeric":
+        closed_forms += [lambda t: cli.eta_closed(t, p).eta, lambda t: cli.rabi_h(t, p),
+                         lambda t: cli.u_closed(t, p), lambda t: cli.psi_pm(t, +1, p)]
     lo = 0
     for ts in times:
         for form in closed_forms:

@@ -21,6 +21,7 @@ from dysonflow import (
     rho_closed,
     rho_closed_constants,
     zeta_metric,
+    zeta_metric_dot,
 )
 from dysonflow.errors import NotPositiveDefinite, StepTooLarge, UnsupportedHamiltonian
 
@@ -172,6 +173,45 @@ def test_zeta_closed_form_satisfies_coefficient_flow():
         assert abs(deriv[1] - (-alpha - z3 * k2)) < 1e-9
         assert abs(deriv[2] - z2) < 1e-9
         assert abs(deriv[3] - (-float(beta @ lam))) < 1e-9
+
+
+def test_zeta_metric_dot_matches_a_richardson_difference_of_zeta_metric():
+    # central differences of step d and d/2, extrapolated to O(d^4), on random H and constants
+    rng = np.random.default_rng(2026)
+    ts = np.linspace(-4.0, 4.0, 201)
+    for _ in range(50):
+        h = random_orthogonal_hamiltonian(rng)
+        c = ZetaConstants(*rng.uniform(-2.0, 2.0, size=4))
+
+        def central(d):
+            ahead, behind = zeta_metric(ts + d, h, c), zeta_metric(ts - d, h, c)
+            return np.column_stack([ahead.alpha - behind.alpha, ahead.beta_vec - behind.beta_vec]) / (2.0 * d)
+
+        richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+        rate = zeta_metric_dot(ts, h, c)
+        assert np.max(np.abs(np.column_stack([rate.alpha, rate.beta_vec]) - richardson)) < 1e-9
+        # and the coefficient flow alpha' = -beta.l, beta' = k x beta - alpha l, to rounding
+        state = zeta_metric(ts, h, c)
+        assert np.max(np.abs(rate.alpha + state.beta_vec @ h.lambda_vec)) < 1e-13
+        flow = np.cross(h.kappa_vec, state.beta_vec) - state.alpha[:, None] * h.lambda_vec
+        assert np.max(np.abs(rate.beta_vec - flow)) < 1e-13
+
+
+def test_zeta_metric_dot_of_a_stack_is_its_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    h = random_orthogonal_hamiltonian(rng)
+    c = ZetaConstants(*rng.uniform(-2.0, 2.0, size=4))
+    ts = np.linspace(-5.0, 5.0, 14_501)
+    rate = zeta_metric_dot(ts, h, c)
+    assert rate.alpha.shape == (14_501,) and rate.beta_vec.shape == (14_501, 3)
+    for i in range(0, len(ts), 97):
+        single = zeta_metric_dot(ts[i], h, c)
+        assert isinstance(single.alpha, float) and single.beta_vec.shape == (3,)
+        assert np.asarray(single.alpha).tobytes() == rate.alpha[i].tobytes()
+        assert single.beta_vec.tobytes() == np.ascontiguousarray(rate.beta_vec[i]).tobytes()
+    # the stationary members have no rate
+    still = zeta_metric_dot(ts[:5], h, static_constants(h, alpha=1.2, nu=0.3))
+    assert not np.any(still.alpha) and not np.any(still.beta_vec)
 
 
 # ----------------------------------------------------------------------
