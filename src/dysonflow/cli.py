@@ -12,16 +12,18 @@ the report only; ``sweep`` writes one aggregate table, each row read from
 the numeric scenario's report for one parameter value. Exit status: 0 when
 every check passes, 1 on a failed check, 2 on a config error.
 
-Every kernel is called on a stack of samples, never once per sample. The
-closed scenario is one pass over (n, 2, 2) stacks of the whole time grid.
-The two numeric scenarios are one pipeline, _numeric: yang-lee-numeric is
-su2-generic on H1 with the canonical metric constants, plus its Yang-Lee
-oracles. It runs in chunks of CHUNK_STEPS = 8,000 steps: each chunk
-continues the RK4 solutions of the one before and forms its own Dyson
-maps, closed forms and checks. The checks fold into one report, and
-only the rows of the tables ``run`` writes are kept, so the peak memory of
-``verify`` no longer grows with the window. A window of at most one chunk
-is one pass, with the same bits.
+Every kernel is called on a stack of samples, never once per sample. Every
+scenario is a step that one loop, _run_chunks, drives over the grid in
+chunks of CHUNK_STEPS = 8,000 steps: the step forms the chunk's closed
+forms, Dyson maps and checks, the checks fold into one report, and only
+the rows of the tables ``run`` writes are kept, so the peak memory of
+``verify`` does not grow with the window. The closed scenario's forms are
+elementwise in t, so its runs keep every bit of one pass for any chunk
+size. The two numeric scenarios are one pipeline, _numeric:
+yang-lee-numeric is su2-generic on H1 with the canonical metric
+constants, plus its Yang-Lee oracles. Each of its chunks continues the
+RK4 solutions of the one before; a window of at most one chunk is one
+pass, with the same bits.
 
 CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
@@ -86,7 +88,6 @@ from .yang_lee import (
     eigenvalues_h1,
     energy_expectation,
     eta_closed,
-    h1_matrix,
     h1_su2,
     psi_pm,
     rabi_h,
@@ -338,7 +339,7 @@ def _float_columns(c):
 
 
 def _series(ts, metric, eta, h, invariants, u=None, energies=None):
-    """The output tables of a scenario, as name -> build, build() -> (header, columns).
+    """The output tables of a chunk, as name -> build, build() -> (header, columns).
 
     A table's columns are 1-D float arrays, t first; a complex stack fills
     eight columns per matrix (or four per state), real part first.
@@ -543,16 +544,24 @@ def _subsample(n: int, want: int = 200) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Numeric runs in chunks
+# Runs in chunks
 # ----------------------------------------------------------------------
 
-# Steps per chunk of a numeric run, so that its memory does not grow with the
-# window. A multiple of the 100-step stride of the RK4 local error checks, so
-# every chunk checks the steps a one-chunk run checks.
+# Steps per chunk of a run, so that its memory does not grow with the window.
+# A multiple of the 100-step stride of the RK4 local error checks, so every
+# chunk checks the steps a one-chunk run checks.
 CHUNK_STEPS = 8_000
 
-# the numeric check whose value is a least sample; every other value is a greatest one
-_LEAST = ("positivity_maintained",)
+# the checks whose value is a least sample; every other value is a greatest one
+_LEAST = ("positivity_maintained", "h1_not_quasi_hermitian")
+
+
+def _partition(grid: IntegrationGrid):
+    """(lo, hi, rows) of each chunk of steps lo .. hi; it yields grid rows lo + 1 .. hi, the first row 0 too."""
+    n = grid.n_steps
+    for lo in range(0, n, CHUNK_STEPS):
+        hi = min(lo + CHUNK_STEPS, n)
+        yield lo, hi, slice(lo + 1 if lo else 0, hi + 1)
 
 
 def _times(grid: IntegrationGrid, lo: int, hi: int) -> np.ndarray:
@@ -591,11 +600,10 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None)
     """
     n, a_end, u_end = grid.n_steps, IDENTITY, IDENTITY
     failed = None  # the propagator's StepTooLarge, raised once the metric has run to the end
-    for lo in range(0, n, CHUNK_STEPS):
-        hi = min(lo + CHUNK_STEPS, n)
+    for lo, hi, rows in _partition(grid):
         start = grid.t_start + grid.dt * lo
         part = grid if hi - lo == n else IntegrationGrid(start, start + grid.dt * (hi - lo), grid.dt)
-        own = slice(1 if lo else 0, None)
+        own = slice(rows.start - lo, None)
         flow, a_end = integrate_metric_from(h, rho0, a_end, part)
         rho, dys = flow.series.samples[own], dyson_from_metric(flow)[own]
         del flow  # only the rows yielded stay alive: each del here lowers the peak RSS
@@ -609,7 +617,6 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None)
                 failed = exc
                 continue
             u_end = u[-1].copy()
-        rows = slice(lo + own.start, hi + 1)
         yield rows, _times(grid, rows.start, rows.stop), rho, dys, u
         del rho, dys, u  # before the next chunk is formed
     if failed is not None:
@@ -619,7 +626,7 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None)
 def _reduce_checks(checks, more):
     """Fold a chunk's checks into those of the chunks before it, name by name.
 
-    positivity_maintained keeps the least value, every other check the
+    The checks of _LEAST keep the least value, every other check the
     greatest; a NaN in either stays.
     """
     return [
@@ -628,140 +635,137 @@ def _reduce_checks(checks, more):
     ]
 
 
-def _gather(gathered, series, names, rows: slice, n: int):
-    """Copy one chunk's rows of the tables ``names`` into float columns of the whole grid.
+def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=()):
+    """The scenario's report and the tables named ``tables``, from one chunk of the grid at a time.
 
-    ``gathered`` is None on the first chunk, which allocates the columns;
-    returns (columns, layout), with layout the (name, header, column indices)
-    of every table the chunk's ``series`` has. A column that tables share in
-    the chunk (t, the propagator's) is one column, which _write_tables
-    formats once.
+    The scenario's pipeline, given (cfg, grid), returns its chunks, each
+    (rows, ts, *state): the slice of grid rows it holds (see _partition),
+    their times and what the pipeline carries over, and its step, where
+    ``step(rows, ts, *state)`` returns the chunk's checks and series (see
+    _series). The checks of all chunks fold into one report
+    (_reduce_checks). Only the rows of the named tables are kept, copied
+    chunk by chunk into float columns of the whole grid; a column that
+    tables share in a chunk (t, the propagator's) is one column, which
+    _write_tables formats once. Each chunk's other arrays go before the
+    next chunk is formed. Returns the report and the (name, header,
+    columns) list _write_tables takes, of every named table the scenario has.
     """
-    tables = [(name, *series[name]()) for name in names if name in series]
-    distinct = {}
-    for _, _, cols in tables:
-        for col in cols:
-            distinct.setdefault(id(col), (len(distinct), col))
-    if gathered is None:
-        layout = [(name, header, [distinct[id(col)][0] for col in cols]) for name, header, cols in tables]
-        gathered = [np.empty(n) for _ in distinct], layout
-    for k, col in distinct.values():
-        gathered[0][k][rows] = col
-    return gathered
-
-
-def _run_chunks(scenario: str, grid: IntegrationGrid, chunks, step, tables):
-    """A numeric pipeline's report and series, from ``step`` on each of its ``chunks``.
-
-    ``step(rows, ts, rho, dys, u)`` returns one chunk's checks and its
-    series (see _series), and the checks of all chunks fold into one report
-    (_reduce_checks). Only the rows of the named ``tables`` are kept,
-    gathered chunk by chunk (_gather); each chunk's other arrays go before
-    the next chunk is formed.
-    """
-    checks = gathered = None
+    chunks, step = _PIPELINES[cfg.scenario](cfg, grid)
+    checks = columns = layout = None
     for rows, ts, *state in chunks:
         more, series = step(rows, ts, *state)
         checks = more if checks is None else _reduce_checks(checks, more)
-        gathered = _gather(gathered, series, tables, rows, grid.n_steps + 1)
-        del state, ts, more, series  # before the next chunk is formed
-    columns, layout = gathered
-    series = {
-        name: (lambda header=header, idx=idx: (header, [columns[k] for k in idx]))
-        for name, header, idx in layout
-    }
-    return VerificationReport(scenario, tuple(checks)), series
+        built = [(name, *series[name]()) for name in tables if name in series]
+        distinct = {}  # id of a column -> (its index in columns, the column)
+        for _, _, cols in built:
+            for col in cols:
+                distinct.setdefault(id(col), (len(distinct), col))
+        if layout is None:
+            layout = [(name, header, [distinct[id(col)][0] for col in cols]) for name, header, cols in built]
+            columns = [np.empty(grid.n_steps + 1) for _ in distinct]
+        for k, col in distinct.values():
+            columns[k][rows] = col
+        del state, ts, more, series, built, distinct  # before the next chunk is formed
+    report = VerificationReport(cfg.scenario, tuple(checks))
+    return report, [(name, header, [columns[k] for k in idx]) for name, header, idx in layout]
 
 
 # ----------------------------------------------------------------------
 # The closed Yang-Lee pipeline
 # ----------------------------------------------------------------------
 
-def _yang_lee_closed(cfg: ScenarioConfig, tables):
-    # every table of the closed forms is built lazily, on the whole grid
+def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
+    """The closed scenario's chunks and step; its forms are elementwise in t, so any chunk size keeps every bit."""
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-    ts = _resolve_window(cfg).times
-    h1m = h1_matrix(p)
+    h1 = h1_su2(p)
+    h1m = h1.matrix()
     e_p, e_m = eigenvalues_h1(p)
-
-    rho = rho_closed(ts, p)
-    dys = eta_closed(ts, p)
-    eta = dys.eta
-    h = rabi_h(ts, p)
-    u = u_closed(ts, p)
-    dets, h_tilde, chain = _chain_columns(h1m, rho, dys, h, p.phi**4 / p.gamma**2)
-    psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
-    phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
-    e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
-
-    flow_residual = frobenius_norm(mul(dagger(h1m), rho) - mul(rho, h1m) - 1j * rho_closed_dot(ts, p))
-    dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
-    qh_raw = quasi_hermiticity_residual(h1m, rho)
-    ip = lambda a, b: _braket(a, rho, b)
-    ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
-    ip_cross = np.concatenate([ip(psi_m, psi_p) - 1j * p.gamma, ip(psi_p, psi_m) + 1j * p.gamma])
-    psi_resid = phi_resid = energy_h = energy_metric = 0.0
-    for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
-        resid = np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1)
-        psi_resid = max(psi_resid, float(np.max(resid)))
-        # phi = eta Psi solves the Hermitian equation; the derivative is analytic
-        d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
-        resid = np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1)
-        phi_resid = max(phi_resid, float(np.max(resid)))
-        e_h = _braket(phi, h, phi).real
-        energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
-        e_metric = _braket(psi, rho, _apply(h_tilde, psi)).real
-        energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
-    # propagator checks: identity at the anchor, unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
-    u_t0 = u_closed(p.t0, p)
-    sub = _subsample(len(ts))
-    rate = theta_dot(ts[sub], p)
-    du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[sub]
-    u_tdse = float(np.max(frobenius_norm(mul(rabi_h(ts[sub], p), u[sub]) - 1j * du)))
-    u_unitarity = _unitarity(u)
+    sub = _subsample(grid.n_steps + 1)
+    # the checks that read no grid time, formed once
+    u_anchor = Check("u_identity_at_anchor", float(np.linalg.norm(u_closed(p.t0, p) - IDENTITY)), 1e-12)
     basis = basis_states(p)
     basis_error = max(np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1]))
+    basis_check = Check("basis_reconstruction", float(basis_error), 1e-10)
     endpoint = max(
         abs(energy_expectation(p.t0, +1, p) - e_p),
         abs(energy_expectation(p.t0, -1, p) - e_m),
         abs(energy_expectation(-p.t0, +1, p) - 0.5 * (p.phi**3 - p.omega)),
         abs(energy_expectation(-p.t0, -1, p) - 0.5 * (-p.phi**3 - p.omega)),
     )
+    endpoint_check = Check("energy_endpoint_values", float(endpoint), 1e-12)
 
-    checks = [
-        Check("metric_hermitian", float(np.max(hermiticity_residual(rho))), 1e-12),
-        Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
-        Check("det_rho_constant", float(np.max(chain["det_deviation"])), 1e-10),
-        Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
-        Check("eta_hermitian", float(np.max(hermiticity_residual(eta))), 1e-12),
-        Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-12),
-        Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
-        Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-9),
-        Check("h1_not_quasi_hermitian", float(np.min(qh_raw)), 1e-2, mode="min_gt"),
-        Check("inner_product_unit", float(np.max(np.abs(ip_unit))), 1e-9),
-        Check("inner_product_cross", float(np.max(np.abs(ip_cross))), 1e-9),
-        Check("psi_tdse_residual", psi_resid, 1e-12),
-        Check("phi_tdse_residual", phi_resid, 1e-8),
-        Check("u_identity_at_anchor", float(np.linalg.norm(u_t0 - IDENTITY)), 1e-12),
-        Check("u_unitary", float(np.max(u_unitarity)), 1e-12),
-        Check("u_tdse_residual", u_tdse, 1e-8),
-        Check("basis_reconstruction", float(basis_error), 1e-10),
-        Check("energy_matches_h_expectation", energy_h, 1e-9),
-        Check("energy_matches_metric_expectation", energy_metric, 1e-9),
-        Check("energy_endpoint_values", float(endpoint), 1e-12),
-    ]
-    series = _series(
-        ts, lambda: _metric_columns(rho, dets), eta, h, {**chain, "u_unitarity": u_unitarity},
-        u=u, energies=lambda: {"E_plus": e_plus, "E_minus": e_minus},
-    )
-    return VerificationReport(cfg.scenario, tuple(checks)), series
+    def step(rows, ts):
+        rho = rho_closed(ts, p)
+        dys = eta_closed(ts, p)
+        eta = dys.eta
+        h = rabi_h(ts, p)
+        u = u_closed(ts, p)
+        dets, h_tilde, chain = _chain_columns(h1m, rho, dys, h, p.phi**4 / p.gamma**2)
+        psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
+        phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
+        e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
+
+        flow_residual = frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p))
+        dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
+        qh_raw = quasi_hermiticity_residual(h1m, rho)
+        ip = lambda a, b: _braket(a, rho, b)
+        ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
+        ip_cross = np.concatenate([ip(psi_m, psi_p) - 1j * p.gamma, ip(psi_p, psi_m) + 1j * p.gamma])
+        psi_resid = phi_resid = energy_h = energy_metric = 0.0
+        for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
+            resid = np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1)
+            psi_resid = max(psi_resid, float(np.max(resid)))
+            # phi = eta Psi solves the Hermitian equation; the derivative is analytic
+            d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
+            resid = np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1)
+            phi_resid = max(phi_resid, float(np.max(resid)))
+            e_h = _braket(phi, h, phi).real
+            energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
+            e_metric = _braket(psi, rho, _apply(h_tilde, psi)).real
+            energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
+        # propagator checks: unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
+        at = _rows_in(sub, rows)
+        rate = theta_dot(ts[at], p)
+        du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
+        u_tdse = _peak(frobenius_norm(mul(rabi_h(ts[at], p), u[at]) - 1j * du))
+        u_unitarity = _unitarity(u)
+
+        checks = [
+            Check("metric_hermitian", float(np.max(hermiticity_residual(rho))), 1e-12),
+            Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
+            Check("det_rho_constant", float(np.max(chain["det_deviation"])), 1e-10),
+            Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
+            Check("eta_hermitian", float(np.max(hermiticity_residual(eta))), 1e-12),
+            Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-12),
+            Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
+            Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-9),
+            Check("h1_not_quasi_hermitian", float(np.min(qh_raw)), 1e-2, mode="min_gt"),
+            Check("inner_product_unit", float(np.max(np.abs(ip_unit))), 1e-9),
+            Check("inner_product_cross", float(np.max(np.abs(ip_cross))), 1e-9),
+            Check("psi_tdse_residual", psi_resid, 1e-12),
+            Check("phi_tdse_residual", phi_resid, 1e-8),
+            u_anchor,
+            Check("u_unitary", float(np.max(u_unitarity)), 1e-12),
+            Check("u_tdse_residual", u_tdse, 1e-8),
+            basis_check,
+            Check("energy_matches_h_expectation", energy_h, 1e-9),
+            Check("energy_matches_metric_expectation", energy_metric, 1e-9),
+            endpoint_check,
+        ]
+        series = _series(
+            ts, lambda: _metric_columns(rho, dets), eta, h, {**chain, "u_unitarity": u_unitarity},
+            u=u, energies=lambda: {"E_plus": e_plus, "E_minus": e_minus},
+        )
+        return checks, series
+
+    return ((rows, _times(grid, rows.start, rows.stop)) for _, _, rows in _partition(grid)), step
 
 
 # ----------------------------------------------------------------------
 # The numeric pipeline
 # ----------------------------------------------------------------------
 
-def _numeric(cfg: ScenarioConfig, tables, h: SU2Hamiltonian, zeta: ZetaConstants, source, oracle=None):
+def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, source, oracle=None):
     """The numeric pipeline of a static H whose closed-form metric is zeta_metric(t, h, zeta).
 
     The metric starts at the closed form's rho(t_start) and runs through
@@ -772,9 +776,9 @@ def _numeric(cfg: ScenarioConfig, tables, h: SU2Hamiltonian, zeta: ZetaConstants
     Hermiticity of h and quasi-Hermiticity of Htilde, and the unitarity of
     u. ``oracle(rows, ts, rho, dys, u, h_num, unitarity)``, given, returns
     the chunk's further (checks, invariant columns, energies build), the
-    energies replacing those of the evolved basis states.
+    energies replacing those of the evolved basis states. Returns the
+    chunks and the step over one chunk, as _run_chunks takes them.
     """
-    grid = _resolve_window(cfg)
     hm = h.matrix()
     sub = _subsample(grid.n_steps + 1, want=50)
 
@@ -822,7 +826,7 @@ def _numeric(cfg: ScenarioConfig, tables, h: SU2Hamiltonian, zeta: ZetaConstants
         return checks, series
 
     rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
-    return _run_chunks(cfg.scenario, grid, _numeric_chunks(grid, h, rho0, source), chunk, tables)
+    return _numeric_chunks(grid, h, rho0, source), chunk
 
 
 def _su2_config(cfg: ScenarioConfig):
@@ -858,13 +862,13 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     return source
 
 
-def _su2_generic(cfg: ScenarioConfig, tables):
+def _su2_generic(cfg: ScenarioConfig, grid: IntegrationGrid):
     h, zeta, _period = _su2_config(cfg)
     propagate = any(o in cfg.outputs for o in ("propagator", "states", "energies"))
-    return _numeric(cfg, tables, h, zeta, _su2_h_source(h, zeta) if propagate else None)
+    return _numeric(grid, h, zeta, _su2_h_source(h, zeta) if propagate else None)
 
 
-def _yang_lee_numeric(cfg: ScenarioConfig, tables):
+def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
     """_numeric on H1 and its closed-form metric, rabi_h driving the propagator, plus the Yang-Lee oracles.
 
     The oracles check eta, h and u against their closed forms, and that the
@@ -873,7 +877,6 @@ def _yang_lee_numeric(cfg: ScenarioConfig, tables):
     phi_pm = eta psi_pm.
     """
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-    grid = _resolve_window(cfg)
     u_start = dagger(u_closed(grid.t_start, p))
     psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
     sub = _subsample(grid.n_steps + 1)
@@ -920,7 +923,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig, tables):
         }
         return checks, invariants, energies
 
-    return _numeric(cfg, tables, h1_su2(p), rho_closed_constants(p), lambda t: rabi_h(t, p), oracle)
+    return _numeric(grid, h1_su2(p), rho_closed_constants(p), lambda t: rabi_h(t, p), oracle)
 
 
 # ----------------------------------------------------------------------
@@ -947,23 +950,20 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
-    Pipelines return each series as a build function; tables are built
-    only for the requested outputs. A numeric scenario runs in chunks of
-    CHUNK_STEPS steps (see _run_chunks) and keeps the rows of the requested
-    outputs alone, and of none for ``verify``, whose peak memory therefore
-    does not grow with the window. One writer emits
-    every requested table, its rows cut over the usable CPUs (see
-    _write_tables); report.json is written last, by this process.
+    The scenario runs in chunks of CHUNK_STEPS steps (see _run_chunks),
+    which keep the rows of the requested outputs alone, and of none for
+    ``verify``, whose peak memory therefore does not grow with the window.
+    One writer emits every requested table, its rows cut over the usable
+    CPUs (see _write_tables); report.json is written last, by this process.
     """
     out_dir = _out_dir(cfg) if write_files else None
-    report, series = _PIPELINES[cfg.scenario](cfg, cfg.outputs if write_files else ())
+    names = tuple(dict.fromkeys(cfg.outputs)) if write_files else ()  # a name listed twice is written once
+    report, tables = _run_chunks(cfg, _resolve_window(cfg), names)
     written = []
     if write_files:
-        names = [name for name in cfg.outputs if name in series]
-        unique = list(dict.fromkeys(names))  # a name listed twice is written once
-        tables = [(name, *series[name]()) for name in unique]
-        path_of = dict(zip(unique, _write_tables(out_dir, tables, cfg, _usable_cpus())))
-        written = [path_of[name] for name in names]
+        paths = _write_tables(out_dir, tables, cfg, _usable_cpus())
+        path_of = {name: path for (name, _, _), path in zip(tables, paths)}
+        written = [path_of[name] for name in cfg.outputs if name in path_of]
         report_payload = {"metadata": _metadata(cfg), "report": report.to_dict()}
         written.append(_write_json(out_dir / "report.json", report_payload))
     return report, written
@@ -981,8 +981,7 @@ def _sweep_row(cfg: ScenarioConfig):
     """
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
     cfg = replace(cfg, scenario=scenario, outputs=())
-    grid = _resolve_window(cfg, periods=1)
-    report, _ = _PIPELINES[scenario](replace(cfg, t_start=grid.t_start, t_end=grid.t_end), ())
+    report, _ = _run_chunks(cfg, _resolve_window(cfg, periods=1))
     value = {c.name: c.value for c in report.checks}
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
     return (

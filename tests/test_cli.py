@@ -941,13 +941,15 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
 
-# --- numeric runs in chunks ----------------------------------------------
+# --- runs in chunks ------------------------------------------------------
 
 # A chunk of 200 steps, so that windows of a few hundred steps cross chunk
-# boundaries. Runs of more than one chunk must give every series value and
-# report value within CHUNK_BOUND * max(1, |value|) of one pass over the
-# grid (the largest difference seen is 3.1e-15, in the metric), and the t
-# column and the closed forms of each chunk byte for byte.
+# boundaries. Numeric runs of more than one chunk must give every series
+# value and report value within CHUNK_BOUND * max(1, |value|) of one pass
+# over the grid (the largest difference seen is 3.1e-15, in the metric), and
+# the t column and the closed forms of each chunk byte for byte. Closed runs
+# keep every byte over any number of chunks: their forms are elementwise in
+# t and their checks fold by max and min.
 CHUNK = 200
 CHUNK_BOUND = 1e-13
 
@@ -955,9 +957,13 @@ CHUNK_BOUND = 1e-13
 def chunk_config(scenario, steps, out_path):
     if scenario == "su2-generic":
         return rotated_yang_lee_config(0.6, str(out_path), t_start=0.0, t_end=steps * 5e-3, dt=5e-3)
+    # over 3 * CHUNK + 5 steps from -1.25, the least h1_not_quasi_hermitian
+    # lies in the last chunk and every other check's greatest value in one
+    # before it, so that a fold by the wrong one of max and min shows
+    t_start = -1.25 if scenario == "yang-lee-closed" else -0.5
     return {
-        "scenario": scenario, "gamma": 0.6, "omega": 0.9, "t_start": -0.5,
-        "t_end": -0.5 + steps * 5e-3, "dt": 5e-3, "out_path": str(out_path),
+        "scenario": scenario, "gamma": 0.6, "omega": 0.9, "t_start": t_start,
+        "t_end": t_start + steps * 5e-3, "dt": 5e-3, "out_path": str(out_path),
     }
 
 
@@ -977,7 +983,7 @@ def assert_within_chunk_bound(ref, new):
     assert np.all(np.abs(new - ref) <= CHUNK_BOUND * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("scenario", ["yang-lee-numeric", "su2-generic"])
+@pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric", "su2-generic"])
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch):
     times = []
@@ -987,17 +993,17 @@ def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch
     whole_times, times[:] = times[:], []
     report, tables = run_in_chunks(monkeypatch, CHUNK, chunk_config(scenario, steps, tmp_path / "chunks"), tmp_path)
     assert len(times) == max(1, -(-steps // CHUNK))
-    if steps <= CHUNK:  # one chunk: one pass, every byte kept
-        assert (report, tables) == whole
-        return
-    assert [c["name"] for c in report["checks"]] == [c["name"] for c in whole[0]["checks"]]
     assert report["overall"] == whole[0]["overall"] == "PASS"
-    assert_within_chunk_bound([c["value"] for c in whole[0]["checks"]], [c["value"] for c in report["checks"]])
-    for name, lines in tables.items():
-        ref = whole[1][name]
-        assert lines[0] == ref[0] and len(lines) == len(ref) == steps + 2, name
-        assert [line.split(",")[0] for line in lines] == [line.split(",")[0] for line in ref], name
-        assert_within_chunk_bound(np.loadtxt(ref[1:], delimiter=","), np.loadtxt(lines[1:], delimiter=","))
+    if steps <= CHUNK or scenario == "yang-lee-closed":  # one pass's every byte
+        assert (report, tables) == whole
+    else:
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in whole[0]["checks"]]
+        assert_within_chunk_bound([c["value"] for c in whole[0]["checks"]], [c["value"] for c in report["checks"]])
+        for name, lines in tables.items():
+            ref = whole[1][name]
+            assert lines[0] == ref[0] and len(lines) == len(ref) == steps + 2, name
+            assert [line.split(",")[0] for line in lines] == [line.split(",")[0] for line in ref], name
+            assert_within_chunk_bound(np.loadtxt(ref[1:], delimiter=","), np.loadtxt(lines[1:], delimiter=","))
     # each chunk's times, and the closed forms over them, are those rows of the whole grid
     (grid_times,) = whole_times
     assert np.array_equal(np.concatenate(times), grid_times)
@@ -1009,9 +1015,13 @@ def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch
     else:
         h, zeta = cli.h1_su2(p), cli.rho_closed_constants(p)
     closed_forms = [lambda t: zeta_metric(t, h, zeta).matrix()]
-    if scenario == "yang-lee-numeric":
+    if scenario != "su2-generic":
         closed_forms += [lambda t: cli.eta_closed(t, p).eta, lambda t: cli.rabi_h(t, p),
                          lambda t: cli.u_closed(t, p), lambda t: cli.psi_pm(t, +1, p)]
+    if scenario == "yang-lee-closed":
+        closed_forms += [lambda t: cli.rho_closed(t, p), lambda t: cli.rho_closed_dot(t, p),
+                         lambda t: cli.eta_closed(t, p).eta_dot, lambda t: cli.psi_pm(t, -1, p),
+                         lambda t: cli.energy_expectation(t, +1, p), lambda t: cli.theta_dot(t, p)]
     lo = 0
     for ts in times:
         for form in closed_forms:

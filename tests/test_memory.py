@@ -1,6 +1,6 @@
-"""Peak memory of numeric runs, measured in a fresh interpreter.
+"""Peak memory of runs, measured in a fresh interpreter.
 
-Numeric scenarios run in chunks of cli.CHUNK_STEPS steps, so the peak RSS
+Every scenario runs in chunks of cli.CHUNK_STEPS steps, so the peak RSS
 of a ``verify`` must not grow with the window. Each run is measured by
 ru_maxrss in its own process. Linux carries the peak RSS of the process
 that starts a program over into the program's ru_maxrss, so the run is
@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dysonflow import cli
 
@@ -38,12 +40,13 @@ def peak_rss_mb(config, tmp_path):
     return int(status), float(peak)
 
 
-def test_verify_peak_memory_is_flat_in_the_window(tmp_path):
-    # 4 and 16 chunks of the yang-lee-numeric verify: 32,000 and 128,000 steps
+@pytest.mark.parametrize("scenario", ["yang-lee-numeric", "yang-lee-closed"])
+def test_verify_peak_memory_is_flat_in_the_window(scenario, tmp_path):
+    # 4 and 16 chunks of the verify: 32,000 and 128,000 steps
     peaks = []
     for chunks in (4, 16):
         steps = chunks * cli.CHUNK_STEPS
-        config = {"scenario": "yang-lee-numeric", "t_start": 0.0, "t_end": steps * 1e-3, "dt": 1e-3}
+        config = {"scenario": scenario, "t_start": 0.0, "t_end": steps * 1e-3, "dt": 1e-3}
         status, peak = peak_rss_mb(config, tmp_path)
         assert status == 0
         peaks.append(peak)
@@ -51,8 +54,16 @@ def test_verify_peak_memory_is_flat_in_the_window(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 3.0, peaks
 
 
-def test_default_window_verify_at_gamma_0_9999_stays_below_150_mb(tmp_path):
-    # two periods at dt 1e-3 are 888,599 steps; held at once they peaked at 855 MB
-    status, peak = peak_rss_mb({"scenario": "yang-lee-numeric", "gamma": 0.9999}, tmp_path)
+@pytest.mark.parametrize(
+    "scenario, gamma, bound_mb",
+    [
+        # two periods at dt 1e-3 are 888,599 steps; held at once they peaked at 855 MB
+        ("yang-lee-numeric", 0.9999, 150.0),
+        # two periods at dt 1e-3 are 89,081 steps; held at once they peaked at 115 MB
+        ("yang-lee-closed", 0.99, 60.0),
+    ],
+)
+def test_default_window_verify_near_the_exceptional_point_stays_below_its_bound(scenario, gamma, bound_mb, tmp_path):
+    status, peak = peak_rss_mb({"scenario": scenario, "gamma": gamma}, tmp_path)
     assert status == 0
-    assert peak < 150.0
+    assert peak < bound_mb
