@@ -15,12 +15,12 @@ every check passes, 1 on a failed check, 2 on a config error.
 Every kernel is called on a stack of samples, never once per sample. Every
 scenario is a step that one loop, _run_chunks, drives over the grid in
 chunks of CHUNK_STEPS = 8,000 steps: the step forms the chunk's closed
-forms, Dyson maps and checks, the checks fold into one report, and only
-the rows of the tables ``run`` writes are kept, so the peak memory of
-``verify`` does not grow with the window. The closed scenario's forms are
-elementwise in t, so its runs keep every bit of one pass for any chunk
-size. The two numeric scenarios are one pipeline, _numeric:
-yang-lee-numeric is su2-generic on H1 with the canonical metric
+forms, Dyson maps and checks, the checks fold into one report, and ``run``
+writes the chunk's rows of its tables before the next chunk is formed, so
+the peak memory of neither verb grows with the window. The closed
+scenario's forms are elementwise in t, so its runs keep every bit of one
+pass for any chunk size. The two numeric scenarios are one pipeline,
+_numeric: yang-lee-numeric is su2-generic on H1 with the canonical metric
 constants, plus its Yang-Lee oracles. Each of its chunks continues the
 RK4 solutions of the one before; a window of at most one chunk is one
 pass, with the same bits.
@@ -28,10 +28,10 @@ pass, with the same bits.
 CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
 shortest repr that round-trips, with NaN and Infinity spelled as ``json``
 spells them. Either way identical configs produce byte-identical files.
-``run`` writes every requested series in one pass: the grid's rows are cut
-into one contiguous range per usable CPU (at most 16), and each process
-formats each distinct column of its range once for all the tables that
-show it.
+``run`` hands each chunk's rows of the requested series to one writer,
+which cuts them into one contiguous range per usable CPU (at most 16),
+each process formatting each distinct column of its range once for all
+the tables that show it, and appends them to the open files.
 ``sweep`` computes its values side by side over the usable CPUs. Both go
 through ``_parallel._fork_map``, with the same bytes as one process.
 """
@@ -400,13 +400,6 @@ def _chain_columns(hm, rho, dys: DysonSample, h, det_closed):
     }
 
 
-def _write_json(path: Path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
     """Write one table, a time series or a sweep, as <name>.csv or <name>.json (see _write_tables).
 
@@ -414,14 +407,15 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
     per value, too few to pay for a fork.
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    return _write_tables(out_dir, [(name, header, list(rows.T))], cfg)[0]
+    return _write_tables(out_dir, [[(name, header, list(rows.T))]], cfg)[0]
 
 
 # rows per block; a block holds one string per value of every distinct column
 # at once, about 2,400 strings for the 37 distinct columns of all 7 series
 _BLOCK_ROWS = 64
-# at most this many row ranges, so processes: each range past the first holds
-# one temporary file per table and a pipe open in this process until the end
+# at most this many row ranges of a chunk, so processes: each range past the
+# first holds one temporary file per table and a pipe open in this process
+# until the chunk's rows are appended
 _MAX_RANGES = 16
 
 
@@ -444,89 +438,100 @@ def _format_column(values, as_json: bool):
     return list(map(fmt, values.tolist()))
 
 
-def _write_tables(out_dir: Path, tables, cfg: ScenarioConfig, parts: int = 1):
-    """Write tables of one row count, each (name, header, columns), as <name>.csv or <name>.json.
+def _table_format(header, cfg: ScenarioConfig):
+    """The head of a table and the template of its rows: (order, fill, between, after, before).
 
-    CSV floats keep 17 significant digits. A JSON file holds the bytes
+    A row is ``fill`` of its columns' strings in ``order``, a block's rows
+    are joined by ``between`` and it ends in ``after`` and starts with
+    ``before``, which the table's first block has without its ",". CSV
+    floats keep 17 significant digits. A JSON file holds the bytes
     ``json.dump(indent=2, sort_keys=True)`` writes for {"columns",
     "metadata", key: one dict per row}, key being "samples" for a time
     series (first column t) and "rows" for a sweep: floats in their
     shortest round-trip repr, a repeated name keeping its last value as
     ``dict(zip(header, row))`` would. Only the head goes through ``json``;
     the rows are filled into a template, because ``json`` drops to its
-    pure-Python encoder when ``indent`` is set.
+    pure-Python encoder when ``indent`` is set. The head leaves the list of
+    rows open: its tail depends on whether the table has any.
+    """
+    if cfg.format != "json":
+        return ",".join(header) + "\n", (range(len(header)), ",".join, "\n", "\n", "")
+    last = {field: i for i, field in enumerate(header)}
+    order = [last[field] for field in sorted(last)]
+    key = "samples" if header[0] == "t" else "rows"
+    head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
+    row = ",\n".join(f"      {json.dumps(header[i]).replace('%', '%%')}: %s" for i in order)
+    # key sorts after "metadata": reopen the head's closing "\n}" for it
+    return f'{head[:-2]},\n  "{key}": [', (order, ("    {\n" + row + "\n    }").__mod__, ",\n", "", ",\n")
 
-    The rows are cut into ``parts`` contiguous ranges (at most one per row
-    and _MAX_RANGES in all), one per process (``_parallel._fork_map``). A
+
+def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
+    """Write tables chunk by chunk, as <name>.csv or <name>.json (see _table_format).
+
+    ``chunks`` yields, for each chunk of rows in order, the same tables,
+    each (name, header, columns), of one row count within the chunk. The
+    first chunk opens the files and writes their heads. The rows of each
+    chunk are cut into ``parts`` contiguous ranges (at most one per row and
+    _MAX_RANGES in all), one per process (``_parallel._fork_map``). A
     process walks its range in blocks of _BLOCK_ROWS rows, formats each
     distinct column of the block once (columns are told apart by identity)
     and writes every table's rows of the block. This process writes the
     first range straight into the files; each worker writes its range into
     unnamed temporary files in ``out_dir``, opened before the fork so that
     nothing is left behind when a process fails, and this process appends
-    them in range order. The bytes do not depend on ``parts``; every line
-    ends in "\n" on every platform. When any range fails, the table files
-    are removed before the error is raised. Returns the paths, in table order.
+    them in range order before it takes the next chunk. The tails follow
+    the last chunk. A chunk without tables writes nothing and forks
+    nothing. The bytes depend neither on ``parts`` nor on how the rows are
+    cut into chunks; every line ends in "\n" on every platform. When the
+    chunks raise or any range fails, the table files are removed before the
+    error is raised. Returns the paths, in table order.
     """
-    if not tables:
-        return []
-    as_json = cfg.format == "json"
-    n = len(tables[0][2][0])
-    distinct = {}  # id of a column -> its index in columns
-    columns = []
-    paths, heads, layouts, tails = [], [], [], []
-    for name, header, cols in tables:
-        if as_json:
-            last = {field: i for i, field in enumerate(header)}
-            fields = sorted(last)
-            cols = [cols[last[field]] for field in fields]
-            key = "samples" if header[0] == "t" else "rows"
-            head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
-            # key sorts after "metadata": reopen the head's closing "\n}" for it
-            heads.append(f'{head[:-2]},\n  "{key}": ' + ("[\n" if n else "[]"))
-            tails.append(("\n  ]" if n else "") + "\n}\n")
-            row = ",\n".join(f"      {json.dumps(field).replace('%', '%%')}: %s" for field in fields)
-            fill = ("    {\n" + row + "\n    }").__mod__
-            # "before" goes ahead of every block but the table's first
-            between, after, before = ",\n", "", ",\n"
-        else:
-            heads.append(",".join(header) + "\n")
-            tails.append("")
-            fill, between, after, before = ",".join, "\n", "\n", ""
-        for col in cols:
-            if id(col) not in distinct:
-                distinct[id(col)] = len(columns)
-                columns.append(np.asarray(col, dtype=float))
-        layouts.append(([distinct[id(col)] for col in cols], fill, between, after, before))
-        paths.append(out_dir / f"{name}.{cfg.format}")
+    paths, files, formats = [], [], []
+    done = 0  # rows written so far
 
-    def write_rows(files, lo, hi):
+    def write_rows(targets, columns, layouts, lo, hi):
         for start in range(lo, hi, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, hi)
-            strings = [_format_column(col[start:stop], as_json) for col in columns]
-            for fh, (order, fill, between, after, before) in zip(files, layouts):
+            strings = [_format_column(col[start:stop], cfg.format == "json") for col in columns]
+            for fh, (order, fill, between, after, before) in zip(targets, layouts):
                 rows = between.join(map(fill, zip(*[strings[i] for i in order])))
-                fh.write(((before if start else "") + rows + after).encode())
-        for fh in files:
+                fh.write(((before if done + start else before[1:]) + rows + after).encode())
+        for fh in targets:
             fh.flush()  # a worker leaves through os._exit, which flushes nothing
 
-    parts = max(1, min(parts, n, _MAX_RANGES))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    try:
+    def write_chunk(tables):
+        distinct, layouts = {}, []  # id of a column -> (its index in columns, the column)
+        for (_, _, cols), (order, *template) in zip(tables, formats, strict=True):
+            index = [distinct.setdefault(id(cols[i]), (len(distinct), cols[i]))[0] for i in order]
+            layouts.append((index, *template))
+        columns = [np.asarray(col, dtype=float) for _, col in distinct.values()]
+        n = len(columns[0])
+        ranges = max(1, min(parts, n, _MAX_RANGES))
+        bounds = [n * k // ranges for k in range(ranges + 1)]
         with ExitStack() as stack:
-            files = [stack.enter_context(open(path, "wb")) for path in paths]
-            for fh, head in zip(files, heads):
-                fh.write(head.encode())
-            spills = [
-                [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in tables] for _ in range(parts - 1)
-            ]
+            temporary = lambda: stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
+            spills = [[temporary() for _ in files] for _ in range(ranges - 1)]
             targets = [files, *spills]
-            _fork_map(lambda k: write_rows(targets[k], bounds[k], bounds[k + 1]), range(parts))
-            for j, (fh, tail) in enumerate(zip(files, tails)):
+            _fork_map(lambda k: write_rows(targets[k], columns, layouts, bounds[k], bounds[k + 1]), range(ranges))
+            for j, fh in enumerate(files):
                 for spill in spills:
                     spill[j].seek(0)
                     shutil.copyfileobj(spill[j], fh, 1 << 20)
-                fh.write(tail.encode())
+        return n
+
+    try:
+        with ExitStack() as stack:
+            for tables in chunks:
+                for name, header, _ in () if files else tables:  # the first chunk opens the files
+                    head, template = _table_format(header, cfg)
+                    paths.append(out_dir / f"{name}.{cfg.format}")
+                    files.append(stack.enter_context(open(paths[-1], "wb")))
+                    files[-1].write(head.encode())
+                    formats.append(template)
+                done += write_chunk(tables) if tables else 0
+                del tables  # before the next chunk is formed
+            for fh in files:  # a JSON tail closes the list of rows the head left open
+                fh.write((("\n  ]" if done else "]") + "\n}\n" if cfg.format == "json" else "").encode())
     except BaseException:
         for path in paths:  # a table cut short would still parse: leave none
             path.unlink(missing_ok=True)
@@ -635,39 +640,32 @@ def _reduce_checks(checks, more):
     ]
 
 
-def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=()):
-    """The scenario's report and the tables named ``tables``, from one chunk of the grid at a time.
+def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=list):
+    """The scenario's report, from one chunk of the grid at a time; each chunk's named tables go to ``write``.
 
     The scenario's pipeline, given (cfg, grid), returns its chunks, each
     (rows, ts, *state): the slice of grid rows it holds (see _partition),
     their times and what the pipeline carries over, and its step, where
     ``step(rows, ts, *state)`` returns the chunk's checks and series (see
     _series). The checks of all chunks fold into one report
-    (_reduce_checks). Only the rows of the named tables are kept, copied
-    chunk by chunk into float columns of the whole grid; a column that
-    tables share in a chunk (t, the propagator's) is one column, which
-    _write_tables formats once. Each chunk's other arrays go before the
-    next chunk is formed. Returns the report and the (name, header,
-    columns) list _write_tables takes, of every named table the scenario has.
+    (_reduce_checks). ``write`` consumes an iterator over the chunks that
+    yields, as each chunk is done, the (name, header, columns) list of its
+    tables named in ``tables``, as _write_tables takes it; none is named
+    for ``verify``, whose ``list`` keeps one empty list per chunk. No array
+    outlives its chunk: each goes before the next chunk is formed.
     """
     chunks, step = _PIPELINES[cfg.scenario](cfg, grid)
-    checks = columns = layout = None
-    for rows, ts, *state in chunks:
-        more, series = step(rows, ts, *state)
-        checks = more if checks is None else _reduce_checks(checks, more)
-        built = [(name, *series[name]()) for name in tables if name in series]
-        distinct = {}  # id of a column -> (its index in columns, the column)
-        for _, _, cols in built:
-            for col in cols:
-                distinct.setdefault(id(col), (len(distinct), col))
-        if layout is None:
-            layout = [(name, header, [distinct[id(col)][0] for col in cols]) for name, header, cols in built]
-            columns = [np.empty(grid.n_steps + 1) for _ in distinct]
-        for k, col in distinct.values():
-            columns[k][rows] = col
-        del state, ts, more, series, built, distinct  # before the next chunk is formed
-    report = VerificationReport(cfg.scenario, tuple(checks))
-    return report, [(name, header, [columns[k] for k in idx]) for name, header, idx in layout]
+    checks = []
+
+    def named():
+        for rows, ts, *state in chunks:
+            more, series = step(rows, ts, *state)
+            checks[:] = _reduce_checks(checks, more) if checks else more
+            yield [(name, *series[name]()) for name in tables]
+            del state, ts, more, series  # before the next chunk is formed
+
+    write(named())
+    return VerificationReport(cfg.scenario, tuple(checks))
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +725,7 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
         at = _rows_in(sub, rows)
         rate = theta_dot(ts[at], p)
         du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
-        u_tdse = _peak(frobenius_norm(mul(rabi_h(ts[at], p), u[at]) - 1j * du))
+        u_tdse = _peak(frobenius_norm(mul(h[at], u[at]) - 1j * du))
         u_unitarity = _unitarity(u)
 
         checks = [
@@ -950,22 +948,23 @@ def _out_dir(cfg: ScenarioConfig) -> Path:
 def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     """Execute a scenario, optionally writing requested series plus report.json.
 
-    The scenario runs in chunks of CHUNK_STEPS steps (see _run_chunks),
-    which keep the rows of the requested outputs alone, and of none for
-    ``verify``, whose peak memory therefore does not grow with the window.
-    One writer emits every requested table, its rows cut over the usable
-    CPUs (see _write_tables); report.json is written last, by this process.
+    The scenario runs in chunks of CHUNK_STEPS steps (see _run_chunks), and
+    ``run`` hands each chunk's rows of the requested outputs to the one
+    writer as the chunk is done (see _write_tables), which appends them to
+    the open files, cut over the usable CPUs. No verb keeps an array longer
+    than a chunk, so the peak memory of neither grows with the window.
+    report.json is written last, by this process.
     """
-    out_dir = _out_dir(cfg) if write_files else None
-    names = tuple(dict.fromkeys(cfg.outputs)) if write_files else ()  # a name listed twice is written once
-    report, tables = _run_chunks(cfg, _resolve_window(cfg), names)
-    written = []
-    if write_files:
-        paths = _write_tables(out_dir, tables, cfg, _usable_cpus())
-        path_of = {name: path for (name, _, _), path in zip(tables, paths)}
-        written = [path_of[name] for name in cfg.outputs if name in path_of]
-        report_payload = {"metadata": _metadata(cfg), "report": report.to_dict()}
-        written.append(_write_json(out_dir / "report.json", report_payload))
+    if not write_files:
+        return _run_chunks(cfg, _resolve_window(cfg)), []
+    out_dir = _out_dir(cfg)
+    names = tuple(dict.fromkeys(cfg.outputs))  # a name listed twice is written once
+    write = lambda chunks: _write_tables(out_dir, chunks, cfg, _usable_cpus())
+    report = _run_chunks(cfg, _resolve_window(cfg), names, write)
+    written = [out_dir / f"{name}.{cfg.format}" for name in cfg.outputs] + [out_dir / "report.json"]
+    with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
+        json.dump({"metadata": _metadata(cfg), "report": report.to_dict()}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return report, written
 
 
@@ -981,7 +980,7 @@ def _sweep_row(cfg: ScenarioConfig):
     """
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
     cfg = replace(cfg, scenario=scenario, outputs=())
-    report, _ = _run_chunks(cfg, _resolve_window(cfg, periods=1))
+    report = _run_chunks(cfg, _resolve_window(cfg, periods=1))
     value = {c.name: c.value for c in report.checks}
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
     return (

@@ -883,7 +883,7 @@ def test_shared_columns_are_written_as_per_row(fmt, cpus, tmp_path, monkeypatch)
         out = tmp_path / str(n)
         out.mkdir()
         before = len(forks)
-        paths = cli._write_tables(out, tables, cfg, cli._usable_cpus())
+        paths = cli._write_tables(out, [tables], cfg, cli._usable_cpus())
         assert len(forks) - before == min(n, cpus) - 1
         assert sorted(os.listdir(out)) == sorted(f"{name}.{fmt}" for name in expected)
         for (name, header, _), path in zip(tables, paths):
@@ -926,7 +926,7 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "_format_column", fail_in_the_workers)
     with pytest.raises(NotPositiveDefinite) as info:
-        cli._write_tables(tmp_path, tables, cfg, 3)
+        cli._write_tables(tmp_path, [tables], cfg, 3)
     assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", 10.0, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
@@ -937,8 +937,41 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "_format_column", exit_in_the_workers)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
-        cli._write_tables(tmp_path, tables, cfg, 3)
+        cli._write_tables(tmp_path, [tables], cfg, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tmp_path, monkeypatch):
+    # a later chunk's JSON rows continue the list of the first, an empty chunk
+    # adds nothing, and each chunk's rows are cut over the CPUs on their own
+    forks = use_cpus(monkeypatch, cpus)
+    cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
+    rng = np.random.default_rng(5)
+    n = 2 * cli._BLOCK_ROWS + 3
+    ts = np.arange(n) * 0.01 - 0.05
+    u = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    e1, e2 = rng.standard_normal((2, n))
+
+    def tables(lo, hi):
+        energies = lambda: {"E_1": e1[lo:hi], "E_2": e2[lo:hi]}
+        series = cli._series(ts[lo:hi], None, None, None, None, u=u[lo:hi], energies=energies)
+        return [(name, *series[name]()) for name in ("propagator", "states", "energies")]
+
+    whole, chunked = tmp_path / "whole", tmp_path / "chunked"
+    whole.mkdir()
+    chunked.mkdir()
+    cli._write_tables(whole, [tables(0, n)], cfg, cpus)
+    cuts = [0, 1, cli._BLOCK_ROWS + 2, n]  # one row, a block and one row, the rest
+    empty = [(name, header, [col[:0] for col in cols]) for name, header, cols in tables(0, 1)]
+    before = len(forks)
+    chunks = [empty, *(tables(lo, hi) for lo, hi in zip(cuts, cuts[1:])), empty]
+    paths = cli._write_tables(chunked, iter(chunks), cfg, cpus)
+    assert len(forks) - before == {1: 0, 3: 2 + 2}[cpus]
+    assert sorted(os.listdir(chunked)) == sorted(os.listdir(whole)) == sorted(path.name for path in paths)
+    for path in paths:
+        assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
 
 # --- runs in chunks ------------------------------------------------------
@@ -1049,6 +1082,35 @@ def test_a_step_too_large_in_a_later_chunk_names_the_time_of_one_pass(dt, step, 
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith(f"at t = {p.t0 + step * dt:.6g}; reduce dt")
+
+
+def test_a_run_whose_later_chunk_raises_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the metric's local error check fails in the second chunk, once the first
+    # chunk's rows are in the open table files: the run removes them all and
+    # writes no report.json
+    monkeypatch.setattr(cli, "CHUNK_STEPS", CHUNK)
+    format_column, formatted = cli._format_column, []
+    monkeypatch.setattr(cli, "_format_column", lambda *args: formatted.append(1) or format_column(*args))
+    p = cli.YangLeeParams(gamma=0.999, omega=1.0)
+    out = tmp_path / "out"
+    write_config(
+        tmp_path / "cfg.json", scenario="yang-lee-numeric", gamma=0.999, dt=0.16, t_start=p.t0,
+        t_end=p.t0 + 1000 * 0.16, outputs=list(cli.OUTPUTS), out_path=str(out),
+    )
+    assert cli.main(["run", str(tmp_path / "cfg.json")]) == 1
+    assert capsys.readouterr().err.endswith(f"at t = {p.t0 + 300 * 0.16:.6g}; reduce dt\n")
+    assert formatted  # the first chunk was written before the error came
+    assert os.listdir(out) == []
+
+
+def test_a_run_without_outputs_forks_nothing_and_writes_the_report_alone(tmp_path, monkeypatch):
+    # ten chunks, each of which hands the writer an empty list of tables
+    forks = use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "CHUNK_STEPS", CHUNK)
+    write_config(tmp_path / "cfg.json", outputs=[])
+    assert cli.main(["run", str(tmp_path / "cfg.json")]) == 0
+    assert forks == []
+    assert os.listdir(tmp_path / "out") == ["report.json"]
 
 
 def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_pass(monkeypatch):
