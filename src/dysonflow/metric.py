@@ -13,11 +13,12 @@ available when k.l = 0, stationary for c1 = c2 = 0, and direct numeric
 integration of the flow. For a static H the flow is solved by the
 congruence rho(t) = A rho(0) A^dag with A' = -i H^dag A, A(0) = I, and the
 integration takes RK4 steps of A, not of rho. Positivity (det rho =
-alpha^2 - |beta|^2 > 0) is monitored and reported, never silently
-enforced. In exact arithmetic det rho(t) = |det A|^2 det rho(0) > 0, at
-and beyond the exceptional point too, since A is invertible. A recorded
-loss of positivity therefore comes only from rounding the computed det
-of a start within rounding of singular, such as det rho(0) = 2^-52.
+alpha^2 - |beta|^2 > 0) is required of rho(0); that of the samples is
+left to their users (su2.require_hpd in the Dyson map), never enforced.
+In exact arithmetic det rho(t) = |det A|^2 det rho(0) > 0, at and beyond
+the exceptional point too, since A is invertible. A computed det <= 0
+therefore comes only from rounding a start within rounding of singular,
+such as det rho(0) = 2^-52.
 """
 
 import math
@@ -33,7 +34,6 @@ from .su2 import (
     complex2x2,
     complex2x2_stack,
     dagger,
-    det,
     mul,
     pauli_compose,
     require_hpd,
@@ -209,11 +209,10 @@ def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricFlow:
-    """Integrated metric samples, the H whose flow they solve, and the first time positivity failed, if any."""
+    """Integrated metric samples and the H whose flow they solve."""
 
     series: TimeSeries
     h: SU2Hamiltonian
-    positivity_lost_at: float | None = None
 
 
 def integrate_metric(
@@ -226,9 +225,8 @@ def integrate_metric(
 
     A rho0 that is not raises NotHermitian or NotPositiveDefinite, as in
     su2.require_hpd. RK4 integrates A' = -i H^dag A from A = I, and each
-    sample is the congruence A rho0 A^dag (see the module docstring). Each
-    sample is tested for det > 0 afterwards and the first failure time is
-    recorded on the result as positivity_lost_at, beside h. StepTooLarge
+    sample is the congruence A rho0 A^dag (see the module docstring), as
+    computed: no sample is tested for positivity here. StepTooLarge
     propagates from the integrator when the local error estimate of A's
     step at a checked step (step 0 and every 100th after it) exceeds
     ``local_error_bound``; None turns the checks off.
@@ -257,10 +255,5 @@ def integrate_metric_from(
         -1j * dagger(h.matrix()), a0, grid.t_start, grid.dt, grid.n_steps, local_error_bound
     )
     samples = mul(mul(a, rho0), dagger(a))
-    bad = np.nonzero(det(samples).real <= 0.0)[0]
-    flow = MetricFlow(
-        series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples),
-        h=h,
-        positivity_lost_at=float(grid.t_start + grid.dt * bad[0]) if bad.size else None,
-    )
+    flow = MetricFlow(series=TimeSeries(t0=grid.t_start, dt=grid.dt, samples=samples), h=h)
     return flow, a[-1].copy()

@@ -6,7 +6,7 @@ import math
 import os
 import signal
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +278,23 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
         assert not out.exists(), argv
 
 
+
+@pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric"])
+def test_yang_lee_scenarios_refuse_zeta_constants(scenario, tmp_path, capsys):
+    # gamma and omega fix the Yang-Lee metric constants: even the canonical
+    # ones are refused, and the message points to su2-generic
+    p = cli.YangLeeParams(gamma=0.5, omega=1.0)
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    for zeta in (list(astuple(cli.rho_closed_constants(p))), [0.0, 0.0, -1.0, 0.0]):
+        write_config(cfg_path, scenario=scenario, zeta_constants=zeta, out_path=str(out))
+        for argv in (["run"], ["verify"], ["sweep", "--param", "gamma", "--values", "0.5"]):
+            assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, (zeta, argv)
+            assert capsys.readouterr().err == (
+                "config error: yang-lee scenarios take no zeta_constants; "
+                "use the su2-generic scenario for them\n"
+            )
+            assert not out.exists(), argv
+
 # sha256 of each CSV and of report.json written by the configuration below.
 # The six closed-form series were recorded before the numeric kernels were
 # batched and must not move a byte; the invariants were re-recorded when the
@@ -529,9 +546,13 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # 1.0e-15, the invariant columns kept 3.6e-15 (two were added,
 # eta_sq_residual and h_hermiticity, and the order changed) and the report
 # values kept 6.7e-16 (two checks were added, metric_flow_residual_fd and
-# eta_squared_matches_rho, and the order changed); and the su2-generic report
+# eta_squared_matches_rho, and the order changed); the su2-generic report
 # in metric_flow_residual_fd alone (4.1e-13 -> 3.7e-16) when that check took
-# the analytic derivative zeta_metric_dot instead of five-point stencils
+# the analytic derivative zeta_metric_dot instead of five-point stencils; and
+# both reports when that check became the Frobenius norm of metric_rhs on the
+# closed form minus zeta_metric_dot's matrix (numeric 3.9e-16 -> 7.1e-16,
+# su2-generic 3.7e-16 -> 7.6e-16) and the numeric nonunitary_flat_metric,
+# which keeps its greatest value, took the mode max_gt for min_gt
 GOLDEN_NUMERIC = {
     "metric": "f761aef7c98bfac605188ecdcea3c14847658a50f0d95f1bab56fb3b05421dc0",
     "dyson": "080d89c0a96f95a80c21e9144f44ab45e547bf3df564bfbb5fe0fff1dcc67b37",
@@ -540,7 +561,7 @@ GOLDEN_NUMERIC = {
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
     "energies": "c82f55bdf668451d4f5f818b3e4082bec5efa97ba891eae07d0c62d6b93d4a39",
     "invariants": "450c408e63b3df4f6d19150335ca218921b2c3cb11d0fcbea34a2dac09de9cdf",
-    "report": "2b97c6330e3c806a42ac19a40c52d1dd72aabdde59ef7e0b2ba84cabdb4354eb",
+    "report": "7cf051cbd1765ef46a2949cbf8c226a45888d8fe2b6efa87a403d84b35dcbce6",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
@@ -550,7 +571,7 @@ GOLDEN_SU2_GENERIC = {
     "propagator": "09d05e912b9e48c9f4ac64cd4b139cb0db401bf67f5d6def47eff7e9fa13d300",
     "energies": "639fc7f6e6b0ea6d43f7115cc8b163e5533b9c85a7112eb3778bee9cb37d0542",
     "invariants": "ab740251b82f1805d00c82644f20b0f4a179d9b22c9eb7a5241568e60dd1959f",
-    "report": "ce14f3296497c9cbb6df4123c2aa22f1680289ee0a212dbc12da8808b8284b90",
+    "report": "ab1fba29693de56e73460721833ea2f6233d959c3c46c67765bfbfb9330a9673",
 }
 
 
@@ -625,7 +646,9 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
 # metric table taken from the integrated metric; hermitian_h, energies,
 # invariants, report and the sweep again with eta_dot from the metric flow;
 # the report again, in metric_flow_residual_fd alone (4.1e-13 -> 3.7e-16),
-# with the analytic zeta_metric_dot in that check
+# with the analytic zeta_metric_dot in that check, and again, in that check
+# alone (3.7e-16 -> 7.6e-16), when it compared metric_rhs on the closed form
+# with zeta_metric_dot as matrices
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
     "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
@@ -634,7 +657,7 @@ GOLDEN_SU2_GENERIC_JSON = {
     "propagator": "fb52b479d8a547619385f873f3cff36f84f2ef3b14e117604c20e79ae3154ae4",
     "energies": "40985aed4631719eb7d33bd42b102152928112750aea4373a32c86387f3d2aa7",
     "invariants": "8c6696c138580a05406765eda32ed7c363157e43d1c30aefab11f595c341da1e",
-    "report": "22bb227e2035b28c5952c55ffd7216d3dc2d1e19ed2f41e2ebcfe16eee287d98",
+    "report": "79dba62a8c6a3a153da3685abaf892db5bb61f6610b4d77c6c0db758ed4cede8",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "02307d27e82d28d81ab63bb1b23e8f0587621c8d9db98d150e9d8dbdfd39b6df"
 
@@ -982,7 +1005,7 @@ def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tm
 # over the grid (the largest difference seen is 3.1e-15, in the metric), and
 # the t column and the closed forms of each chunk byte for byte. Closed runs
 # keep every byte over any number of chunks: their forms are elementwise in
-# t and their checks fold by max and min.
+# t and each of their checks folds as its mode says.
 CHUNK = 200
 CHUNK_BOUND = 1e-13
 
@@ -1015,6 +1038,24 @@ def assert_within_chunk_bound(ref, new):
     ref, new = np.asarray(ref, dtype=float), np.asarray(new, dtype=float)
     assert np.all(np.abs(new - ref) <= CHUNK_BOUND * np.maximum(1.0, np.abs(ref)))
 
+
+def test_checks_fold_over_chunks_by_their_mode():
+    # whatever its name, a check keeps the least value of the chunks for
+    # min_gt and the greatest for max_le and max_gt; a NaN in either stays
+    modes = ["max_le", "min_gt", "max_gt", "min_gt", "max_le", "min_gt"]
+    values = [1e-3, 0.5, 0.2, 0.4, math.nan, 0.3]
+    first = [cli.Check(name, value, 1e-2, mode) for name, value, mode in zip("abcdef", values, modes)]
+    second = [replace(c, value=value) for c, value in zip(first, [3e-3, 0.25, 0.1, 0.6, 1e-3, math.nan])]
+    for one, other in ((first, second), (second, first)):
+        folded = cli._reduce_checks(one, other)
+        assert [c.value for c in folded[:4]] == [3e-3, 0.25, 0.2, 0.4]
+        assert math.isnan(folded[4].value) and math.isnan(folded[5].value)
+        assert [(c.name, c.tolerance, c.mode) for c in folded] == [(c.name, c.tolerance, c.mode) for c in first]
+        assert [c.passed for c in folded] == [True, True, True, True, False, False]
+    lines = cli.VerificationReport("s", tuple(folded)).format().splitlines()
+    assert [line.split()[2] for line in lines[1:-1]] == ["<=", ">", ">", ">", "<=", ">"]
+    with pytest.raises(ValueError, match="unknown check mode 'min_le'"):
+        cli.Check("f", 0.0, 1.0, "min_le").passed
 
 @pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric", "su2-generic"])
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
