@@ -39,9 +39,11 @@ through ``_parallel._fork_map``, with the same bytes as one process.
 import argparse
 import json
 import math
+import operator
 import shutil
 import sys
 import tempfile
+from collections import namedtuple
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -141,7 +143,7 @@ def _as_vec(raw, name):
 
 
 def load_config(path, overrides=None) -> ScenarioConfig:
-    """Read and validate a JSON config file, then apply flag overrides."""
+    """Read and validate a JSON config file, then apply flag overrides; su2-generic takes no gamma or omega flag."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -157,6 +159,8 @@ def load_config(path, overrides=None) -> ScenarioConfig:
     cfg = ScenarioConfig(**{**{"scenario": ""}, **raw})
     for key, value in (overrides or {}).items():
         if value is not None:
+            if cfg.scenario == "su2-generic" and key in ("gamma", "omega"):
+                raise ConfigInvalid(f"su2-generic takes no --{key}; it does not read {key}")
             cfg = replace(cfg, **{key: value})
     return validate_config(cfg)
 
@@ -252,14 +256,24 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
 # Verification report
 # ----------------------------------------------------------------------
 
+# each check mode: the ufunc its samples fold by (a NaN stays), its value for none, pass rule and relation
+_Mode = namedtuple("_Mode", "fold empty passes relation")
+_MODES = {
+    "max_le": _Mode(np.maximum, -math.inf, operator.le, "<="),
+    "min_gt": _Mode(np.minimum, math.inf, operator.gt, "> "),
+    "max_gt": _Mode(np.maximum, -math.inf, operator.gt, "> "),
+}
+
+
 @dataclass(frozen=True)
 class Check:
     """One verified invariant: an aggregated residual against its tolerance.
 
-    ``mode`` names how the samples' values fold, then how the value passes:
-    "max_le" keeps the greatest and passes when it is <= tolerance,
-    "min_gt" keeps the least and "max_gt" the greatest, each passing when
-    it is > tolerance. Chunks fold by the same rule (_reduce_checks).
+    ``mode``, a key of _MODES, names how the samples fold (Check.of, and
+    _reduce_checks over chunks), then how the value passes: "max_le" keeps
+    the greatest and passes when it is <= tolerance, "min_gt" keeps the least
+    and "max_gt" the greatest, each passing when it is > tolerance. A NaN
+    sample stays and fails; an unknown mode raises ValueError.
     """
 
     name: str
@@ -267,13 +281,22 @@ class Check:
     tolerance: float
     mode: str = "max_le"
 
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown check mode {self.mode!r}")
+
+    @classmethod
+    def of(cls, name, samples, tolerance, mode="max_le"):
+        """The check of ``samples``, an array, a scalar or a list of either, folded as ``mode`` says."""
+        check = cls(name, math.nan, tolerance, mode)  # an unknown mode raises here
+        fold, empty = _MODES[mode][:2]
+        parts = samples if isinstance(samples, list) else [samples]
+        value = fold.reduce([fold.reduce(np.ravel(part), initial=empty) for part in parts], initial=empty)
+        return replace(check, value=float(value))
+
     @property
     def passed(self) -> bool:
-        if self.mode == "max_le":
-            return self.value <= self.tolerance
-        if self.mode in ("min_gt", "max_gt"):
-            return self.value > self.tolerance
-        raise ValueError(f"unknown check mode {self.mode!r}")
+        return _MODES[self.mode].passes(self.value, self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -296,9 +319,8 @@ class VerificationReport:
         lines = [f"scenario: {self.scenario}"]
         width = max(len(c.name) for c in self.checks) if self.checks else 10
         for c in self.checks:
-            rel = "<=" if c.mode == "max_le" else "> "
             lines.append(
-                f"  {c.name:<{width}}  {c.value:12.5e} {rel} {c.tolerance:9.2e}  "
+                f"  {c.name:<{width}}  {c.value:12.5e} {_MODES[c.mode].relation} {c.tolerance:9.2e}  "
                 f"{'PASS' if c.passed else 'FAIL'}"
             )
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
@@ -575,11 +597,6 @@ def _rows_in(picked: np.ndarray, rows: slice) -> np.ndarray:
     return picked[(picked >= rows.start) & (picked < rows.stop)] - rows.start
 
 
-def _peak(values) -> float:
-    """The largest value, NaN if one is NaN, and -inf for none (a chunk without a subsampled row)."""
-    return float(np.max(values, initial=-np.inf))
-
-
 def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None):
     """The metric flow, Dyson map and propagator over the grid, in chunks of CHUNK_STEPS steps.
 
@@ -627,14 +644,10 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None)
 def _reduce_checks(checks, more):
     """Fold a chunk's checks into those of the chunks before it, check by check.
 
-    A check keeps the least value when its mode starts with "min", else the
-    greatest, as its samples fold within a chunk (see Check); a NaN in
-    either stays.
+    Each check folds its two values by its mode, as its samples fold within
+    a chunk (see Check.of): a NaN in either stays.
     """
-    return [
-        replace(a, value=float((np.minimum if a.mode.startswith("min") else np.maximum)(a.value, b.value)))
-        for a, b in zip(checks, more, strict=True)
-    ]
+    return [Check.of(a.name, [a.value, b.value], a.tolerance, a.mode) for a, b in zip(checks, more, strict=True)]
 
 
 def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=list):
@@ -677,17 +690,17 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
     e_p, e_m = eigenvalues_h1(p)
     sub = _subsample(grid.n_steps + 1)
     # the checks that read no grid time, formed once
-    u_anchor = Check("u_identity_at_anchor", float(np.linalg.norm(u_closed(p.t0, p) - IDENTITY)), 1e-12)
+    u_anchor = Check.of("u_identity_at_anchor", np.linalg.norm(u_closed(p.t0, p) - IDENTITY), 1e-12)
     basis = basis_states(p)
-    basis_error = max(np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1]))
-    basis_check = Check("basis_reconstruction", float(basis_error), 1e-10)
-    endpoint = max(
+    basis_error = [np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1])]
+    basis_check = Check.of("basis_reconstruction", basis_error, 1e-10)
+    endpoint = [
         abs(energy_expectation(p.t0, +1, p) - e_p),
         abs(energy_expectation(p.t0, -1, p) - e_m),
         abs(energy_expectation(-p.t0, +1, p) - 0.5 * (p.phi**3 - p.omega)),
         abs(energy_expectation(-p.t0, -1, p) - 0.5 * (-p.phi**3 - p.omega)),
-    )
-    endpoint_check = Check("energy_endpoint_values", float(endpoint), 1e-12)
+    ]
+    endpoint_check = Check.of("energy_endpoint_values", endpoint, 1e-12)
 
     def step(rows, ts):
         rho = rho_closed(ts, p)
@@ -700,51 +713,43 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
         phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
         e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
 
-        flow_residual = frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p))
-        dyson_rel = frobenius_norm(hermitian_counterpart(h1m, dys) - h)
-        qh_raw = quasi_hermiticity_residual(h1m, rho)
         ip = lambda a, b: _braket(a, rho, b)
-        ip_unit = np.concatenate([ip(psi_p, psi_p) - 1.0, ip(psi_m, psi_m) - 1.0])
-        ip_cross = np.concatenate([ip(psi_m, psi_p) - 1j * p.gamma, ip(psi_p, psi_m) + 1j * p.gamma])
-        psi_resid = phi_resid = energy_h = energy_metric = 0.0
+        ip_unit = [np.abs(ip(psi_p, psi_p) - 1.0), np.abs(ip(psi_m, psi_m) - 1.0)]
+        ip_cross = [np.abs(ip(psi_m, psi_p) - 1j * p.gamma), np.abs(ip(psi_p, psi_m) + 1j * p.gamma)]
+        psi_resid, phi_resid, energy_h, energy_metric = [], [], [], []  # one sign's temporaries at a time
         for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
-            resid = np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1)
-            psi_resid = max(psi_resid, float(np.max(resid)))
+            psi_resid.append(np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1))
             # phi = eta Psi solves the Hermitian equation; the derivative is analytic
             d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
-            resid = np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1)
-            phi_resid = max(phi_resid, float(np.max(resid)))
-            e_h = _braket(phi, h, phi).real
-            energy_h = max(energy_h, float(np.max(np.abs(e_h - e_t))))
-            e_metric = _braket(psi, rho, _apply(h_tilde, psi)).real
-            energy_metric = max(energy_metric, float(np.max(np.abs(e_metric - e_t))))
+            phi_resid.append(np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1))
+            energy_h.append(np.abs(_braket(phi, h, phi).real - e_t))
+            energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde, psi)).real - e_t))
         # propagator checks: unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
         at = _rows_in(sub, rows)
         rate = theta_dot(ts[at], p)
         du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
-        u_tdse = _peak(frobenius_norm(mul(h[at], u[at]) - 1j * du))
         u_unitarity = _unitarity(u)
 
         checks = [
-            Check("metric_hermitian", float(np.max(hermiticity_residual(rho))), 1e-12),
-            Check("metric_flow_residual", float(np.max(flow_residual)), 1e-10),
-            Check("det_rho_constant", float(np.max(chain["det_deviation"])), 1e-10),
-            Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
-            Check("eta_hermitian", float(np.max(hermiticity_residual(eta))), 1e-12),
-            Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-12),
-            Check("dyson_relation", float(np.max(dyson_rel)), 1e-9),
-            Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-9),
-            Check("h1_not_quasi_hermitian", float(np.min(qh_raw)), 1e-2, mode="min_gt"),
-            Check("inner_product_unit", float(np.max(np.abs(ip_unit))), 1e-9),
-            Check("inner_product_cross", float(np.max(np.abs(ip_cross))), 1e-9),
-            Check("psi_tdse_residual", psi_resid, 1e-12),
-            Check("phi_tdse_residual", phi_resid, 1e-8),
+            Check.of("metric_hermitian", hermiticity_residual(rho), 1e-12),
+            Check.of("metric_flow_residual", frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p)), 1e-10),
+            Check.of("det_rho_constant", chain["det_deviation"], 1e-10),
+            Check.of("eta_squared_matches_rho", chain["eta_sq_residual"], 1e-10),
+            Check.of("eta_hermitian", hermiticity_residual(eta), 1e-12),
+            Check.of("h_hermitian", chain["h_hermiticity"], 1e-12),
+            Check.of("dyson_relation", frobenius_norm(hermitian_counterpart(h1m, dys) - h), 1e-9),
+            Check.of("htilde_quasi_hermitian", chain["htilde_quasi_hermiticity"], 1e-9),
+            Check.of("h1_not_quasi_hermitian", quasi_hermiticity_residual(h1m, rho), 1e-2, mode="min_gt"),
+            Check.of("inner_product_unit", ip_unit, 1e-9),
+            Check.of("inner_product_cross", ip_cross, 1e-9),
+            Check.of("psi_tdse_residual", psi_resid, 1e-12),
+            Check.of("phi_tdse_residual", phi_resid, 1e-8),
             u_anchor,
-            Check("u_unitary", float(np.max(u_unitarity)), 1e-12),
-            Check("u_tdse_residual", u_tdse, 1e-8),
+            Check.of("u_unitary", u_unitarity, 1e-12),
+            Check.of("u_tdse_residual", frobenius_norm(mul(h[at], u[at]) - 1j * du), 1e-8),
             basis_check,
-            Check("energy_matches_h_expectation", energy_h, 1e-9),
-            Check("energy_matches_metric_expectation", energy_metric, 1e-9),
+            Check.of("energy_matches_h_expectation", energy_h, 1e-9),
+            Check.of("energy_matches_metric_expectation", energy_metric, 1e-9),
             endpoint_check,
         ]
         series = _series(
@@ -786,27 +791,27 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
 
         # the flow of the closed form against its analytic derivative
         at = _rows_in(sub, rows)
-        flow_resid = _peak(frobenius_norm(metric_rhs(h, rho_ref[at]) - zeta_metric_dot(ts[at], h, zeta).matrix()))
+        flow_resid = frobenius_norm(metric_rhs(h, rho_ref[at]) - zeta_metric_dot(ts[at], h, zeta).matrix())
 
         checks = [
-            Check("metric_flow_residual_fd", flow_resid, 1e-9),
-            Check("metric_numeric_vs_closed", float(np.max(dev_metric)), 1e-8),
-            Check("metric_hermitian", float(np.max(hermiticity_residual(rho_num))), 1e-10),
-            Check("det_rho_drift", float(np.max(chain["det_deviation"])), 1e-8),
-            Check("positivity_maintained", float(np.min(dets)), 0.0, mode="min_gt"),
-            Check("eta_squared_matches_rho", float(np.max(chain["eta_sq_residual"])), 1e-10),
-            Check("h_hermitian", float(np.max(chain["h_hermiticity"])), 1e-6),
-            Check("htilde_quasi_hermitian", float(np.max(chain["htilde_quasi_hermiticity"])), 1e-6),
+            Check.of("metric_flow_residual_fd", flow_resid, 1e-9),
+            Check.of("metric_numeric_vs_closed", dev_metric, 1e-8),
+            Check.of("metric_hermitian", hermiticity_residual(rho_num), 1e-10),
+            Check.of("det_rho_drift", chain["det_deviation"], 1e-8),
+            Check.of("positivity_maintained", dets, 0.0, mode="min_gt"),
+            Check.of("eta_squared_matches_rho", chain["eta_sq_residual"], 1e-10),
+            Check.of("h_hermitian", chain["h_hermiticity"], 1e-6),
+            Check.of("htilde_quasi_hermitian", chain["htilde_quasi_hermiticity"], 1e-6),
         ]
         if not np.any(h.lambda_vec):
-            checks.append(Check("h_matches_static_h", float(np.max(frobenius_norm(h_num - hm))), 1e-6))
+            checks.append(Check.of("h_matches_static_h", frobenius_norm(h_num - hm), 1e-6))
 
         energies = unitarity = None
         if u is not None:
             # the columns of u are the evolved basis states
             energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
             unitarity = _unitarity(u)
-            checks.append(Check("u_unitary", float(np.max(unitarity)), 1e-9))
+            checks.append(Check.of("u_unitary", unitarity, 1e-9))
 
         invariants = {"metric_vs_closed": dev_metric, **chain}
         if oracle is not None:
@@ -886,19 +891,14 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
         # the non-Hermitian-picture propagator keeps rho norms but not flat ones
         at = _rows_in(sub, rows)
         u_big = mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
-        nonunitarity = _peak(_unitarity(u_big))
-        inner_drift = 0.0
-        for psi in psi_start:
-            moved = _apply(u_big, psi)
-            inner = _braket(moved, rho_num[at], moved)
-            inner_drift = max(inner_drift, _peak(np.abs(inner - 1.0)))
+        moved = [_apply(u_big, psi) for psi in psi_start]
 
         checks = [
-            Check("eta_numeric_vs_closed", float(np.max(dev_eta)), 1e-8),
-            Check("h_numeric_vs_closed", float(np.max(dev_h)), 1e-6),
-            Check("u_numeric_vs_closed", float(np.max(dev_u)), 1e-7),
-            Check("rho_inner_preserved", inner_drift, 1e-7),
-            Check("nonunitary_flat_metric", nonunitarity, 1e-2, mode="max_gt"),
+            Check.of("eta_numeric_vs_closed", dev_eta, 1e-8),
+            Check.of("h_numeric_vs_closed", dev_h, 1e-6),
+            Check.of("u_numeric_vs_closed", dev_u, 1e-7),
+            Check.of("rho_inner_preserved", [np.abs(_braket(m, rho_num[at], m) - 1.0) for m in moved], 1e-7),
+            Check.of("nonunitary_flat_metric", _unitarity(u_big), 1e-2, mode="max_gt"),
         ]
 
         def energies():
@@ -956,7 +956,7 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     names = tuple(dict.fromkeys(cfg.outputs))  # a name listed twice is written once
     write = lambda chunks: _write_tables(out_dir, chunks, cfg, _usable_cpus())
     report = _run_chunks(cfg, _resolve_window(cfg), names, write)
-    written = [out_dir / f"{name}.{cfg.format}" for name in cfg.outputs] + [out_dir / "report.json"]
+    written = [out_dir / f"{name}.{cfg.format}" for name in names] + [out_dir / "report.json"]
     with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
         json.dump({"metadata": _metadata(cfg), "report": report.to_dict()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -971,7 +971,8 @@ def _sweep_row(cfg: ScenarioConfig):
     open, it spans one natural period, half the default window of ``run``.
     Returns the minimum positivity margin, the maximum quasi-Hermiticity
     residual, and the larger of the metric and propagator closed-vs-numeric
-    deviations (the propagator one where the scenario reports it).
+    deviations (the propagator one where the scenario reports it), folded
+    as a max_le check folds, so that a NaN in either stays.
     """
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
     cfg = replace(cfg, scenario=scenario, outputs=())
@@ -981,7 +982,7 @@ def _sweep_row(cfg: ScenarioConfig):
     return (
         value["positivity_maintained"],
         value["htilde_quasi_hermitian"],
-        max(value[name] for name in deviations if name in value),
+        float(_MODES["max_le"].fold.reduce([value[name] for name in deviations if name in value])),
     )
 
 

@@ -453,6 +453,44 @@ def test_sweep_rows_are_the_numeric_report_values(tmp_path):
             )
 
 
+def test_a_nan_deviation_reaches_the_sweep_row(monkeypatch):
+    # the deviation column folds the metric and propagator deviations as a
+    # max_le check folds: a NaN behind a finite value stays
+    real = cli.u_closed
+
+    def poisoned(t, p):
+        u = real(t, p)
+        if np.ndim(t):
+            u = u.copy()
+            u[3, 0, 0] = math.nan
+        return u
+
+    monkeypatch.setattr(cli, "u_closed", poisoned)
+    cfg = cli.validate_config(
+        cli.ScenarioConfig(scenario="yang-lee-numeric", gamma=0.6, t_start=0.0, t_end=1.0, dt=1e-2)
+    )
+    report, _ = cli.run_scenario(cfg, write_files=False)
+    checks = {c.name: c.value for c in report.checks}
+    assert math.isnan(checks["u_numeric_vs_closed"]) and math.isfinite(checks["metric_numeric_vs_closed"])
+    _, [row], _ = cli.sweep(cfg, "gamma", [0.6], write_files=False)
+    assert math.isfinite(row[1]) and math.isnan(row[3])
+
+
+def test_su2_generic_refuses_gamma_and_omega_flags(tmp_path, capsys):
+    # su2-generic reads neither value, so no verb takes the flags that set
+    # them, as its sweep does not sweep them; the config-file keys, left at
+    # their defaults by most configs, stay accepted
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg = rotated_yang_lee_config(0.6, out, t_start=0.0, t_end=0.5, dt=1e-2, gamma=0.3, omega=0.7)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for flag in ("gamma", "omega"):
+        for argv in (["run"], ["verify"], ["sweep", "--param", "dt", "--values", "0.01"]):
+            assert cli.main([argv[0], str(cfg_path), *argv[1:], f"--{flag}", "0.3"]) == 2, (flag, argv)
+            assert capsys.readouterr().err == f"config error: su2-generic takes no --{flag}; it does not read {flag}\n"
+            assert not out.exists(), argv
+    assert cli.main(["verify", str(cfg_path), "--dt", "0.02"]) == 0
+
+
 def test_su2_sweep_refuses_what_run_refuses(tmp_path):
     cfg = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=0.5, dt=1e-2)
     cfg_path = tmp_path / "cfg.json"
@@ -807,7 +845,8 @@ def test_written_keeps_the_order_of_outputs(cpus, tmp_path, monkeypatch):
             )
         )
         _, written = cli.run_scenario(cfg)
-        assert written == [tmp_path / fmt / f"{name}.{fmt}" for name in outputs] + [
+        # metric is listed twice, and written, so printed, once
+        assert written == [tmp_path / fmt / f"{name}.{fmt}" for name in outputs[:-1]] + [
             tmp_path / fmt / "report.json"
         ]
 
@@ -1054,8 +1093,57 @@ def test_checks_fold_over_chunks_by_their_mode():
         assert [c.passed for c in folded] == [True, True, True, True, False, False]
     lines = cli.VerificationReport("s", tuple(folded)).format().splitlines()
     assert [line.split()[2] for line in lines[1:-1]] == ["<=", ">", ">", ">", "<=", ">"]
+    # Check.of folds the samples of one chunk by the same rule, whatever
+    # their shape: an array, a list of arrays (one may be empty) or of
+    # scalars, or one scalar; no samples give -inf or +inf, and a NaN
+    # anywhere stays and fails
+    array = np.array([0.3, 0.1, 0.2])
+    parts = [np.array([0.3]), np.array([]), np.array([0.1, 0.2])]
+    for mode, kept, empty in (("max_le", 0.3, -math.inf), ("min_gt", 0.1, math.inf), ("max_gt", 0.3, -math.inf)):
+        for samples in (array, parts, [0.3, 0.1, 0.2]):
+            check = cli.Check.of("x", samples, 0.2, mode)
+            assert check == cli.Check("x", kept, 0.2, mode) and type(check.value) is float
+            assert check.passed == (mode == "max_gt")  # 0.3 > 0.2, but neither 0.1 > 0.2 nor 0.3 <= 0.2
+        assert cli.Check.of("x", np.float64(0.25), 0.2, mode).value == 0.25
+        assert cli.Check.of("x", np.array([]), 0.2, mode).value == cli.Check.of("x", [], 0.2, mode).value == empty
+        for samples in (np.array([0.3, math.nan, 0.1]), [*parts, np.array([math.nan])], math.nan):
+            check = cli.Check.of("x", samples, 0.2, mode)
+            assert math.isnan(check.value) and not check.passed
+    assert cli.Check.of("x", array, 0.2).mode == "max_le"
+    # an unknown mode is refused when the check is constructed, either way
     with pytest.raises(ValueError, match="unknown check mode 'min_le'"):
-        cli.Check("f", 0.0, 1.0, "min_le").passed
+        cli.Check("f", 0.0, 1.0, "min_le")
+    with pytest.raises(ValueError, match="unknown check mode 'min_le'"):
+        cli.Check.of("f", array, 1.0, "min_le")
+
+
+@pytest.mark.parametrize(
+    "scenario, target, name",
+    [
+        ("yang-lee-closed", "energy_expectation", "energy_matches_h_expectation"),
+        ("yang-lee-numeric", "psi_pm", "rho_inner_preserved"),
+    ],
+)
+def test_a_nan_sample_fails_its_check(scenario, target, name, tmp_path, monkeypatch, capsys):
+    # folded by a Python max from 0.0, a NaN sample used to vanish and pass:
+    # here one closed energy sample, or the numeric oracle's start states
+    real = getattr(cli, target)
+
+    def poisoned(t, *args):
+        out = real(t, *args)
+        if np.ndim(t) == (scenario == "yang-lee-closed"):  # array calls for closed, the start for numeric
+            out = np.array(out)
+            out.flat[0] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, target, poisoned)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, scenario=scenario, t_start=0.0, t_end=1.0, dt=1e-2, outputs=[])
+    assert cli.main(["verify", str(cfg_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    [row] = [line.split() for line in lines if line.split()[0] == name]
+    assert (row[1], row[-1], lines[-1]) == ("nan", "FAIL", "overall: FAIL")
+
 
 @pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric", "su2-generic"])
 @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
