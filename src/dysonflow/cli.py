@@ -43,6 +43,7 @@ import operator
 import shutil
 import sys
 import tempfile
+import warnings
 from collections import namedtuple
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
@@ -359,7 +360,7 @@ def _float_columns(c):
     return [part for entry in c.reshape(len(c), -1).T for part in (entry.real, entry.imag)]
 
 
-def _series(ts, metric, eta, h, invariants, u=None, energies=None):
+def _series(ts, metric, eta, h, invariants, u, energies):
     """The output tables of a chunk, as name -> build, build() -> (header, columns).
 
     A table's columns are 1-D float arrays, t first; a complex stack fills
@@ -369,33 +370,29 @@ def _series(ts, metric, eta, h, invariants, u=None, energies=None):
     name -> column map, so what only those tables show is computed only
     when they are written. Tables that show the same values hold the same
     column objects, which the writer formats once: every table starts with
-    ``ts``, and states is propagator in another order. Without a
-    propagator stack ``u`` there are no propagator, states or energies
-    tables.
+    ``ts``, and states is propagator in another order. Every scenario
+    carries its propagator stack ``u``, so every table exists for every
+    scenario.
     """
 
     def matrix(prefix, m):
         return lambda: (["t", *_matrix_header(prefix)], [ts, *_float_columns(m)])
 
-    series = {
+    def table(build):
+        return lambda: (["t", *(columns := build())], [ts, *columns.values()])
+
+    u_columns = _float_columns(u)
+    # the columns of u are the evolved basis states: phi1 is u_00, u_10 and phi2 is u_01, u_11
+    phi = [u_columns[k] for k in (0, 1, 4, 5, 2, 3, 6, 7)]
+    return {
         "metric": lambda: (["t", "alpha", "beta_x", "beta_y", "beta_z", "det_rho"], [ts, *metric()]),
         "dyson": matrix("eta", eta),
         "hermitian_h": matrix("h", h),
-        "invariants": lambda: (["t", *invariants], [ts, *invariants.values()]),
+        "states": lambda: (["t", *_state_header("phi1"), *_state_header("phi2")], [ts, *phi]),
+        "propagator": lambda: (["t", *_matrix_header("u")], [ts, *u_columns]),
+        "energies": table(energies),
+        "invariants": table(lambda: invariants),
     }
-    if u is not None:
-        u_columns = _float_columns(u)
-        # the columns of u are the evolved basis states: phi1 is u_00, u_10 and phi2 is u_01, u_11
-        phi = [u_columns[k] for k in (0, 1, 4, 5, 2, 3, 6, 7)]
-        series["propagator"] = lambda: (["t", *_matrix_header("u")], [ts, *u_columns])
-        series["states"] = lambda: (["t", *_state_header("phi1"), *_state_header("phi2")], [ts, *phi])
-
-        def energy_table():
-            columns = energies()
-            return ["t", *columns], [ts, *columns.values()]
-
-        series["energies"] = energy_table
-    return series
 
 
 def _metric_columns(rho, dets):
@@ -597,27 +594,31 @@ def _rows_in(picked: np.ndarray, rows: slice) -> np.ndarray:
     return picked[(picked >= rows.start) & (picked < rows.stop)] - rows.start
 
 
-def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None):
+def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source):
     """The metric flow, Dyson map and propagator over the grid, in chunks of CHUNK_STEPS steps.
 
     Yields (rows, ts, rho, dys, u) for each chunk: the slice of grid rows it
     holds, their times, the integrated metric, its DysonSample (eta_dot from
-    the flow) and u(t, t_start) of the Hermitian ``source``, or None without
-    one. A chunk starts on the last row of the chunk before it and yields the
-    rows after that one. It continues the RK4 solutions of that chunk from
-    their last values, never from a closed form: the metric's A through
+    the flow) and u(t, t_start) of the Hermitian ``source``. A chunk starts
+    on the last row of the chunk before it and yields the rows after that
+    one. It continues the RK4 solutions of that chunk from their last
+    values, never from a closed form: the metric's A through
     integrate_metric_from and u through evolve_state, so the local error
     checks see the A and u of one pass. The first chunk starts both from the
     identity, as integrate_metric and propagator_series do, so a window of
     at most CHUNK_STEPS steps is one pass over the whole grid, with its bits.
 
-    Errors are raised as one pass raises them. The metric and its Dyson map
-    come before the propagator, so once the propagator's local error check
-    fails, only they run on through the chunks left; a StepTooLarge or
-    NotPositiveDefinite among them is raised instead of the propagator's.
+    Errors and warnings come as one pass raises and draws them. The metric
+    and its Dyson map come before the propagator, so once the propagator's
+    local error check fails, only they run on through the chunks left; a
+    StepTooLarge or NotPositiveDefinite among them is raised instead of the
+    propagator's. The first chunk whose source is not Hermitian draws the
+    one warning, which names the first such time of the whole grid, and the
+    chunks after it skip the check.
     """
     a_end = u_end = IDENTITY
     failed = None  # the propagator's StepTooLarge, raised once the metric has run to the end
+    check = True  # until a chunk's source has drawn the non-Hermitian warning
     for lo, hi, rows in _partition(grid):
         start = grid.t_start + grid.dt * lo
         part = IntegrationGrid(start, start + grid.dt * (hi - lo), grid.dt)
@@ -627,14 +628,17 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source=None)
         del flow  # only the rows yielded stay alive: each del here lowers the peak RSS
         if failed is not None:
             continue
-        u = None
-        if source is not None:
+        with warnings.catch_warnings(record=True) as drawn:  # what the filters let through, shown below
             try:
-                u = evolve_state(source, u_end, part).samples[own]
+                u = evolve_state(source, u_end, part, hermitian_check=check).samples[own]
             except StepTooLarge as exc:
-                failed = exc
-                continue
-            u_end = u[-1].copy()
+                failed = exc  # a warning drawn before it stays, as in one pass
+        for w in drawn:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            check = check and w.category is not UserWarning
+        if failed is not None:
+            continue
+        u_end = u[-1].copy()
         yield rows, _times(grid, rows.start, rows.stop), rho, dys, u
         del rho, dys, u  # before the next chunk is formed
     if failed is not None:
@@ -754,7 +758,7 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
         ]
         series = _series(
             ts, lambda: _metric_columns(rho, dets), eta, h, {**chain, "u_unitarity": u_unitarity},
-            u=u, energies=lambda: {"E_plus": e_plus, "E_minus": e_minus},
+            u, lambda: {"E_plus": e_plus, "E_minus": e_minus},
         )
         return checks, series
 
@@ -769,15 +773,17 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     """The numeric pipeline of a static H whose closed-form metric is zeta_metric(t, h, zeta).
 
     The metric starts at the closed form's rho(t_start) and runs through
-    _numeric_chunks with the Hermitian ``source`` of the propagator, or
-    None for no propagator. Each chunk forms h and Htilde, and checks the
-    metric against the closed form, its flow against the closed form's
-    analytic derivative, det rho, positivity, eta^2 = rho and the
-    Hermiticity of h and quasi-Hermiticity of Htilde, and the unitarity of
-    u. ``oracle(rows, ts, rho, dys, u, h_num, unitarity)``, given, returns
-    the chunk's further (checks, invariant columns, energies build), the
-    energies replacing those of the evolved basis states. Returns the
-    chunks and the step over one chunk, as _run_chunks takes them.
+    _numeric_chunks with the Hermitian ``source`` of the propagator, which
+    every numeric scenario integrates, whatever tables it writes. Each chunk
+    forms h and Htilde, and checks the metric against the closed form, its
+    flow against the closed form's analytic derivative, det rho,
+    positivity, eta^2 = rho and the Hermiticity of h and quasi-Hermiticity
+    of Htilde, and the unitarity of u. ``oracle(rows, ts, rho, dys, u,
+    h_num, unitarity)``, given, returns the chunk's further (checks,
+    invariant columns, energies build), the energies replacing those of
+    the evolved basis states. So the two numeric scenarios differ only in
+    their source and their oracle. Returns the chunks and the step over
+    one chunk, as _run_chunks takes them.
     """
     hm = h.matrix()
     sub = _subsample(grid.n_steps + 1, want=50)
@@ -806,22 +812,17 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
         if not np.any(h.lambda_vec):
             checks.append(Check.of("h_matches_static_h", frobenius_norm(h_num - hm), 1e-6))
 
-        energies = unitarity = None
-        if u is not None:
-            # the columns of u are the evolved basis states
-            energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
-            unitarity = _unitarity(u)
-            checks.append(Check.of("u_unitary", unitarity, 1e-9))
+        # the columns of u are the evolved basis states
+        energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
+        unitarity = _unitarity(u)
+        checks.append(Check.of("u_unitary", unitarity, 1e-9))
 
         invariants = {"metric_vs_closed": dev_metric, **chain}
         if oracle is not None:
             more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_num, unitarity)
             checks += more
             invariants.update(columns)
-        series = _series(
-            ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u=u, energies=energies
-        )
-        return checks, series
+        return checks, _series(ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u, energies)
 
     rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
     return _numeric_chunks(grid, h, rho0, source), chunk
@@ -862,8 +863,7 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
 
 def _su2_generic(cfg: ScenarioConfig, grid: IntegrationGrid):
     h, zeta, _period = _su2_config(cfg)
-    propagate = any(o in cfg.outputs for o in ("propagator", "states", "energies"))
-    return _numeric(grid, h, zeta, _su2_h_source(h, zeta) if propagate else None)
+    return _numeric(grid, h, zeta, _su2_h_source(h, zeta))
 
 
 def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
@@ -878,12 +878,10 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
     u_start = dagger(u_closed(grid.t_start, p))
     psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
     sub = _subsample(grid.n_steps + 1)
-    eta_start = None
+    h1, zeta = h1_su2(p), rho_closed_constants(p)
+    eta_start = hermitian_sqrt(zeta_metric(grid.t_start, h1, zeta).matrix())  # the first row of the numeric eta
 
     def oracle(rows, ts, rho_num, dys, u_num, h_num, unitarity):
-        nonlocal eta_start
-        if eta_start is None:
-            eta_start = dys.eta[0].copy()
         dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
         dev_h = frobenius_norm(h_num - rabi_h(ts, p))
         dev_u = frobenius_norm(u_num - mul(u_closed(ts, p), u_start))
@@ -916,7 +914,7 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
         }
         return checks, invariants, energies
 
-    return _numeric(grid, h1_su2(p), rho_closed_constants(p), lambda t: rabi_h(t, p), oracle)
+    return _numeric(grid, h1, zeta, lambda t: rabi_h(t, p), oracle)
 
 
 # ----------------------------------------------------------------------
@@ -966,16 +964,17 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
 def _sweep_row(cfg: ScenarioConfig):
     """One sweep row, read from the numeric scenario's report over the sweep window.
 
-    Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves,
-    without propagator outputs. The window honours t_start and t_end; left
-    open, it spans one natural period, half the default window of ``run``.
+    Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves;
+    either integrates its propagator, as every numeric run does, and writes
+    nothing. The window honours t_start and t_end; left open, it spans one
+    natural period, half the default window of ``run``.
     Returns the minimum positivity margin, the maximum quasi-Hermiticity
     residual, and the larger of the metric and propagator closed-vs-numeric
     deviations (the propagator one where the scenario reports it), folded
     as a max_le check folds, so that a NaN in either stays.
     """
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
-    cfg = replace(cfg, scenario=scenario, outputs=())
+    cfg = replace(cfg, scenario=scenario)
     report = _run_chunks(cfg, _resolve_window(cfg, periods=1))
     value = {c.name: c.value for c in report.checks}
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")

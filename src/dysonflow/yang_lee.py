@@ -121,15 +121,14 @@ def _sin_cos(t, p: YangLeeParams):
     return np.sin(p.phi * t), np.cos(p.phi * t)
 
 
-def _rho_coeffs(t, p: YangLeeParams):
-    """Coefficients (alpha, beta_x, beta_y) of rho on I, sigma_x, sigma_y."""
-    s, c = _sin_cos(t, p)
+def _rho_coeffs(s, c, p: YangLeeParams):
+    """Coefficients (alpha, beta_x, beta_y) of rho on I, sigma_x, sigma_y, from s, c = _sin_cos(t, p)."""
     return 1.0 / p.gamma + p.gamma * s, p.phi * c, -(1.0 + s)
 
 
 def rho_closed(t, p: YangLeeParams) -> np.ndarray:
     """Oscillatory metric rho(t); Hermitian with constant det = phi^4 / gamma^2."""
-    return pauli_compose(*_rho_coeffs(t, p), 0.0)
+    return pauli_compose(*_rho_coeffs(*_sin_cos(t, p), p), 0.0)
 
 
 def rho_closed_dot(t, p: YangLeeParams) -> np.ndarray:
@@ -157,8 +156,8 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     here since |p0| vanishes at t0 modulo one period. An array of times
     gives one DysonSample holding the (..., 2, 2) stacks.
     """
-    alpha, beta_x, beta_y = _rho_coeffs(t, p)
     s, c = _sin_cos(t, p)
+    alpha, beta_x, beta_y = _rho_coeffs(s, c, p)
     delta = p.phi**2 / p.gamma  # sqrt(det rho), conserved
     a = np.sqrt(0.5 * (alpha + delta))
     bx = beta_x / (2.0 * a)
@@ -309,5 +308,5 @@ def energy_expectation(t, sign: int, p: YangLeeParams):
     array of times.
     """
     s = _pauli_sign(sign)
-    denom = 2.0 + p.gamma**2 * _sin_cos(t, p)[0] - p.gamma**2
+    denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
     return s * p.phi**3 / denom - 0.5 * p.omega

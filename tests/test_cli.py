@@ -1,11 +1,13 @@
 """Front-end behavior: verbs, exit codes, reproducible files, schema stability."""
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import signal
 import time
+import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -368,6 +370,37 @@ def test_su2_generic_propagation_with_lambda_passes(tmp_path):
         assert len((tmp_path / "out" / f"{name}.csv").read_text().splitlines()) == 1002
 
 
+@pytest.mark.parametrize("lam, t_end, dt, warned_at", [(0.6, 100.0, 5e-3, None), (0.9999, 200.0, 0.01, "50.08")])
+def test_su2_generic_reports_the_same_checks_whatever_it_writes(lam, t_end, dt, warned_at, tmp_path, capsys):
+    # outputs choose the tables written, never the checks: every su2-generic
+    # run integrates its propagator, so verify and run with no, one or all 7
+    # outputs report the same checks in one order with the same values, and
+    # each run of 3 chunks draws the one non-Hermitian source warning that one
+    # pass draws. At lambda 0.9999 u_unitary fails (2.4e-9 > 1e-9), which a
+    # verify without propagator outputs once hid behind an overall PASS
+    cfg_path = tmp_path / "cfg.json"
+    reports = []
+    for outputs in ([], ["metric"], list(cli.OUTPUTS)):
+        cfg = rotated_yang_lee_config(lam, tmp_path / "out", t_start=0.0, t_end=t_end, dt=dt, outputs=outputs)
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        for verb in ("verify", "run"):
+            with warnings.catch_warnings(record=True) as drawn:
+                warnings.simplefilter("always")
+                report, _ = cli.run_scenario(cli.load_config(cfg_path), write_files=verb == "run")
+            assert [str(w.message).split(" (")[0] for w in drawn] == (
+                [f"Hamiltonian source is not Hermitian at t = {warned_at}"] if warned_at else []
+            )
+            reports.append([astuple(c) for c in report.checks])
+    assert all(checks == reports[0] for checks in reports)
+    assert [name for name, *_ in reports[0]][-1] == "u_unitary"
+    # the config that hid the failure: verify, no outputs
+    cfg_path.write_text(json.dumps({**cfg, "outputs": []}), encoding="utf-8")
+    with pytest.warns(UserWarning) if warned_at else contextlib.nullcontext():
+        status = cli.main(["verify", str(cfg_path)])
+    unitary = next(line for line in capsys.readouterr().out.splitlines() if "u_unitary" in line)
+    assert (status, unitary.endswith("FAIL")) == ((1, True) if warned_at else (0, False))
+
+
 def test_su2_generic_metric_rows_are_one_metric(tmp_path):
     # alpha, beta and det_rho of a row all come from the integrated metric, so
     # det_rho = alpha^2 - |beta|^2 to rounding (1.6e-15 of det_rho here); the
@@ -644,7 +677,9 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
     # yang-lee-numeric runs the su2-generic pipeline on H1 with the canonical
     # metric constants, and adds its Yang-Lee oracles: over one window, in one
     # chunk or in three, the metric, Dyson map and h of both are the same bytes,
-    # and each check su2-generic reports has the same value in both reports
+    # and each check su2-generic reports has the same value in both reports,
+    # but u_unitary, whose propagators come from different sources (rabi_h and
+    # the exact su2 source) and so differ by rounding
     monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
     p = cli.YangLeeParams(gamma=0.6, omega=0.9)
     window = {"t_start": -0.5, "t_end": 1.5, "dt": 5e-3, "outputs": ["metric", "dyson", "hermitian_h"]}
@@ -670,8 +705,9 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
         yang_lee, su2 = ((tmp_path / scenario / f"{name}.csv").read_bytes() for scenario in runs)
         assert yang_lee == su2, name
     su2 = reports["su2-generic"]
-    assert "metric_flow_residual_fd" in su2 and "eta_squared_matches_rho" in su2 and "u_unitary" not in su2
-    assert {name: reports["yang-lee-numeric"][name] for name in su2} == su2
+    assert "metric_flow_residual_fd" in su2 and "eta_squared_matches_rho" in su2 and "u_unitary" in su2
+    shared = [name for name in su2 if name != "u_unitary"]
+    assert {name: reports["yang-lee-numeric"][name] for name in shared} == {name: su2[name] for name in shared}
 
 
 # sha256 of all 7 series and report.json written as JSON by the su2-generic
@@ -1245,7 +1281,10 @@ def test_a_run_without_outputs_forks_nothing_and_writes_the_report_alone(tmp_pat
 def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_pass(monkeypatch):
     # a source 40 times as large from t = 3.5 on fails the local error check
     # at step 400 (t = 4), in the third chunk; one that is not Hermitian from
-    # t = 2.5 on draws its first warning at the first stage time after that
+    # t = 2.5 on, over the last 3 of the 4 chunks, draws one warning, at the
+    # first stage time after that; one pass checks every stage time before
+    # its first step, so a source both large from t = 3.5 and not Hermitian
+    # from t = 4.5 on warns at t = 4.505 before it fails at t = 4
     p = cli.YangLeeParams(gamma=0.5, omega=1.0)
     grid = IntegrationGrid(0.0, 6.05, 0.01)
     rho0 = cli.rho_closed(0.0, p)
@@ -1253,10 +1292,13 @@ def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_
     def large(t):
         return cli.rabi_h(t, p) * np.where(t > 3.5, 40.0, 1.0)[:, None, None]
 
-    def leaky(t):
-        return cli.rabi_h(t, p) + np.where(t > 2.5, 1e-3j, 0.0)[:, None, None] * np.eye(2)
+    def leaky(t, after=2.5):
+        return cli.rabi_h(t, p) + np.where(t > after, 1e-3j, 0.0)[:, None, None] * np.eye(2)
 
-    messages, warned = [], []
+    def both(t):
+        return large(t) + leaky(t, after=4.5) - cli.rabi_h(t, p)
+
+    messages, warned, failing = [], [], []
     for chunk_steps in (10**9, CHUNK):
         monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
         with pytest.raises(StepTooLarge) as info:
@@ -1264,6 +1306,12 @@ def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_
         messages.append(str(info.value))
         with pytest.warns(UserWarning) as record:
             list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, leaky))
-        warned.append(str(record[0].message))
+        warned.append([str(w.message) for w in record])
+        with pytest.warns(UserWarning) as record, pytest.raises(StepTooLarge) as info:
+            list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, both))
+        failing.append(([str(w.message) for w in record], str(info.value)))
     assert messages[0] == messages[1] and "at t = 4;" in messages[0]
-    assert warned[0] == warned[1] and warned[0].startswith("Hamiltonian source is not Hermitian at t = 2.505 ")
+    assert failing[0] == failing[1] and failing[0][1] == messages[0] and len(failing[0][0]) == 1
+    assert failing[0][0][0].startswith("Hamiltonian source is not Hermitian at t = 4.505 ")
+    assert warned[0] == warned[1] and len(warned[0]) == 1
+    assert warned[0][0].startswith("Hamiltonian source is not Hermitian at t = 2.505 ")
