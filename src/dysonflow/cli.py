@@ -47,6 +47,7 @@ import warnings
 from collections import namedtuple
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -365,8 +366,8 @@ def _series(ts, metric, eta, h, invariants, u, energies):
 
     A table's columns are 1-D float arrays, t first; a complex stack fills
     eight columns per matrix (or four per state), real part first.
-    ``invariants`` maps column names to columns; ``metric`` returns the
-    alpha, beta_x, beta_y, beta_z and det_rho columns and ``energies`` the
+    ``metric`` returns the alpha, beta_x, beta_y, beta_z and det_rho
+    columns, ``h`` the stack of h, and ``invariants`` and ``energies`` each a
     name -> column map, so what only those tables show is computed only
     when they are written. Tables that show the same values hold the same
     column objects, which the writer formats once: every table starts with
@@ -376,7 +377,7 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     """
 
     def matrix(prefix, m):
-        return lambda: (["t", *_matrix_header(prefix)], [ts, *_float_columns(m)])
+        return lambda: (["t", *_matrix_header(prefix)], [ts, *_float_columns(m())])
 
     def table(build):
         return lambda: (["t", *(columns := build())], [ts, *columns.values()])
@@ -386,12 +387,12 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     phi = [u_columns[k] for k in (0, 1, 4, 5, 2, 3, 6, 7)]
     return {
         "metric": lambda: (["t", "alpha", "beta_x", "beta_y", "beta_z", "det_rho"], [ts, *metric()]),
-        "dyson": matrix("eta", eta),
+        "dyson": matrix("eta", lambda: eta),
         "hermitian_h": matrix("h", h),
         "states": lambda: (["t", *_state_header("phi1"), *_state_header("phi2")], [ts, *phi]),
         "propagator": lambda: (["t", *_matrix_header("u")], [ts, *u_columns]),
         "energies": table(energies),
-        "invariants": table(lambda: invariants),
+        "invariants": table(invariants),
     }
 
 
@@ -403,18 +404,19 @@ def _metric_columns(rho, dets):
 def _chain_columns(hm, rho, dys: DysonSample, h, det_closed):
     """det rho, Htilde and the residuals of the chain rho -> eta -> (h, Htilde) that every scenario checks.
 
-    The residuals are invariant columns: det_deviation |det rho -
-    det_closed|, eta_sq_residual |eta^2 - rho|, h_hermiticity of h, and
-    htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot for the
-    static ``hm``.
+    Each is a build, formed on its first call and then kept, as are ``h``
+    and ``det_closed``. The residuals are invariant columns: det_deviation
+    |det rho - det_closed|, eta_sq_residual |eta^2 - rho|, h_hermiticity of
+    h, and htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot for
+    the static ``hm``.
     """
-    dets = det(rho).real
-    h_tilde = physical_hamiltonian(hm, dys)
+    dets = cache(lambda: det(rho).real)
+    h_tilde = cache(lambda: physical_hamiltonian(hm, dys))
     return dets, h_tilde, {
-        "det_deviation": np.abs(dets - det_closed),
-        "eta_sq_residual": frobenius_norm(mul(dys.eta, dys.eta) - rho),
-        "h_hermiticity": hermiticity_residual(h),
-        "htilde_quasi_hermiticity": quasi_hermiticity_residual(h_tilde, rho),
+        "det_deviation": cache(lambda: np.abs(dets() - det_closed())),
+        "eta_sq_residual": cache(lambda: frobenius_norm(mul(dys.eta, dys.eta) - rho)),
+        "h_hermiticity": cache(lambda: hermiticity_residual(h())),
+        "htilde_quasi_hermiticity": cache(lambda: quasi_hermiticity_residual(h_tilde(), rho)),
     }
 
 
@@ -654,15 +656,18 @@ def _reduce_checks(checks, more):
     return [Check.of(a.name, [a.value, b.value], a.tolerance, a.mode) for a, b in zip(checks, more, strict=True)]
 
 
-def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=list):
+def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=list, reads=None):
     """The scenario's report, from one chunk of the grid at a time; each chunk's named tables go to ``write``.
 
     The scenario's pipeline, given (cfg, grid), returns its chunks, each
     (rows, ts, *state): the slice of grid rows it holds (see _partition),
     their times and what the pipeline carries over, and its step, where
-    ``step(rows, ts, *state)`` returns the chunk's checks and series (see
-    _series). The checks of all chunks fold into one report
-    (_reduce_checks). ``write`` consumes an iterator over the chunks that
+    ``step(rows, ts, *state)`` returns the chunk's checks and series, each
+    as name -> build in report order. A check's build() gives the samples,
+    tolerance and mode that Check.of folds. The checks named in ``reads``,
+    all of them when it is None, are built for each chunk and fold into one
+    report (_reduce_checks); a check not read is never formed, nor what
+    only it needs. ``write`` consumes an iterator over the chunks that
     yields, as each chunk is done, the (name, header, columns) list of its
     tables named in ``tables``, as _write_tables takes it; none is named
     for ``verify``, whose ``list`` keeps one empty list per chunk. No array
@@ -673,10 +678,11 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
 
     def named():
         for rows, ts, *state in chunks:
-            more, series = step(rows, ts, *state)
+            builds, series = step(rows, ts, *state)
+            more = [Check.of(name, *build()) for name, build in builds.items() if reads is None or name in reads]
             checks[:] = _reduce_checks(checks, more) if checks else more
             yield [(name, *series[name]()) for name in tables]
-            del state, ts, more, series  # before the next chunk is formed
+            del state, ts, builds, more, series  # before the next chunk is formed
 
     write(named())
     return VerificationReport(cfg.scenario, tuple(checks))
@@ -687,24 +693,27 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
 # ----------------------------------------------------------------------
 
 def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
-    """The closed scenario's chunks and step; its forms are elementwise in t, so any chunk size keeps every bit."""
+    """The closed scenario's chunks and step; its forms are elementwise in t, so any chunk size keeps every bit.
+
+    Every caller builds every closed check, so the step forms the closed
+    forms and the samples that several checks or tables share up front; its
+    checks are builds over them, as _run_chunks takes them.
+    """
     p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     h1 = h1_su2(p)
     h1m = h1.matrix()
     e_p, e_m = eigenvalues_h1(p)
     sub = _subsample(grid.n_steps + 1)
-    # the checks that read no grid time, formed once
-    u_anchor = Check.of("u_identity_at_anchor", np.linalg.norm(u_closed(p.t0, p) - IDENTITY), 1e-12)
+    # the samples of the checks that read no grid time, formed once
+    anchor_error = np.linalg.norm(u_closed(p.t0, p) - IDENTITY)
     basis = basis_states(p)
     basis_error = [np.linalg.norm(basis.phi1 - IDENTITY[0]), np.linalg.norm(basis.phi2 - IDENTITY[1])]
-    basis_check = Check.of("basis_reconstruction", basis_error, 1e-10)
     endpoint = [
         abs(energy_expectation(p.t0, +1, p) - e_p),
         abs(energy_expectation(p.t0, -1, p) - e_m),
         abs(energy_expectation(-p.t0, +1, p) - 0.5 * (p.phi**3 - p.omega)),
         abs(energy_expectation(-p.t0, -1, p) - 0.5 * (-p.phi**3 - p.omega)),
     ]
-    endpoint_check = Check.of("energy_endpoint_values", endpoint, 1e-12)
 
     def step(rows, ts):
         rho = rho_closed(ts, p)
@@ -712,7 +721,7 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
         eta = dys.eta
         h = rabi_h(ts, p)
         u = u_closed(ts, p)
-        dets, h_tilde, chain = _chain_columns(h1m, rho, dys, h, p.phi**4 / p.gamma**2)
+        dets, h_tilde, chain = _chain_columns(h1m, rho, dys, lambda: h, lambda: p.phi**4 / p.gamma**2)
         psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
         phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
         e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
@@ -727,37 +736,38 @@ def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
             d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
             phi_resid.append(np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1))
             energy_h.append(np.abs(_braket(phi, h, phi).real - e_t))
-            energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde, psi)).real - e_t))
+            energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde(), psi)).real - e_t))
         # propagator checks: unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
         at = _rows_in(sub, rows)
         rate = theta_dot(ts[at], p)
         du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
         u_unitarity = _unitarity(u)
 
-        checks = [
-            Check.of("metric_hermitian", hermiticity_residual(rho), 1e-12),
-            Check.of("metric_flow_residual", frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p)), 1e-10),
-            Check.of("det_rho_constant", chain["det_deviation"], 1e-10),
-            Check.of("eta_squared_matches_rho", chain["eta_sq_residual"], 1e-10),
-            Check.of("eta_hermitian", hermiticity_residual(eta), 1e-12),
-            Check.of("h_hermitian", chain["h_hermiticity"], 1e-12),
-            Check.of("dyson_relation", frobenius_norm(hermitian_counterpart(h1m, dys) - h), 1e-9),
-            Check.of("htilde_quasi_hermitian", chain["htilde_quasi_hermiticity"], 1e-9),
-            Check.of("h1_not_quasi_hermitian", quasi_hermiticity_residual(h1m, rho), 1e-2, mode="min_gt"),
-            Check.of("inner_product_unit", ip_unit, 1e-9),
-            Check.of("inner_product_cross", ip_cross, 1e-9),
-            Check.of("psi_tdse_residual", psi_resid, 1e-12),
-            Check.of("phi_tdse_residual", phi_resid, 1e-8),
-            u_anchor,
-            Check.of("u_unitary", u_unitarity, 1e-12),
-            Check.of("u_tdse_residual", frobenius_norm(mul(h[at], u[at]) - 1j * du), 1e-8),
-            basis_check,
-            Check.of("energy_matches_h_expectation", energy_h, 1e-9),
-            Check.of("energy_matches_metric_expectation", energy_metric, 1e-9),
-            endpoint_check,
-        ]
+        checks = {
+            "metric_hermitian": lambda: (hermiticity_residual(rho), 1e-12),
+            "metric_flow_residual": lambda: (frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p)), 1e-10),
+            "det_rho_constant": lambda: (chain["det_deviation"](), 1e-10),
+            "eta_squared_matches_rho": lambda: (chain["eta_sq_residual"](), 1e-10),
+            "eta_hermitian": lambda: (hermiticity_residual(eta), 1e-12),
+            "h_hermitian": lambda: (chain["h_hermiticity"](), 1e-12),
+            "dyson_relation": lambda: (frobenius_norm(hermitian_counterpart(h1m, dys) - h), 1e-9),
+            "htilde_quasi_hermitian": lambda: (chain["htilde_quasi_hermiticity"](), 1e-9),
+            "h1_not_quasi_hermitian": lambda: (quasi_hermiticity_residual(h1m, rho), 1e-2, "min_gt"),
+            "inner_product_unit": lambda: (ip_unit, 1e-9),
+            "inner_product_cross": lambda: (ip_cross, 1e-9),
+            "psi_tdse_residual": lambda: (psi_resid, 1e-12),
+            "phi_tdse_residual": lambda: (phi_resid, 1e-8),
+            "u_identity_at_anchor": lambda: (anchor_error, 1e-12),
+            "u_unitary": lambda: (u_unitarity, 1e-12),
+            "u_tdse_residual": lambda: (frobenius_norm(mul(h[at], u[at]) - 1j * du), 1e-8),
+            "basis_reconstruction": lambda: (basis_error, 1e-10),
+            "energy_matches_h_expectation": lambda: (energy_h, 1e-9),
+            "energy_matches_metric_expectation": lambda: (energy_metric, 1e-9),
+            "energy_endpoint_values": lambda: (endpoint, 1e-12),
+        }
+        invariants = lambda: {**{name: build() for name, build in chain.items()}, "u_unitarity": u_unitarity}
         series = _series(
-            ts, lambda: _metric_columns(rho, dets), eta, h, {**chain, "u_unitarity": u_unitarity},
+            ts, lambda: _metric_columns(rho, dets()), eta, lambda: h, invariants,
             u, lambda: {"E_plus": e_plus, "E_minus": e_minus},
         )
         return checks, series
@@ -774,55 +784,60 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
 
     The metric starts at the closed form's rho(t_start) and runs through
     _numeric_chunks with the Hermitian ``source`` of the propagator, which
-    every numeric scenario integrates, whatever tables it writes. Each chunk
-    forms h and Htilde, and checks the metric against the closed form, its
+    every numeric scenario integrates, whatever tables it writes, or checks
+    it reads. Each chunk checks the metric against the closed form, its
     flow against the closed form's analytic derivative, det rho,
     positivity, eta^2 = rho and the Hermiticity of h and quasi-Hermiticity
-    of Htilde, and the unitarity of u. ``oracle(rows, ts, rho, dys, u,
-    h_num, unitarity)``, given, returns the chunk's further (checks,
-    invariant columns, energies build), the energies replacing those of
-    the evolved basis states. So the two numeric scenarios differ only in
-    their source and their oracle. Returns the chunks and the step over
-    one chunk, as _run_chunks takes them.
+    of Htilde, and the unitarity of u. What several checks or tables share,
+    h, Htilde, the closed form and the chain residuals, is formed once per
+    chunk, on first use, so a check not built costs nothing. ``oracle(rows,
+    ts, rho, dys, u, h_num, unitarity)``, given, with builds of h and of the
+    unitarity, returns the chunk's further (checks, invariant columns,
+    energies) builds, the energies replacing those of the evolved basis
+    states. So the two numeric scenarios differ only in their source and
+    their oracle. Returns the chunks and the step over one chunk, as
+    _run_chunks takes them.
     """
     hm = h.matrix()
     sub = _subsample(grid.n_steps + 1, want=50)
 
     def chunk(rows, ts, rho_num, dys, u):
-        ref = zeta_metric(ts, h, zeta)
-        h_num = hermitian_counterpart(hm, dys)
-        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_num, positivity_margin(ref))
-        rho_ref = ref.matrix()
-        dev_metric = frobenius_norm(rho_num - rho_ref)
+        ref = cache(lambda: zeta_metric(ts, h, zeta))
+        rho_ref = cache(lambda: ref().matrix())
+        h_num = cache(lambda: hermitian_counterpart(hm, dys))
+        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_num, lambda: positivity_margin(ref()))
+        dev_metric = cache(lambda: frobenius_norm(rho_num - rho_ref()))
+        unitarity = cache(lambda: _unitarity(u))
 
-        # the flow of the closed form against its analytic derivative
-        at = _rows_in(sub, rows)
-        flow_resid = frobenius_norm(metric_rhs(h, rho_ref[at]) - zeta_metric_dot(ts[at], h, zeta).matrix())
+        def flow_resid():
+            # the flow of the closed form against its analytic derivative
+            at = _rows_in(sub, rows)
+            return frobenius_norm(metric_rhs(h, rho_ref()[at]) - zeta_metric_dot(ts[at], h, zeta).matrix())
 
-        checks = [
-            Check.of("metric_flow_residual_fd", flow_resid, 1e-9),
-            Check.of("metric_numeric_vs_closed", dev_metric, 1e-8),
-            Check.of("metric_hermitian", hermiticity_residual(rho_num), 1e-10),
-            Check.of("det_rho_drift", chain["det_deviation"], 1e-8),
-            Check.of("positivity_maintained", dets, 0.0, mode="min_gt"),
-            Check.of("eta_squared_matches_rho", chain["eta_sq_residual"], 1e-10),
-            Check.of("h_hermitian", chain["h_hermiticity"], 1e-6),
-            Check.of("htilde_quasi_hermitian", chain["htilde_quasi_hermiticity"], 1e-6),
-        ]
+        checks = {
+            "metric_flow_residual_fd": lambda: (flow_resid(), 1e-9),
+            "metric_numeric_vs_closed": lambda: (dev_metric(), 1e-8),
+            "metric_hermitian": lambda: (hermiticity_residual(rho_num), 1e-10),
+            "det_rho_drift": lambda: (chain["det_deviation"](), 1e-8),
+            "positivity_maintained": lambda: (dets(), 0.0, "min_gt"),
+            "eta_squared_matches_rho": lambda: (chain["eta_sq_residual"](), 1e-10),
+            "h_hermitian": lambda: (chain["h_hermiticity"](), 1e-6),
+            "htilde_quasi_hermitian": lambda: (chain["htilde_quasi_hermiticity"](), 1e-6),
+        }
         if not np.any(h.lambda_vec):
-            checks.append(Check.of("h_matches_static_h", frobenius_norm(h_num - hm), 1e-6))
+            checks["h_matches_static_h"] = lambda: (frobenius_norm(h_num() - hm), 1e-6)
+        checks["u_unitary"] = lambda: (unitarity(), 1e-9)
 
         # the columns of u are the evolved basis states
-        energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num, u[:, :, k]).real for k in (0, 1)}
-        unitarity = _unitarity(u)
-        checks.append(Check.of("u_unitary", unitarity, 1e-9))
-
-        invariants = {"metric_vs_closed": dev_metric, **chain}
+        energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num(), u[:, :, k]).real for k in (0, 1)}
+        columns = dict  # no oracle, no further invariant columns
         if oracle is not None:
             more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_num, unitarity)
-            checks += more
-            invariants.update(columns)
-        return checks, _series(ts, lambda: _metric_columns(rho_num, dets), dys.eta, h_num, invariants, u, energies)
+            checks.update(more)
+        invariants = lambda: {
+            "metric_vs_closed": dev_metric(), **{name: build() for name, build in chain.items()}, **columns()
+        }
+        return checks, _series(ts, lambda: _metric_columns(rho_num, dets()), dys.eta, h_num, invariants, u, energies)
 
     rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
     return _numeric_chunks(grid, h, rho0, source), chunk
@@ -882,35 +897,40 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
     eta_start = hermitian_sqrt(zeta_metric(grid.t_start, h1, zeta).matrix())  # the first row of the numeric eta
 
     def oracle(rows, ts, rho_num, dys, u_num, h_num, unitarity):
-        dev_eta = frobenius_norm(dys.eta - eta_closed(ts, p).eta)
-        dev_h = frobenius_norm(h_num - rabi_h(ts, p))
-        dev_u = frobenius_norm(u_num - mul(u_closed(ts, p), u_start))
+        dev_eta = cache(lambda: frobenius_norm(dys.eta - eta_closed(ts, p).eta))
+        dev_h = cache(lambda: frobenius_norm(h_num() - rabi_h(ts, p)))
+        dev_u = cache(lambda: frobenius_norm(u_num - mul(u_closed(ts, p), u_start)))
 
-        # the non-Hermitian-picture propagator keeps rho norms but not flat ones
-        at = _rows_in(sub, rows)
-        u_big = mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
-        moved = [_apply(u_big, psi) for psi in psi_start]
+        @cache
+        def u_big():
+            # the non-Hermitian-picture propagator keeps rho norms but not flat ones
+            at = _rows_in(sub, rows)
+            return at, mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
 
-        checks = [
-            Check.of("eta_numeric_vs_closed", dev_eta, 1e-8),
-            Check.of("h_numeric_vs_closed", dev_h, 1e-6),
-            Check.of("u_numeric_vs_closed", dev_u, 1e-7),
-            Check.of("rho_inner_preserved", [np.abs(_braket(m, rho_num[at], m) - 1.0) for m in moved], 1e-7),
-            Check.of("nonunitary_flat_metric", _unitarity(u_big), 1e-2, mode="max_gt"),
-        ]
+        def rho_inner():
+            at, big = u_big()
+            return [np.abs(_braket(m, rho_num[at], m) - 1.0) for m in (_apply(big, psi) for psi in psi_start)]
+
+        checks = {
+            "eta_numeric_vs_closed": lambda: (dev_eta(), 1e-8),
+            "h_numeric_vs_closed": lambda: (dev_h(), 1e-6),
+            "u_numeric_vs_closed": lambda: (dev_u(), 1e-7),
+            "rho_inner_preserved": lambda: (rho_inner(), 1e-7),
+            "nonunitary_flat_metric": lambda: (_unitarity(u_big()[1]), 1e-2, "max_gt"),
+        }
 
         def energies():
             out = {}
             for name, sgn in (("E_plus", +1), ("E_minus", -1)):
                 phi = _apply(dys.eta, psi_pm(ts, sgn, p))
-                out[name] = _braket(phi, h_num, phi).real
+                out[name] = _braket(phi, h_num(), phi).real
             return out
 
-        invariants = {
-            "eta_vs_closed": dev_eta,
-            "h_vs_closed": dev_h,
-            "u_vs_closed": dev_u,
-            "u_unitarity": unitarity,
+        invariants = lambda: {
+            "eta_vs_closed": dev_eta(),
+            "h_vs_closed": dev_h(),
+            "u_vs_closed": dev_u(),
+            "u_unitarity": unitarity(),
         }
         return checks, invariants, energies
 
@@ -965,19 +985,23 @@ def _sweep_row(cfg: ScenarioConfig):
     """One sweep row, read from the numeric scenario's report over the sweep window.
 
     Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves;
-    either integrates its propagator, as every numeric run does, and writes
-    nothing. The window honours t_start and t_end; left open, it spans one
-    natural period, half the default window of ``run``.
-    Returns the minimum positivity margin, the maximum quasi-Hermiticity
-    residual, and the larger of the metric and propagator closed-vs-numeric
-    deviations (the propagator one where the scenario reports it), folded
-    as a max_le check folds, so that a NaN in either stays.
+    either integrates its metric, Dyson map and propagator, as every numeric
+    run does, so it raises and warns as ``verify`` does, and writes nothing.
+    Only the checks the row reads are built (see _run_chunks); their values
+    are those of the full report. The window honours t_start and t_end;
+    left open, it spans one natural period, half the default window of
+    ``run``. Returns the minimum positivity margin, the maximum
+    quasi-Hermiticity residual, and the larger of the metric and propagator
+    closed-vs-numeric deviations (the propagator one where the scenario
+    reports it), folded as a max_le check folds, so that a NaN in either
+    stays.
     """
     scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
     cfg = replace(cfg, scenario=scenario)
-    report = _run_chunks(cfg, _resolve_window(cfg, periods=1))
-    value = {c.name: c.value for c in report.checks}
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
+    reads = {"positivity_maintained", "htilde_quasi_hermitian", *deviations}
+    report = _run_chunks(cfg, _resolve_window(cfg, periods=1), reads=reads)
+    value = {c.name: c.value for c in report.checks}
     return (
         value["positivity_maintained"],
         value["htilde_quasi_hermitian"],

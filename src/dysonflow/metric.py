@@ -118,6 +118,11 @@ def _dot3(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _cross3(a, b):
+    """The components of the cross product a x b of two real 3-vectors, each formed as np.cross forms it."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
 def positivity_margin(state: MetricState):
     """det rho = alpha^2 - beta.beta at each time; positive exactly when the metric is valid."""
     return state.alpha**2 - _dot3(state.beta_vec, state.beta_vec)
@@ -174,7 +179,7 @@ def zeta_metric(t, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
     z3 = -(c.c1 / phi) * co + (c.c2 / phi) * s + c.c3
     alpha = (c.c1 * k2 / phi - c.c1 * phi) * co + (c.c2 * phi - c.c2 * k2 / phi) * s - c.c3 * k2
     # one contiguous array per component of beta, each summed in the order above
-    kxl = np.cross(h.kappa_vec, h.lambda_vec)
+    kxl = _cross3(h.kappa_vec, h.lambda_vec)
     beta = [z1 * k + z2 * l + z3 * x for k, l, x in zip(h.kappa_vec, h.lambda_vec, kxl)]
     return MetricState(alpha=alpha, beta_vec=np.moveaxis(np.stack(beta), 0, -1), t=t)
 
@@ -193,7 +198,7 @@ def zeta_metric_dot(t, h: SU2Hamiltonian, c: ZetaConstants) -> MetricState:
     s, co = np.sin(phi * t), np.cos(phi * t)
     z2 = c.c1 * s + c.c2 * co
     z2_dot = phi * (c.c1 * co - c.c2 * s)
-    beta = [z2_dot * l + z2 * x for l, x in zip(h.lambda_vec, np.cross(h.kappa_vec, h.lambda_vec))]
+    beta = [z2_dot * l + z2 * x for l, x in zip(h.lambda_vec, _cross3(h.kappa_vec, h.lambda_vec))]
     return MetricState(alpha=-l2 * z2, beta_vec=np.moveaxis(np.stack(beta), 0, -1), t=t)
 
 

@@ -509,6 +509,32 @@ def test_a_nan_deviation_reaches_the_sweep_row(monkeypatch):
     assert math.isfinite(row[1]) and math.isnan(row[3])
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_sweep_builds_only_the_checks_its_rows_read(cpus, tmp_path, monkeypatch):
+    # a row reads 4 checks; the flow residual, zeta_metric_dot's only caller,
+    # and the eta oracle, yang-lee-numeric's only caller of eta_closed, are
+    # not among them, so a sweep never forms them and keeps its rows without
+    # them, in forked workers too, while verify of the same config needs them
+    use_cpus(monkeypatch, cpus)
+    yang_lee = {"scenario": "yang-lee-numeric", "t_start": 0.0, "t_end": 1.0, "dt": 2e-3}
+    su2 = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=1.5, dt=5e-3)
+    sweeps = [
+        (cli.validate_config(cli.ScenarioConfig(**raw)), param, values)
+        for raw, param, values in ((yang_lee, "gamma", [0.3, 0.6]), (su2, "dt", [5e-3, 2.5e-3]))
+    ]
+    expected = [cli.sweep(cfg, param, values, write_files=False)[1] for cfg, param, values in sweeps]
+
+    def refuse(*args):
+        raise ValueError("formed for a check that is not read")
+
+    monkeypatch.setattr(cli, "zeta_metric_dot", refuse)
+    monkeypatch.setattr(cli, "eta_closed", refuse)
+    for (cfg, param, values), rows in zip(sweeps, expected):
+        assert cli.sweep(cfg, param, values, write_files=False)[1] == rows
+        with pytest.raises(ValueError, match="not read"):
+            cli.run_scenario(cfg, write_files=False)
+
+
 def test_su2_generic_refuses_gamma_and_omega_flags(tmp_path, capsys):
     # su2-generic reads neither value, so no verb takes the flags that set
     # them, as its sweep does not sweep them; the config-file keys, left at
