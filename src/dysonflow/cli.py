@@ -30,7 +30,7 @@ shortest repr that round-trips, with NaN and Infinity spelled as ``json``
 spells them. Either way identical configs produce byte-identical files.
 ``run`` hands each chunk's rows of the requested series to one writer,
 which cuts them into one contiguous range per usable CPU (at most 16),
-each process formatting each distinct column of its range once for all
+each process formatting each bit-distinct column of its range once for all
 the tables that show it, and appends them to the open files.
 ``sweep`` computes its values side by side over the usable CPUs. Both go
 through ``_parallel._fork_map``, with the same bytes as one process.
@@ -370,10 +370,9 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     columns, ``h`` the stack of h, and ``invariants`` and ``energies`` each a
     name -> column map, so what only those tables show is computed only
     when they are written. Tables that show the same values hold the same
-    column objects, which the writer formats once: every table starts with
-    ``ts``, and states is propagator in another order. Every scenario
-    carries its propagator stack ``u``, so every table exists for every
-    scenario.
+    column objects: every table starts with ``ts``, and states is
+    propagator in another order. Every scenario carries its propagator
+    stack ``u``, so every table exists for every scenario.
     """
 
     def matrix(prefix, m):
@@ -431,7 +430,7 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
 
 
 # rows per block; a block holds one string per value of every distinct column
-# at once, about 2,400 strings for the 37 distinct columns of all 7 series
+# at once, about 1,500 strings for the 23 or 24 of a yang-lee-closed run's 7 series
 _BLOCK_ROWS = 64
 # at most this many row ranges of a chunk, so processes: each range past the
 # first holds one temporary file per table and a pipe open in this process
@@ -494,8 +493,10 @@ def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
     chunk are cut into ``parts`` contiguous ranges (at most one per row and
     _MAX_RANGES in all), one per process (``_parallel._fork_map``). A
     process walks its range in blocks of _BLOCK_ROWS rows, formats each
-    distinct column of the block once (columns are told apart by identity)
-    and writes every table's rows of the block. This process writes the
+    distinct column of the block once and writes every table's rows of the
+    block. Columns are told apart by their float64 bits over the chunk, not
+    by identity, so -0.0 stays apart from 0.0 and NaNs of one bit pattern
+    merge: the strings depend only on the bits. This process writes the
     first range straight into the files; each worker writes its range into
     unnamed temporary files in ``out_dir``, opened before the fork so that
     nothing is left behind when a process fails, and this process appends
@@ -520,11 +521,19 @@ def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
             fh.flush()  # a worker leaves through os._exit, which flushes nothing
 
     def write_chunk(tables):
-        distinct, layouts = {}, []  # id of a column -> (its index in columns, the column)
+        columns, layouts, seen = [], [], {}  # hash of a column's bytes -> indices in columns
+
+        def index(col):  # the index in columns of the column with col's bits, appended if new
+            col = np.asarray(col, dtype=float)
+            same = seen.setdefault(hash(col.tobytes()), [])  # the bytes are dropped at once
+            k = next((k for k in same if np.array_equal(columns[k].view(np.int64), col.view(np.int64))), None)
+            if k is None:
+                same.append(k := len(columns))
+                columns.append(col)
+            return k
+
         for (_, _, cols), (order, *template) in zip(tables, formats, strict=True):
-            index = [distinct.setdefault(id(cols[i]), (len(distinct), cols[i]))[0] for i in order]
-            layouts.append((index, *template))
-        columns = [np.asarray(col, dtype=float) for _, col in distinct.values()]
+            layouts.append(([index(cols[i]) for i in order], *template))
         n = len(columns[0])
         ranges = max(1, min(parts, n, _MAX_RANGES))
         bounds = [n * k // ranges for k in range(ranges + 1)]

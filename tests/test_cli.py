@@ -1098,6 +1098,83 @@ def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tm
         assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_value_equal_columns_are_formatted_once(fmt, cpus, tmp_path, monkeypatch):
+    # columns are told apart by their bits, chunk by chunk, not by identity: a
+    # copy of t, separate all-zero arrays and separate NaN arrays of one bit
+    # pattern are formatted once, -0.0 stays apart from 0.0, and y and z merge
+    # in the first chunk only
+    use_cpus(monkeypatch, cpus)
+    cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
+    counts = tmp_path / "formatted"  # one line per block formatted, by any process
+    format_column = cli._format_column
+
+    def counting(values, as_json):
+        with open(counts, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(values)}\n")
+        return format_column(values, as_json)
+
+    monkeypatch.setattr(cli, "_format_column", counting)
+    formatted = lambda: sum(map(int, counts.read_text(encoding="utf-8").split())) if counts.exists() else 0
+    rng = np.random.default_rng(3)
+    sizes = (2 * cli._BLOCK_ROWS + 3, 5)
+    ts = np.arange(sum(sizes)) * 0.01 - 0.05
+    x, y = rng.standard_normal((2, len(ts)))
+    z = np.where(np.arange(len(ts)) < sizes[0], y, -y)
+
+    def tables(lo, hi):
+        n = hi - lo
+        a = [ts[lo:hi], x[lo:hi], np.zeros(n), np.full(n, -0.0), np.full(n, math.nan), y[lo:hi]]
+        b = [ts[lo:hi].copy(), np.zeros(n), np.full(n, 0.0), np.full(n, math.nan), x[lo:hi], z[lo:hi]]
+        return [
+            ("a", ["t", "x", "zero", "neg_zero", "nan", "y"], a),
+            ("b", ["t", "zero", "pos_zero", "nan", "x", "z"], b),
+        ]
+
+    cuts = [0, sizes[0], len(ts)]
+    chunks = [tables(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    distinct = [len({col.tobytes() for _, _, cols in chunk for col in cols}) for chunk in chunks]
+    assert distinct == [6, 7]  # t, x, 0.0, -0.0, NaN and y; z is y in the first chunk only
+    per_chunk = []
+
+    def counted():
+        for chunk in chunks:
+            yield chunk
+            per_chunk.append(formatted() - sum(per_chunk))  # the chunk's rows are written
+
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = cli._write_tables(out, counted(), cfg, cli._usable_cpus())
+    assert per_chunk == [size * k for size, k in zip(sizes, distinct)]
+    for (name, header, cols), path in zip(tables(0, len(ts)), paths):
+        assert path.read_bytes() == per_row_bytes(header, np.column_stack(cols), cfg), name
+
+
+def test_a_closed_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatch):
+    # along the Yang-Lee map eta has equal diagonal entries and equal real
+    # off-diagonal parts, and h and u are diagonal: the 37 column objects of
+    # the 7 series hold copies of one another, and zeros
+    use_cpus(monkeypatch, 1)
+    series, built = cli._series, []
+
+    def recording(*args):
+        return {name: (lambda b=build: built.append(b()) or built[-1]) for name, build in series(*args).items()}
+
+    monkeypatch.setattr(cli, "_series", recording)
+    format_column, formatted = cli._format_column, []
+    monkeypatch.setattr(cli, "_format_column", lambda *args: formatted.append(len(args[0])) or format_column(*args))
+    out = str(tmp_path / "out")
+    write_config(tmp_path / "cfg.json", t_end=T0 + 0.5, dt=1e-2, outputs=list(cli.OUTPUTS), out_path=out)
+    assert cli.main(["run", str(tmp_path / "cfg.json")]) == 0
+    columns = [col for _, cols in built for col in cols]
+    rows, distinct = len(columns[0]), len({np.asarray(col, dtype=float).tobytes() for col in columns})
+    # 51 columns in all, 37 column objects (t and the propagator's are shared)
+    assert (len(built), len(columns), len(set(map(id, columns))), rows) == (7, 51, 37, 51)
+    assert sum(formatted) == rows * distinct
+    assert distinct < 37
+
+
 # --- runs in chunks ------------------------------------------------------
 
 # A chunk of 200 steps, so that windows of a few hundred steps cross chunk
