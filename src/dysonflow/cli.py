@@ -25,13 +25,17 @@ constants, plus its Yang-Lee oracles. Each of its chunks continues the
 RK4 solutions of the one before; a window of at most one chunk is one
 pass, with the same bits.
 
-CSV floats carry 17 significant digits ("%.17g"); JSON floats are the
-shortest repr that round-trips, with NaN and Infinity spelled as ``json``
-spells them. Either way identical configs produce byte-identical files.
-``run`` hands each chunk's rows of the requested series to one writer,
-which cuts them into one contiguous range per usable CPU (at most 16),
-each process formatting each bit-distinct column of its range once for all
-the tables that show it, and appends them to the open files.
+CSV floats carry 17 significant digits, the bytes of Python's "%.17g";
+JSON floats are the shortest repr that round-trips, with NaN and Infinity
+spelled as ``json`` spells them. Either way identical configs produce
+byte-identical files. ``run`` hands each chunk's rows of the requested
+series to one writer, which cuts them into one contiguous range per usable
+CPU (at most 16), each process formatting each bit-distinct column of its
+range once for all the tables that show it, and appends them to the open
+files. A CSV block of rows goes through one numpy kernel for all its
+columns (_format.format_g17), which leaves to Python's per-value "%.17g"
+only the values it cannot decide: those within 2^-20 of a tie in the
+rounding of their 17th digit.
 ``sweep`` computes its values side by side over the usable CPUs. Both go
 through ``_parallel._fork_map``, with the same bytes as one process.
 """
@@ -237,7 +241,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     An open start is the scenario's natural one (the anchor time t0 for
     Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
     periods after the start. A window of at most half a step is refused,
-    not widened to one step.
+    not widened to one step, and so is a dt at or below the spacing of
+    floats at the window's ends, where t_start + k dt stop being distinct.
     """
     if cfg.scenario == "su2-generic":
         default_start, period = 0.0, _su2_config(cfg)[2]
@@ -248,6 +253,12 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     span = (cfg.t_end - t_start) if cfg.t_end is not None else periods * period
     if span <= 0.0:
         raise ConfigInvalid(f"t_end must exceed t_start, got span {span}")
+    spacing = max(math.ulp(t_start), math.ulp(t_start + span))
+    if cfg.dt <= spacing:
+        raise ConfigInvalid(
+            f"dt {cfg.dt:.6g} is at or below the spacing {spacing:.6g} of floats at the window's ends, "
+            "where t_start + k dt stop being distinct"
+        )
     n = round(span / cfg.dt)
     if n == 0:
         raise ConfigInvalid(f"the window spans at most half a dt step (span {span:.6g}, dt {cfg.dt:.6g})")
@@ -429,9 +440,12 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
     return _write_tables(out_dir, [[(name, header, list(rows.T))]], cfg)[0]
 
 
-# rows per block; a block holds one string per value of every distinct column
-# at once, about 1,500 strings for the 23 or 24 of a yang-lee-closed run's 7 series
-_BLOCK_ROWS = 64
+# rows per block; a block's values of every distinct column are formatted in
+# one call, and its strings are held at once: about 3,000 for the 23 or 24
+# columns of a yang-lee-closed run's 7 series. On closed-emit, 256 rows took
+# 13 % less time than 128 and 64 rows 18 % more, but 256 rows raised the
+# peak RSS by about 0.5 MB more than 128
+_BLOCK_ROWS = 128
 # at most this many row ranges of a chunk, so processes: each range past the
 # first holds one temporary file per table and a pipe open in this process
 # until the chunk's rows are appended
@@ -449,21 +463,34 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _format_column(values, as_json: bool):
-    """The strings of one column block: "%.17g" for CSV, the shortest round-trip repr for JSON."""
+def _format_block(block, as_json: bool):
+    """The strings of a (columns, rows) block of floats, one list per column.
+
+    CSV takes the "%.17g" bytes of every value from one call of
+    _format.format_g17; JSON the shortest round-trip repr, as a str.
+    """
     if not as_json:
-        return list(map("%.17g".__mod__, values.tolist()))
-    fmt = float.__repr__ if np.isfinite(values).all() else _json_float
-    return list(map(fmt, values.tolist()))
+        from ._format import format_g17  # on the first CSV block: its 4 ms of compiling is no cost to verify
+
+        return format_g17(block).tolist()
+    fmt = float.__repr__ if np.isfinite(block).all() else _json_float
+    return [list(map(fmt, column)) for column in block.tolist()]
+
+
+def _csv_rows(strings, first):
+    """A block of CSV rows from the bytes of its columns: each row's joined by "," and ended by "\n"."""
+    return b"\n".join(map(b",".join, zip(*strings))) + b"\n"
 
 
 def _table_format(header, cfg: ScenarioConfig):
-    """The head of a table and the template of its rows: (order, fill, between, after, before).
+    """The head of a table and the template of its rows: (order, rows).
 
-    A row is ``fill`` of its columns' strings in ``order``, a block's rows
-    are joined by ``between`` and it ends in ``after`` and starts with
-    ``before``, which the table's first block has without its ",". CSV
-    floats keep 17 significant digits. A JSON file holds the bytes
+    ``rows(strings, first)`` gives the bytes of a block of rows from the
+    strings of its columns in ``order`` (see _format_block), ``first`` when
+    the block is the table's first. A CSV row is its strings joined by ","
+    and ended by "\n": floats keep 17 significant digits. JSON rows are
+    joined by ",\n", and a block starts with one, except the first, which
+    starts with "\n". A JSON file holds the bytes
     ``json.dump(indent=2, sort_keys=True)`` writes for {"columns",
     "metadata", key: one dict per row}, key being "samples" for a time
     series (first column t) and "rows" for a sweep: floats in their
@@ -474,14 +501,19 @@ def _table_format(header, cfg: ScenarioConfig):
     rows open: its tail depends on whether the table has any.
     """
     if cfg.format != "json":
-        return ",".join(header) + "\n", (range(len(header)), ",".join, "\n", "\n", "")
+        return ",".join(header) + "\n", (range(len(header)), _csv_rows)
     last = {field: i for i, field in enumerate(header)}
     order = [last[field] for field in sorted(last)]
     key = "samples" if header[0] == "t" else "rows"
     head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
     row = ",\n".join(f"      {json.dumps(header[i]).replace('%', '%%')}: %s" for i in order)
+    fill = ("    {\n" + row + "\n    }").__mod__
+
+    def rows(strings, first):
+        return (("\n" if first else ",\n") + ",\n".join(map(fill, zip(*strings)))).encode()
+
     # key sorts after "metadata": reopen the head's closing "\n}" for it
-    return f'{head[:-2]},\n  "{key}": [', (order, ("    {\n" + row + "\n    }").__mod__, ",\n", "", ",\n")
+    return f'{head[:-2]},\n  "{key}": [', (order, rows)
 
 
 def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
@@ -512,11 +544,10 @@ def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
 
     def write_rows(targets, columns, layouts, lo, hi):
         for start in range(lo, hi, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, hi)
-            strings = [_format_column(col[start:stop], cfg.format == "json") for col in columns]
-            for fh, (order, fill, between, after, before) in zip(targets, layouts):
-                rows = between.join(map(fill, zip(*[strings[i] for i in order])))
-                fh.write(((before if done + start else before[1:]) + rows + after).encode())
+            block = np.array([col[start : min(start + _BLOCK_ROWS, hi)] for col in columns])
+            strings = _format_block(block, cfg.format == "json")
+            for fh, (order, rows) in zip(targets, layouts):
+                fh.write(rows([strings[i] for i in order], not done + start))
         for fh in targets:
             fh.flush()  # a worker leaves through os._exit, which flushes nothing
 
@@ -532,8 +563,8 @@ def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
                 columns.append(col)
             return k
 
-        for (_, _, cols), (order, *template) in zip(tables, formats, strict=True):
-            layouts.append(([index(cols[i]) for i in order], *template))
+        for (_, _, cols), (order, rows) in zip(tables, formats, strict=True):
+            layouts.append(([index(cols[i]) for i in order], rows))
         n = len(columns[0])
         ranges = max(1, min(parts, n, _MAX_RANGES))
         bounds = [n * k // ranges for k in range(ranges + 1)]

@@ -19,6 +19,7 @@ from dysonflow import (
     IntegrationGrid,
     MetricFlow,
     TimeSeries,
+    _format,
     cli,
     dyson_from_metric,
     hermitian_counterpart,
@@ -846,6 +847,37 @@ def test_window_of_at_most_half_a_step_is_a_config_error(tmp_path, capsys):
     assert len((tmp_path / "out" / "metric.csv").read_text().splitlines()) == 1 + 2
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e-20])
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_a_dt_at_or_below_the_float_spacing_of_the_window_is_a_config_error(scenario, dt, tmp_path, capsys):
+    # there t_start + k dt stop being distinct: the step count overflowed int64
+    # (IndexError) or a chunk spanned 0.0 (ValueError); every verb refuses it
+    cfg_path = tmp_path / "cfg.json"
+    base = rotated_yang_lee_config(0.6, "x") if scenario == "su2-generic" else {"scenario": scenario}
+    cfg_path.write_text(json.dumps({**base, "out_path": str(tmp_path / "out"), "dt": dt}), encoding="utf-8")
+    cfg = cli.load_config(cfg_path)
+
+    def refusal(periods):  # the message for the window of a run (two periods) or of a sweep row (one)
+        window = cli._resolve_window(replace(cfg, dt=0.01), periods)
+        spacing = max(math.ulp(window.t_start), math.ulp(window.t_end))
+        return f"config error: dt {dt:.6g} is at or below the spacing {spacing:.6g} of floats at the window's ends"
+
+    for argv in (["verify", str(cfg_path)], ["run", str(cfg_path)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(refusal(2)), err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", f"{dt!r},0.01"]) == 2
+    assert capsys.readouterr().err.startswith(refusal(1))
+    # the spacing itself is refused, twice it is not
+    window = cli._resolve_window(replace(cfg, dt=0.01))
+    spacing = max(math.ulp(window.t_start), math.ulp(window.t_end))
+    ends = {"t_start": window.t_start, "t_end": window.t_end}
+    with pytest.raises(cli.ConfigInvalid, match="at or below the spacing"):
+        cli._resolve_window(replace(cfg, dt=spacing, **ends))
+    assert cli._resolve_window(replace(cfg, dt=2.0 * spacing, **ends)).dt == 2.0 * spacing
+
+
 def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("a pipeline ran before out_path was checked")
@@ -1038,28 +1070,28 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
     cfg = cli.ScenarioConfig(scenario="yang-lee-closed")
     ts = np.arange(30.0)  # rows 0-9 fall to this process, 10-19 and 20-29 to the two workers
     tables = [("table", ["t", "x"], [ts, -ts])]
-    format_column = cli._format_column
+    format_block = cli._format_block
 
-    def fail_in_the_workers(values, as_json):
-        first = abs(values[0])
+    def fail_in_the_workers(block, as_json):
+        first = abs(block[0, 0])  # the first t of the block
         if first >= 20:
             raise StepTooLarge("the third range failed")
         if first >= 10:
             raise NotPositiveDefinite("the second range failed", t=first, index=3)
-        return format_column(values, as_json)
+        return format_block(block, as_json)
 
-    monkeypatch.setattr(cli, "_format_column", fail_in_the_workers)
+    monkeypatch.setattr(cli, "_format_block", fail_in_the_workers)
     with pytest.raises(NotPositiveDefinite) as info:
         cli._write_tables(tmp_path, [tables], cfg, 3)
     assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", 10.0, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
-    def exit_in_the_workers(values, as_json):
+    def exit_in_the_workers(block, as_json):
         if os.getpid() != parent:
             os._exit(3)
-        return format_column(values, as_json)
+        return format_block(block, as_json)
 
-    monkeypatch.setattr(cli, "_format_column", exit_in_the_workers)
+    monkeypatch.setattr(cli, "_format_block", exit_in_the_workers)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
         cli._write_tables(tmp_path, [tables], cfg, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
@@ -1108,14 +1140,14 @@ def test_value_equal_columns_are_formatted_once(fmt, cpus, tmp_path, monkeypatch
     use_cpus(monkeypatch, cpus)
     cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
     counts = tmp_path / "formatted"  # one line per block formatted, by any process
-    format_column = cli._format_column
+    format_block = cli._format_block
 
-    def counting(values, as_json):
+    def counting(block, as_json):
         with open(counts, "a", encoding="utf-8") as fh:
-            fh.write(f"{len(values)}\n")
-        return format_column(values, as_json)
+            fh.write(f"{block.size}\n")
+        return format_block(block, as_json)
 
-    monkeypatch.setattr(cli, "_format_column", counting)
+    monkeypatch.setattr(cli, "_format_block", counting)
     formatted = lambda: sum(map(int, counts.read_text(encoding="utf-8").split())) if counts.exists() else 0
     rng = np.random.default_rng(3)
     sizes = (2 * cli._BLOCK_ROWS + 3, 5)
@@ -1162,8 +1194,10 @@ def test_a_closed_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatc
         return {name: (lambda b=build: built.append(b()) or built[-1]) for name, build in series(*args).items()}
 
     monkeypatch.setattr(cli, "_series", recording)
-    format_column, formatted = cli._format_column, []
-    monkeypatch.setattr(cli, "_format_column", lambda *args: formatted.append(len(args[0])) or format_column(*args))
+    format_block, formatted = cli._format_block, []
+    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(args[0].size) or format_block(*args))
+    exact, fallback = _format._exact, []
+    monkeypatch.setattr(_format, "_exact", lambda values: fallback.append(values.size) or exact(values))
     out = str(tmp_path / "out")
     write_config(tmp_path / "cfg.json", t_end=T0 + 0.5, dt=1e-2, outputs=list(cli.OUTPUTS), out_path=out)
     assert cli.main(["run", str(tmp_path / "cfg.json")]) == 0
@@ -1173,6 +1207,7 @@ def test_a_closed_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatc
     assert (len(built), len(columns), len(set(map(id, columns))), rows) == (7, 51, 37, 51)
     assert sum(formatted) == rows * distinct
     assert distinct < 37
+    assert fallback == []  # no value went through Python's per-value "%.17g"
 
 
 # --- runs in chunks ------------------------------------------------------
@@ -1357,8 +1392,8 @@ def test_a_run_whose_later_chunk_raises_leaves_no_file(tmp_path, monkeypatch, ca
     # chunk's rows are in the open table files: the run removes them all and
     # writes no report.json
     monkeypatch.setattr(cli, "CHUNK_STEPS", CHUNK)
-    format_column, formatted = cli._format_column, []
-    monkeypatch.setattr(cli, "_format_column", lambda *args: formatted.append(1) or format_column(*args))
+    format_block, formatted = cli._format_block, []
+    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(1) or format_block(*args))
     p = cli.YangLeeParams(gamma=0.999, omega=1.0)
     out = tmp_path / "out"
     write_config(

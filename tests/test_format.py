@@ -1,0 +1,153 @@
+"""format_g17 against Python's own "%.17g", byte for byte."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dysonflow import _format
+from dysonflow._format import format_g17
+
+
+def python_g17(values):
+    return np.array([b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()], dtype="S24")
+
+
+def assert_matches_python(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got, want = format_g17(values), python_g17(values)
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [(values[i], got[i], want[i]) for i in bad[:5]]
+
+
+def test_random_bit_patterns():
+    # every exponent field, so subnormals, infinities and NaNs of either sign too
+    bits = np.random.default_rng(17).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert np.isnan(values).any() and (np.abs(values[np.isfinite(values)]) < 2.2250738585072014e-308).any()
+    assert_matches_python(values)
+
+
+def test_nans_of_either_sign_print_nan():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    assert format_g17(nans.view(np.float64)).tolist() == [b"nan"] * 4
+
+
+def test_scaled_integers():
+    # k 10^j over every decade a double has, with k of one to seventeen digits
+    rng = np.random.default_rng(3)
+    k = np.concatenate([np.arange(1, 1000), rng.integers(1, 10**17, 4000)]).astype(float)
+    for j in range(-323, 292, 7):
+        assert_matches_python(k * float(f"1e{j}"))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    assert_matches_python(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+def test_exact_ties_round_half_to_even():
+    ties = [123456789012345.625, 123456789012345.875, -123456789012345.625, 1234567890123456.25, 1234567890123456.75]
+    assert format_g17(ties).tolist() == [
+        b"123456789012345.62", b"123456789012345.88", b"-123456789012345.62", b"1234567890123456.2",
+        b"1234567890123456.8",
+    ]
+    assert_matches_python(ties)
+
+
+def test_notation_boundaries():
+    # fixed notation for -4 <= E <= 16, exponents of two and three digits
+    values = [1e-5, 1.5e-5, 9.9999999999999995e-5, 1e-4, 0.00012345, 1e16, 1.2345e16, 9.9999999999999998e16, 1e17]
+    values += [x * s for x in (1e99, 1e100, 1e-99, 1e-100, 1e308, 1e-308, 1.7976931348623157e308) for s in (1, -1)]
+    values += [5e-324, 1.5, 100.0, 120.0, 1234567.0, 0.1, 1 / 3]
+    assert_matches_python(values)
+    assert format_g17([1e-5, 1e-4, 1e16, 1e17, 1e100, -1e-100]).tolist() == [
+        b"1.0000000000000001e-05", b"0.0001", b"10000000000000000", b"1e+17", b"1e+100", b"-1e-100",
+    ]
+
+
+def test_zeros_and_infinities():
+    assert format_g17([0.0, -0.0, math.inf, -math.inf, math.nan]).tolist() == [b"0", b"-0", b"inf", b"-inf", b"nan"]
+
+
+def test_shapes():
+    block = np.arange(6.0).reshape(2, 3) - 2.5
+    out = format_g17(block)
+    assert out.shape == (2, 3) and out.dtype == np.dtype("S24")
+    assert out.tolist() == [[b"-2.5", b"-1.5", b"-0.5"], [b"0.5", b"1.5", b"2.5"]]
+    assert format_g17(np.empty((3, 0))).shape == (3, 0)
+    assert format_g17(7.0).tolist() == b"7"
+
+
+def test_a_value_formats_alone_as_anywhere_in_a_block():
+    rng = np.random.default_rng(29)
+    block = rng.standard_normal(257) * 10.0 ** rng.integers(-30, 30, 257)
+    edge = [0.0, -0.0, math.nan, math.inf, 123456789012345.625, 1e-320, 1.0, -1e16, 2.5, 1e-5, 7e300, 1e17, 1e23]
+    block[::7] = np.resize(edge, len(block[::7]))
+    alone = [format_g17(block[i : i + 1])[0] for i in range(len(block))]
+    for lo, hi in ((0, 257), (3, 200), (100, 101), (250, 257)):
+        assert format_g17(block[lo:hi]).tolist() == alone[lo:hi]
+    assert format_g17(block[::-1]).tolist() == alone[::-1]
+    assert format_g17(block.reshape(1, 257)).tolist() == [alone]
+
+
+def exact_fraction_above(v):
+    """The fraction of |v| 10^(16 - E) above its floor, E the exact decimal exponent of |v|."""
+    x = abs(Fraction(v))
+    e10 = math.floor(math.log10(abs(v)))
+    while Fraction(10) ** e10 > x:
+        e10 -= 1
+    while Fraction(10) ** (e10 + 1) <= x:
+        e10 += 1
+    y = x * Fraction(10) ** (16 - e10)
+    return y - math.floor(y)
+
+
+def near_tie():
+    """A double x = m 2^31 in [10^25, 10^26) whose digits past its 17th read 500000256: 2.56e-7 above a tie."""
+    residue = 5 * 10**8 + 256
+    # m 2^31 = residue modulo 10^9: divide both by 2^9 and solve modulo 5^9
+    m = residue // 2**9 * pow(2**22, -1, 5**9) % 5**9
+    least = -(-(10**25) // 2**31)  # the least m with m 2^31 >= 10^25
+    m += -(-(least - m) // 5**9) * 5**9
+    x = float(m * 2**31)
+    assert int(x) == m * 2**31 and 10**25 <= x < 10**26 and int(x) % 10**9 == residue
+    return x
+
+
+def test_only_values_within_the_margin_of_a_tie_fall_back(monkeypatch):
+    exact, fallback = _format._exact, []
+    monkeypatch.setattr(_format, "_exact", lambda values: fallback.extend(values.tolist()) or exact(values))
+    ties = [123456789012345.625, -123456789012345.875, 1234567890123456.75]
+    decided = [1.0, 0.1, 1 / 3, 2.5, 1e-320, 5e-324, 1e23, 1.7976931348623157e308, -7.25e-200, 2.0**60]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    values = [*ties, near_tie(), *decided, *special]
+    regular = [v for v in values if v != 0.0 and math.isfinite(v)]
+    undecided = [v for v in regular if abs(exact_fraction_above(v) - Fraction(1, 2)) < Fraction(2) ** -20]
+    assert len(undecided) == 4 and exact_fraction_above(near_tie()) != Fraction(1, 2)
+    assert_matches_python(values)
+    assert sorted(fallback) == sorted(undecided)
+
+
+def test_the_power_table_is_within_2_to_the_minus_100():
+    scale = _format._tables()[0]
+    for column, e10 in enumerate(range(_format._E_MIN, _format._E_MAX + 1)):
+        two_a, two_b, hi, hi_hi, hi_lo, lo = scale[:, column].tolist()
+        product = Fraction(two_a) * Fraction(two_b)
+        s = product.denominator.bit_length() - product.numerator.bit_length()
+        assert product == Fraction(2) ** -s  # so |v| 2^-s is exact
+        exact = Fraction(10) ** (16 - e10) * Fraction(2) ** s
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(2) ** -100, e10
+        assert hi_hi + hi_lo == hi and (math.frexp(hi_hi)[0] * 2**27).is_integer()  # Dekker's split
+
+
+@pytest.mark.parametrize("rows", [1, 64, 128])
+def test_the_writer_columns_of_a_closed_run(rows):
+    # the kind of columns the writer hands over: grid times, entries of the
+    # Dyson map and of the propagator, residuals near rounding, and zeros
+    rng = np.random.default_rng(rows)
+    t = -1.996476351947283 + 0.001 * np.arange(rows)
+    residual = rng.random(rows) * 1e-16
+    block = np.stack([t, np.cos(t) * 1.3, -np.sin(2 * t), residual, np.zeros(rows), np.full(rows, -0.0)])
+    assert_matches_python(block)
