@@ -1,10 +1,11 @@
-"""The "%.17g" strings of float64 arrays, formed in numpy, byte for byte as Python writes them.
+"""The "%.17g" and the repr strings of float64 arrays, formed in numpy, byte for byte as Python writes them.
 
-format_g17(values) gives, for every value v, the bytes of ``b"%.17g" % v``
-as one fixed-width "S24" record (the longest such string,
-"-1.2345678901234567e-308", has 24 bytes; a shorter one is padded with
-NUL bytes, which numpy drops on reading). It works on the whole array at
-once, in five steps:
+format_g17(values) gives, for every value v, the bytes of ``b"%.17g" % v``,
+and format_repr(values) the bytes ``json.dump`` writes for v: its repr,
+or NaN, Infinity and -Infinity. Each value is one fixed-width "S24" record
+(the longest such string, "-1.2345678901234567e-308", has 24 bytes; a
+shorter one is padded with NUL bytes, which numpy drops on reading). Both
+work on the whole array at once, in five steps:
 
 1. Exponent. The decimal exponent E of |v| is estimated by np.log10, then
    corrected by the range of the scaled value below. So the strings do not
@@ -14,22 +15,31 @@ once, in five steps:
    doubles for 10^(16 - E) times the inverse power of two, with Dekker's
    split for the exact product of the leading parts. Its floor, an int64 of
    17 digits, and the fraction above it come out within 2^-40 of the exact
-   ones. The 17 correctly rounded significant digits are read out through a
-   table of 4-digit groups.
-3. Trim. Trailing zeros are dropped, as "%g" drops them.
+   ones. "%.17g" rounds them to the nearest integer. repr takes the
+   shortest digits that read back as v (the digits of D. M. Gay's
+   correctly rounded conversion, which CPython's repr runs): v's spacing,
+   read from its mantissa bits, bounds the interval of reals that read back
+   as v to under 23 units of the 17th digit, so the nearest multiples of
+   100 and of 10 are the only shorter candidates (_shortest). The digits
+   are read out through a table of 4-digit groups.
+3. Trim. Trailing zeros are dropped, as "%g" and repr drop them.
 4. Layout. The values are sorted by layout key (sign, notation and E, and
    in exponent notation the digit count); each key's strings are filled by
    contiguous slice copies, then the records are put back in the values'
-   order.
+   order. Fixed notation is -4 <= E <= 16 for "%.17g" and -4 <= E <= 15
+   for repr, where a whole value ends in ".0".
 5. Special values. 0, -0, nan (whatever its sign bit), inf and -inf get
-   their strings by mask.
+   their strings by mask: "0.0", "-0.0", "NaN", "Infinity" and "-Infinity"
+   for repr.
 
 A value whose fraction lies within _MARGIN of one half is left undecided
 by step 2, whose error is far below _MARGIN: exact ties round half to even,
 which only the exact value decides. So is a value whose corrected
-exponent still misses the range, which no double does. Only those go
-through Python's per-value ``"%.17g"``, in _exact. The tables are built on
-first use, in numpy from the exact integer powers of five.
+exponent still misses the range, which no double does, and for repr a
+value with a candidate within _MARGIN of an end of its interval (see
+_shortest). Only those go through Python's per-value ``"%.17g"`` or repr,
+in _exact and _exact_repr. The tables are built on first use, in numpy
+from the exact integer powers of five.
 """
 
 from functools import cache
@@ -139,26 +149,64 @@ def _exact(values):
     return [b"%.17g" % v for v in values.tolist()]
 
 
+def _exact_repr(values):
+    """Python's own repr of each value: the fallback for what format_repr leaves undecided."""
+    return [float.__repr__(v).encode() for v in values.tolist()]
+
+
 def format_g17(values):
     """The "%.17g" bytes of every float64 of ``values``, as an "S24" array of its shape (see the module)."""
+    return _format(values, shortest=False)
+
+
+def format_repr(values):
+    """The bytes ``json.dump`` writes for every float64 of ``values``, as an "S24" array of its shape.
+
+    That is the repr of a finite value, NaN (whatever its sign bit),
+    Infinity and -Infinity (see the module).
+    """
+    return _format(values, shortest=True)
+
+
+# the bytes of 0, -0, nan, inf and -inf: as "%.17g" writes them, and (shortest) as json does
+_SPECIAL = {False: (b"0", b"-0", b"nan", b"inf", b"-inf"), True: (b"0.0", b"-0.0", b"NaN", b"Infinity", b"-Infinity")}
+
+
+def _format(values, shortest):
+    """The records of format_g17, or with ``shortest`` those of format_repr."""
     x = np.asarray(values, dtype=np.float64)
     flat = x.ravel()
     regular = np.isfinite(flat) & (flat != 0.0)
     neg = np.signbit(flat)
-    d, e10, undecided = _digits(flat, regular)
-    records = _layout(d, e10, _kept(d, regular), neg, regular)
-    zero = flat == 0.0
-    records[zero] = np.where(neg[zero], b"-0", b"0")
-    records[np.isnan(flat)] = b"nan"
-    inf = np.isinf(flat)
-    records[inf] = np.where(neg[inf], b"-inf", b"inf")
+    d, frac, e10, undecided = _digits(flat, regular)
+    if shortest:
+        step, near = _shortest(flat, d, frac)
+        d += step
+    else:
+        near = np.abs(frac - 0.5) < _MARGIN
+        d[frac > 0.5] += 1
+    undecided |= regular & near
+    carry = d == 10**17
+    d[carry] = 10**16
+    e10[carry] += 1
+    records = _layout(d, e10, _kept(d, regular), neg, regular, shortest)
+    zero, minus_zero, nan, inf, minus_inf = _SPECIAL[shortest]
+    mask = flat == 0.0
+    records[mask] = np.where(neg[mask], minus_zero, zero)
+    records[np.isnan(flat)] = nan
+    mask = np.isinf(flat)
+    records[mask] = np.where(neg[mask], minus_inf, inf)
     if undecided.any():
-        records[undecided] = _exact(flat[undecided])
+        records[undecided] = (_exact_repr if shortest else _exact)(flat[undecided])
     return records.reshape(x.shape)
 
 
 def _digits(flat, regular):
-    """Steps 1 and 2: the 17 significant digits of each regular value as an int64, E, and the undecided."""
+    """Steps 1 and 2 up to rounding: (d, frac, E, the values whose E stays out of range).
+
+    d is the floor of each regular value's 17 significant digits, an int64,
+    and frac the fraction above it.
+    """
     a = np.abs(flat)
     a[~regular] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.int64)  # in [-324, 308], so one step either way stays in the tables
@@ -169,12 +217,45 @@ def _digits(flat, regular):
         e10[fix] += np.where(d[fix] < 10**16, -1, 1)
         d[fix], frac[fix] = _scaled(a[fix], e10[fix])
         out_of_range = (d < 10**16) | (d >= 10**17)
-    undecided = regular & (out_of_range | (np.abs(frac - 0.5) < _MARGIN))
-    d[frac > 0.5] += 1
-    carry = d == 10**17
-    d[carry] = 10**16
-    e10[carry] += 1
-    return d, e10, undecided
+    return d, frac, e10, regular & out_of_range
+
+
+def _shortest(flat, d, frac):
+    """The step from each floor ``d`` to the digits of the shortest repr, and the values it leaves undecided.
+
+    With y = d + frac, |v| in units of its 17th digit, the reals that read
+    back as v lie within h above y and h_low below it: h = y ulp(v) / (2
+    |v|) = y / (2 m), m the 53-bit integer mantissa, and h_low = h but h / 2
+    for a power of two, whose lower gap is half its upper one. h lies in
+    [0.55, 11.1], so the interval is narrower
+    than 23 units. Repr takes the fewest digits, then the nearest: a
+    multiple of 100 in the interval, unique and trimmed of its zeros by
+    _kept, else the nearer multiple of 10 in it, else the nearest integer,
+    always in it. Left undecided: a candidate within _MARGIN of an end of the
+    interval, which is in or out by the mantissa's parity; a tie between two
+    multiples of 10 or two integers; and subnormals and the least normal,
+    whose gaps are not those of h. A tie between two multiples of 100 lies
+    50 units from both, outside every interval.
+    """
+    mantissa = flat.view(np.int64) & (2**52 - 1)
+    h = (d + frac) / (2 * (mantissa + 2**52))
+    h_low = np.where(mantissa == 0, 0.5 * h, h)
+    r100 = d % 100
+    r10 = r100 % 10
+    low100, low10 = r100 + frac, r10 + frac  # from the multiples of 100 and of 10 below y
+    high100, high10 = 100.0 - low100, 10.0 - low10  # and to those above it
+    up100, up10 = high100 <= h, high10 <= h
+    in100, in10 = up100 | (low100 <= h_low), up10 | (low10 <= h_low)
+    up10 &= (low10 > h_low) | (low10 > 5.0)
+    step = np.where(
+        in100,
+        np.where(up100, 100, 0) - r100,
+        np.where(in10, np.where(up10, 10, 0) - r10, np.where(frac > 0.5, 1, 0)),
+    )
+    ends = np.stack([low100 - h_low, high100 - h, low10 - h_low, high10 - h, low10 - 5.0, frac - 0.5])
+    near = (np.abs(ends) < _MARGIN).any(axis=0)
+    near |= np.abs(flat) <= 2.0**-1022
+    return step, near
 
 
 def _kept(d, regular):
@@ -189,21 +270,23 @@ def _kept(d, regular):
     return kept
 
 
-def _layout(d, e10, kept, neg, regular):
+def _layout(d, e10, kept, neg, regular, shortest):
     """Step 4: the records of the regular values, sorted by layout key, each key's filled by _fill, then unsorted.
 
     The key is the sign, then E + 4 in fixed notation, and in exponent
     notation 21 or 22 (two or three exponent digits) times 32 plus the
-    digits kept.
+    digits kept. Fixed notation is -4 <= E <= 16 for "%.17g", where a whole
+    value drops its point, and -4 <= E <= 15 for repr (``shortest``), where
+    it ends in ".0".
     """
-    fixed = (e10 >= -4) & (e10 <= 16)
+    fixed = (e10 >= -4) & (e10 <= (15 if shortest else 16))
     form = np.where(fixed, e10 + 4, np.where((e10 > -100) & (e10 < 100), 21 * 32, 22 * 32) + kept)
     key = (form + np.where(neg, 1024, 0)).astype(np.int16)
     key[~regular] = -1
     order = np.argsort(key, kind="stable")  # a radix sort on int16
     key, e10, kept, fixed = key[order], e10[order], kept[order], fixed[order] & regular[order]
     row = _rows(d[order], e10)
-    # fixed notation copies all 17 places: blank those past the digits it shows, and a point with none after it
+    # fixed notation copies all 17 places: blank those past the digits it shows
     short = np.flatnonzero(fixed & (kept < 17))
     if short.size:
         digits = row[short, _LEAD : _LEAD + 17]
@@ -218,8 +301,8 @@ def _layout(d, e10, kept, neg, regular):
         if code >= 0:
             _fill(chars[lo:hi], row[lo:hi], code >> 10, code & 1023)
     del row
-    whole = short[kept[short] <= e10[short] + 1]
-    chars[whole, neg[order][whole] + e10[whole] + 1] = 0
+    whole = short[kept[short] <= e10[short] + 1]  # no digit after the point: blank it, or show "0" there
+    chars[whole, neg[order][whole] + e10[whole] + 1 + shortest] = _ZERO if shortest else 0
     records = np.empty(n, dtype=f"S{_WIDTH}")
     records[order] = chars.view(f"S{_WIDTH}").ravel()
     return records

@@ -32,10 +32,10 @@ byte-identical files. ``run`` hands each chunk's rows of the requested
 series to one writer, which cuts them into one contiguous range per usable
 CPU (at most 16), each process formatting each bit-distinct column of its
 range once for all the tables that show it, and appends them to the open
-files. A CSV block of rows goes through one numpy kernel for all its
-columns (_format.format_g17), which leaves to Python's per-value "%.17g"
-only the values it cannot decide: those within 2^-20 of a tie in the
-rounding of their 17th digit.
+files. A block of rows goes through one numpy kernel for all its columns,
+_format.format_g17 for CSV and _format.format_repr for JSON, which leaves
+to Python's per-value "%.17g" or repr only the values it cannot decide:
+those within 2^-20 of a tie or of an end of their round-trip interval.
 ``sweep`` computes its values side by side over the usable CPUs. Both go
 through ``_parallel._fork_map``, with the same bytes as one process.
 """
@@ -235,6 +235,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
+# the most steps a window may take: 12,500 chunks of CHUNK_STEPS, hours of
+# work for any scenario; a config asking for more cannot finish
+MAX_STEPS = 10**8
+
+
 def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     """Snap the requested window onto a whole number of dt steps.
 
@@ -242,7 +247,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
     periods after the start. A window of at most half a step is refused,
     not widened to one step, and so is a dt at or below the spacing of
-    floats at the window's ends, where t_start + k dt stop being distinct.
+    floats at the window's ends, where t_start + k dt stop being distinct,
+    and a window of more than MAX_STEPS steps.
     """
     if cfg.scenario == "su2-generic":
         default_start, period = 0.0, _su2_config(cfg)[2]
@@ -262,6 +268,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     n = round(span / cfg.dt)
     if n == 0:
         raise ConfigInvalid(f"the window spans at most half a dt step (span {span:.6g}, dt {cfg.dt:.6g})")
+    if n > MAX_STEPS:
+        raise ConfigInvalid(f"the window takes {n:,} steps of dt {cfg.dt:.6g}, more than the bound of {MAX_STEPS:,}")
     return IntegrationGrid(t_start=t_start, t_end=t_start + n * cfg.dt, dt=cfg.dt)
 
 
@@ -441,10 +449,10 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
 
 
 # rows per block; a block's values of every distinct column are formatted in
-# one call, and its strings are held at once: about 3,000 for the 23 or 24
-# columns of a yang-lee-closed run's 7 series. On closed-emit, 256 rows took
-# 13 % less time than 128 and 64 rows 18 % more, but 256 rows raised the
-# peak RSS by about 0.5 MB more than 128
+# one kernel call, CSV or JSON, and its strings are held at once: about 3,000
+# for the 23 or 24 columns of a yang-lee-closed run's 7 series. On
+# closed-emit, 256 rows took 13 % less time than 128 and 64 rows 18 % more,
+# but 256 rows raised the peak RSS by about 0.5 MB more than 128
 _BLOCK_ROWS = 128
 # at most this many row ranges of a chunk, so processes: each range past the
 # first holds one temporary file per table and a pipe open in this process
@@ -452,29 +460,16 @@ _BLOCK_ROWS = 128
 _MAX_RANGES = 16
 
 
-def _json_float(x: float) -> str:
-    """A float as ``json`` writes it: NaN, Infinity and -Infinity, else its repr."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _format_block(block, as_json: bool):
-    """The strings of a (columns, rows) block of floats, one list per column.
+    """The bytes of a (columns, rows) block of floats, one list per column, from one numpy kernel call.
 
-    CSV takes the "%.17g" bytes of every value from one call of
-    _format.format_g17; JSON the shortest round-trip repr, as a str.
+    CSV takes the "%.17g" bytes of _format.format_g17, JSON the shortest
+    round-trip repr of _format.format_repr, NaN and Infinity spelled as
+    ``json`` spells them.
     """
-    if not as_json:
-        from ._format import format_g17  # on the first CSV block: its 4 ms of compiling is no cost to verify
+    from . import _format  # on the first block: its 4 ms of compiling is no cost to verify
 
-        return format_g17(block).tolist()
-    fmt = float.__repr__ if np.isfinite(block).all() else _json_float
-    return [list(map(fmt, column)) for column in block.tolist()]
+    return (_format.format_repr if as_json else _format.format_g17)(block).tolist()
 
 
 def _csv_rows(strings, first):
@@ -486,7 +481,7 @@ def _table_format(header, cfg: ScenarioConfig):
     """The head of a table and the template of its rows: (order, rows).
 
     ``rows(strings, first)`` gives the bytes of a block of rows from the
-    strings of its columns in ``order`` (see _format_block), ``first`` when
+    bytes of its columns in ``order`` (see _format_block), ``first`` when
     the block is the table's first. A CSV row is its strings joined by ","
     and ended by "\n": floats keep 17 significant digits. JSON rows are
     joined by ",\n", and a block starts with one, except the first, which
@@ -496,9 +491,10 @@ def _table_format(header, cfg: ScenarioConfig):
     series (first column t) and "rows" for a sweep: floats in their
     shortest round-trip repr, a repeated name keeping its last value as
     ``dict(zip(header, row))`` would. Only the head goes through ``json``;
-    the rows are filled into a template, because ``json`` drops to its
-    pure-Python encoder when ``indent`` is set. The head leaves the list of
-    rows open: its tail depends on whether the table has any.
+    the rows are filled into a bytes template (``bytes.__mod__``), because
+    ``json`` drops to its pure-Python encoder when ``indent`` is set. The
+    head leaves the list of rows open: its tail depends on whether the
+    table has any.
     """
     if cfg.format != "json":
         return ",".join(header) + "\n", (range(len(header)), _csv_rows)
@@ -507,10 +503,10 @@ def _table_format(header, cfg: ScenarioConfig):
     key = "samples" if header[0] == "t" else "rows"
     head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
     row = ",\n".join(f"      {json.dumps(header[i]).replace('%', '%%')}: %s" for i in order)
-    fill = ("    {\n" + row + "\n    }").__mod__
+    fill = ("    {\n" + row + "\n    }").encode().__mod__
 
     def rows(strings, first):
-        return (("\n" if first else ",\n") + ",\n".join(map(fill, zip(*strings)))).encode()
+        return (b"\n" if first else b",\n") + b",\n".join(map(fill, zip(*strings)))
 
     # key sorts after "metadata": reopen the head's closing "\n}" for it
     return f'{head[:-2]},\n  "{key}": [', (order, rows)

@@ -775,6 +775,8 @@ def test_json_series_writer_matches_json_dump(tmp_path):
     # every JSON table is exactly what json.dump(indent=2, sort_keys=True) writes
     cfg = cli.ScenarioConfig(scenario="yang-lee-closed", format="json")
     edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2.0, 0.1, -1e-300, 1e300]
+    # whole values in fixed notation, E = 15 and 16, a power of two and the largest finite value
+    edge += [100.0, -7.0, 1e15, 9999999999999998.0, 1.2345678901234568e16, 2.0**-20, 1.7976931348623157e308]
     rng = np.random.default_rng(7)
     block = cli._BLOCK_ROWS
     # E_1 sorts before t and u_00_re after it, so the keys are reordered
@@ -869,13 +871,36 @@ def test_a_dt_at_or_below_the_float_spacing_of_the_window_is_a_config_error(scen
     assert not (tmp_path / "out" / "report.json").exists()
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", f"{dt!r},0.01"]) == 2
     assert capsys.readouterr().err.startswith(refusal(1))
-    # the spacing itself is refused, twice it is not
+    # the spacing itself is refused, twice it is not, over a window of 500
+    # such steps that ends where the default window does, so at its spacing
     window = cli._resolve_window(replace(cfg, dt=0.01))
-    spacing = max(math.ulp(window.t_start), math.ulp(window.t_end))
-    ends = {"t_start": window.t_start, "t_end": window.t_end}
+    spacing = math.ulp(window.t_end)
+    ends = {"t_start": window.t_end - 1000 * spacing, "t_end": window.t_end}
     with pytest.raises(cli.ConfigInvalid, match="at or below the spacing"):
         cli._resolve_window(replace(cfg, dt=spacing, **ends))
     assert cli._resolve_window(replace(cfg, dt=2.0 * spacing, **ends)).dt == 2.0 * spacing
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_a_window_of_more_than_max_steps_is_a_config_error(scenario, tmp_path, capsys):
+    # dt 1e-12 over a window of 1.5 is 1.5e12 steps, which no verb could
+    # finish; each is refused before any chunk runs
+    cfg_path = tmp_path / "cfg.json"
+    base = rotated_yang_lee_config(0.6, "x") if scenario == "su2-generic" else {"scenario": scenario}
+    window = {"t_start": 0.0, "t_end": 1.5, "dt": 1e-12}
+    cfg_path.write_text(json.dumps({**base, **window, "out_path": str(tmp_path / "out")}), encoding="utf-8")
+    refusal = "config error: the window takes 1,500,000,000,000 steps of dt 1e-12, more than the bound of 100,000,000\n"
+    for argv in (["verify", str(cfg_path)], ["run", str(cfg_path)]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "1e-12,0.01"]) == 2
+    assert capsys.readouterr().err == refusal
+    # MAX_STEPS steps are taken, one more is refused
+    cfg = replace(cli.load_config(cfg_path), t_end=1.0)
+    assert cli._resolve_window(replace(cfg, dt=1e-8)).n_steps == cli.MAX_STEPS == 10**8
+    with pytest.raises(cli.ConfigInvalid, match="100,000,001 steps"):
+        cli._resolve_window(replace(cfg, dt=1.0 / (cli.MAX_STEPS + 1)))
 
 
 def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
@@ -1208,6 +1233,31 @@ def test_a_closed_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatc
     assert sum(formatted) == rows * distinct
     assert distinct < 37
     assert fallback == []  # no value went through Python's per-value "%.17g"
+
+
+def test_a_generic_json_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatch):
+    # the JSON twin of the closed run above: su2-generic, every output, and
+    # almost no value left to Python's per-value repr, although the residual
+    # columns hold many powers of two
+    use_cpus(monkeypatch, 1)
+    series, built = cli._series, []
+
+    def recording(*args):
+        return {name: (lambda b=build: built.append(b()) or built[-1]) for name, build in series(*args).items()}
+
+    monkeypatch.setattr(cli, "_series", recording)
+    format_block, formatted = cli._format_block, []
+    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(args[0].size) or format_block(*args))
+    exact, fallback = _format._exact_repr, []
+    monkeypatch.setattr(_format, "_exact_repr", lambda values: fallback.append(values.size) or exact(values))
+    cfg = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=2.0, dt=2e-3, format="json")
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "outputs": list(cli.OUTPUTS)}), encoding="utf-8")
+    assert cli.main(["run", str(tmp_path / "cfg.json")]) == 0
+    columns = [col for _, cols in built for col in cols]
+    rows, distinct = len(columns[0]), len({np.asarray(col, dtype=float).tobytes() for col in columns})
+    assert (len(built), rows) == (7, 1001)
+    assert sum(formatted) == rows * distinct
+    assert sum(fallback) < 1e-3 * sum(formatted)
 
 
 # --- runs in chunks ------------------------------------------------------

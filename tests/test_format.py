@@ -1,24 +1,42 @@
-"""format_g17 against Python's own "%.17g", byte for byte."""
+"""format_g17 against Python's own "%.17g", and format_repr against repr and json's spellings, byte for byte."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dysonflow import _format
-from dysonflow._format import format_g17
+from dysonflow._format import format_g17, format_repr
 
 
 def python_g17(values):
     return np.array([b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()], dtype="S24")
 
 
-def assert_matches_python(values):
+def json_float(v):
+    """A float as json writes it, and as the JSON writer spelled it value by value: NaN, Infinity, -Infinity, repr."""
+    if v != v:
+        return b"NaN"
+    if math.isinf(v):
+        return b"Infinity" if v > 0 else b"-Infinity"
+    return float.__repr__(v).encode()
+
+
+def python_repr(values):
+    return np.array([json_float(v) for v in np.asarray(values, dtype=float).ravel().tolist()], dtype="S24")
+
+
+def assert_matches_python(values, kernel=format_g17, python=python_g17):
     values = np.asarray(values, dtype=float).ravel()
-    got, want = format_g17(values), python_g17(values)
+    got, want = kernel(values), python(values)
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, [(values[i], got[i], want[i]) for i in bad[:5]]
+
+
+def assert_matches_repr(values):
+    assert_matches_python(values, format_repr, python_repr)
 
 
 def test_random_bit_patterns():
@@ -84,12 +102,14 @@ def test_a_value_formats_alone_as_anywhere_in_a_block():
     rng = np.random.default_rng(29)
     block = rng.standard_normal(257) * 10.0 ** rng.integers(-30, 30, 257)
     edge = [0.0, -0.0, math.nan, math.inf, 123456789012345.625, 1e-320, 1.0, -1e16, 2.5, 1e-5, 7e300, 1e17, 1e23]
+    edge += [2.0, 1e15, 9999999999999998.0, -0.002, 2.0**54 + 4]
     block[::7] = np.resize(edge, len(block[::7]))
-    alone = [format_g17(block[i : i + 1])[0] for i in range(len(block))]
-    for lo, hi in ((0, 257), (3, 200), (100, 101), (250, 257)):
-        assert format_g17(block[lo:hi]).tolist() == alone[lo:hi]
-    assert format_g17(block[::-1]).tolist() == alone[::-1]
-    assert format_g17(block.reshape(1, 257)).tolist() == [alone]
+    for kernel in (format_g17, format_repr):
+        alone = [kernel(block[i : i + 1])[0] for i in range(len(block))]
+        for lo, hi in ((0, 257), (3, 200), (100, 101), (250, 257)):
+            assert kernel(block[lo:hi]).tolist() == alone[lo:hi]
+        assert kernel(block[::-1]).tolist() == alone[::-1]
+        assert kernel(block.reshape(1, 257)).tolist() == [alone]
 
 
 def exact_fraction_above(v):
@@ -151,3 +171,92 @@ def test_the_writer_columns_of_a_closed_run(rows):
     residual = rng.random(rows) * 1e-16
     block = np.stack([t, np.cos(t) * 1.3, -np.sin(2 * t), residual, np.zeros(rows), np.full(rows, -0.0)])
     assert_matches_python(block)
+
+
+# --- format_repr ---------------------------------------------------------
+
+
+def test_repr_random_bit_patterns_raise_no_warning():
+    # every exponent field, so subnormals, infinities and NaNs of either sign too
+    bits = np.random.default_rng(19).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_repr(values)
+
+
+def test_repr_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    assert_matches_repr(np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+def test_repr_powers_of_two_subnormals_and_the_extremes():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tiny = np.random.default_rng(23).integers(1, 2**52, 2000, dtype=np.int64).view(np.float64)  # subnormals
+    extremes = [5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), tiny, extremes])
+    assert_matches_repr(np.concatenate([values, -values]))
+
+
+def test_repr_round_values():
+    # the times of a grid and other values with few digits
+    k = np.arange(-12_000, 12_000)
+    assert_matches_repr(np.concatenate([0.002 * k, k / 8, 0.1 * k, k * 1e-7, k * 1e10]))
+
+
+def test_repr_notation_edges():
+    # fixed notation for -4 <= E <= 15, where a whole value ends in ".0"
+    values = [1e-5, 1.5e-5, 9.9999999999999995e-5, 1e-4, 0.00012345, 2.0, -7.0, 100.0, 1e15, 1.5e15]
+    values += [123456789012345.6, 1234567890123456.0, 9999999999999998.0, 1e16, 1.2345e16, 12345678901234568.0]
+    values += [x * s for x in (1e99, 1e100, 1e-99, 1e-100, 1e308, 1e-308) for s in (1, -1)]
+    assert_matches_repr(values)
+    assert format_repr([1e-5, 1e-4, 2.0, -7.0, 1e15, 9999999999999998.0, 1e16, 1e100, -1e-100]).tolist() == [
+        b"1e-05", b"0.0001", b"2.0", b"-7.0", b"1000000000000000.0", b"9999999999999998.0", b"1e+16", b"1e+100",
+        b"-1e-100",
+    ]
+
+
+def test_repr_special_values_are_spelled_as_json_spells_them():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    assert format_repr(nans.view(np.float64)).tolist() == [b"NaN"] * 4
+    assert format_repr([0.0, -0.0, math.inf, -math.inf]).tolist() == [b"0.0", b"-0.0", b"Infinity", b"-Infinity"]
+    block = format_repr(np.array([[0.5, -0.0], [math.nan, 3.0]]))
+    assert block.shape == (2, 2) and block.dtype == np.dtype("S24")
+    assert block.tolist() == [[b"0.5", b"-0.0"], [b"NaN", b"3.0"]]
+
+
+def undecided_shortest(v):
+    """Whether format_repr must leave a regular value to repr, decided in exact arithmetic (see _shortest)."""
+    a = abs(v)
+    if a <= 2.0**-1022:  # subnormals and the least normal
+        return True
+    x = Fraction(a)
+    e10 = math.floor(math.log10(a))
+    while Fraction(10) ** e10 > x:
+        e10 -= 1
+    while Fraction(10) ** (e10 + 1) <= x:
+        e10 += 1
+    unit = Fraction(10) ** (16 - e10)
+    y, h = x * unit, Fraction(math.ulp(a)) / 2 * unit
+    h_low = h / 2 if math.frexp(a)[0] == 0.5 else h  # a power of two
+    o100, o10 = y % 100, y % 10
+    ends = [o100 - h_low, 100 - o100 - h, o10 - h_low, 10 - o10 - h, o10 - 5, y % 1 - Fraction(1, 2)]
+    return any(abs(end) < Fraction(2) ** -20 for end in ends)
+
+
+def test_repr_falls_back_on_exactly_the_undecided_values(monkeypatch):
+    exact, fallback = _format._exact_repr, []
+    monkeypatch.setattr(_format, "_exact_repr", lambda values: fallback.extend(values.tolist()) or exact(values))
+    # a multiple of 100 or of 10 exactly at an end of the interval, the last one of a power of two
+    ends = [1e23, 2.0**54 + 4, 55337847035328944.0, 9999999999999998.0, 2.0**53]
+    ties = [1234567890123455.5, 123456789012345.625, near_tie()]  # at 10, at one half, and near one half
+    tiny = [2.2250738585072014e-308, 1e-320, 5e-324]  # the least normal and subnormals
+    twos = [2.0, 0.5, 2.0**60, 2.0**-51, 2.0**-1021, 2.0**1023]  # powers of two, decided
+    decided = [0.1, 1 / 3, 2.5, -7.25e-200, 0.002, 1e15, 100.0, 1.7976931348623157e308]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    values = [*ends, *ties, *tiny, *twos, *decided, *special]
+    regular = [v for v in values if v != 0.0 and math.isfinite(v)]
+    undecided = [v for v in regular if undecided_shortest(v)]
+    assert sorted(undecided) == sorted([*ends, *ties, *tiny])
+    assert_matches_repr(values)
+    assert sorted(fallback) == sorted(undecided)
