@@ -10,14 +10,18 @@ values. ``run`` writes the requested series files plus a report.json into
 the output directory and prints the verification report; ``verify`` prints
 the report only; ``sweep`` writes one aggregate table, each row read from
 the numeric scenario's report for one parameter value. Exit status: 0 when
-every check passes, 1 on a failed check, 2 on a config error.
+every check passes, 1 on a failed check, 2 on a config error, which every
+verb reports before it makes out_path or forks.
 
-Every kernel is called on a stack of samples, never once per sample. Every
-scenario is a step that one loop, _run_chunks, drives over the grid in
-chunks of CHUNK_STEPS = 8,000 steps: the step forms the chunk's closed
-forms, Dyson maps and checks, the checks fold into one report, and ``run``
-writes the chunk's rows of its tables before the next chunk is formed, so
-the peak memory of neither verb grows with the window. The closed
+Each scenario is declared once, in _SCENARIOS: a model function, which
+refuses what the scenario cannot run and gives its model and natural
+window, and a pipeline of that model. Every kernel is called on a stack of
+samples, never once per sample. Every pipeline is a step that one loop,
+_run_chunks, drives over the grid in chunks of CHUNK_STEPS = 8,000 steps:
+the step forms the chunk's closed forms, Dyson maps and checks, the checks
+fold into one report, and ``run`` writes the chunk's rows of its tables
+before the next chunk is formed, so the peak memory of neither verb grows
+with the window. The closed
 scenario's forms are elementwise in t, so its runs keep every bit of one
 pass for any chunk size. The two numeric scenarios are one pipeline,
 _numeric: yang-lee-numeric is su2-generic on H1 with the canonical metric
@@ -51,7 +55,7 @@ import warnings
 from collections import namedtuple
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +109,6 @@ from .yang_lee import (
     u_closed,
 )
 
-SCENARIOS = ("yang-lee-closed", "yang-lee-numeric", "su2-generic")
 OUTPUTS = ("metric", "dyson", "hermitian_h", "states", "propagator", "energies", "invariants")
 FORMATS = ("csv", "json")
 SWEEP_PARAMS = ("gamma", "omega", "dt")
@@ -142,14 +145,30 @@ def _as_float(raw, name):
     return out
 
 
-def _as_vec(raw, name):
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ConfigInvalid(f"{name} must be a 3-element list")
+def _as_list(raw, name, n):
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
+        raise ConfigInvalid(f"{name} must be a {n}-element list")
     return tuple(_as_float(x, name) for x in raw)
 
 
+def _optional(parse):
+    return lambda raw, name: None if raw is None else parse(raw, name)
+
+
+# every numeric config field and its parser, which refuses (ConfigInvalid)
+# what is not a finite number, or a list of them of the field's length; every
+# scenario parses every field, even one it does not read
+_FIELDS = {
+    **dict.fromkeys(("gamma", "omega", "dt"), _as_float),
+    **dict.fromkeys(("t_start", "t_end"), _optional(_as_float)),
+    **dict.fromkeys(("kappa0", "lambda0"), _as_float),
+    **dict.fromkeys(("kappa_vec", "lambda_vec"), partial(_as_list, n=3)),
+    "zeta_constants": _optional(partial(_as_list, n=4)),
+}
+
+
 def load_config(path, overrides=None) -> ScenarioConfig:
-    """Read and validate a JSON config file, then apply flag overrides; su2-generic takes no gamma or omega flag."""
+    """Read and validate a JSON config file, then apply flag overrides; the flag of a field not read is refused."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -158,81 +177,74 @@ def load_config(path, overrides=None) -> ScenarioConfig:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ScenarioConfig.__dataclass_fields__)
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     cfg = ScenarioConfig(**{**{"scenario": ""}, **raw})
+    unread = _SCENARIOS[cfg.scenario].unread if cfg.scenario in SCENARIOS else ()  # else validate_config refuses
     for key, value in (overrides or {}).items():
         if value is not None:
-            if cfg.scenario == "su2-generic" and key in ("gamma", "omega"):
-                raise ConfigInvalid(f"su2-generic takes no --{key}; it does not read {key}")
+            if key in unread:
+                raise ConfigInvalid(f"{cfg.scenario} takes no --{key}; it does not read {key}")
             cfg = replace(cfg, **{key: value})
     return validate_config(cfg)
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """cfg with its fields parsed (_FIELDS), refused (ConfigInvalid) where they, or its scenario's model, are."""
     if cfg.scenario not in SCENARIOS:
         raise ConfigInvalid(f"scenario must be one of {SCENARIOS}, got {cfg.scenario!r}")
-    gamma = _as_float(cfg.gamma, "gamma")
-    omega = _as_float(cfg.omega, "omega")
-    dt = _as_float(cfg.dt, "dt")
-    if dt <= 0.0:
-        raise ConfigInvalid(f"dt must be positive, got {dt}")
-    if cfg.scenario.startswith("yang-lee"):
-        try:
-            YangLeeParams(gamma=gamma, omega=omega)
-        except ValueError as exc:
-            raise ConfigInvalid(f"Yang-Lee scenarios: {exc}") from exc
-        # the Yang-Lee oracle chain (eta, h, u) exists only for the canonical
-        # metric family, which gamma and omega fix
-        if cfg.zeta_constants is not None:
-            raise ConfigInvalid("yang-lee scenarios take no zeta_constants; use the su2-generic scenario for them")
-    zeta = cfg.zeta_constants
-    if zeta is not None:
-        if not isinstance(zeta, (list, tuple)) or len(zeta) != 4:
-            raise ConfigInvalid("zeta_constants must be a 4-element list")
-        zeta = tuple(_as_float(x, "zeta_constants") for x in zeta)
     if not isinstance(cfg.outputs, (list, tuple)):
         raise ConfigInvalid(f"outputs must be a list of names from {OUTPUTS}, got {cfg.outputs!r}")
-    outputs = tuple(cfg.outputs)
-    for output in outputs:
+    parsed = {name: parse(getattr(cfg, name), name) for name, parse in _FIELDS.items()}
+    cfg = replace(cfg, outputs=tuple(cfg.outputs), **parsed)
+    if cfg.dt <= 0.0:
+        raise ConfigInvalid(f"dt must be positive, got {cfg.dt}")
+    for output in cfg.outputs:
         if output not in OUTPUTS:
             raise ConfigInvalid(f"unknown output {output!r}; choose from {OUTPUTS}")
     if not isinstance(cfg.out_path, str):
         raise ConfigInvalid(f"out_path must be a string, got {cfg.out_path!r}")
     if cfg.format not in FORMATS:
         raise ConfigInvalid(f"format must be one of {FORMATS}, got {cfg.format!r}")
-    t_start = None if cfg.t_start is None else _as_float(cfg.t_start, "t_start")
-    t_end = None if cfg.t_end is None else _as_float(cfg.t_end, "t_end")
-    cfg = replace(
-        cfg,
-        gamma=gamma,
-        omega=omega,
-        dt=dt,
-        zeta_constants=zeta,
-        outputs=outputs,
-        t_start=t_start,
-        t_end=t_end,
-        kappa0=_as_float(cfg.kappa0, "kappa0"),
-        lambda0=_as_float(cfg.lambda0, "lambda0"),
-        kappa_vec=_as_vec(cfg.kappa_vec, "kappa_vec"),
-        lambda_vec=_as_vec(cfg.lambda_vec, "lambda_vec"),
-    )
-    if cfg.scenario == "su2-generic":
-        try:
-            h, zeta, _period = _su2_config(cfg)  # the closed-form reference exists only where its rule holds
-        except UnsupportedHamiltonian as exc:
-            raise ConfigInvalid(f"su2-generic: {exc}") from exc
-        # det rho is conserved along the zeta family, so t = 0 decides every t
-        rho0 = zeta_metric(0.0, h, zeta)
-        margin = positivity_margin(rho0)
-        if rho0.alpha <= 0.0 or margin <= 0.0:
-            raise ConfigInvalid(
-                "su2-generic: zeta_constants give a metric that is not positive definite "
-                f"(alpha = {rho0.alpha:.6g}, det rho = {margin:.6g})"
-            )
+    _SCENARIOS[cfg.scenario].model(cfg)
     return cfg
+
+
+def _yang_lee_model(cfg: ScenarioConfig):
+    """The Yang-Lee scenarios' model, (t0, period, YangLeeParams of gamma and omega); refuses zeta_constants."""
+    try:
+        p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
+    except ValueError as exc:
+        raise ConfigInvalid(f"Yang-Lee scenarios: {exc}") from exc
+    # the Yang-Lee oracle chain (eta, h, u) exists only for the canonical
+    # metric family, which gamma and omega fix
+    if cfg.zeta_constants is not None:
+        raise ConfigInvalid("yang-lee scenarios take no zeta_constants; use the su2-generic scenario for them")
+    return p.t0, p.period, p
+
+
+def _su2_model(cfg: ScenarioConfig):
+    """su2-generic's model, (0, period, (h, zeta)); refused where the closed-form metric or its positivity fails.
+
+    The closed-form metric its checks read exists by the rule of
+    metric._require_flow_solvable; zeta_constants default to (0, 0, -1, 0).
+    """
+    h = SU2Hamiltonian(kappa0=cfg.kappa0, lambda0=cfg.lambda0, kappa_vec=cfg.kappa_vec, lambda_vec=cfg.lambda_vec)
+    zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
+    try:
+        k2, l2 = _require_flow_solvable(h)
+    except UnsupportedHamiltonian as exc:
+        raise ConfigInvalid(f"su2-generic: {exc}") from exc
+    # det rho is conserved along the zeta family, so t = 0 decides every t
+    rho0 = zeta_metric(0.0, h, zeta)
+    margin = positivity_margin(rho0)
+    if rho0.alpha <= 0.0 or margin <= 0.0:
+        raise ConfigInvalid(
+            "su2-generic: zeta_constants give a metric that is not positive definite "
+            f"(alpha = {rho0.alpha:.6g}, det rho = {margin:.6g})"
+        )
+    return 0.0, 2.0 * math.pi / math.sqrt(k2 - l2), (h, zeta)
 
 
 # the most steps a window may take: 12,500 chunks of CHUNK_STEPS, hours of
@@ -243,18 +255,14 @@ MAX_STEPS = 10**8
 def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     """Snap the requested window onto a whole number of dt steps.
 
-    An open start is the scenario's natural one (the anchor time t0 for
-    Yang-Lee, 0 for su2-generic), an open end lies ``periods`` natural
-    periods after the start. A window of at most half a step is refused,
+    An open start is the scenario's natural one and an open end lies
+    ``periods`` natural periods after the start, both as its model function
+    gives them (see _SCENARIOS). A window of at most half a step is refused,
     not widened to one step, and so is a dt at or below the spacing of
     floats at the window's ends, where t_start + k dt stop being distinct,
     and a window of more than MAX_STEPS steps.
     """
-    if cfg.scenario == "su2-generic":
-        default_start, period = 0.0, _su2_config(cfg)[2]
-    else:
-        p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
-        default_start, period = p.t0, p.period
+    default_start, period, _model = _SCENARIOS[cfg.scenario].model(cfg)
     t_start = cfg.t_start if cfg.t_start is not None else default_start
     span = (cfg.t_end - t_start) if cfg.t_end is not None else periods * period
     if span <= 0.0:
@@ -449,8 +457,8 @@ def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
 
 
 # rows per block; a block's values of every distinct column are formatted in
-# one kernel call, CSV or JSON, and its strings are held at once: about 3,000
-# for the 23 or 24 columns of a yang-lee-closed run's 7 series. On
+# one kernel call, CSV or JSON, and its strings are held at once: about 2,800
+# for the 22 columns of a yang-lee-closed run's 7 series. On
 # closed-emit, 256 rows took 13 % less time than 128 and 64 rows 18 % more,
 # but 256 rows raised the peak RSS by about 0.5 MB more than 128
 _BLOCK_ROWS = 128
@@ -695,12 +703,12 @@ def _reduce_checks(checks, more):
 def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=list, reads=None):
     """The scenario's report, from one chunk of the grid at a time; each chunk's named tables go to ``write``.
 
-    The scenario's pipeline, given (cfg, grid), returns its chunks, each
-    (rows, ts, *state): the slice of grid rows it holds (see _partition),
-    their times and what the pipeline carries over, and its step, where
-    ``step(rows, ts, *state)`` returns the chunk's checks and series, each
-    as name -> build in report order. A check's build() gives the samples,
-    tolerance and mode that Check.of folds. The checks named in ``reads``,
+    The scenario's pipeline (see _SCENARIOS), given its model and the grid,
+    returns its chunks, each (rows, ts, *state): the slice of grid rows it
+    holds (see _partition), their times and what the pipeline carries over,
+    and its step, where ``step(rows, ts, *state)`` returns the chunk's
+    checks and series, each as name -> build in report order. A check's
+    build() gives the samples, tolerance and mode that Check.of folds. The checks named in ``reads``,
     all of them when it is None, are built for each chunk and fold into one
     report (_reduce_checks); a check not read is never formed, nor what
     only it needs. ``write`` consumes an iterator over the chunks that
@@ -709,7 +717,8 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
     for ``verify``, whose ``list`` keeps one empty list per chunk. No array
     outlives its chunk: each goes before the next chunk is formed.
     """
-    chunks, step = _PIPELINES[cfg.scenario](cfg, grid)
+    scenario = _SCENARIOS[cfg.scenario]
+    chunks, step = scenario.pipeline(scenario.model(cfg)[2], grid)
     checks = []
 
     def named():
@@ -728,14 +737,13 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
 # The closed Yang-Lee pipeline
 # ----------------------------------------------------------------------
 
-def _yang_lee_closed(cfg: ScenarioConfig, grid: IntegrationGrid):
+def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
     """The closed scenario's chunks and step; its forms are elementwise in t, so any chunk size keeps every bit.
 
     Every caller builds every closed check, so the step forms the closed
     forms and the samples that several checks or tables share up front; its
     checks are builds over them, as _run_chunks takes them.
     """
-    p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     h1 = h1_su2(p)
     h1m = h1.matrix()
     e_p, e_m = eigenvalues_h1(p)
@@ -879,18 +887,6 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     return _numeric_chunks(grid, h, rho0, source), chunk
 
 
-def _su2_config(cfg: ScenarioConfig):
-    h = SU2Hamiltonian(
-        kappa0=cfg.kappa0,
-        lambda0=cfg.lambda0,
-        kappa_vec=cfg.kappa_vec,
-        lambda_vec=cfg.lambda_vec,
-    )
-    zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
-    k2, l2 = _require_flow_solvable(h)
-    return h, zeta, 2.0 * math.pi / math.sqrt(k2 - l2)
-
-
 def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     """Exact Hermitian Hamiltonian source of the closed-form metric, batched in t.
 
@@ -912,12 +908,7 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     return source
 
 
-def _su2_generic(cfg: ScenarioConfig, grid: IntegrationGrid):
-    h, zeta, _period = _su2_config(cfg)
-    return _numeric(grid, h, zeta, _su2_h_source(h, zeta))
-
-
-def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
+def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
     """_numeric on H1 and its closed-form metric, rabi_h driving the propagator, plus the Yang-Lee oracles.
 
     The oracles check eta, h and u against their closed forms, and that the
@@ -925,7 +916,6 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
     but not flat ones; the energies are <phi_pm| h |phi_pm> of
     phi_pm = eta psi_pm.
     """
-    p = YangLeeParams(gamma=cfg.gamma, omega=cfg.omega)
     u_start = dagger(u_closed(grid.t_start, p))
     psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
     sub = _subsample(grid.n_steps + 1)
@@ -974,14 +964,23 @@ def _yang_lee_numeric(cfg: ScenarioConfig, grid: IntegrationGrid):
 
 
 # ----------------------------------------------------------------------
-# Verbs
+# Scenarios and verbs
 # ----------------------------------------------------------------------
 
-_PIPELINES = {
-    "yang-lee-closed": _yang_lee_closed,
-    "yang-lee-numeric": _yang_lee_numeric,
-    "su2-generic": _su2_generic,
+# Each scenario, declared once. Its model function, cfg -> (natural start,
+# natural period, model), refuses (ConfigInvalid) the values of the fields
+# the scenario reads where it cannot run them; its pipeline, (model, grid) ->
+# (chunks, step), is what _run_chunks drives; ``unread`` names the fields of
+# SWEEP_PARAMS it does not read, whose flags and sweeps it refuses.
+_Scenario = namedtuple("_Scenario", "model pipeline unread")
+_SCENARIOS = {
+    "yang-lee-closed": _Scenario(_yang_lee_model, _yang_lee_closed, ()),
+    "yang-lee-numeric": _Scenario(_yang_lee_model, _yang_lee_numeric, ()),
+    "su2-generic": _Scenario(
+        _su2_model, lambda model, grid: _numeric(grid, *model, _su2_h_source(*model)), ("gamma", "omega")
+    ),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def _out_dir(cfg: ScenarioConfig) -> Path:
@@ -1002,14 +1001,16 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     writer as the chunk is done (see _write_tables), which appends them to
     the open files, cut over the usable CPUs. No verb keeps an array longer
     than a chunk, so the peak memory of neither grows with the window.
-    report.json is written last, by this process.
+    report.json is written last, by this process. The window is resolved
+    before out_path is made, so a refused window leaves nothing behind.
     """
+    grid = _resolve_window(cfg)
     if not write_files:
-        return _run_chunks(cfg, _resolve_window(cfg)), []
+        return _run_chunks(cfg, grid), []
     out_dir = _out_dir(cfg)
     names = tuple(dict.fromkeys(cfg.outputs))  # a name listed twice is written once
     write = lambda chunks: _write_tables(out_dir, chunks, cfg, _usable_cpus())
-    report = _run_chunks(cfg, _resolve_window(cfg), names, write)
+    report = _run_chunks(cfg, grid, names, write)
     written = [out_dir / f"{name}.{cfg.format}" for name in names] + [out_dir / "report.json"]
     with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
         json.dump({"metadata": _metadata(cfg), "report": report.to_dict()}, fh, indent=2, sort_keys=True)
@@ -1017,26 +1018,23 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
     return report, written
 
 
-def _sweep_row(cfg: ScenarioConfig):
-    """One sweep row, read from the numeric scenario's report over the sweep window.
+def _sweep_row(cfg: ScenarioConfig, grid: IntegrationGrid):
+    """One sweep row, read from the numeric scenario's report over the sweep window ``grid``.
 
     Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves;
     either integrates its metric, Dyson map and propagator, as every numeric
     run does, so it raises and warns as ``verify`` does, and writes nothing.
     Only the checks the row reads are built (see _run_chunks); their values
-    are those of the full report. The window honours t_start and t_end;
-    left open, it spans one natural period, half the default window of
-    ``run``. Returns the minimum positivity margin, the maximum
-    quasi-Hermiticity residual, and the larger of the metric and propagator
-    closed-vs-numeric deviations (the propagator one where the scenario
-    reports it), folded as a max_le check folds, so that a NaN in either
-    stays.
+    are those of the full report. Returns the minimum positivity margin,
+    the maximum quasi-Hermiticity residual, and the larger of the metric
+    and propagator closed-vs-numeric deviations (the propagator one where
+    the scenario reports it), folded as a max_le check folds, so that a NaN
+    in either stays.
     """
-    scenario = "su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric"
-    cfg = replace(cfg, scenario=scenario)
+    cfg = replace(cfg, scenario="su2-generic" if cfg.scenario == "su2-generic" else "yang-lee-numeric")
     deviations = ("metric_numeric_vs_closed", "u_numeric_vs_closed")
     reads = {"positivity_maintained", "htilde_quasi_hermitian", *deviations}
-    report = _run_chunks(cfg, _resolve_window(cfg, periods=1), reads=reads)
+    report = _run_chunks(cfg, grid, reads=reads)
     value = {c.name: c.value for c in report.checks}
     return (
         value["positivity_maintained"],
@@ -1046,25 +1044,28 @@ def _sweep_row(cfg: ScenarioConfig):
 
 
 def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True):
-    """One numeric run per parameter value, over the usable CPUs; rows ordered by ascending value."""
+    """One numeric run per parameter value, over the usable CPUs; rows ordered by ascending value.
+
+    Every value is validated and its window resolved here, before out_path
+    is made or a worker forked, so one refused value refuses the sweep and
+    writes nothing. The window honours t_start and t_end; left open, it
+    spans one natural period, half the default window of ``run``.
+    """
     if parameter not in SWEEP_PARAMS:
         raise ConfigInvalid(f"sweep parameter must be one of {SWEEP_PARAMS}, got {parameter!r}")
-    if cfg.scenario == "su2-generic" and parameter != "dt":
-        raise ConfigInvalid(f"su2-generic sweeps only dt; it does not read {parameter}")
+    unread = _SCENARIOS[cfg.scenario].unread
+    if parameter in unread:
+        swept = ", ".join(name for name in SWEEP_PARAMS if name not in unread)
+        raise ConfigInvalid(f"{cfg.scenario} sweeps only {swept}; it does not read {parameter}")
     if not values:
         raise ConfigInvalid("sweep needs at least one value")
-    values = sorted(_as_float(v, parameter) for v in values)
+    runs = []
+    for value in sorted(_as_float(v, parameter) for v in values):
+        one = validate_config(replace(cfg, **{parameter: value}))
+        runs.append((value, one, _resolve_window(one, periods=1)))
     out_dir = _out_dir(cfg) if write_files else None
-    rows = _fork_map(
-        lambda value: [value, *_sweep_row(validate_config(replace(cfg, **{parameter: value})))],
-        values,
-    )
-    header = [
-        parameter,
-        "min_positivity_margin",
-        "max_quasi_hermiticity_residual",
-        "max_closed_vs_numeric_deviation",
-    ]
+    rows = _fork_map(lambda run: [run[0], *_sweep_row(*run[1:])], runs)
+    header = [parameter, "min_positivity_margin", "max_quasi_hermiticity_residual", "max_closed_vs_numeric_deviation"]
     written = []
     if write_files:
         written.append(_write_series(out_dir, f"sweep_{parameter}", header, rows, cfg))
@@ -1100,12 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "gamma": args.gamma,
-        "omega": args.omega,
-        "dt": args.dt,
-        "out_path": args.out,
-    }
+    overrides = {"gamma": args.gamma, "omega": args.omega, "dt": args.dt, "out_path": args.out}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "sweep":

@@ -172,16 +172,21 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     return DysonSample(t=np.asarray(t, dtype=float)[()], eta=eta, eta_dot=eta_dot)
 
 
+def _denominator(t, p: YangLeeParams):
+    """2 + gamma^2 sin(phi t) - gamma^2, the denominator of h and of the energies."""
+    return 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
+
+
 def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     """Hermitian Rabi-type Hamiltonian produced by the Dyson map.
 
     h(t) = -1/2 [omega I + 2 phi^2 / (2 + gamma^2 sin(phi t) - gamma^2) sigma_z].
     Diagonal, periodic with period 2 pi / phi; the denominator is bounded
     below by 2 phi^2 > 0 for gamma < 1. Accepts scalar t, giving one (2, 2)
-    matrix, or an array of times, giving a (..., 2, 2) stack.
+    matrix, or an array of times, giving a (..., 2, 2) stack. The -1/2
+    goes into the coefficients, so the zero entries are 0.0, never -0.0.
     """
-    denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
-    return -0.5 * pauli_compose(p.omega, 0.0, 0.0, 2.0 * p.phi**2 / denom)
+    return pauli_compose(-0.5 * p.omega, 0.0, 0.0, -0.5 * (2.0 * p.phi**2 / _denominator(t, p)))
 
 
 def _phase(t, p: YangLeeParams):
@@ -307,6 +312,4 @@ def energy_expectation(t, sign: int, p: YangLeeParams):
     and (+- phi^3 - omega)/2 at -t0. A float for scalar t, an array for an
     array of times.
     """
-    s = _pauli_sign(sign)
-    denom = 2.0 + p.gamma**2 * np.sin(p.phi * np.asarray(t, dtype=float)) - p.gamma**2
-    return s * p.phi**3 / denom - 0.5 * p.omega
+    return _pauli_sign(sign) * p.phi**3 / _denominator(t, p) - 0.5 * p.omega

@@ -169,6 +169,53 @@ def test_config_errors_exit_two(tmp_path):
         assert cli.main(["run", str(bad)]) == 2, malformed
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["gamma", "omega", "dt", "t_start", "t_end", "kappa0", "lambda0", "kappa_vec", "lambda_vec", "zeta_constants"],
+)
+def test_every_numeric_field_refuses_what_is_not_a_finite_number(field, tmp_path, capsys):
+    # every scenario parses every numeric field through one parser, even one
+    # it does not read: a bool, a string, Infinity (which json reads) and, for
+    # a list, a wrong length or a bad element are refused by name before
+    # anything is written
+    out = tmp_path / "out"
+    bad = [True, "0.5", math.inf]
+    if field in ("kappa_vec", "lambda_vec", "zeta_constants"):
+        n = 4 if field == "zeta_constants" else 3
+        bad += [[0.0] * (n - 1), [0.0] * (n + 1), [0.0] * (n - 1) + [math.inf], [0.0] * (n - 1) + [False]]
+    cfg_path = tmp_path / "cfg.json"
+    for base in ({"scenario": "yang-lee-closed", "out_path": str(out)}, rotated_yang_lee_config(0.6, out)):
+        for value in bad:
+            cfg_path.write_text(json.dumps({**base, field: value}), encoding="utf-8")
+            assert cli.main(["run", str(cfg_path)]) == 2, (base["scenario"], value)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {field} must be "), err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("gamma", "0.5,1.5", "Yang-Lee scenarios: gamma must lie in (0, 1), got 1.5"),
+        ("dt", "0.01,2.0", "the window spans at most half a dt step (span 1, dt 2)"),
+    ],
+)
+def test_a_sweep_with_a_refused_value_is_refused_whole_before_anything_runs(
+    param, values, message, tmp_path, monkeypatch, capsys
+):
+    # every value is validated and its window resolved before out_path is
+    # made or a worker forked, so no value runs, even one that sorts first
+    forks = use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_sweep_row", lambda *_: pytest.fail("a value ran"))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    write_config(
+        cfg_path, scenario="yang-lee-numeric", t_start=0.0, t_end=1.0, dt=1e-2, outputs=[], out_path=str(out)
+    )
+    assert cli.main(["sweep", str(cfg_path), "--param", param, "--values", values]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() and forks == []
+
+
 def test_sweep_gamma_margin_column(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, t_start=0.0, t_end=1.0, dt=2e-3, outputs=[])
@@ -307,11 +354,14 @@ def test_yang_lee_scenarios_refuse_zeta_constants(scenario, tmp_path, capsys):
 # AVX512 loops), and the invariants again when invert_dyson_map took its
 # determinant from su2.det. The report pins rho_closed_dot, whose only use
 # is the metric_flow_residual check; it moved, in u_tdse_residual alone,
-# when that check took du/dt from theta_dot instead of central differences
+# when that check took du/dt from theta_dot instead of central differences.
+# hermitian_h was re-recorded when rabi_h stopped writing -0.0 into its zero
+# entries: 303 fields (h_01_re, h_10_re, h_11_im) went from -0 to 0, max
+# |new - old| 0
 GOLDEN_CLOSED = {
     "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
-    "hermitian_h": "bed03994ecf978fce47b0b37f06cbe1b46ffe0a3b29da055dff969cf7a8150bc",
+    "hermitian_h": "94ac849caa4fd8026f13d55060dd3e77a751aa179cc8f25876c0a4ee8b3b0aa7",
     "states": "0e26a563d61d0c08a61c6b571d6f19788123e628070f8615aa15040823e704d0",
     "propagator": "65d0f68f5db1767abf5ebf5ad0491454c6a5f07fb3dd4ca2f384fa3a9d626262",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
@@ -418,7 +468,7 @@ def test_su2_generic_metric_rows_are_one_metric(tmp_path):
 
 def test_su2_source_matches_finite_difference_formula():
     cfg = cli.validate_config(cli.ScenarioConfig(**rotated_yang_lee_config(0.6, "unused")))
-    h, zeta, _period = cli._su2_config(cfg)
+    _start, _period, (h, zeta) = cli._SCENARIOS["su2-generic"].model(cfg)
     ts = np.array([0.0, 0.37, 1.9, 4.2, 7.5])
     exact = cli._su2_h_source(h, zeta)(ts)
     assert exact.shape == (5, 2, 2)
@@ -433,7 +483,7 @@ def test_su2_source_matches_finite_difference_formula():
 def rotated_hamiltonian():
     """H and the zeta constants of rotated_yang_lee_config at lambda 0.6."""
     cfg = cli.validate_config(cli.ScenarioConfig(**rotated_yang_lee_config(0.6, "unused")))
-    h, zeta, _period = cli._su2_config(cfg)
+    _start, _period, (h, zeta) = cli._SCENARIOS["su2-generic"].model(cfg)
     return h, zeta
 
 
@@ -842,7 +892,7 @@ def test_window_of_at_most_half_a_step_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: {message}\n"
     assert cli.main(["sweep", str(cfg_path), "--param", "gamma", "--values", "0.3,0.5"]) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "out" / "metric.csv").exists()
+    assert not (tmp_path / "out").exists()
     # a little over half a step rounds to one step
     write_config(cfg_path, t_start=0.0, t_end=0.26, dt=0.5, outputs=["metric"])
     assert cli.main(["run", str(cfg_path)]) == 0
@@ -868,9 +918,10 @@ def test_a_dt_at_or_below_the_float_spacing_of_the_window_is_a_config_error(scen
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(refusal(2)), err
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", f"{dt!r},0.01"]) == 2
     assert capsys.readouterr().err.startswith(refusal(1))
+    assert not (tmp_path / "out").exists()
     # the spacing itself is refused, twice it is not, over a window of 500
     # such steps that ends where the default window does, so at its spacing
     window = cli._resolve_window(replace(cfg, dt=0.01))
@@ -893,9 +944,10 @@ def test_a_window_of_more_than_max_steps_is_a_config_error(scenario, tmp_path, c
     for argv in (["verify", str(cfg_path)], ["run", str(cfg_path)]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err == refusal
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "1e-12,0.01"]) == 2
     assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "out").exists()
     # MAX_STEPS steps are taken, one more is refused
     cfg = replace(cli.load_config(cfg_path), t_end=1.0)
     assert cli._resolve_window(replace(cfg, dt=1e-8)).n_steps == cli.MAX_STEPS == 10**8
@@ -907,7 +959,7 @@ def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatc
     def refuse(*_):
         raise AssertionError("a pipeline ran before out_path was checked")
 
-    monkeypatch.setitem(cli._PIPELINES, "yang-lee-closed", refuse)
+    monkeypatch.setitem(cli._SCENARIOS, "yang-lee-closed", cli._SCENARIOS["yang-lee-closed"]._replace(pipeline=refuse))
     monkeypatch.setattr(cli, "_sweep_row", refuse)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")
@@ -974,7 +1026,7 @@ def test_written_keeps_the_order_of_outputs(cpus, tmp_path, monkeypatch):
 def test_sweep_raises_the_error_of_the_first_failing_value(cpus, tmp_path, monkeypatch):
     forks = use_cpus(monkeypatch, cpus)
 
-    def row(cfg):
+    def row(cfg, grid):
         if cfg.dt == 0.02:
             raise NotPositiveDefinite("rho lost positivity", t=0.25, index=7)
         if cfg.dt == 0.04:
@@ -1397,7 +1449,7 @@ def test_a_run_in_chunks_matches_one_pass(scenario, steps, tmp_path, monkeypatch
     p = cli.YangLeeParams(gamma=0.6, omega=0.9)
     raw = chunk_config(scenario, steps, tmp_path)
     if scenario == "su2-generic":
-        h, zeta, _ = cli._su2_config(cli.validate_config(cli.ScenarioConfig(**raw)))
+        _, _, (h, zeta) = cli._SCENARIOS["su2-generic"].model(cli.validate_config(cli.ScenarioConfig(**raw)))
     else:
         h, zeta = cli.h1_su2(p), cli.rho_closed_constants(p)
     closed_forms = [lambda t: zeta_metric(t, h, zeta).matrix()]
