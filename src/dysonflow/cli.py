@@ -29,31 +29,19 @@ constants, plus its Yang-Lee oracles. Each of its chunks continues the
 RK4 solutions of the one before; a window of at most one chunk is one
 pass, with the same bits.
 
-CSV floats carry 17 significant digits, the bytes of Python's "%.17g";
-JSON floats are the shortest repr that round-trips, with NaN and Infinity
-spelled as ``json`` spells them. Either way identical configs produce
-byte-identical files. ``run`` hands each chunk's rows of the requested
-series to one writer, which cuts them into one contiguous range per usable
-CPU (at most 16), each process formatting each bit-distinct column of its
-range once for all the tables that show it, and appends them to the open
-files. A block of rows goes through one numpy kernel for all its columns,
-_format.format_g17 for CSV and _format.format_repr for JSON, which leaves
-to Python's per-value "%.17g" or repr only the values it cannot decide:
-those within 2^-20 of a tie or of an end of their round-trip interval.
-``sweep`` computes its values side by side over the usable CPUs. Both go
-through ``_parallel._fork_map``, with the same bytes as one process.
+``run`` hands each chunk's rows of the requested series to the one
+writer, _format._write_tables, which decides every byte of a table file;
+``sweep`` computes its values side by side over the usable CPUs through
+``_parallel._fork_map``, with the same rows as one process.
 """
 
 import argparse
 import json
 import math
 import operator
-import shutil
 import sys
-import tempfile
 import warnings
 from collections import namedtuple
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -61,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._parallel import _fork_map, _usable_cpus
+from ._parallel import _fork_map
 from .dyson import (
     DysonSample,
     dyson_from_metric,
@@ -260,7 +248,8 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
     gives them (see _SCENARIOS). A window of at most half a step is refused,
     not widened to one step, and so is a dt at or below the spacing of
     floats at the window's ends, where t_start + k dt stop being distinct,
-    and a window of more than MAX_STEPS steps.
+    a window of more than MAX_STEPS steps, and one whose end t_start + n dt,
+    rounded, misses IntegrationGrid's bound on a whole number of steps.
     """
     default_start, period, _model = _SCENARIOS[cfg.scenario].model(cfg)
     t_start = cfg.t_start if cfg.t_start is not None else default_start
@@ -278,7 +267,10 @@ def _resolve_window(cfg: ScenarioConfig, periods: int = 2):
         raise ConfigInvalid(f"the window spans at most half a dt step (span {span:.6g}, dt {cfg.dt:.6g})")
     if n > MAX_STEPS:
         raise ConfigInvalid(f"the window takes {n:,} steps of dt {cfg.dt:.6g}, more than the bound of {MAX_STEPS:,}")
-    return IntegrationGrid(t_start=t_start, t_end=t_start + n * cfg.dt, dt=cfg.dt)
+    try:
+        return IntegrationGrid(t_start=t_start, t_end=t_start + n * cfg.dt, dt=cfg.dt)
+    except ValueError as exc:  # t_start + n dt, rounded to the floats there, lies off n steps
+        raise ConfigInvalid(f"near t = {t_start:.6g}, {exc} (bound 1e-9 max(dt, span))") from exc
 
 
 # ----------------------------------------------------------------------
@@ -447,160 +439,11 @@ def _chain_columns(hm, rho, dys: DysonSample, h, det_closed):
 
 
 def _write_series(out_dir: Path, name: str, header, rows, cfg: ScenarioConfig):
-    """Write one table, a time series or a sweep, as <name>.csv or <name>.json (see _write_tables).
+    """Write one table, a time series or a sweep, as _format._write_tables writes it; returns its path."""
+    from . import _format  # on a write path alone: verify compiles none of it
 
-    The table is written by this process alone: a sweep table holds one row
-    per value, too few to pay for a fork.
-    """
     rows = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    return _write_tables(out_dir, [[(name, header, list(rows.T))]], cfg)[0]
-
-
-# rows per block; a block's values of every distinct column are formatted in
-# one kernel call, CSV or JSON, and its strings are held at once: about 2,800
-# for the 22 columns of a yang-lee-closed run's 7 series. On
-# closed-emit, 256 rows took 13 % less time than 128 and 64 rows 18 % more,
-# but 256 rows raised the peak RSS by about 0.5 MB more than 128
-_BLOCK_ROWS = 128
-# at most this many row ranges of a chunk, so processes: each range past the
-# first holds one temporary file per table and a pipe open in this process
-# until the chunk's rows are appended
-_MAX_RANGES = 16
-
-
-def _format_block(block, as_json: bool):
-    """The bytes of a (columns, rows) block of floats, one list per column, from one numpy kernel call.
-
-    CSV takes the "%.17g" bytes of _format.format_g17, JSON the shortest
-    round-trip repr of _format.format_repr, NaN and Infinity spelled as
-    ``json`` spells them.
-    """
-    from . import _format  # on the first block: its 4 ms of compiling is no cost to verify
-
-    return (_format.format_repr if as_json else _format.format_g17)(block).tolist()
-
-
-def _csv_rows(strings, first):
-    """A block of CSV rows from the bytes of its columns: each row's joined by "," and ended by "\n"."""
-    return b"\n".join(map(b",".join, zip(*strings))) + b"\n"
-
-
-def _table_format(header, cfg: ScenarioConfig):
-    """The head of a table and the template of its rows: (order, rows).
-
-    ``rows(strings, first)`` gives the bytes of a block of rows from the
-    bytes of its columns in ``order`` (see _format_block), ``first`` when
-    the block is the table's first. A CSV row is its strings joined by ","
-    and ended by "\n": floats keep 17 significant digits. JSON rows are
-    joined by ",\n", and a block starts with one, except the first, which
-    starts with "\n". A JSON file holds the bytes
-    ``json.dump(indent=2, sort_keys=True)`` writes for {"columns",
-    "metadata", key: one dict per row}, key being "samples" for a time
-    series (first column t) and "rows" for a sweep: floats in their
-    shortest round-trip repr, a repeated name keeping its last value as
-    ``dict(zip(header, row))`` would. Only the head goes through ``json``;
-    the rows are filled into a bytes template (``bytes.__mod__``), because
-    ``json`` drops to its pure-Python encoder when ``indent`` is set. The
-    head leaves the list of rows open: its tail depends on whether the
-    table has any.
-    """
-    if cfg.format != "json":
-        return ",".join(header) + "\n", (range(len(header)), _csv_rows)
-    last = {field: i for i, field in enumerate(header)}
-    order = [last[field] for field in sorted(last)]
-    key = "samples" if header[0] == "t" else "rows"
-    head = json.dumps({"columns": list(header), "metadata": _metadata(cfg)}, indent=2, sort_keys=True)
-    row = ",\n".join(f"      {json.dumps(header[i]).replace('%', '%%')}: %s" for i in order)
-    fill = ("    {\n" + row + "\n    }").encode().__mod__
-
-    def rows(strings, first):
-        return (b"\n" if first else b",\n") + b",\n".join(map(fill, zip(*strings)))
-
-    # key sorts after "metadata": reopen the head's closing "\n}" for it
-    return f'{head[:-2]},\n  "{key}": [', (order, rows)
-
-
-def _write_tables(out_dir: Path, chunks, cfg: ScenarioConfig, parts: int = 1):
-    """Write tables chunk by chunk, as <name>.csv or <name>.json (see _table_format).
-
-    ``chunks`` yields, for each chunk of rows in order, the same tables,
-    each (name, header, columns), of one row count within the chunk. The
-    first chunk opens the files and writes their heads. The rows of each
-    chunk are cut into ``parts`` contiguous ranges (at most one per row and
-    _MAX_RANGES in all), one per process (``_parallel._fork_map``). A
-    process walks its range in blocks of _BLOCK_ROWS rows, formats each
-    distinct column of the block once and writes every table's rows of the
-    block. Columns are told apart by their float64 bits over the chunk, not
-    by identity, so -0.0 stays apart from 0.0 and NaNs of one bit pattern
-    merge: the strings depend only on the bits. This process writes the
-    first range straight into the files; each worker writes its range into
-    unnamed temporary files in ``out_dir``, opened before the fork so that
-    nothing is left behind when a process fails, and this process appends
-    them in range order before it takes the next chunk. The tails follow
-    the last chunk. A chunk without tables writes nothing and forks
-    nothing. The bytes depend neither on ``parts`` nor on how the rows are
-    cut into chunks; every line ends in "\n" on every platform. When the
-    chunks raise or any range fails, the table files are removed before the
-    error is raised. Returns the paths, in table order.
-    """
-    paths, files, formats = [], [], []
-    done = 0  # rows written so far
-
-    def write_rows(targets, columns, layouts, lo, hi):
-        for start in range(lo, hi, _BLOCK_ROWS):
-            block = np.array([col[start : min(start + _BLOCK_ROWS, hi)] for col in columns])
-            strings = _format_block(block, cfg.format == "json")
-            for fh, (order, rows) in zip(targets, layouts):
-                fh.write(rows([strings[i] for i in order], not done + start))
-        for fh in targets:
-            fh.flush()  # a worker leaves through os._exit, which flushes nothing
-
-    def write_chunk(tables):
-        columns, layouts, seen = [], [], {}  # hash of a column's bytes -> indices in columns
-
-        def index(col):  # the index in columns of the column with col's bits, appended if new
-            col = np.asarray(col, dtype=float)
-            same = seen.setdefault(hash(col.tobytes()), [])  # the bytes are dropped at once
-            k = next((k for k in same if np.array_equal(columns[k].view(np.int64), col.view(np.int64))), None)
-            if k is None:
-                same.append(k := len(columns))
-                columns.append(col)
-            return k
-
-        for (_, _, cols), (order, rows) in zip(tables, formats, strict=True):
-            layouts.append(([index(cols[i]) for i in order], rows))
-        n = len(columns[0])
-        ranges = max(1, min(parts, n, _MAX_RANGES))
-        bounds = [n * k // ranges for k in range(ranges + 1)]
-        with ExitStack() as stack:
-            temporary = lambda: stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
-            spills = [[temporary() for _ in files] for _ in range(ranges - 1)]
-            targets = [files, *spills]
-            _fork_map(lambda k: write_rows(targets[k], columns, layouts, bounds[k], bounds[k + 1]), range(ranges))
-            for j, fh in enumerate(files):
-                for spill in spills:
-                    spill[j].seek(0)
-                    shutil.copyfileobj(spill[j], fh, 1 << 20)
-        return n
-
-    try:
-        with ExitStack() as stack:
-            for tables in chunks:
-                for name, header, _ in () if files else tables:  # the first chunk opens the files
-                    head, template = _table_format(header, cfg)
-                    paths.append(out_dir / f"{name}.{cfg.format}")
-                    files.append(stack.enter_context(open(paths[-1], "wb")))
-                    files[-1].write(head.encode())
-                    formats.append(template)
-                done += write_chunk(tables) if tables else 0
-                del tables  # before the next chunk is formed
-            for fh in files:  # a JSON tail closes the list of rows the head left open
-                fh.write((("\n  ]" if done else "]") + "\n}\n" if cfg.format == "json" else "").encode())
-    except BaseException:
-        for path in paths:  # a table cut short would still parse: leave none
-            path.unlink(missing_ok=True)
-        raise
-    return paths
+    return _format._write_tables(out_dir, [[(name, header, list(rows.T))]], cfg.format, _metadata(cfg))[0]
 
 
 def _metadata(cfg: ScenarioConfig) -> dict:
@@ -666,8 +509,7 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source):
     failed = None  # the propagator's StepTooLarge, raised once the metric has run to the end
     check = True  # until a chunk's source has drawn the non-Hermitian warning
     for lo, hi, rows in _partition(grid):
-        start = grid.t_start + grid.dt * lo
-        part = IntegrationGrid(start, start + grid.dt * (hi - lo), grid.dt)
+        part = grid.cut(lo, hi)
         own = slice(rows.start - lo, None)
         flow, a_end = integrate_metric_from(h, rho0, a_end, part)
         rho, dys = flow.series.samples[own], dyson_from_metric(flow)[own]
@@ -713,7 +555,7 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
     report (_reduce_checks); a check not read is never formed, nor what
     only it needs. ``write`` consumes an iterator over the chunks that
     yields, as each chunk is done, the (name, header, columns) list of its
-    tables named in ``tables``, as _write_tables takes it; none is named
+    tables named in ``tables``, as _format._write_tables takes it; none is named
     for ``verify``, whose ``list`` keeps one empty list per chunk. No array
     outlives its chunk: each goes before the next chunk is formed.
     """
@@ -998,20 +840,22 @@ def run_scenario(cfg: ScenarioConfig, write_files: bool = True):
 
     The scenario runs in chunks of CHUNK_STEPS steps (see _run_chunks), and
     ``run`` hands each chunk's rows of the requested outputs to the one
-    writer as the chunk is done (see _write_tables), which appends them to
-    the open files, cut over the usable CPUs. No verb keeps an array longer
-    than a chunk, so the peak memory of neither grows with the window.
-    report.json is written last, by this process. The window is resolved
-    before out_path is made, so a refused window leaves nothing behind.
+    writer as the chunk is done (see _format._write_tables), which appends
+    them to the open files, cut over the usable CPUs; it lists the paths
+    the writer returns. No verb keeps an array longer than a chunk, so the
+    peak memory of neither grows with the window. report.json is written
+    last, by this process. The window is resolved before out_path is made,
+    so a refused window leaves nothing behind.
     """
     grid = _resolve_window(cfg)
     if not write_files:
         return _run_chunks(cfg, grid), []
-    out_dir = _out_dir(cfg)
-    names = tuple(dict.fromkeys(cfg.outputs))  # a name listed twice is written once
-    write = lambda chunks: _write_tables(out_dir, chunks, cfg, _usable_cpus())
-    report = _run_chunks(cfg, grid, names, write)
-    written = [out_dir / f"{name}.{cfg.format}" for name in names] + [out_dir / "report.json"]
+    from . import _format  # on a write path alone: verify compiles none of it
+
+    out_dir, written = _out_dir(cfg), []
+    write = lambda chunks: written.extend(_format._write_tables(out_dir, chunks, cfg.format, _metadata(cfg)))
+    report = _run_chunks(cfg, grid, tuple(dict.fromkeys(cfg.outputs)), write)  # a name listed twice is written once
+    written.append(out_dir / "report.json")
     with open(written[-1], "w", encoding="utf-8", newline="\n") as fh:  # "\n" on every platform, as the tables
         json.dump({"metadata": _metadata(cfg), "report": report.to_dict()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -1066,9 +910,7 @@ def sweep(cfg: ScenarioConfig, parameter: str, values, write_files: bool = True)
     out_dir = _out_dir(cfg) if write_files else None
     rows = _fork_map(lambda run: [run[0], *_sweep_row(*run[1:])], runs)
     header = [parameter, "min_positivity_margin", "max_quasi_hermiticity_residual", "max_closed_vs_numeric_deviation"]
-    written = []
-    if write_files:
-        written.append(_write_series(out_dir, f"sweep_{parameter}", header, rows, cfg))
+    written = [_write_series(out_dir, f"sweep_{parameter}", header, rows, cfg)] if write_files else []
     return header, rows, written
 
 

@@ -1,6 +1,6 @@
 """Uniform time grids and sampled time series."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,6 +12,7 @@ class IntegrationGrid:
     t_start: float
     t_end: float
     dt: float
+    n_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.t_start) and np.isfinite(self.t_end) and np.isfinite(self.dt)):
@@ -26,10 +27,14 @@ class IntegrationGrid:
             raise ValueError(
                 f"(t_end - t_start)/dt = {span / self.dt:.12g} is not an integer within rounding"
             )
+        object.__setattr__(self, "n_steps", n)
 
-    @property
-    def n_steps(self) -> int:
-        return round((self.t_end - self.t_start) / self.dt)
+    def cut(self, lo: int, hi: int) -> "IntegrationGrid":
+        """Steps lo .. hi, exactly hi - lo of dt from t_start + dt lo; not checked again, which a few may fail."""
+        part = object.__new__(IntegrationGrid)
+        start = self.t_start + self.dt * lo
+        part.__dict__.update(t_start=start, t_end=start + self.dt * (hi - lo), dt=self.dt, n_steps=hi - lo)
+        return part
 
     @property
     def times(self) -> np.ndarray:

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import astuple, replace
@@ -828,7 +830,7 @@ def test_json_series_writer_matches_json_dump(tmp_path):
     # whole values in fixed notation, E = 15 and 16, a power of two and the largest finite value
     edge += [100.0, -7.0, 1e15, 9999999999999998.0, 1.2345678901234568e16, 2.0**-20, 1.7976931348623157e308]
     rng = np.random.default_rng(7)
-    block = cli._BLOCK_ROWS
+    block = _format._BLOCK_ROWS
     # E_1 sorts before t and u_00_re after it, so the keys are reordered
     series = ["t", "u_00_re", "E_1", "u_00_im", "p%s"]
     sweep = ["dt", "min_positivity_margin", "max_closed_vs_numeric_deviation"]
@@ -955,6 +957,44 @@ def test_a_window_of_more_than_max_steps_is_a_config_error(scenario, tmp_path, c
         cli._resolve_window(replace(cfg, dt=1.0 / (cli.MAX_STEPS + 1)))
 
 
+FAR_WINDOW = {"t_start": 1000.0, "t_end": 1000.24003}  # 8,001 steps of 3e-5 and 24,003 of 1e-5
+
+
+@pytest.mark.parametrize(
+    "scenario, window, status",
+    [
+        ("yang-lee-closed", {"t_start": 1e6, "t_end": 1000000.000001, "dt": 2e-10}, 2),
+        ("yang-lee-numeric", {**FAR_WINDOW, "dt": 3e-5}, 0),
+        ("yang-lee-numeric", {**FAR_WINDOW, "dt": 1e-5}, 0),
+        ("su2-generic", {**FAR_WINDOW, "dt": 3e-5}, 0),
+        ("su2-generic", {**FAR_WINDOW, "dt": 1e-5}, 0),
+        ("yang-lee-numeric", {"t_start": 1e6, "t_end": 1000000.01, "dt": 1e-7}, 1),
+    ],
+)
+def test_a_window_far_from_zero_is_refused_or_run_whole(scenario, window, status, tmp_path, capsys):
+    # a grid's span must lie within 1e-9 max(dt, span) of a whole number of
+    # steps. Far from t = 0, t_start + n dt rounds farther off than that for
+    # a short window: refused, not a ValueError traceback. A longer window
+    # passes, but a chunk of it, a step or a few thousand, failed the check
+    # on its own: a chunk cut from the window is not checked again
+    cfg_path = tmp_path / "cfg.json"
+    base = rotated_yang_lee_config(0.6, "x") if scenario == "su2-generic" else {"scenario": scenario}
+    raw = {**base, **window, "outputs": ["metric"], "out_path": str(tmp_path / "out")}
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    for verb in ("verify", "run"):
+        assert cli.main([verb, str(cfg_path)]) == status, verb
+        out, err = capsys.readouterr()
+        if status == 2:
+            assert err.startswith("config error: near t = 1e+06, (t_end - t_start)/dt = 5000.03807247 is not"), err
+            assert err.endswith(" (bound 1e-9 max(dt, span))\n"), err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert out.splitlines()[-1 if verb == "verify" else -3] == f"overall: {'PASS' if status == 0 else 'FAIL'}"
+    if status != 2:
+        steps = cli._resolve_window(cli.load_config(cfg_path)).n_steps
+        assert len((tmp_path / "out" / "metric.csv").read_text().splitlines()) == 1 + steps + 1
+
+
 def test_unusable_out_path_is_a_config_error_before_any_run(tmp_path, monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("a pipeline ran before out_path was checked")
@@ -1000,8 +1040,10 @@ def test_goldens_hold_with_one_and_three_cpus(cpus, tmp_path, monkeypatch):
     test_numeric_scenario_matches_golden_hashes(dirs[1], monkeypatch)
     test_su2_generic_scenario_matches_golden_hashes(dirs[2], monkeypatch)
     test_su2_generic_json_matches_golden_hashes(dirs[3], monkeypatch)  # and a JSON sweep of 2 dt values
-    # two workers for each run of 7 series, one for the sweep of 2 values
-    assert len(forks) == {1: 0, 3: 2 * 4 + 1}[cpus]
+    # the closed run's 101 rows are one block, written by this process; two
+    # workers for each other run of 7 series (301 or 401 rows), one for the
+    # sweep of 2 values, whose table is written by this process
+    assert len(forks) == {1: 0, 3: 2 * 3 + 1}[cpus]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -1078,6 +1120,17 @@ def test_no_process_is_forked_with_one_cpu_or_without_fork(cpus, has_fork, tmp_p
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.02,0.01"]) == 0
 
 
+def write_tables(out_dir, chunks, cfg):
+    """The tables of ``chunks`` as run writes them, in cfg's format; returns their paths."""
+    return _format._write_tables(out_dir, chunks, cfg.format, cli._metadata(cfg))
+
+
+def wrap_kernels(monkeypatch, wrap):
+    """Put wrap(kernel) in place of both float kernels of the writer, format_g17 and format_repr."""
+    for name in ("format_g17", "format_repr"):
+        monkeypatch.setattr(_format, name, wrap(getattr(_format, name)))
+
+
 def per_row_bytes(header, rows, cfg):
     """A table as the per-row writers wrote it: one "%.17g" line per row, or json.dumps of it all."""
     rows = np.asarray(rows, dtype=float).tolist()
@@ -1098,8 +1151,8 @@ def test_shared_columns_are_written_as_per_row(fmt, cpus, tmp_path, monkeypatch)
     cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
     rng = np.random.default_rng(11)
     edge = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1e300]
-    block = cli._BLOCK_ROWS
-    for n in (1, 2, 3, block - 1, block, block + 1):
+    block = _format._BLOCK_ROWS
+    for n in (1, 2, 3, block - 1, block, block + 1, 2 * block + 1):
         ts = np.arange(n) * 0.01 - 0.05
         u = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
         u *= 10.0 ** rng.integers(-20, 20, (n, 2, 2))
@@ -1116,8 +1169,8 @@ def test_shared_columns_are_written_as_per_row(fmt, cpus, tmp_path, monkeypatch)
         out = tmp_path / str(n)
         out.mkdir()
         before = len(forks)
-        paths = cli._write_tables(out, [tables], cfg, cli._usable_cpus())
-        assert len(forks) - before == min(n, cpus) - 1
+        paths = write_tables(out, [tables], cfg)
+        assert len(forks) - before == min(-(-n // block), cpus) - 1  # one range per block at most
         assert sorted(os.listdir(out)) == sorted(f"{name}.{fmt}" for name in expected)
         for (name, header, _), path in zip(tables, paths):
             assert path == out / f"{name}.{fmt}"
@@ -1130,13 +1183,14 @@ def test_one_output_is_written_over_every_cpu(tmp_path, monkeypatch):
         forks = use_cpus(monkeypatch, cpus)
         cfg = cli.validate_config(
             cli.ScenarioConfig(
-                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 1.0, dt=1e-2,
+                scenario="yang-lee-closed", t_start=T0, t_end=T0 + 2.5, dt=1e-3,
                 outputs=("propagator",), out_path=str(tmp_path / str(cpus)),
             )
         )
         _, written = cli.run_scenario(cfg)
-        # one worker per further CPU, up to the range cap that bounds the files held open
-        assert len(forks) == {1: 0, 3: 2, 40: cli._MAX_RANGES - 1}[cpus]
+        # one worker per further CPU, up to the range cap that bounds the files
+        # held open: the 2,501 rows are 20 blocks, more than the cap
+        assert len(forks) == {1: 0, 3: 2, 40: _format._MAX_RANGES - 1}[cpus]
         data[cpus] = written[0].read_bytes()
     assert data[40] == data[3] == data[1]
 
@@ -1145,32 +1199,33 @@ def test_a_failing_range_raises_its_error_and_leaves_no_file(tmp_path, monkeypat
     use_cpus(monkeypatch, 3)
     parent = os.getpid()
     cfg = cli.ScenarioConfig(scenario="yang-lee-closed")
-    ts = np.arange(30.0)  # rows 0-9 fall to this process, 10-19 and 20-29 to the two workers
+    block = _format._BLOCK_ROWS
+    ts = np.arange(3.0 * block)  # three blocks: the first to this process, one to each worker
     tables = [("table", ["t", "x"], [ts, -ts])]
-    format_block = cli._format_block
 
-    def fail_in_the_workers(block, as_json):
-        first = abs(block[0, 0])  # the first t of the block
-        if first >= 20:
-            raise StepTooLarge("the third range failed")
-        if first >= 10:
-            raise NotPositiveDefinite("the second range failed", t=first, index=3)
-        return format_block(block, as_json)
+    def fail_in_the_workers(kernel):
+        def fail(values):
+            first = abs(values[0, 0])  # the first t of the block
+            if first >= 2 * block:
+                raise StepTooLarge("the third range failed")
+            if first >= block:
+                raise NotPositiveDefinite("the second range failed", t=first, index=3)
+            return kernel(values)
 
-    monkeypatch.setattr(cli, "_format_block", fail_in_the_workers)
+        return fail
+
+    wrap_kernels(monkeypatch, fail_in_the_workers)
     with pytest.raises(NotPositiveDefinite) as info:
-        cli._write_tables(tmp_path, [tables], cfg, 3)
-    assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", 10.0, 3)
+        write_tables(tmp_path, [tables], cfg)
+    assert (str(info.value), info.value.t, info.value.index) == ("the second range failed", block, 3)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
-    def exit_in_the_workers(block, as_json):
-        if os.getpid() != parent:
-            os._exit(3)
-        return format_block(block, as_json)
+    def exit_in_the_workers(kernel):
+        return lambda values: os._exit(3) if os.getpid() != parent else kernel(values)
 
-    monkeypatch.setattr(cli, "_format_block", exit_in_the_workers)
+    wrap_kernels(monkeypatch, exit_in_the_workers)
     with pytest.raises(RuntimeError, match="exited with status 3$"):
-        cli._write_tables(tmp_path, [tables], cfg, 3)
+        write_tables(tmp_path, [tables], cfg)
     assert os.listdir(tmp_path) == []  # neither the table cut short nor a temporary file
 
 
@@ -1182,7 +1237,7 @@ def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tm
     forks = use_cpus(monkeypatch, cpus)
     cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
     rng = np.random.default_rng(5)
-    n = 2 * cli._BLOCK_ROWS + 3
+    n = 2 * _format._BLOCK_ROWS + 3
     ts = np.arange(n) * 0.01 - 0.05
     u = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
     e1, e2 = rng.standard_normal((2, n))
@@ -1195,13 +1250,14 @@ def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tm
     whole, chunked = tmp_path / "whole", tmp_path / "chunked"
     whole.mkdir()
     chunked.mkdir()
-    cli._write_tables(whole, [tables(0, n)], cfg, cpus)
-    cuts = [0, 1, cli._BLOCK_ROWS + 2, n]  # one row, a block and one row, the rest
+    write_tables(whole, [tables(0, n)], cfg)
+    cuts = [0, 1, _format._BLOCK_ROWS + 2, n]  # one row, a block and one row, the rest
     empty = [(name, header, [col[:0] for col in cols]) for name, header, cols in tables(0, 1)]
     before = len(forks)
     chunks = [empty, *(tables(lo, hi) for lo, hi in zip(cuts, cuts[1:])), empty]
-    paths = cli._write_tables(chunked, iter(chunks), cfg, cpus)
-    assert len(forks) - before == {1: 0, 3: 2 + 2}[cpus]
+    paths = write_tables(chunked, iter(chunks), cfg)
+    # the row is one range; each chunk of a block and one row is two, one per block
+    assert len(forks) - before == {1: 0, 3: 1 + 1}[cpus]
     assert sorted(os.listdir(chunked)) == sorted(os.listdir(whole)) == sorted(path.name for path in paths)
     for path in paths:
         assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
@@ -1217,17 +1273,19 @@ def test_value_equal_columns_are_formatted_once(fmt, cpus, tmp_path, monkeypatch
     use_cpus(monkeypatch, cpus)
     cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
     counts = tmp_path / "formatted"  # one line per block formatted, by any process
-    format_block = cli._format_block
 
-    def counting(block, as_json):
-        with open(counts, "a", encoding="utf-8") as fh:
-            fh.write(f"{block.size}\n")
-        return format_block(block, as_json)
+    def counting(kernel):
+        def count(values):
+            with open(counts, "a", encoding="utf-8") as fh:
+                fh.write(f"{values.size}\n")
+            return kernel(values)
 
-    monkeypatch.setattr(cli, "_format_block", counting)
+        return count
+
+    wrap_kernels(monkeypatch, counting)
     formatted = lambda: sum(map(int, counts.read_text(encoding="utf-8").split())) if counts.exists() else 0
     rng = np.random.default_rng(3)
-    sizes = (2 * cli._BLOCK_ROWS + 3, 5)
+    sizes = (2 * _format._BLOCK_ROWS + 3, 5)
     ts = np.arange(sum(sizes)) * 0.01 - 0.05
     x, y = rng.standard_normal((2, len(ts)))
     z = np.where(np.arange(len(ts)) < sizes[0], y, -y)
@@ -1254,7 +1312,7 @@ def test_value_equal_columns_are_formatted_once(fmt, cpus, tmp_path, monkeypatch
 
     out = tmp_path / "out"
     out.mkdir()
-    paths = cli._write_tables(out, counted(), cfg, cli._usable_cpus())
+    paths = write_tables(out, counted(), cfg)
     assert per_chunk == [size * k for size, k in zip(sizes, distinct)]
     for (name, header, cols), path in zip(tables(0, len(ts)), paths):
         assert path.read_bytes() == per_row_bytes(header, np.column_stack(cols), cfg), name
@@ -1271,8 +1329,8 @@ def test_a_closed_run_formats_each_bit_distinct_column_once(tmp_path, monkeypatc
         return {name: (lambda b=build: built.append(b()) or built[-1]) for name, build in series(*args).items()}
 
     monkeypatch.setattr(cli, "_series", recording)
-    format_block, formatted = cli._format_block, []
-    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(args[0].size) or format_block(*args))
+    formatted = []
+    wrap_kernels(monkeypatch, lambda kernel: lambda values: formatted.append(values.size) or kernel(values))
     exact, fallback = _format._exact, []
     monkeypatch.setattr(_format, "_exact", lambda values: fallback.append(values.size) or exact(values))
     out = str(tmp_path / "out")
@@ -1298,8 +1356,8 @@ def test_a_generic_json_run_formats_each_bit_distinct_column_once(tmp_path, monk
         return {name: (lambda b=build: built.append(b()) or built[-1]) for name, build in series(*args).items()}
 
     monkeypatch.setattr(cli, "_series", recording)
-    format_block, formatted = cli._format_block, []
-    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(args[0].size) or format_block(*args))
+    formatted = []
+    wrap_kernels(monkeypatch, lambda kernel: lambda values: formatted.append(values.size) or kernel(values))
     exact, fallback = _format._exact_repr, []
     monkeypatch.setattr(_format, "_exact_repr", lambda values: fallback.append(values.size) or exact(values))
     cfg = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=2.0, dt=2e-3, format="json")
@@ -1489,13 +1547,47 @@ def test_a_step_too_large_in_a_later_chunk_names_the_time_of_one_pass(dt, step, 
     assert messages[0].endswith(f"at t = {p.t0 + step * dt:.6g}; reduce dt")
 
 
+def test_a_table_that_cannot_be_opened_raises_its_error_and_removes_only_the_tables_opened(tmp_path):
+    # metric.csv is a directory: its open fails once dyson.csv is open. The
+    # open's error is raised with no second error chained to it, dyson.csv is
+    # removed, and the directory is left as it was found
+    out = tmp_path / "out"
+    (out / "metric.csv").mkdir(parents=True)
+    write_config(tmp_path / "cfg.json", t_end=0.0, dt=0.01, outputs=["dyson", "metric"], out_path=str(out))
+    with pytest.raises(IsADirectoryError) as info:
+        cli.main(["run", str(tmp_path / "cfg.json")])
+    assert info.value.filename == str(out / "metric.csv")
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    assert os.listdir(out) == ["metric.csv"]
+    assert os.listdir(out / "metric.csv") == []
+
+
+def test_verify_compiles_none_of_the_writer(tmp_path):
+    # _format, the writer and its float kernels, is imported on a write path
+    # alone, in a fresh interpreter: verify never compiles it, run does
+    write_config(tmp_path / "cfg.json", t_end=T0 + 0.5, dt=1e-2)
+    code = (
+        "import sys\n"
+        "from dysonflow import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print(status, 'dysonflow._format' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for verb, imported in (("verify", "False"), ("run", "True")):
+        argv = [sys.executable, "-c", code, verb, str(tmp_path / "cfg.json")]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"0 {imported}", verb
+
+
 def test_a_run_whose_later_chunk_raises_leaves_no_file(tmp_path, monkeypatch, capsys):
     # the metric's local error check fails in the second chunk, once the first
     # chunk's rows are in the open table files: the run removes them all and
     # writes no report.json
     monkeypatch.setattr(cli, "CHUNK_STEPS", CHUNK)
-    format_block, formatted = cli._format_block, []
-    monkeypatch.setattr(cli, "_format_block", lambda *args: formatted.append(1) or format_block(*args))
+    formatted = []
+    wrap_kernels(monkeypatch, lambda kernel: lambda values: formatted.append(1) or kernel(values))
     p = cli.YangLeeParams(gamma=0.999, omega=1.0)
     out = tmp_path / "out"
     write_config(

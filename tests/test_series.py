@@ -28,6 +28,19 @@ def test_grid_rejects_fractional_spans():
         IntegrationGrid(0.0, float("inf"), 1e-2)
 
 
+def test_a_cut_keeps_its_steps_and_is_not_checked_again():
+    # far from t = 0 the last step of this grid, as a grid of its own, spans
+    # 3e-5 give or take the float spacing at 1000, 1.1e-13: more than the
+    # 1e-9 dt the check allows, which holds for grids passed in
+    grid = IntegrationGrid(1000.0, 1000.0 + 8001 * 3e-5, 3e-5)
+    for lo, hi in ((0, 8000), (8000, 8001)):
+        part = grid.cut(lo, hi)
+        assert (part.t_start, part.dt, part.n_steps) == (grid.t_start + grid.dt * lo, grid.dt, hi - lo)
+        assert np.array_equal(part.times, part.t_start + part.dt * np.arange(hi - lo + 1))
+    with pytest.raises(ValueError, match="not an integer within rounding"):
+        IntegrationGrid(part.t_start, part.t_end, part.dt)
+
+
 def test_time_series_indexing():
     samples = np.arange(12).reshape(4, 3)
     series = TimeSeries(t0=2.0, dt=0.5, samples=samples)
