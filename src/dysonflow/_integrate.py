@@ -30,6 +30,16 @@ def _check_every(local_error_bound, check_every):
     return check_every if local_error_bound is not None and check_every > 0 else 0
 
 
+def _require_small(estimates, local_error_bound, times):
+    """Raise StepTooLarge at the first of ``times`` whose estimate is not at most the bound, a NaN one too."""
+    bad = np.nonzero(~(np.asarray(estimates) <= local_error_bound))[0]
+    if bad.size:
+        raise StepTooLarge(
+            f"local error estimate {estimates[bad[0]]:.3e} exceeds "
+            f"{local_error_bound:.3e} at t = {times[bad[0]]:.6g}; reduce dt"
+        )
+
+
 def stage_times(t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     """Every time at which rk4_series, given the same arguments, evaluates f.
 
@@ -51,7 +61,7 @@ def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
 
     Every ``check_every``-th step is additionally taken as two half steps and
     the discrepancy against the full step used as a local error estimate;
-    StepTooLarge is raised when the estimate exceeds ``local_error_bound``.
+    StepTooLarge is raised unless the estimate is at most ``local_error_bound``.
     Pass ``local_error_bound=None`` or ``check_every=0`` to skip the checks.
     The solution itself always advances with the plain full-step result, so
     convergence stays cleanly fourth order.
@@ -66,12 +76,7 @@ def rk4_series(f, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
         if checking and i % check_every == 0:
             half = _rk4_step(f, t, y, 0.5 * dt)
             half = _rk4_step(f, t + 0.5 * dt, half, 0.5 * dt)
-            estimate = float(np.linalg.norm((y_next - half).ravel()))
-            if estimate > local_error_bound:
-                raise StepTooLarge(
-                    f"local error estimate {estimate:.3e} exceeds "
-                    f"{local_error_bound:.3e} at t = {t:.6g}; reduce dt"
-                )
+            _require_small([np.linalg.norm((y_next - half).ravel())], local_error_bound, [t])
         y = y_next
         out[i + 1] = y
     return out
@@ -210,11 +215,5 @@ def rk4_linear(a, y0, t0, dt, n_steps, local_error_bound=1e-6, check_every=100):
     if len(checked):
         misses = mul(deltas[checked] - halves, out[checked])
         estimates = np.linalg.norm(misses.reshape(len(checked), -1), axis=1)
-        bad = np.nonzero(estimates > local_error_bound)[0]
-        if bad.size:
-            t = t0 + int(checked[bad[0]]) * dt
-            raise StepTooLarge(
-                f"local error estimate {estimates[bad[0]]:.3e} exceeds "
-                f"{local_error_bound:.3e} at t = {t:.6g}; reduce dt"
-            )
+        _require_small(estimates, local_error_bound, t0 + checked * dt)
     return out[..., 0] if vector else out

@@ -40,7 +40,6 @@ import json
 import math
 import operator
 import sys
-import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
@@ -75,6 +74,7 @@ from .su2 import (
     dagger,
     det,
     frobenius_norm,
+    hermitian_part,
     hermitian_sqrt,
     hermitian_sqrt_derivative,
     hermiticity_residual,
@@ -227,7 +227,7 @@ def _su2_model(cfg: ScenarioConfig):
     # det rho is conserved along the zeta family, so t = 0 decides every t
     rho0 = zeta_metric(0.0, h, zeta)
     margin = positivity_margin(rho0)
-    if rho0.alpha <= 0.0 or margin <= 0.0:
+    if not (rho0.alpha > 0.0 and 0.0 < margin < math.inf):  # a NaN det fails too
         raise ConfigInvalid(
             "su2-generic: zeta_constants give a metric that is not positive definite "
             f"(alpha = {rho0.alpha:.6g}, det rho = {margin:.6g})"
@@ -497,17 +497,14 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source):
     identity, as integrate_metric and propagator_series do, so a window of
     at most CHUNK_STEPS steps is one pass over the whole grid, with its bits.
 
-    Errors and warnings come as one pass raises and draws them. The metric
-    and its Dyson map come before the propagator, so once the propagator's
-    local error check fails, only they run on through the chunks left; a
-    StepTooLarge or NotPositiveDefinite among them is raised instead of the
-    propagator's. The first chunk whose source is not Hermitian draws the
-    one warning, which names the first such time of the whole grid, and the
-    chunks after it skip the check.
+    Every CLI source is exactly Hermitian, so none draws evolve_state's
+    warning. Errors come as one pass raises them. The metric and its Dyson
+    map come before the propagator, so once the propagator's local error
+    check fails, only they run on through the chunks left; a StepTooLarge or
+    NotPositiveDefinite among them is raised instead of the propagator's.
     """
     a_end = u_end = IDENTITY
     failed = None  # the propagator's StepTooLarge, raised once the metric has run to the end
-    check = True  # until a chunk's source has drawn the non-Hermitian warning
     for lo, hi, rows in _partition(grid):
         part = grid.cut(lo, hi)
         own = slice(rows.start - lo, None)
@@ -516,15 +513,10 @@ def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source):
         del flow  # only the rows yielded stay alive: each del here lowers the peak RSS
         if failed is not None:
             continue
-        with warnings.catch_warnings(record=True) as drawn:  # what the filters let through, shown below
-            try:
-                u = evolve_state(source, u_end, part, hermitian_check=check).samples[own]
-            except StepTooLarge as exc:
-                failed = exc  # a warning drawn before it stays, as in one pass
-        for w in drawn:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-            check = check and w.category is not UserWarning
-        if failed is not None:
+        try:
+            u = evolve_state(source, u_end, part).samples[own]
+        except StepTooLarge as exc:
+            failed = exc
             continue
         u_end = u[-1].copy()
         yield rows, _times(grid, rows.start, rows.stop), rho, dys, u
@@ -671,18 +663,19 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     The metric starts at the closed form's rho(t_start) and runs through
     _numeric_chunks with the Hermitian ``source`` of the propagator, which
     every numeric scenario integrates, whatever tables it writes, or checks
-    it reads. Each chunk checks the metric against the closed form, its
-    flow against the closed form's analytic derivative, det rho,
-    positivity, eta^2 = rho and the Hermiticity of h and quasi-Hermiticity
-    of Htilde, and the unitarity of u. What several checks or tables share,
-    h, Htilde, the closed form and the chain residuals, is formed once per
-    chunk, on first use, so a check not built costs nothing. ``oracle(rows,
-    ts, rho, dys, u, h_num, unitarity)``, given, with builds of h and of the
-    unitarity, returns the chunk's further (checks, invariant columns,
-    energies) builds, the energies replacing those of the evolved basis
-    states. So the two numeric scenarios differ only in their source and
-    their oracle. Returns the chunks and the step over one chunk, as
-    _run_chunks takes them.
+    it reads. Each chunk checks the metric against the closed form, its flow
+    against the closed form's analytic derivative, det rho, positivity,
+    eta^2 = rho and the Hermiticity of h and quasi-Hermiticity of Htilde,
+    and the unitarity of u; h_hermitian reads the raw h, every table and
+    other check its Hermitian part h_num. What several checks or tables
+    share, h, Htilde, the closed form and the chain residuals, is formed
+    once per chunk, on first use, so a check not built costs nothing.
+    ``oracle(rows, ts, rho, dys, u, h_num, unitarity)``, given, with builds
+    of h_num and of the unitarity, returns the chunk's further (checks,
+    invariant columns, energies) builds, the energies replacing those of the
+    evolved basis states. So the two numeric scenarios differ only in their
+    source and their oracle. Returns the chunks and the step over one chunk,
+    as _run_chunks takes them.
     """
     hm = h.matrix()
     sub = _subsample(grid.n_steps + 1, want=50)
@@ -690,8 +683,9 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     def chunk(rows, ts, rho_num, dys, u):
         ref = cache(lambda: zeta_metric(ts, h, zeta))
         rho_ref = cache(lambda: ref().matrix())
-        h_num = cache(lambda: hermitian_counterpart(hm, dys))
-        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_num, lambda: positivity_margin(ref()))
+        h_raw = cache(lambda: hermitian_counterpart(hm, dys))
+        h_num = cache(lambda: hermitian_part(h_raw()))
+        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_raw, lambda: positivity_margin(ref()))
         dev_metric = cache(lambda: frobenius_norm(rho_num - rho_ref()))
         unitarity = cache(lambda: _unitarity(u))
 
@@ -733,8 +727,9 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     """Exact Hermitian Hamiltonian source of the closed-form metric, batched in t.
 
     Given a 1-D array of times, the source evaluates the zeta_metric
-    coefficients at all of them and returns the (m, 2, 2) stack of
-    hermitian_counterpart. rho_dot is the flow -i (H^dag rho - rho H)
+    coefficients at all of them and returns the (m, 2, 2) stack of the
+    Hermitian part of hermitian_counterpart, so the propagator integrates no
+    anti-Hermitian rounding rest. rho_dot is the flow -i (H^dag rho - rho H)
     itself, eta = sqrt(rho) the closed-form root and eta_dot its analytic
     derivative, the solution of eta X + X eta = rho_dot; no step is a finite
     difference.
@@ -745,7 +740,7 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
         rho = zeta_metric(t, h, zeta).matrix()
         eta = hermitian_sqrt(rho)
         eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
-        return hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot))
+        return hermitian_part(hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot)))
 
     return source
 
@@ -867,7 +862,7 @@ def _sweep_row(cfg: ScenarioConfig, grid: IntegrationGrid):
 
     Yang-Lee configs run yang-lee-numeric, su2-generic configs themselves;
     either integrates its metric, Dyson map and propagator, as every numeric
-    run does, so it raises and warns as ``verify`` does, and writes nothing.
+    run does, so it raises as ``verify`` does, and writes nothing.
     Only the checks the row reads are built (see _run_chunks); their values
     are those of the full report. Returns the minimum positivity margin,
     the maximum quasi-Hermiticity residual, and the larger of the metric

@@ -24,8 +24,7 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
 
     h_of_t receives the 1-D array of the integrator's stage times and
     returns an (m, 2, 2) stack, or one (2, 2) matrix for a constant
-    generator; any other size raises ValueError. ``y0`` None starts from
-    the 2x2 identity.
+    generator; any other size raises ValueError.
     """
     t0, dt, n_steps = grid.t_start, grid.dt, grid.n_steps
     times = stage_times(t0, dt, n_steps, local_error_bound)
@@ -50,8 +49,6 @@ def _evolve(h_of_t, y0, grid, local_error_bound, hermitian_check=True) -> TimeSe
                 f"(residual {drift[i]:.3e}); integrating anyway",
                 stacklevel=3,
             )
-    if y0 is None:
-        y0 = IDENTITY
     hm = -1j * hm  # rebinding frees the unscaled stack before the steps are formed
     samples = rk4_linear(hm, y0, t0, dt, n_steps, local_error_bound)
     return TimeSeries(t0=t0, dt=dt, samples=samples)
@@ -95,7 +92,7 @@ def propagator_series(
     are the evolved canonical basis states; u(t_start, t_start) is the
     identity exactly.
     """
-    return _evolve(h_of_t, None, grid, local_error_bound)
+    return _evolve(h_of_t, IDENTITY, grid, local_error_bound)
 
 
 def time_ordered_u(
@@ -115,7 +112,7 @@ def time_ordered_u(
     if t_to == t_from:
         return IDENTITY.copy()
     grid = IntegrationGrid(t_from, t_to, dt)
-    return _evolve(h_of_t, None, grid, local_error_bound)[-1]
+    return _evolve(h_of_t, IDENTITY, grid, local_error_bound)[-1]
 
 
 def _eta_at(sample: DysonSample, t: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 Conventions used throughout the package: hbar = 1, all times and energies
 dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
 stacks where a kernel says so). Each 2x2 rule the package applies
-(product, determinant, conjugate transpose, Frobenius norm, Hermiticity
-residual, Hermitian positive-definite check, Pauli split
+(product, determinant, conjugate transpose, Hermitian part, Frobenius
+norm, Hermiticity residual, Hermitian positive-definite check, Pauli split
 ``pauli_decompose(m) -> (a0, ax, ay, az)`` and Pauli sum
 ``pauli_compose(a0, ax, ay, az)``, Hermitian square root and its
 derivative) is coded here once.
@@ -126,6 +126,13 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def hermitian_part(m) -> np.ndarray:
+    """(m + m^dagger) / 2 of a matrix or of each of a stack, entry-major; exactly Hermitian."""
+    out = np.add(m, dagger(m), out=_entry_major(np.shape(m)[:-2]))
+    out *= 0.5
+    return out
+
+
 def mul(a, b) -> np.ndarray:
     """Matrix product a @ b of 2x2 matrices, entry by entry over the stack.
 
@@ -233,7 +240,7 @@ def require_hpd(m):
             f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {HERMITICITY_TOL:.1e}",
             index=i,
         )
-    sym = 0.5 * (m + dagger(m))
+    sym = hermitian_part(m)
     tr = (sym[..., 0, 0] + sym[..., 1, 1]).real
     d = det(sym).real
     bad = (d <= 0.0) | (tr <= 0.0)

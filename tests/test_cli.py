@@ -1,6 +1,5 @@
 """Front-end behavior: verbs, exit codes, reproducible files, schema stability."""
 
-import contextlib
 import hashlib
 import json
 import math
@@ -24,6 +23,7 @@ from dysonflow import (
     _format,
     cli,
     dyson_from_metric,
+    frobenius_norm,
     hermitian_counterpart,
     hermitian_sqrt,
     integrate_metric,
@@ -31,6 +31,7 @@ from dysonflow import (
 )
 from dysonflow._parallel import _fork_map
 from dysonflow.errors import NotPositiveDefinite, StepTooLarge
+from dysonflow.su2 import hermitian_part
 
 T0 = -1.8137993642342178  # anchor time for gamma = 1/2
 
@@ -297,16 +298,21 @@ def test_su2_generic_config_guards(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "zeta, message",
+    "zeta, message, lambda_x",
     [
         # det rho = 0.75 > 0 but alpha = -1: negative definite for all t
-        ([0.0, 0.0, 1.0, 0.0], "(alpha = -1, det rho = 0.75)"),
+        ([0.0, 0.0, 1.0, 0.0], "(alpha = -1, det rho = 0.75)", -0.5),
         # det rho = -1: indefinite for all t
-        ([0.0, 0.0, 0.0, 1.0], "(alpha = 0, det rho = -1)"),
+        ([0.0, 0.0, 0.0, 1.0], "(alpha = 0, det rho = -1)", -0.5),
+        # alpha^2 and |beta|^2 overflow: det rho = inf - inf
+        ([0.0, -1e200, -1e200, 0.0], "(alpha = 1e+200, det rho = nan)", -0.5),
+        # alpha^2 overflows: det rho = inf
+        ([0.0, 0.0, -1e155, 0.0], "(alpha = 1e+155, det rho = inf)", -1e-10),
     ],
 )
-def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, message, tmp_path, capsys):
-    # kappa = -e_z, lambda = -e_x / 2: det rho = 0.75 c3^2 - c4^2 - 0.25 (c1^2 + c2^2)
+def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, message, lambda_x, tmp_path, capsys):
+    # kappa = -e_z, lambda = lambda_x e_x: det rho = (1 - lambda_x^2) c3^2 - c4^2 - lambda_x^2 (c1^2 + c2^2);
+    # a det that overflows to inf or NaN is refused too, not integrated
     out = tmp_path / "out"
     cfg = {
         "scenario": "su2-generic",
@@ -314,7 +320,7 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
         "t_end": 0.5,
         "dt": 1e-2,
         "kappa_vec": [0.0, 0.0, -1.0],
-        "lambda_vec": [-0.5, 0.0, 0.0],
+        "lambda_vec": [lambda_x, 0.0, 0.0],
         "zeta_constants": zeta,
         "outputs": ["metric"],
         "out_path": str(out),
@@ -322,7 +328,8 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     for argv in (["run"], ["verify"], ["sweep", "--param", "dt", "--values", "0.01,0.005"]):
-        assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, argv
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, argv
         assert capsys.readouterr().err == (
             "config error: su2-generic: zeta_constants give a metric that is not "
             f"positive definite {message}\n"
@@ -423,14 +430,16 @@ def test_su2_generic_propagation_with_lambda_passes(tmp_path):
         assert len((tmp_path / "out" / f"{name}.csv").read_text().splitlines()) == 1002
 
 
-@pytest.mark.parametrize("lam, t_end, dt, warned_at", [(0.6, 100.0, 5e-3, None), (0.9999, 200.0, 0.01, "50.08")])
-def test_su2_generic_reports_the_same_checks_whatever_it_writes(lam, t_end, dt, warned_at, tmp_path, capsys):
+@pytest.mark.parametrize("lam, t_end, dt", [(0.6, 100.0, 5e-3), (0.9999, 200.0, 0.01)])
+def test_su2_generic_reports_the_same_checks_whatever_it_writes(lam, t_end, dt, tmp_path, capsys):
     # outputs choose the tables written, never the checks: every su2-generic
     # run integrates its propagator, so verify and run with no, one or all 7
     # outputs report the same checks in one order with the same values, and
-    # each run of 3 chunks draws the one non-Hermitian source warning that one
-    # pass draws. At lambda 0.9999 u_unitary fails (2.4e-9 > 1e-9), which a
-    # verify without propagator outputs once hid behind an overall PASS
+    # no run of 3 chunks draws a warning: the su2 source is a Hermitian part.
+    # At lambda 0.9999 u_unitary failed (2.4e-9 > 1e-9) while the source
+    # carried the anti-Hermitian rounding rest of h, a failure that a verify
+    # without propagator outputs once hid behind an overall PASS; now both
+    # configs stay within 1e-11 (2.5e-12 and 6.1e-12)
     cfg_path = tmp_path / "cfg.json"
     reports = []
     for outputs in ([], ["metric"], list(cli.OUTPUTS)):
@@ -440,18 +449,15 @@ def test_su2_generic_reports_the_same_checks_whatever_it_writes(lam, t_end, dt, 
             with warnings.catch_warnings(record=True) as drawn:
                 warnings.simplefilter("always")
                 report, _ = cli.run_scenario(cli.load_config(cfg_path), write_files=verb == "run")
-            assert [str(w.message).split(" (")[0] for w in drawn] == (
-                [f"Hamiltonian source is not Hermitian at t = {warned_at}"] if warned_at else []
-            )
+            assert drawn == []
             reports.append([astuple(c) for c in report.checks])
     assert all(checks == reports[0] for checks in reports)
     assert [name for name, *_ in reports[0]][-1] == "u_unitary"
     # the config that hid the failure: verify, no outputs
     cfg_path.write_text(json.dumps({**cfg, "outputs": []}), encoding="utf-8")
-    with pytest.warns(UserWarning) if warned_at else contextlib.nullcontext():
-        status = cli.main(["verify", str(cfg_path)])
-    unitary = next(line for line in capsys.readouterr().out.splitlines() if "u_unitary" in line)
-    assert (status, unitary.endswith("FAIL")) == ((1, True) if warned_at else (0, False))
+    assert cli.main(["verify", str(cfg_path)]) == 0
+    unitary = next(line.split() for line in capsys.readouterr().out.splitlines() if "u_unitary" in line)
+    assert unitary[-1] == "PASS" and float(unitary[1]) <= 1e-11
 
 
 def test_su2_generic_metric_rows_are_one_metric(tmp_path):
@@ -482,6 +488,19 @@ def test_su2_source_matches_finite_difference_formula():
         assert np.linalg.norm(h_exact - h_exact.conj().T) < 1e-13
 
 
+@pytest.mark.parametrize("omega", [1.0, 0.8])
+def test_su2_source_on_h1_meets_rabi_h_up_to_the_exceptional_point(omega):
+    # on H1 with the canonical metric constants the su2 source is h of the
+    # paper's closed-form chain, rabi_h: over two periods (20,001 times) it
+    # meets it to 5.9e-16 up to gamma 0.5, then to 3.4e-14 at 0.99, 2.9e-13
+    # at 0.999 and 2.9e-12 at 0.9999, within the tolerance of 1e-11
+    for gamma in (1e-8, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.5, 0.99, 0.995, 0.997, 0.999, 0.9999):
+        p = cli.YangLeeParams(gamma=gamma, omega=omega)
+        ts = p.t0 + np.linspace(0.0, 2.0 * p.period, 20_001)
+        source = cli._su2_h_source(cli.h1_su2(p), cli.rho_closed_constants(p))(ts)
+        assert np.max(frobenius_norm(source - cli.rabi_h(ts, p))) <= 1e-11, gamma
+
+
 def rotated_hamiltonian():
     """H and the zeta constants of rotated_yang_lee_config at lambda 0.6."""
     cfg = cli.validate_config(cli.ScenarioConfig(**rotated_yang_lee_config(0.6, "unused")))
@@ -506,11 +525,12 @@ def test_flow_eta_dot_is_the_limit_of_the_finite_difference_one():
 
 
 def test_flow_eta_dot_is_the_su2_source_bit_for_bit():
-    # dyson_from_metric on a MetricFlow and _su2_h_source apply one rule
+    # dyson_from_metric on a MetricFlow and _su2_h_source apply one rule, and
+    # the source is the Hermitian part of the h it gives
     h, zeta = rotated_hamiltonian()
     ts = 0.37 + 1e-2 * np.arange(300)
     series = TimeSeries(t0=ts[0], dt=1e-2, samples=zeta_metric(ts, h, zeta).matrix())
-    via_dyson = hermitian_counterpart(h.matrix(), dyson_from_metric(MetricFlow(series, h)))
+    via_dyson = hermitian_part(hermitian_counterpart(h.matrix(), dyson_from_metric(MetricFlow(series, h))))
     exact = cli._su2_h_source(h, zeta)(ts)
     bits = lambda m: np.ascontiguousarray(m).view(np.uint64)
     assert np.array_equal(bits(via_dyson), bits(exact))
@@ -671,6 +691,25 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
     assert float(hermitian[1]) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"scenario": "yang-lee-numeric", "omega": 1e150},
+        {"scenario": "yang-lee-numeric", "omega": 1e300},
+        {"scenario": "su2-generic", "kappa0": 1e300},
+    ],
+)
+def test_an_overflowing_step_ends_the_run_with_an_error_not_a_traceback(fields, tmp_path, capsys):
+    # the RK4 steps overflow, and their NaN local error estimate is too large:
+    # it once passed the check, and dyson_from_metric raised ValueError on the
+    # non-finite metric it gave
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**fields, "t_start": 0.0, "t_end": 1.0}), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["verify", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: local error estimate nan exceeds 1.000e-06 at t = 0; reduce dt\n"
+
+
 # sha256 of every CSV and of report.json written by the two configurations
 # below (numpy 2.4.6), recorded before the 2x2 rules moved into su2 and
 # re-recorded when the 2x2 products went entry by entry (su2.mul); the
@@ -702,26 +741,33 @@ def test_numeric_scenario_at_the_exceptional_point_prints_a_report(tmp_path, cap
 # both reports when that check became the Frobenius norm of metric_rhs on the
 # closed form minus zeta_metric_dot's matrix (numeric 3.9e-16 -> 7.1e-16,
 # su2-generic 3.7e-16 -> 7.6e-16) and the numeric nonunitary_flat_metric,
-# which keeps its greatest value, took the mode max_gt for min_gt
+# which keeps its greatest value, took the mode max_gt for min_gt; the
+# files that read h again when the tables and checks took its Hermitian
+# part (su2.hermitian_part) and the su2-generic propagator its Hermitian
+# source, max |new - old| numeric hermitian_h 2.8e-16, energies 2.2e-16,
+# invariants 3.1e-17 and report 4.2e-20 (h_numeric_vs_closed alone),
+# su2-generic hermitian_h 3.2e-16, energies 2.2e-16, propagator and states
+# 1.1e-16 and report 2.0e-18 (u_unitary alone); h_hermitian, which reads
+# the raw h, kept its value
 GOLDEN_NUMERIC = {
     "metric": "f761aef7c98bfac605188ecdcea3c14847658a50f0d95f1bab56fb3b05421dc0",
     "dyson": "080d89c0a96f95a80c21e9144f44ab45e547bf3df564bfbb5fe0fff1dcc67b37",
-    "hermitian_h": "6c29e5bbcfff4c1d322f7212d2d7d95c295638c1c49dd55f0857703c6c6acbef",
+    "hermitian_h": "da8765b5d9d5634c2f13b1adb1b3f1f5fea5eeb543534a41d858ee3b6ff31a60",
     "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
-    "energies": "c82f55bdf668451d4f5f818b3e4082bec5efa97ba891eae07d0c62d6b93d4a39",
-    "invariants": "450c408e63b3df4f6d19150335ca218921b2c3cb11d0fcbea34a2dac09de9cdf",
-    "report": "7cf051cbd1765ef46a2949cbf8c226a45888d8fe2b6efa87a403d84b35dcbce6",
+    "energies": "ace8566d2ac5c2c2652ef4989c356e938fb8f88646fbf4e903dac03cad72a97b",
+    "invariants": "63f4b3fcd2c539eefd055a12e40aed688bd0df16ed89d8c8210da6b06e6e034d",
+    "report": "bd5ac7073e6d1b31f98fae3a78d380c4fd9f38770278d850debae171ecc00197",
 }
 GOLDEN_SU2_GENERIC = {
     "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
     "dyson": "a5a7609a3114b65b1c76d7b52aa58fe9d393c57ba5a8d4a386a38cc4b52dd94e",
-    "hermitian_h": "cf7a45cb9724bebf2d343c4a838792dd0e113f425ad94bb65f8b0dbf7c0d192d",
-    "states": "31ca6996013f2e24dbb26b067f6b986663a5b7d2abb4ab20e490cb2fdc30d474",
-    "propagator": "09d05e912b9e48c9f4ac64cd4b139cb0db401bf67f5d6def47eff7e9fa13d300",
-    "energies": "639fc7f6e6b0ea6d43f7115cc8b163e5533b9c85a7112eb3778bee9cb37d0542",
+    "hermitian_h": "1aab6905bf7c1454151b6403fa15fc603653314cea8b48f29ddb810d59ccf613",
+    "states": "b5e51b021ca4357da923db3feb4ae73ceb6fe6b1eae1871a1f4bc439cf102d2a",
+    "propagator": "5e994be7dc09417cd09dfe7ec13224348fb8dc24d5e579f93e830e66a5868608",
+    "energies": "149ae761f1010dc8d16e4c2cd8297015ac155e69c4c19a7ebe13ebdb0cb66369",
     "invariants": "ab740251b82f1805d00c82644f20b0f4a179d9b22c9eb7a5241568e60dd1959f",
-    "report": "ab1fba29693de56e73460721833ea2f6233d959c3c46c67765bfbfb9330a9673",
+    "report": "161c59ecb8e346473e5ef1199d25940a1895dbaa84c732810da552ff69475c3c",
 }
 
 
@@ -801,16 +847,19 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
 # the report again, in metric_flow_residual_fd alone (4.1e-13 -> 3.7e-16),
 # with the analytic zeta_metric_dot in that check, and again, in that check
 # alone (3.7e-16 -> 7.6e-16), when it compared metric_rhs on the closed form
-# with zeta_metric_dot as matrices
+# with zeta_metric_dot as matrices; hermitian_h, energies, propagator,
+# states and report again (the sweep kept its bytes) with the Hermitian part
+# of h in the tables and the su2 source, by the su2-generic CSV files' max
+# |new - old| above
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
     "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
-    "hermitian_h": "cc3e1f974da0c965f9a716e96de7ca4df34002bf69b758a256b052df5d44901f",
-    "states": "a4dcecd635b2bb7ec0d77eec519f5f3aabc1fee9c3baad4d504d57768a0e41a0",
-    "propagator": "fb52b479d8a547619385f873f3cff36f84f2ef3b14e117604c20e79ae3154ae4",
-    "energies": "40985aed4631719eb7d33bd42b102152928112750aea4373a32c86387f3d2aa7",
+    "hermitian_h": "e68f6d41da93e596eed1635fb6316c4d90974fabd525d7810341739140465977",
+    "states": "05642031498e14d8837c8e5a836f5e13843fa0ebaa737705d4e9c66ee214eee4",
+    "propagator": "bcabc7c10629b0bc880c4236ca1eaeefe70772fb37059e88e9a80d62455764b6",
+    "energies": "3fec699ffd73400bab7b9ea8caa596d53dcc69177eef13468b155186707e668b",
     "invariants": "8c6696c138580a05406765eda32ed7c363157e43d1c30aefab11f595c341da1e",
-    "report": "79dba62a8c6a3a153da3685abaf892db5bb61f6610b4d77c6c0db758ed4cede8",
+    "report": "ceab663fdb749f7b607a2f69fd64739efef3049daf8e7a18d0d14911088e1b57",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "02307d27e82d28d81ab63bb1b23e8f0587621c8d9db98d150e9d8dbdfd39b6df"
 
@@ -1610,13 +1659,9 @@ def test_a_run_without_outputs_forks_nothing_and_writes_the_report_alone(tmp_pat
     assert os.listdir(tmp_path / "out") == ["report.json"]
 
 
-def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_pass(monkeypatch):
+def test_a_propagator_failure_in_a_later_chunk_names_the_time_of_one_pass(monkeypatch):
     # a source 40 times as large from t = 3.5 on fails the local error check
-    # at step 400 (t = 4), in the third chunk; one that is not Hermitian from
-    # t = 2.5 on, over the last 3 of the 4 chunks, draws one warning, at the
-    # first stage time after that; one pass checks every stage time before
-    # its first step, so a source both large from t = 3.5 and not Hermitian
-    # from t = 4.5 on warns at t = 4.505 before it fails at t = 4
+    # at step 400 (t = 4), in the third chunk of 4, with the message of one pass
     p = cli.YangLeeParams(gamma=0.5, omega=1.0)
     grid = IntegrationGrid(0.0, 6.05, 0.01)
     rho0 = cli.rho_closed(0.0, p)
@@ -1624,26 +1669,10 @@ def test_a_propagator_failure_or_warning_in_a_later_chunk_names_the_time_of_one_
     def large(t):
         return cli.rabi_h(t, p) * np.where(t > 3.5, 40.0, 1.0)[:, None, None]
 
-    def leaky(t, after=2.5):
-        return cli.rabi_h(t, p) + np.where(t > after, 1e-3j, 0.0)[:, None, None] * np.eye(2)
-
-    def both(t):
-        return large(t) + leaky(t, after=4.5) - cli.rabi_h(t, p)
-
-    messages, warned, failing = [], [], []
+    messages = []
     for chunk_steps in (10**9, CHUNK):
         monkeypatch.setattr(cli, "CHUNK_STEPS", chunk_steps)
         with pytest.raises(StepTooLarge) as info:
             list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, large))
         messages.append(str(info.value))
-        with pytest.warns(UserWarning) as record:
-            list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, leaky))
-        warned.append([str(w.message) for w in record])
-        with pytest.warns(UserWarning) as record, pytest.raises(StepTooLarge) as info:
-            list(cli._numeric_chunks(grid, cli.h1_su2(p), rho0, both))
-        failing.append(([str(w.message) for w in record], str(info.value)))
     assert messages[0] == messages[1] and "at t = 4;" in messages[0]
-    assert failing[0] == failing[1] and failing[0][1] == messages[0] and len(failing[0][0]) == 1
-    assert failing[0][0][0].startswith("Hamiltonian source is not Hermitian at t = 4.505 ")
-    assert warned[0] == warned[1] and len(warned[0]) == 1
-    assert warned[0][0].startswith("Hamiltonian source is not Hermitian at t = 2.505 ")

@@ -158,6 +158,32 @@ def test_step_too_large_names_the_reference_time(every):
     assert float(t_ref) > t0
 
 
+@pytest.mark.parametrize("every", [1, 10])
+def test_an_overflowing_step_is_too_large(every):
+    # from t = 1 on the generator is 1e200 times larger, its steps overflow
+    # and the local error estimate is NaN, which compares False with any
+    # bound: it raises as too large, at the same step in both integrators
+    # (and at step 0 for a constant one), instead of integrating on
+    def huge(t):
+        t = np.asarray(t, dtype=float)[..., None, None]
+        return np.where(t > 1.0, 1e200, 1.0) * B[0]
+
+    t0, dt, n, bound = 0.0, 0.05, 60, 1e-3
+    times = stage_times(t0, dt, n, bound, every)
+    calls = [
+        lambda: rk4_series(lambda t, y: huge(t) @ y, np.ones(2), t0, dt, n, bound, every),
+        lambda: rk4_linear(huge(times), np.ones(2), t0, dt, n, bound, every),
+        lambda: rk4_linear(1e200 * B[0], np.ones(2), t0, dt, n, bound, every),
+    ]
+    messages = []
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge) as err:
+            call()
+        messages.append(str(err.value))
+    expected = "local error estimate nan exceeds 1.000e-03 at t = {}; reduce dt"
+    assert messages == [expected.format(1), expected.format(1), expected.format(0)]
+
+
 def test_stage_rows_and_shapes_are_checked():
     times = stage_times(0.0, 1e-2, 10)
     with pytest.raises(ValueError, match="stage rows"):
