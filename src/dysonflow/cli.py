@@ -51,9 +51,10 @@ from . import __version__
 from ._parallel import _fork_map
 from .dyson import (
     DysonSample,
+    dyson_forms,
     dyson_from_metric,
-    hermitian_counterpart,
-    physical_hamiltonian,
+    dyson_relation_forms,
+    quasi_hermiticity_form,
     quasi_hermiticity_residual,
 )
 from .errors import ConfigInvalid, DysonflowError, StepTooLarge, UnsupportedHamiltonian
@@ -63,6 +64,7 @@ from .metric import (
     _require_flow_solvable,
     integrate_metric_from,
     metric_rhs,
+    metric_rhs_form,
     positivity_margin,
     zeta_metric,
     zeta_metric_dot,
@@ -74,12 +76,16 @@ from .su2 import (
     dagger,
     det,
     frobenius_norm,
-    hermitian_part,
     hermitian_sqrt,
-    hermitian_sqrt_derivative,
     hermiticity_residual,
     mul,
+    pauli_compose,
     pauli_decompose,
+    pauli_det,
+    pauli_form,
+    pauli_norm,
+    pauli_product,
+    require_hpd,
 )
 from .yang_lee import (
     YangLeeParams,
@@ -89,6 +95,7 @@ from .yang_lee import (
     eta_closed,
     h1_su2,
     psi_pm,
+    rabi_form,
     rabi_h,
     rho_closed,
     rho_closed_dot,
@@ -386,9 +393,9 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     A table's columns are 1-D float arrays, t first; a complex stack fills
     eight columns per matrix (or four per state), real part first.
     ``metric`` returns the alpha, beta_x, beta_y, beta_z and det_rho
-    columns, ``h`` the stack of h, and ``invariants`` and ``energies`` each a
-    name -> column map, so what only those tables show is computed only
-    when they are written. Tables that show the same values hold the same
+    columns, ``eta`` and ``h`` the stacks of eta and h, and ``invariants``
+    and ``energies`` each a name -> column map, so what only those tables
+    show is computed only when they are written. Tables that show the same values hold the same
     column objects: every table starts with ``ts``, and states is
     propagator in another order. Every scenario carries its propagator
     stack ``u``, so every table exists for every scenario.
@@ -405,7 +412,7 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     phi = [u_columns[k] for k in (0, 1, 4, 5, 2, 3, 6, 7)]
     return {
         "metric": lambda: (["t", "alpha", "beta_x", "beta_y", "beta_z", "det_rho"], [ts, *metric()]),
-        "dyson": matrix("eta", lambda: eta),
+        "dyson": matrix("eta", eta),
         "hermitian_h": matrix("h", h),
         "states": lambda: (["t", *_state_header("phi1"), *_state_header("phi2")], [ts, *phi]),
         "propagator": lambda: (["t", *_matrix_header("u")], [ts, *u_columns]),
@@ -414,27 +421,27 @@ def _series(ts, metric, eta, h, invariants, u, energies):
     }
 
 
-def _metric_columns(rho, dets):
-    """The metric table's columns of a stack rho: its Pauli split alpha, beta_x, beta_y, beta_z, then det rho."""
-    return (*(c.real for c in pauli_decompose(rho)), dets)
+def _chain_columns(hm, rho, dys: DysonSample, det_closed):
+    """rho's real Pauli form, det rho, h and the residuals of the chain rho -> eta -> (h, Htilde) of a numeric chunk.
 
-
-def _chain_columns(hm, rho, dys: DysonSample, h, det_closed):
-    """det rho, Htilde and the residuals of the chain rho -> eta -> (h, Htilde) that every scenario checks.
-
-    Each is a build, formed on its first call and then kept, as are ``h``
-    and ``det_closed``. The residuals are invariant columns: det_deviation
-    |det rho - det_closed|, eta_sq_residual |eta^2 - rho|, h_hermiticity of
-    h, and htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot for
-    the static ``hm``.
+    All are formed in real Pauli forms (su2.pauli_form) from the metric
+    stack ``rho`` and the sample's ``forms``, each a build, formed on its
+    first call and then kept, as is ``det_closed``; h is the pair of forms
+    (re, im) of the raw counterpart of the static ``hm`` (see
+    dyson_relation_forms). The residuals are invariant columns:
+    det_deviation |det rho - det_closed|, eta_sq_residual |eta^2 - rho|,
+    h_hermiticity |h - h^dag| = 2 |im|, the raw h's anti-Hermitian rest,
+    and htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot.
     """
-    dets = cache(lambda: det(rho).real)
-    h_tilde = cache(lambda: physical_hamiltonian(hm, dys))
-    return dets, h_tilde, {
+    eta, eta_dot = dys.forms
+    form = cache(lambda: pauli_form(rho))
+    dets = cache(lambda: pauli_det(form()))
+    relation = cache(lambda: dyson_relation_forms(hm, eta, eta_dot))
+    return form, dets, lambda: relation()[0], {
         "det_deviation": cache(lambda: np.abs(dets() - det_closed())),
-        "eta_sq_residual": cache(lambda: frobenius_norm(mul(dys.eta, dys.eta) - rho)),
-        "h_hermiticity": cache(lambda: hermiticity_residual(h())),
-        "htilde_quasi_hermiticity": cache(lambda: quasi_hermiticity_residual(h_tilde(), rho)),
+        "eta_sq_residual": cache(lambda: pauli_norm(pauli_product(eta, eta)[0] - form())),
+        "h_hermiticity": cache(lambda: 2.0 * pauli_norm(relation()[0][1])),
+        "htilde_quasi_hermiticity": cache(lambda: quasi_hermiticity_form(relation()[1], form())),
     }
 
 
@@ -576,7 +583,9 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
 
     Every caller builds every closed check, so the step forms the closed
     forms and the samples that several checks or tables share up front; its
-    checks are builds over them, as _run_chunks takes them.
+    checks are builds over them, as _run_chunks takes them. Its chain
+    residuals stay 2x2 matrix products (su2.mul), so its tables keep their
+    bits; the numeric pipeline runs the chain in real Pauli forms.
     """
     h1 = h1_su2(p)
     h1m = h1.matrix()
@@ -596,10 +605,18 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
     def step(rows, ts):
         rho = rho_closed(ts, p)
         dys = eta_closed(ts, p)
-        eta = dys.eta
+        eta, eta_dot, inv = dys.eta, dys.eta_dot, dys.eta_inverse
+        del dys  # and its real Pauli forms, which no check reads
         h = rabi_h(ts, p)
         u = u_closed(ts, p)
-        dets, h_tilde, chain = _chain_columns(h1m, rho, dys, lambda: h, lambda: p.phi**4 / p.gamma**2)
+        dets = cache(lambda: det(rho).real)
+        h_tilde = cache(lambda: h1m + 1j * mul(inv, eta_dot))
+        chain = {
+            "det_deviation": cache(lambda: np.abs(dets() - p.phi**4 / p.gamma**2)),
+            "eta_sq_residual": cache(lambda: frobenius_norm(mul(eta, eta) - rho)),
+            "h_hermiticity": cache(lambda: hermiticity_residual(h)),
+            "htilde_quasi_hermiticity": cache(lambda: quasi_hermiticity_residual(h_tilde(), rho)),
+        }
         psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
         phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
         e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
@@ -611,7 +628,7 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
         for psi, phi, energy, e_t in ((psi_p, phi_p, e_p, e_plus), (psi_m, phi_m, e_m, e_minus)):
             psi_resid.append(np.linalg.norm(_apply(h1m, psi) - energy * psi, axis=1))
             # phi = eta Psi solves the Hermitian equation; the derivative is analytic
-            d_phi = _apply(dys.eta_dot, psi) - 1j * energy * _apply(eta, psi)
+            d_phi = _apply(eta_dot, psi) - 1j * energy * _apply(eta, psi)
             phi_resid.append(np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1))
             energy_h.append(np.abs(_braket(phi, h, phi).real - e_t))
             energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde(), psi)).real - e_t))
@@ -628,7 +645,9 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
             "eta_squared_matches_rho": lambda: (chain["eta_sq_residual"](), 1e-10),
             "eta_hermitian": lambda: (hermiticity_residual(eta), 1e-12),
             "h_hermitian": lambda: (chain["h_hermiticity"](), 1e-12),
-            "dyson_relation": lambda: (frobenius_norm(hermitian_counterpart(h1m, dys) - h), 1e-9),
+            "dyson_relation": lambda: (
+                frobenius_norm(mul(mul(eta, h1m), inv) + 1j * mul(eta_dot, inv) - h), 1e-9
+            ),
             "htilde_quasi_hermitian": lambda: (chain["htilde_quasi_hermiticity"](), 1e-9),
             "h1_not_quasi_hermitian": lambda: (quasi_hermiticity_residual(h1m, rho), 1e-2, "min_gt"),
             "inner_product_unit": lambda: (ip_unit, 1e-9),
@@ -645,7 +664,7 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
         }
         invariants = lambda: {**{name: build() for name, build in chain.items()}, "u_unitarity": u_unitarity}
         series = _series(
-            ts, lambda: _metric_columns(rho, dets()), eta, lambda: h, invariants,
+            ts, lambda: (*(c.real for c in pauli_decompose(rho)), dets()), lambda: eta, lambda: h, invariants,
             u, lambda: {"E_plus": e_plus, "E_minus": e_minus},
         )
         return checks, series
@@ -670,10 +689,10 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     other check its Hermitian part h_num. What several checks or tables
     share, h, Htilde, the closed form and the chain residuals, is formed
     once per chunk, on first use, so a check not built costs nothing.
-    ``oracle(rows, ts, rho, dys, u, h_num, unitarity)``, given, with builds
-    of h_num and of the unitarity, returns the chunk's further (checks,
-    invariant columns, energies) builds, the energies replacing those of the
-    evolved basis states. So the two numeric scenarios differ only in their
+    ``oracle(rows, ts, rho, dys, u, h, h_num, unitarity)``, given, with
+    builds of h's pair of Pauli forms, of h_num and of the unitarity,
+    returns the chunk's further (checks, invariant columns, energies)
+    builds, the energies replacing those of the evolved basis states. So the two numeric scenarios differ only in their
     source and their oracle. Returns the chunks and the step over one chunk,
     as _run_chunks takes them.
     """
@@ -682,17 +701,16 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
 
     def chunk(rows, ts, rho_num, dys, u):
         ref = cache(lambda: zeta_metric(ts, h, zeta))
-        rho_ref = cache(lambda: ref().matrix())
-        h_raw = cache(lambda: hermitian_counterpart(hm, dys))
-        h_num = cache(lambda: hermitian_part(h_raw()))
-        dets, _h_tilde, chain = _chain_columns(hm, rho_num, dys, h_raw, lambda: positivity_margin(ref()))
-        dev_metric = cache(lambda: frobenius_norm(rho_num - rho_ref()))
+        ref_form = cache(lambda: ref().form())
+        form, dets, h_forms, chain = _chain_columns(hm, rho_num, dys, lambda: positivity_margin(ref()))
+        h_num = cache(lambda: pauli_compose(*h_forms()[0]))
+        dev_metric = cache(lambda: pauli_norm(form() - ref_form()))
         unitarity = cache(lambda: _unitarity(u))
 
         def flow_resid():
             # the flow of the closed form against its analytic derivative
             at = _rows_in(sub, rows)
-            return frobenius_norm(metric_rhs(h, rho_ref()[at]) - zeta_metric_dot(ts[at], h, zeta).matrix())
+            return pauli_norm(metric_rhs_form(h, ref_form()[:, at]) - zeta_metric_dot(ts[at], h, zeta).form())
 
         checks = {
             "metric_flow_residual_fd": lambda: (flow_resid(), 1e-9),
@@ -712,12 +730,12 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
         energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num(), u[:, :, k]).real for k in (0, 1)}
         columns = dict  # no oracle, no further invariant columns
         if oracle is not None:
-            more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_num, unitarity)
+            more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_forms, h_num, unitarity)
             checks.update(more)
         invariants = lambda: {
             "metric_vs_closed": dev_metric(), **{name: build() for name, build in chain.items()}, **columns()
         }
-        return checks, _series(ts, lambda: _metric_columns(rho_num, dets()), dys.eta, h_num, invariants, u, energies)
+        return checks, _series(ts, lambda: (*form(), dets()), lambda: dys.eta, h_num, invariants, u, energies)
 
     rho0 = zeta_metric(grid.t_start, h, zeta).matrix()
     return _numeric_chunks(grid, h, rho0, source), chunk
@@ -727,20 +745,19 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     """Exact Hermitian Hamiltonian source of the closed-form metric, batched in t.
 
     Given a 1-D array of times, the source evaluates the zeta_metric
-    coefficients at all of them and returns the (m, 2, 2) stack of the
-    Hermitian part of hermitian_counterpart, so the propagator integrates no
-    anti-Hermitian rounding rest. rho_dot is the flow -i (H^dag rho - rho H)
-    itself, eta = sqrt(rho) the closed-form root and eta_dot its analytic
-    derivative, the solution of eta X + X eta = rho_dot; no step is a finite
-    difference.
+    coefficients at all of them and returns the (m, 2, 2) stack composed
+    from the real form of the Hermitian counterpart h (dyson_relation_forms),
+    exactly Hermitian, so the propagator integrates no anti-Hermitian
+    rounding rest. eta = sqrt(rho) and eta_dot come from require_hpd and
+    dyson_forms, as dyson_from_metric forms them for a MetricFlow: the
+    closed-form root and its analytic derivative along the flow
+    -i (H^dag rho - rho H); no step is a finite difference.
     """
     hm = h.matrix()
 
     def source(t):
-        rho = zeta_metric(t, h, zeta).matrix()
-        eta = hermitian_sqrt(rho)
-        eta_dot = hermitian_sqrt_derivative(eta, metric_rhs(h, rho))
-        return hermitian_part(hermitian_counterpart(hm, DysonSample(t=t, eta=eta, eta_dot=eta_dot)))
+        rho = require_hpd(zeta_metric(t, h, zeta).matrix())
+        return pauli_compose(*dyson_relation_forms(hm, *dyson_forms(h, *rho))[0][0])
 
     return source
 
@@ -759,16 +776,17 @@ def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
     h1, zeta = h1_su2(p), rho_closed_constants(p)
     eta_start = hermitian_sqrt(zeta_metric(grid.t_start, h1, zeta).matrix())  # the first row of the numeric eta
 
-    def oracle(rows, ts, rho_num, dys, u_num, h_num, unitarity):
-        dev_eta = cache(lambda: frobenius_norm(dys.eta - eta_closed(ts, p).eta))
-        dev_h = cache(lambda: frobenius_norm(h_num() - rabi_h(ts, p)))
+    def oracle(rows, ts, rho_num, dys, u_num, h, h_num, unitarity):
+        # eta and h against their closed forms in real Pauli forms, neither composed
+        dev_eta = cache(lambda: pauli_norm(dys.forms[0] - eta_closed(ts, p).forms[0]))
+        dev_h = cache(lambda: pauli_norm(h()[0] - rabi_form(ts, p)))
         dev_u = cache(lambda: frobenius_norm(u_num - mul(u_closed(ts, p), u_start)))
 
         @cache
         def u_big():
             # the non-Hermitian-picture propagator keeps rho norms but not flat ones
             at = _rows_in(sub, rows)
-            return at, mul(mul(dys.eta_inverse[at], u_num[at]), eta_start)
+            return at, mul(mul(dys[at].eta_inverse, u_num[at]), eta_start)
 
         def rho_inner():
             at, big = u_big()

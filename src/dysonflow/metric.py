@@ -31,6 +31,8 @@ from .errors import UnsupportedHamiltonian
 from .series import IntegrationGrid, TimeSeries
 from .su2 import (
     IDENTITY,
+    _cross3,
+    _dot,
     complex2x2,
     complex2x2_stack,
     dagger,
@@ -98,6 +100,10 @@ class MetricState:
         object.__setattr__(self, "beta_vec", beta)
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float)[()])
 
+    def form(self) -> np.ndarray:
+        """rho's real Pauli form (alpha, beta), a (4, ...) array over the times (su2.pauli_form)."""
+        return np.concatenate(([self.alpha], np.moveaxis(self.beta_vec, -1, 0)))
+
     def matrix(self) -> np.ndarray:
         """rho, one (2, 2) matrix or the (..., 2, 2) stack over the times."""
         return pauli_compose(self.alpha, *np.moveaxis(self.beta_vec, -1, 0))
@@ -113,19 +119,10 @@ class ZetaConstants:
     c4: float
 
 
-def _dot3(a, b):
-    """Dot products of real 3-vectors along the last axis, summed entry by entry."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _cross3(a, b):
-    """The components of the cross product a x b of two real 3-vectors, each formed as np.cross forms it."""
-    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
-
-
 def positivity_margin(state: MetricState):
     """det rho = alpha^2 - beta.beta at each time; positive exactly when the metric is valid."""
-    return state.alpha**2 - _dot3(state.beta_vec, state.beta_vec)
+    beta = np.moveaxis(state.beta_vec, -1, 0)
+    return state.alpha**2 - _dot(beta, beta)
 
 
 def _require_flow_solvable(h: SU2Hamiltonian):
@@ -134,11 +131,11 @@ def _require_flow_solvable(h: SU2Hamiltonian):
         raise UnsupportedHamiltonian(
             f"closed forms require lambda0 = 0, got {h.lambda0:.6g}"
         )
-    k2 = float(_dot3(h.kappa_vec, h.kappa_vec))
-    l2 = float(_dot3(h.lambda_vec, h.lambda_vec))
+    k2 = float(_dot(h.kappa_vec, h.kappa_vec))
+    l2 = float(_dot(h.lambda_vec, h.lambda_vec))
     if k2 <= 0.0:
         raise UnsupportedHamiltonian("kappa_vec must be nonzero")
-    if abs(float(_dot3(h.kappa_vec, h.lambda_vec))) > ORTHOGONALITY_TOL:
+    if abs(float(_dot(h.kappa_vec, h.lambda_vec))) > ORTHOGONALITY_TOL:
         raise UnsupportedHamiltonian(
             "closed forms require kappa_vec.lambda_vec = 0; "
             "use integrate_metric for the general case"
@@ -210,6 +207,24 @@ def metric_rhs(h: SU2Hamiltonian, rho) -> np.ndarray:
     rho = complex2x2_stack(rho)
     hm = h.matrix()
     return -1j * (mul(dagger(hm), rho) - mul(rho, hm))
+
+
+def metric_rhs_form(h: SU2Hamiltonian, rho) -> np.ndarray:
+    """metric_rhs in real Pauli forms: alpha' = -alpha lambda0 - beta.l, beta' = k x beta - lambda0 beta - alpha l.
+
+    ``rho`` is the real Pauli form (alpha, beta) of one metric or a (4, ...)
+    stack of them (su2.pauli_form); the result is the form of rho', with no
+    matrix product.
+    """
+    alpha, beta = rho[0], rho[1:]
+    k, l, lambda0 = h.kappa_vec, h.lambda_vec, h.lambda0
+    out, term = np.empty(np.shape(rho)), np.empty(np.shape(alpha))  # each product in place, one temporary
+    np.multiply(-alpha, lambda0, out=out[0, ...])
+    out[0, ...] -= _dot(beta, l)
+    for i, (c, b, x) in enumerate(zip(_cross3(k, beta), beta, l), 1):
+        np.subtract(c, np.multiply(lambda0, b, out=term), out=out[i, ...])
+        out[i, ...] -= np.multiply(alpha, x, out=term)
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,12 @@ stacks where a kernel says so). Each 2x2 rule the package applies
 norm, Hermiticity residual, Hermitian positive-definite check, Pauli split
 ``pauli_decompose(m) -> (a0, ax, ay, az)`` and Pauli sum
 ``pauli_compose(a0, ax, ay, az)``, Hermitian square root and its
-derivative) is coded here once.
+derivative) is coded here once. So is the real Pauli kernel of the
+Hermitian chain: a Hermitian a0 I + a.sigma is its real Pauli form, the
+float (4, ...) array (a0, ax, ay, az) of ``pauli_form``, which the root
+(``pauli_sqrt``), its derivative (``pauli_sqrt_derivative``) and the
+product (``pauli_product``) take and give in real arithmetic; the matrix
+root and its derivative are a decompose, that kernel and a compose.
 
 Every stack the package builds is stored entry-major: a (..., 2, k) stack
 has the memory layout of a C-ordered (2, k, ...) array, so each entry
@@ -26,6 +31,8 @@ entry-major operands and 0.23 ms on C-ordered ones, whose entries are
 64-byte-strided views. No series the package computes goes through ``@``,
 so its bits do not depend on the BLAS kernel.
 """
+
+import math
 
 import numpy as np
 
@@ -108,9 +115,33 @@ def pauli_compose(a0, ax, ay, az) -> np.ndarray:
     """The sum a0*I + ax*sigma_x + ay*sigma_y + az*sigma_z, added in that order.
 
     Coefficients of shapes that broadcast to (...) give the (..., 2, 2)
-    stack, built entry by entry.
+    stack, built entry by entry. Real finite coefficients build each entry
+    from its two nonzero terms, with the bits of the complex sum, signed
+    zeros included: the imaginary parts are 0, -ay + 0 and ay + 0, and a
+    real part that is zero takes the sign of the sum's zero terms too, the
+    products x * 0 of the other coefficients by zero Pauli entries.
+    Complex coefficients, and real ones with an inf or NaN, take the
+    complex sum itself, with its bits.
     """
     coeffs = [np.asarray(x) for x in (a0, ax, ay, az)]
+    lead = np.broadcast_shapes(*(x.shape for x in coeffs))
+    if not any(np.iscomplexobj(x) for x in coeffs) and all(np.isfinite(x).all() for x in coeffs):
+        a0, ax, ay, az = (x.astype(float, copy=False) for x in coeffs)
+        out = _entry_major(lead)
+        re = [[out[..., i, j].real for j in range(2)] for i in range(2)]
+        np.add(a0, az, out=re[0][0])
+        np.subtract(a0, az, out=re[1][1])
+        np.add(ax, 0.0, out=re[0][1])
+        # the zero terms decide a zero's sign only where ax is -0, or a0 and az both zero
+        np.add(ax, 0.0 if np.all(ax) or not np.signbit(ax).any() else (a0 * 0.0 + ay * 0.0) + az * 0.0, out=re[1][0])
+        np.subtract(0.0, ay, out=out[..., 0, 1].imag)
+        np.add(ay, 0.0, out=out[..., 1, 0].imag)
+        out[..., 0, 0].imag[...] = out[..., 1, 1].imag[...] = 0.0
+        if not (np.all(a0) or np.all(az)):
+            zxy = ax * 0.0 + ay * 0.0
+            re[0][0] += zxy
+            re[1][1] += zxy
+        return out
 
     def entry(i, j):
         out = coeffs[0] * IDENTITY[i, j]
@@ -118,7 +149,60 @@ def pauli_compose(a0, ax, ay, az) -> np.ndarray:
             out = out + x * sigma[i, j]
         return out
 
-    return _entrywise(np.broadcast_shapes(*(x.shape for x in coeffs)), entry)
+    return _entrywise(lead, entry)
+
+
+def pauli_form(m) -> np.ndarray:
+    """The real Pauli form (a0, ax, ay, az) of the Hermitian part of m, a float (4, ...) array.
+
+    Each row is contiguous over the stack. The form drops m's anti-Hermitian
+    part, so a check of that part reads the matrix (require_hpd).
+    """
+    re, im = np.real(m), np.imag(m)
+    form = np.empty((4, *np.shape(m)[:-2]))
+    np.add(re[..., 0, 0], re[..., 1, 1], out=form[0, ...])
+    np.add(re[..., 0, 1], re[..., 1, 0], out=form[1, ...])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=form[2, ...])
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=form[3, ...])
+    form *= 0.5
+    return form
+
+
+def _dot(a, b):
+    """a.b of two 3-vectors given as their components (arrays or scalars), summed in index order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross3(a, b):
+    """The components of the cross product a x b of two real 3-vectors, each formed as np.cross forms it."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def pauli_product(a, b):
+    """(a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma of real Pauli forms.
+
+    Returns the product's real part, the form (a0 b0 + a.b, a0 b + b0 a),
+    and its imaginary part, the (3, ...) vector a x b on sigma: the
+    product is Hermitian exactly when a x b = 0, as for a form times
+    itself.
+    """
+    a0, a, b0, b = a[0], a[1:], b[0], b[1:]
+    return np.concatenate(([a0 * b0 + _dot(a, b)], a0 * b + b0 * a)), np.stack(_cross3(a, b))
+
+
+def pauli_det(p):
+    """det (a0 I + a.sigma) = a0^2 - a.a of a real Pauli form."""
+    return p[0] * p[0] - _dot(p[1:], p[1:])
+
+
+def pauli_norm(p):
+    """Frobenius norm sqrt(2 (a0^2 + a.a)) of the Hermitian matrix whose real Pauli form is p."""
+    squares = p[1] * p[1]  # summed as 2 (a0^2 + a.a) with a.a in index order, each step in place
+    squares += p[2] * p[2]
+    squares += p[3] * p[3]
+    squares += p[0] * p[0]
+    squares *= 2.0
+    return np.sqrt(squares)
 
 
 def dagger(m) -> np.ndarray:
@@ -222,14 +306,18 @@ def _first_invalid(bad: np.ndarray):
 
 
 def require_hpd(m):
-    """Check that m is Hermitian positive definite; return its Hermitian part, trace, det.
+    """Check that m is Hermitian positive definite; return its real Pauli form and sqrt(det).
 
     Accepts one (2, 2) matrix or a (..., 2, 2) stack. The first matrix that
-    is not Hermitian within HERMITICITY_TOL (Frobenius) raises
-    NotHermitian; the first whose Hermitian part has a trace or determinant
-    <= 0 raises NotPositiveDefinite. Its position is in the message and in
-    the error's ``index`` (None for a single matrix). The trace and the
-    determinant are real, of the stack's shape.
+    is not Hermitian within HERMITICITY_TOL (Frobenius, on the matrix,
+    before pauli_form drops the anti-Hermitian part) raises NotHermitian.
+    The first whose Hermitian part alpha I + beta.sigma is not positive
+    definite raises NotPositiveDefinite: that needs alpha > 0 and the
+    determinant scaled by alpha^2, q = 1 - |beta/alpha|^2, > 0, which does
+    not overflow where alpha^2 would; a NaN fails both.
+    Its position is in the message and in the error's ``index`` (None for
+    a single matrix). Returns the form (4, ...) and s = sqrt(det) =
+    alpha sqrt(q) of the stack's shape, the arguments of pauli_sqrt.
     """
     m = complex2x2_stack(m)
     residual = hermiticity_residual(m)
@@ -240,56 +328,82 @@ def require_hpd(m):
             f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {HERMITICITY_TOL:.1e}",
             index=i,
         )
-    sym = hermitian_part(m)
-    tr = (sym[..., 0, 0] + sym[..., 1, 1]).real
-    d = det(sym).real
-    bad = (d <= 0.0) | (tr <= 0.0)
+    rho = pauli_form(m)
+    alpha, beta = rho[0], rho[1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # each such sample is refused below
+        w = beta / alpha
+        q = 1.0 - _dot(w, w)
+    bad = ~((alpha > 0.0) & (q > 0.0))
     if np.any(bad):
         i, where = _first_invalid(bad)
+        a, *b = (float(x) for x in rho[:, bad][:, 0])
+        norm = math.hypot(*b)
         raise NotPositiveDefinite(
-            f"{where}not positive definite: tr = {tr[bad][0]:.6g}, det = {d[bad][0]:.6g}",
+            f"{where}not positive definite: tr = {2.0 * a:.6g}, det = {(a - norm) * (a + norm):.6g}",
             index=i,
         )
-    return sym, tr, d
+    return rho, alpha * np.sqrt(q)
+
+
+def pauli_sqrt(rho, s) -> np.ndarray:
+    """Real Pauli form of the principal square root of a Hermitian positive-definite form.
+
+    ``rho`` = alpha I + beta.sigma and s = sqrt(det rho) are what
+    require_hpd returns. The root is the closed form (B. W. Levinger,
+    Math. Mag. 53, 1980)
+
+        eta = ((alpha + s) I + beta.sigma) / r,    r = sqrt(2 (alpha + s)),
+
+    so e0 = (alpha + s) / r = r / 2 and e = beta / r: Hermitian positive
+    definite, and c I maps to sqrt(c) I.
+    """
+    r = np.sqrt(2.0 * (rho[0] + s))
+    eta = rho / r
+    eta[0] = 0.5 * r
+    return eta
+
+
+def pauli_sqrt_derivative(eta, rho_dot) -> np.ndarray:
+    """Real Pauli form of the X solving eta X + X eta = rho_dot, for real Pauli forms eta and rho_dot.
+
+    This Sylvester equation defines the Frechet derivative of the principal
+    square root (N. J. Higham, Functions of Matrices, SIAM 2008, ch. 6). By
+    the product rule eta X + X eta = 2 (e0 x0 + e.x) + 2 (e0 x + x0 e).sigma,
+    so for rho_dot = r0 + r.sigma
+
+        x0 = (e0 r0 - e.r) / (2 det eta),    x = (r/2 - x0 e) / e0,
+
+    with det eta = e0^2 - e.e. eta must be a root from pauli_sqrt, whose e0
+    and determinant are positive.
+    """
+    e0, e, r0, r = eta[0], eta[1:], rho_dot[0], rho_dot[1:]
+    x = np.empty(np.broadcast_shapes(eta.shape, rho_dot.shape))
+    x[0] = (e0 * r0 - _dot(e, r)) / (2.0 * pauli_det(eta))
+    np.multiply(0.5, r, out=x[1:])
+    x[1:] -= x[0] * e
+    x[1:] /= e0
+    return x
 
 
 def hermitian_sqrt(m) -> np.ndarray:
     """Principal square root of Hermitian positive-definite 2x2 matrices.
 
     Accepts one (2, 2) matrix or a (..., 2, 2) stack and returns the same
-    shape. Each root is the closed form (B. W. Levinger, Math. Mag. 53, 1980)
-
-        sqrt(m) = (m + s I) / sqrt(tr m + 2 s),    s = sqrt(det m),
-
-    taken of the Hermitian part of m, so the result is Hermitian positive
-    definite and c I maps to sqrt(c) I. Invalid matrices raise as in
-    require_hpd.
+    shape: require_hpd checks and decomposes m, pauli_sqrt roots the form
+    of its Hermitian part and pauli_compose builds the matrices, which are
+    Hermitian positive definite. Invalid matrices raise as in require_hpd.
     """
-    sym, tr, d = require_hpd(m)
-    s = np.asarray(np.sqrt(d))
-    scale = np.sqrt(tr + 2.0 * s)
-    return _entrywise(s.shape, lambda i, j: np.divide(sym[..., i, j] + s * IDENTITY[i, j], scale))
+    return pauli_compose(*pauli_sqrt(*require_hpd(m)))
 
 
 def hermitian_sqrt_derivative(eta, rho_dot) -> np.ndarray:
     """Time derivative of eta = sqrt(rho): the X solving eta X + X eta = rho_dot.
 
-    This Sylvester equation defines the Frechet derivative of the principal
-    square root (N. J. Higham, Functions of Matrices, SIAM 2008, ch. 6).
-    For 2x2 eta, Cayley-Hamilton gives its solution in closed form,
-
-        X = (adj(eta) rho_dot adj(eta) + det(eta) rho_dot) / (2 tr(eta) det(eta)),
-
-    with adj(eta) = tr(eta) I - eta. Batched over (..., 2, 2) stacks; eta
-    must be a root returned by hermitian_sqrt, whose trace and determinant
-    are positive.
+    pauli_sqrt_derivative on the real Pauli forms of eta and rho_dot (both
+    taken as Hermitian: pauli_form drops any anti-Hermitian part), composed.
+    Batched over (..., 2, 2) stacks; eta must be a root returned by
+    hermitian_sqrt, whose trace and determinant are positive.
     """
     eta = complex2x2_stack(eta)
     rho_dot = complex2x2_stack(rho_dot)
-    tr = np.asarray(eta[..., 0, 0] + eta[..., 1, 1])
-    d = np.asarray(det(eta))
-    adj = _entrywise(tr.shape, lambda i, j: tr * IDENTITY[i, j] - eta[..., i, j])
-    out = mul(mul(adj, rho_dot), adj)  # entry-major, and the in-place steps keep its layout
-    out += d[..., None, None] * rho_dot
-    out /= (2.0 * tr * d)[..., None, None]
-    return out
+    return pauli_compose(*pauli_sqrt_derivative(pauli_form(eta), pauli_form(rho_dot)))

@@ -154,7 +154,8 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     Because p_+^2 - p_-^2 = 2 |p0| identically, the coefficient
     (p_+ - p_-)/(2 |p0|) equals 1/(p_+ + p_-); that regular form is used
     here since |p0| vanishes at t0 modulo one period. An array of times
-    gives one DysonSample holding the (..., 2, 2) stacks.
+    gives one DysonSample over them; it holds the real Pauli forms of eta
+    and eta_dot and composes their (..., 2, 2) stacks on first use.
     """
     s, c = _sin_cos(t, p)
     alpha, beta_x, beta_y = _rho_coeffs(s, c, p)
@@ -162,14 +163,12 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     a = np.sqrt(0.5 * (alpha + delta))
     bx = beta_x / (2.0 * a)
     by = beta_y / (2.0 * a)
-    eta = pauli_compose(a, bx, by, 0.0)
-
     alpha_dot = p.gamma * p.phi * c
     a_dot = alpha_dot / (4.0 * a)
     bx_dot = -p.phi**2 * s / (2.0 * a) - p.phi * c * a_dot / (2.0 * a * a)
     by_dot = -p.phi * c / (2.0 * a) + (1.0 + s) * a_dot / (2.0 * a * a)
-    eta_dot = pauli_compose(a_dot, bx_dot, by_dot, 0.0)
-    return DysonSample(t=np.asarray(t, dtype=float)[()], eta=eta, eta_dot=eta_dot)
+    forms = [np.stack(np.broadcast_arrays(*x, 0.0)) for x in ((a, bx, by), (a_dot, bx_dot, by_dot))]
+    return DysonSample(np.asarray(t, dtype=float)[()], forms=tuple(forms))
 
 
 def _denominator(t, p: YangLeeParams):
@@ -186,7 +185,16 @@ def rabi_h(t, p: YangLeeParams) -> np.ndarray:
     matrix, or an array of times, giving a (..., 2, 2) stack. The -1/2
     goes into the coefficients, so the zero entries are 0.0, never -0.0.
     """
-    return pauli_compose(-0.5 * p.omega, 0.0, 0.0, -0.5 * (2.0 * p.phi**2 / _denominator(t, p)))
+    return pauli_compose(*_rabi_coefficients(t, p))
+
+
+def rabi_form(t, p: YangLeeParams) -> np.ndarray:
+    """rabi_h's real Pauli form (su2.pauli_form), a (4, ...) array over the times."""
+    return np.stack(np.broadcast_arrays(*_rabi_coefficients(t, p)))
+
+
+def _rabi_coefficients(t, p: YangLeeParams):
+    return -0.5 * p.omega, 0.0, 0.0, -0.5 * (2.0 * p.phi**2 / _denominator(t, p))
 
 
 def _phase(t, p: YangLeeParams):

@@ -406,6 +406,31 @@ def rotated_yang_lee_config(lam, out_path, **overrides):
     return cfg
 
 
+def test_h_hermitian_reads_the_raw_h_anti_hermitian_rest():
+    # h_hermitian is twice the norm of the imaginary Pauli form of h, the
+    # rounding rest the kernel computes, never a zero by construction
+    cfg = cli.validate_config(
+        cli.ScenarioConfig(**rotated_yang_lee_config(0.9999, "unused", t_start=0.0, t_end=20.0, dt=0.01))
+    )
+    report, _ = cli.run_scenario(cfg, write_files=False)
+    check = {c.name: c for c in report.checks}["h_hermitian"]
+    assert 0.0 < check.value <= check.tolerance
+    assert report.overall_pass
+
+
+def test_h_stays_accurate_near_the_exceptional_point():
+    # h takes i eta_dot eta^-1 directly (dyson_relation_forms); conjugating
+    # Htilde, whose i eta^-1 eta_dot term is large near the EP, missed rabi_h
+    # by 1.2e-9 here, against 1.7e-12 now
+    p = cli.YangLeeParams(gamma=0.9999, omega=1.0)
+    cfg = cli.validate_config(
+        cli.ScenarioConfig(scenario="yang-lee-numeric", gamma=0.9999, t_start=p.t0, t_end=p.t0 + 100.0, dt=1e-3)
+    )
+    report, _ = cli.run_scenario(cfg, write_files=False)
+    assert {c.name: c.value for c in report.checks}["h_numeric_vs_closed"] < 1e-10
+    assert report.overall_pass
+
+
 def test_su2_generic_propagation_with_lambda_passes(tmp_path):
     # near the exceptional point the finite-difference source of earlier
     # versions broke u_unitary here (1.9e-9); the exact source keeps it at roundoff
@@ -748,26 +773,34 @@ def test_an_overflowing_step_ends_the_run_with_an_error_not_a_traceback(fields, 
 # invariants 3.1e-17 and report 4.2e-20 (h_numeric_vs_closed alone),
 # su2-generic hermitian_h 3.2e-16, energies 2.2e-16, propagator and states
 # 1.1e-16 and report 2.0e-18 (u_unitary alone); h_hermitian, which reads
-# the raw h, kept its value
+# the raw h, kept its value; and every file derived from the chain again
+# when eta, eta_dot, h, Htilde, det rho and the chain's residuals were formed
+# in real Pauli coefficients (su2.pauli_sqrt, dyson.dyson_relation_forms)
+# and the su2-generic source composed the real form of h, max
+# |new - old| numeric metric 2.2e-15 (det_rho), dyson 4.4e-16, hermitian_h
+# 7.8e-16, energies 1.1e-15, invariants 2.2e-15 and report 1.3e-15, the
+# numeric propagator and states keeping their bytes; su2-generic metric
+# 1.8e-15, dyson 4.4e-16, hermitian_h 6.7e-16, propagator and states
+# 1.7e-16, energies 7.8e-16, invariants 2.0e-15 and report 1.3e-15
 GOLDEN_NUMERIC = {
-    "metric": "f761aef7c98bfac605188ecdcea3c14847658a50f0d95f1bab56fb3b05421dc0",
-    "dyson": "080d89c0a96f95a80c21e9144f44ab45e547bf3df564bfbb5fe0fff1dcc67b37",
-    "hermitian_h": "da8765b5d9d5634c2f13b1adb1b3f1f5fea5eeb543534a41d858ee3b6ff31a60",
+    "metric": "59221ac20599370a1040612d8a5a667372a77ec1b042ac7b49939d587842b968",
+    "dyson": "2bc69219c5d331108a597b83ad1b1eb98d9b9e3cb2adda34595a44e4cfe6f68a",
+    "hermitian_h": "eaadc2461be55d896a2e6152ee6d7c6ebae5c5bf54b3ab7de84bf134c4e8bf7b",
     "states": "b3b3a96aba5630ec2b347f41fa825d5db444268933ec8dc8d60377bfcc52b3d7",
     "propagator": "5e975cc78d043962f564f4c4cbe8913120ccd38722a8a3ab12710cb98c6e9b56",
-    "energies": "ace8566d2ac5c2c2652ef4989c356e938fb8f88646fbf4e903dac03cad72a97b",
-    "invariants": "63f4b3fcd2c539eefd055a12e40aed688bd0df16ed89d8c8210da6b06e6e034d",
-    "report": "bd5ac7073e6d1b31f98fae3a78d380c4fd9f38770278d850debae171ecc00197",
+    "energies": "009571ea1068a2ec43ee49f59774eb63c91032ef2816d330b2270d305ba45be1",
+    "invariants": "d9662ec59626cb759dc2d2d2ed048fa8d5b6c892e324d965e09416ff570f0149",
+    "report": "168ff48a2fe9db1a4ae210c749f05713564c3ec235c9659228958c1d4c525976",
 }
 GOLDEN_SU2_GENERIC = {
-    "metric": "4b93520f0264890125febf17ee1dab248e96dd32945b35158aa2abbdfb96b753",
-    "dyson": "a5a7609a3114b65b1c76d7b52aa58fe9d393c57ba5a8d4a386a38cc4b52dd94e",
-    "hermitian_h": "1aab6905bf7c1454151b6403fa15fc603653314cea8b48f29ddb810d59ccf613",
-    "states": "b5e51b021ca4357da923db3feb4ae73ceb6fe6b1eae1871a1f4bc439cf102d2a",
-    "propagator": "5e994be7dc09417cd09dfe7ec13224348fb8dc24d5e579f93e830e66a5868608",
-    "energies": "149ae761f1010dc8d16e4c2cd8297015ac155e69c4c19a7ebe13ebdb0cb66369",
-    "invariants": "ab740251b82f1805d00c82644f20b0f4a179d9b22c9eb7a5241568e60dd1959f",
-    "report": "161c59ecb8e346473e5ef1199d25940a1895dbaa84c732810da552ff69475c3c",
+    "metric": "27109a90415863ad0961b397affd7a57390edcd354a94ad2bf8b3430fa226604",
+    "dyson": "e8263e211901d19263b82d4fa0764b55617476cba38545e2302f0a0c190f5869",
+    "hermitian_h": "60f32f12bee299b930b51f16331a9de13fd89ab4570b3b696f0bf8b25581eca1",
+    "states": "d1af8fb1f5eaf5f37378620e5311d1b9b2ff166b3e2c3c960b19690fd959a44f",
+    "propagator": "5c732e68f3727e6b3e96dccddc7fee3bf93a3c63646ae7fdb79303661f76ba6b",
+    "energies": "3ab6abfd1aeb2df8aa093ca31e47f5fefb4f25041e1a6747d1cae23d74253a57",
+    "invariants": "6b64193d54eb721d37322ed7766cbc7bbd63d7b07cd1be4431662a360aa7792f",
+    "report": "898cf16b05765c0502bd73a293d1e0d12ac59baa33b4c76dc0f6e19b67e66ddf",
 }
 
 
@@ -850,18 +883,20 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
 # with zeta_metric_dot as matrices; hermitian_h, energies, propagator,
 # states and report again (the sweep kept its bytes) with the Hermitian part
 # of h in the tables and the su2 source, by the su2-generic CSV files' max
-# |new - old| above
+# |new - old| above; every file and the sweep (8.9e-16) again with the chain
+# in real Pauli coefficients, by the su2-generic CSV files' max |new - old|
+# above
 GOLDEN_SU2_GENERIC_JSON = {
-    "metric": "b2e58dd63f7ad57724841cb861c7cac1041cdff2fc68a61081e5acc585bc77eb",
-    "dyson": "c5a59878277c521a8b0c01e8c4e639718749ba1740c5e1ae7a02c71ee76f78d3",
-    "hermitian_h": "e68f6d41da93e596eed1635fb6316c4d90974fabd525d7810341739140465977",
-    "states": "05642031498e14d8837c8e5a836f5e13843fa0ebaa737705d4e9c66ee214eee4",
-    "propagator": "bcabc7c10629b0bc880c4236ca1eaeefe70772fb37059e88e9a80d62455764b6",
-    "energies": "3fec699ffd73400bab7b9ea8caa596d53dcc69177eef13468b155186707e668b",
-    "invariants": "8c6696c138580a05406765eda32ed7c363157e43d1c30aefab11f595c341da1e",
-    "report": "ceab663fdb749f7b607a2f69fd64739efef3049daf8e7a18d0d14911088e1b57",
+    "metric": "6dfd6a30a80d449eac732aedf45695ba5170668675ab9de0555d0e9da8de17da",
+    "dyson": "f3b3c2b43772e100922e2a3422cc6c96f2d0709af59ef1aa3fa774f56669411c",
+    "hermitian_h": "caa6b8c3d95f3e7d9efd2604751e1da42522cba3df2ea2b8f4909fa6516a31a6",
+    "states": "4a8bc3033293329158f01c1f9b693a463b1f1762e42a5b1499aa60c954fb4d5c",
+    "propagator": "2e31e232e5a51a374c9edf0aba2579d21228936e2fca60c85aaad1986c2281c9",
+    "energies": "7aaec76289d4c81f38c55e1cd25726c1c68762283054b243b105cf40969d603a",
+    "invariants": "351e50f30d78c8e061ab3f956d892ca3564bb072d673da18b1013658e04563e9",
+    "report": "083c9c2267593e3fb75ec4dea8cf905560e0b9f439e43004fa2ba8e464266a06",
 }
-GOLDEN_SU2_SWEEP_DT_JSON = "02307d27e82d28d81ab63bb1b23e8f0587621c8d9db98d150e9d8dbdfd39b6df"
+GOLDEN_SU2_SWEEP_DT_JSON = "78f9a4678c70b4e80e447ec3725cf2403cc9b66553775f259bce2ebb1a0f1486"
 
 
 def test_su2_generic_json_matches_golden_hashes(tmp_path, monkeypatch):

@@ -289,28 +289,33 @@ def test_invert_dyson_map_names_the_first_singular_matrix():
         invert_dyson_map(stack)
 
 
-@pytest.mark.parametrize("kind", ["series", "sample"])
-def test_counterpart_and_physical_hamiltonian_share_one_inverse(kind, monkeypatch):
+@pytest.mark.parametrize("kind", ["series", "sample", "flow"])
+def test_counterpart_and_physical_hamiltonian_share_one_decomposition(kind, monkeypatch):
+    # both read the sample's real Pauli forms: decomposed once from the
+    # matrices of a sample built from them, and never for a MetricFlow's
+    # sample, which keeps the forms its kernel made
     p = YangLeeParams(gamma=0.63, omega=0.9)
     ts = p.t0 + 1e-3 * np.arange(50)
     stacked = eta_closed(ts, p)
     h1 = h1_matrix(p)
     if kind == "series":
         make = lambda: dyson_from_metric(TimeSeries(t0=ts[0], dt=1e-3, samples=rho_closed(ts, p)))
-    else:
+    elif kind == "sample":
         make = lambda: DysonSample(t=ts, eta=stacked.eta, eta_dot=stacked.eta_dot)
+    else:
+        grid = IntegrationGrid(ts[0], ts[-1], 1e-3)
+        make = lambda: dyson_from_metric(integrate_metric(h1_su2(p), rho_closed(ts[0], p), grid))
     expected = [kernel(h1, make()) for kernel in (hermitian_counterpart, physical_hamiltonian)]
     calls = []
-    original = dyson.invert_dyson_map
+    original = dyson.pauli_form
 
-    def counted(eta):
-        calls.append(eta)
-        return original(eta)
+    def counted(m):
+        calls.append(m)
+        return original(m)
 
-    monkeypatch.setattr(dyson, "invert_dyson_map", counted)
+    monkeypatch.setattr(dyson, "pauli_form", counted)
     sample = make()
     h = hermitian_counterpart(h1, sample)
     h_tilde = physical_hamiltonian(h1, sample)
-    assert len(calls) == 1
-    assert np.array_equal(sample.eta_inverse, original(sample.eta))
+    assert len(calls) == (0 if kind == "flow" else 2)
     assert np.array_equal(h, expected[0]) and np.array_equal(h_tilde, expected[1])

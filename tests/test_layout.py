@@ -25,13 +25,15 @@ from dysonflow import (
     invert_dyson_map,
     mul,
     pauli_compose,
+    physical_hamiltonian,
     propagator_series,
     quasi_hermiticity_residual,
     rabi_h,
     rho_closed,
 )
 from dysonflow._integrate import rk4_linear, stage_times
-from dysonflow.su2 import hermitian_part, hermitian_sqrt_derivative
+from dysonflow.dyson import dyson_forms
+from dysonflow.su2 import hermitian_part, hermitian_sqrt_derivative, pauli_form, require_hpd
 from dysonflow.yang_lee import rho_closed_dot, u_closed
 
 P = YangLeeParams(gamma=0.6, omega=0.9)
@@ -83,11 +85,14 @@ BUILDERS = {
     "pauli_compose": lambda: [
         pauli_compose(T, 0.5 * T, 1j * T, 2.0),
         pauli_compose(*np.ones((4, 3, 5))),
+        pauli_compose(T, -0.0, 0.5 * T, 0.0),
     ],
     "hermitian_part": lambda: [hermitian_part(random_stack(7))],
     "hermitian_sqrt": lambda: [hermitian_sqrt(RHO)],
     "hermitian_sqrt_derivative": lambda: [hermitian_sqrt_derivative(ETA, RHO_DOT)],
     "invert_dyson_map": lambda: [invert_dyson_map(ETA)],
+    "hermitian_counterpart": lambda: [hermitian_counterpart(h1_matrix(P), DysonSample(T, ETA, RHO_DOT))],
+    "physical_hamiltonian": lambda: [physical_hamiltonian(h1_matrix(P), DysonSample(T, ETA, RHO_DOT))],
     "rho_closed": lambda: [rho_closed(T, P)],
     "rho_closed_dot": lambda: [rho_closed_dot(T, P)],
     "eta_closed": lambda: [eta_closed(T, P).eta, eta_closed(T, P).eta_dot],
@@ -118,6 +123,8 @@ def test_one_matrix_stays_c_contiguous():
         hermitian_sqrt(rho),
         hermitian_sqrt_derivative(eta, rho_dot),
         invert_dyson_map(eta),
+        hermitian_counterpart(h1_matrix(P), DysonSample(t, eta, rho_dot)),
+        physical_hamiltonian(h1_matrix(P), DysonSample(t, eta, rho_dot)),
         rho_closed(t, P),
         rho_closed_dot(t, P),
         eta_closed(t, P).eta,
@@ -130,6 +137,10 @@ def test_one_matrix_stays_c_contiguous():
 
 def hermitian_counterparts(h, eta, eta_dot):
     return hermitian_counterpart(h, DysonSample(T, eta, eta_dot))
+
+
+def physical_hamiltonians(h, eta, eta_dot):
+    return physical_hamiltonian(h, DysonSample(T, eta, eta_dot))
 
 
 def rk4_of(a, y0):
@@ -153,6 +164,9 @@ KERNELS = {
     "hermiticity_residual": (hermiticity_residual, lambda: (random_stack(5),)),
     "quasi_hermiticity_residual": (quasi_hermiticity_residual, lambda: (random_stack(5), RHO)),
     "hermitian_counterpart": (hermitian_counterparts, lambda: (h1_matrix(P), ETA, random_stack(5))),
+    "physical_hamiltonian": (physical_hamiltonians, lambda: (h1_matrix(P), ETA, random_stack(5))),
+    "pauli_form": (pauli_form, lambda: (random_stack(5),)),
+    "dyson_forms": (lambda rho: np.stack(dyson_forms(h1_su2(P), *require_hpd(rho))), lambda: (RHO,)),
     "rk4_linear": (rk4_of, lambda: (stage_stack(), np.eye(2, dtype=complex))),
     "rk4_linear vector": (rk4_of, lambda: (stage_stack(), np.array([0.6, 0.8j]))),
 }

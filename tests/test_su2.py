@@ -31,7 +31,7 @@ from dysonflow import (
     rho_inner,
 )
 from dysonflow.errors import NotHermitian, NotPositiveDefinite
-from dysonflow.su2 import hermitian_part
+from dysonflow.su2 import hermitian_part, pauli_form
 
 
 def test_decompose_basis_elements():
@@ -362,16 +362,26 @@ def test_hermitian_part_is_exactly_hermitian():
 
 
 def test_require_hpd_keeps_the_bits_of_its_hermitian_part():
-    # require_hpd returns hermitian_part(m), with the bits of the formula it
-    # once spelled out, 0.5 (m + m^dagger), and the trace and det of that
+    # require_hpd returns the real Pauli form of hermitian_part(m), with the
+    # bits of that form, and sqrt(det) of it
     rng = np.random.default_rng(43)
     a = random_complex(rng, (5_000, 2, 2), 1)
     m = mul(a, dagger(a)) + IDENTITY + 1e-12 * random_complex(rng, (5_000, 2, 2))
-    sym, tr, d = require_hpd(m)
-    formula = 0.5 * (m + dagger(m))
-    assert np.array_equal(bits(sym), bits(formula)) and np.array_equal(bits(sym), bits(hermitian_part(m)))
-    assert np.array_equal(tr, (formula[..., 0, 0] + formula[..., 1, 1]).real)
-    assert np.array_equal(d, det(formula).real)
+    form, s = require_hpd(m)
+    part = hermitian_part(m)
+    assert np.array_equal(bits(form), bits(pauli_form(part))) and np.array_equal(bits(form), bits(pauli_form(m)))
+    assert np.max(frobenius_norm(pauli_compose(*form) - part) / frobenius_norm(part)) < 1e-15
+    assert np.allclose(s**2, det(part).real, rtol=1e-13, atol=0.0)
+
+
+def test_hermitian_sqrt_takes_the_determinant_scaled():
+    # alpha^2 = 1e400 overflows, so the determinant was inf - inf = NaN and
+    # the root all NaN; scaled by alpha^2 it is 1 and 0, and a NaN fails
+    assert np.array_equal(hermitian_sqrt(np.array([[1e200, 0.0], [0.0, 1e200]])), 1e100 * IDENTITY)
+    with pytest.raises(NotPositiveDefinite, match="det = 0"):
+        hermitian_sqrt(np.array([[1e200, 1e200], [1e200, 1e200]]))
+    with pytest.raises(NotPositiveDefinite, match="matrix 1 of the stack"):
+        require_hpd(np.stack([1e200 * IDENTITY, np.full((2, 2), 1e200)]))
 
 
 def assert_stack_rounds_as_single_products(a, b):
