@@ -4,9 +4,14 @@ _write_tables writes every table file, chunk by chunk (see _table_format
 for its bytes). It cuts each chunk's rows into contiguous ranges, one per
 process, each process formatting each bit-distinct column of its range
 once for all the tables that show it; however the rows are cut,
-identical configs give byte-identical files. A block of rows goes through
-one numpy kernel for all its columns. For CSV, format_g17(values) gives,
-for every value v, the bytes of ``b"%.17g" % v``: 17 significant digits.
+identical configs give byte-identical files. A block of about
+_BLOCK_VALUES values, all the distinct columns over as many rows as fit,
+goes through one call of a numpy kernel, so that the call's fixed cost is
+a small part of its time (237 ns a value for CSV and 347 for JSON, against
+308 and 581 on 128-row blocks; see _BLOCK_VALUES), and its strings are
+joined into rows _BLOCK_ROWS rows at a time. For CSV, format_g17(values)
+gives, for every value v, the bytes of ``b"%.17g" % v``: 17 significant
+digits.
 For JSON, format_repr(values) gives the bytes ``json.dump`` writes for v:
 its repr, the shortest that round-trips, or NaN, Infinity and -Infinity.
 Each value is one fixed-width "S24" record (the longest such string,
@@ -29,7 +34,8 @@ array at once, in five steps:
    as v to under 23 units of the 17th digit, so the nearest multiples of
    100 and of 10 are the only shorter candidates (_shortest). The digits
    are read out through a table of 4-digit groups.
-3. Trim. Trailing zeros are dropped, as "%g" and repr drop them.
+3. Trim. Trailing zeros are dropped, as "%g" and repr drop them; they
+   are counted through a table of each 4-digit group's trailing zeros.
 4. Layout. The values are sorted by layout key (sign, notation and E, and
    in exponent notation the digit count); each key's strings are filled by
    contiguous slice copies, then the records are put back in the values'
@@ -82,7 +88,7 @@ def _two_product(a, b):
 
 @cache
 def _tables():
-    """The tables of steps 2 and 4, as (scale, quads, exponents).
+    """The tables of steps 2, 3 and 4, as (scale, quads, exponents, trailing).
 
     Column E - _E_MIN of the (6, columns) float64 ``scale`` holds two powers
     of two whose product 2^-s takes a value of decimal exponent E into
@@ -90,12 +96,13 @@ def _tables():
     hi + lo is 10^(16 - E) 2^s = 5^(16 - E) 2^(16 - E + s) to within 2^-100.
     A power 5^j, j >= 0, is its integer rounded to a double plus the
     remainder rounded; 5^-j is its double-double reciprocal. ``quads[q]``,
-    a uint32, holds the four ASCII digits of q < 10^4 in memory order, and
+    a uint32, holds the four ASCII digits of q < 10^4 in memory order,
     ``exponents[E - _E_MIN]`` the sign and the two or three digits of E,
-    right-aligned. The integer work runs in Python, and numpy runs only the
-    float64 arithmetic and the copies that the kernel runs anyway: each
-    further numpy loop a process runs keeps its machine code resident, 64
-    KB at a time.
+    right-aligned, and the int64 ``trailing[q]`` the trailing zeros of q's
+    four digits, 4 for q = 0. The integer work runs in Python, and numpy
+    runs only the float64 arithmetic and the copies that the kernel runs
+    anyway: each further numpy loop a process runs keeps its machine code
+    resident, 64 KB at a time.
     """
     e10 = range(_E_MIN, _E_MAX + 1)
     s = [e * 1701 // 512 for e in e10]  # floor(E log2(10)), to within one
@@ -123,7 +130,10 @@ def _tables():
     quads[:, :, 0] = pairs[:, None]
     quads[:, :, 1] = pairs
     exponents = np.frombuffer(b"".join(b"%4s" % (b"%+03d" % e) for e in e10), dtype=np.uint32)
-    return scale, quads.view(np.uint32).ravel(), exponents
+    trailing = [0] * 10_000
+    for k in range(1, 5):  # a multiple of 10^k ends in k zeros or more
+        trailing[:: 10**k] = [k] * (10_000 // 10**k)
+    return scale, quads.view(np.uint32).ravel(), exponents, np.array(trailing)
 
 
 def _scaled(a, e10):
@@ -134,19 +144,26 @@ def _scaled(a, e10):
     """
     scale = _tables()[0]
     column = e10 - _E_MIN
-    m = a * scale[0].take(column)
-    m *= scale[1].take(column)  # exact: two powers of two, with no overflow or underflow between them
+    take = lambda i, out=None: scale[i].take(column, out=out, mode="clip")  # "clip": the indices are in range
+    t = take(0)
+    m = a * t
+    m *= take(1, t)  # exact: two powers of two, with no overflow or underflow between them
     m_hi = m * _SPLIT
     m_hi -= m_hi - m
     m_lo = m - m_hi
-    p = m * scale[2].take(column)
-    hi_hi = scale[3].take(column)
+    p = m * take(2, t)
+    hi_hi = take(3)
     err = m_hi * hi_hi
     err -= p
-    err += m_hi * scale[4].take(column)
-    err += m_lo * hi_hi
-    err += m_lo * scale[4].take(column)  # now p + err is m hi exactly
-    err += m * scale[5].take(column)
+    m_hi *= take(4, t)  # each product into an operand it was the last use of
+    err += m_hi
+    hi_hi *= m_lo
+    err += hi_hi
+    t *= m_lo
+    err += t  # now p + err is m hi exactly
+    m *= take(5, t)
+    err += m
+    del t, m, m_hi, m_lo, hi_hi
     y = p + err  # an integer: y >= 2^53 wherever it counts
     p -= y
     p += err  # y + p is the sum exactly
@@ -199,6 +216,7 @@ def _format(values, shortest):
         near = np.abs(frac - 0.5) < _MARGIN
         d[frac > 0.5] += 1
     undecided |= regular & near
+    del frac, near  # before _layout's arrays of the block's size
     carry = d == 10**17
     d[carry] = 10**16
     e10[carry] += 1
@@ -265,21 +283,31 @@ def _shortest(flat, d, frac):
         np.where(up100, 100, 0) - r100,
         np.where(in10, np.where(up10, 10, 0) - r10, np.where(frac > 0.5, 1, 0)),
     )
-    ends = np.stack([low100 - h_low, high100 - h, low10 - h_low, high10 - h, low10 - 5.0, frac - 0.5])
-    near = (np.abs(ends) < _MARGIN).any(axis=0)
-    near |= np.abs(flat) <= 2.0**-1022
+    near = np.abs(flat) <= 2.0**-1022
+    for x, end in ((low100, h_low), (high100, h), (low10, h_low), (high10, h), (low10, 5.0), (frac, 0.5)):
+        near |= np.abs(x - end) < _MARGIN  # one end at a time, so a block's six are never held at once
     return step, near
 
 
 def _kept(d, regular):
-    """Step 3: the count of digits each value keeps, 17 less its trailing zeros, one digit at a time."""
+    """Step 3: the count of digits each value keeps, 17 less its trailing zeros, four digits at a time.
+
+    A group of four digits, from the last, gives its trailing zeros from the
+    table; a value goes on to its next group only while all its groups so
+    far are zeros. The leading digit is never 0, so a value keeps at least
+    one digit. On 5,632 values of a su2-generic run's columns this took 24
+    ns a value after repr's rounding and 15 after "%.17g"'s, where counting
+    one digit at a time took 54 and 36.
+    """
+    trailing = _tables()[3]
     kept = np.full(len(d), 17)
     more, rest = np.flatnonzero(regular), d[regular]
-    while more.size:  # the values whose digits after the last one taken are all zeros
-        rest, digit = np.divmod(rest, 10)
-        zero = digit == 0
-        more, rest = more[zero], rest[zero]
-        kept[more] -= 1
+    while more.size:
+        rest, group = np.divmod(rest, 10_000)
+        zeros = trailing[group]
+        kept[more] -= zeros
+        all_zero = zeros == 4
+        more, rest = more[all_zero], rest[all_zero]
     return kept
 
 
@@ -295,6 +323,7 @@ def _layout(d, e10, kept, neg, regular, shortest):
     fixed = (e10 >= -4) & (e10 <= (15 if shortest else 16))
     form = np.where(fixed, e10 + 4, np.where((e10 > -100) & (e10 < 100), 21 * 32, 22 * 32) + kept)
     key = (form + np.where(neg, 1024, 0)).astype(np.int16)
+    del form
     key[~regular] = -1
     order = np.argsort(key, kind="stable")  # a radix sort on int16
     key, e10, kept, fixed = key[order], e10[order], kept[order], fixed[order] & regular[order]
@@ -322,11 +351,15 @@ def _layout(d, e10, kept, neg, regular, shortest):
 
 
 def _rows(d, e10):
-    """The values' rows of digits, (n, 24) uint8: the 17 digits from byte _LEAD, the exponent in bytes _EXP to 23."""
-    _, quads, exponents = _tables()
+    """The values' rows of digits, (n, 24) uint8: the 17 digits from byte _LEAD, the exponent in bytes _EXP to 23.
+
+    ``d`` is used up: it is divided in place.
+    """
+    quads, exponents = _tables()[1:3]
     row = np.empty((len(d), 6), dtype=np.uint32)
+    group = np.empty_like(d)
     for k in (4, 3, 2, 1):  # four digits at a time from the last, then the leading one
-        d, group = np.divmod(d, 10_000)
+        np.divmod(d, 10_000, out=(d, group))
         row[:, k] = quads[group]
     row[:, 0] = quads[d]
     row[:, 5] = exponents[e10 - _E_MIN]
@@ -365,11 +398,22 @@ def _fill(chars, row, sign, form):
     chars[:, p + 2 : p + 3 + width] = row[:, _EXP + 3 - width : _EXP + 4]
 
 
-# rows per block; a block's values of every distinct column are formatted in
-# one kernel call, CSV or JSON, and its strings are held at once: about 2,800
-# for the 22 columns of a yang-lee-closed run's 7 series. On
-# closed-emit, 256 rows took 13 % less time than 128 and 64 rows 18 % more,
-# but 256 rows raised the peak RSS by about 0.5 MB more than 128
+# values per kernel call: a block of _BLOCK_VALUES // (distinct columns) rows,
+# one at least, goes through one call of format_g17 or format_repr. A call
+# costs 0.1-0.3 ms whatever its size, a third to a half of the kernel's time
+# on the 128-row blocks it once took; 5,632 values are 256 rows of the 22
+# columns of a yang-lee-closed run's 7 series and 512 of su2-generic's
+# propagator, states and energies. On one CPU of a 2-CPU Xeon the kernel's
+# time per value, that fixed cost included, went from 308 to 237 ns on
+# those CSV tables and from 581 to 347 ns on those JSON ones. A call's
+# arrays peak at about 100 (CSV) and 130 (JSON) bytes a value
+_BLOCK_VALUES = 5632
+# rows per string block: a kernel block's records are turned into Python
+# bytes and joined into rows this many rows at a time, so only one string
+# block's bytes are held at once. Holding whole 256-row blocks as strings
+# took 13 % less time on closed-emit than 128-row ones, but raised its peak
+# RSS by about 0.5 MB more; _BLOCK_VALUES gains that time without it. The
+# row ranges are counted in these blocks too
 _BLOCK_ROWS = 128
 # at most this many row ranges of a chunk, so processes: each range past the
 # first holds one temporary file per table and a pipe open in this process
@@ -427,32 +471,37 @@ def _write_tables(out_dir, chunks, fmt: str, metadata: dict):
     ceil(rows / _BLOCK_ROWS), _MAX_RANGES) contiguous ranges, one per
     process (``_parallel._fork_map``), so a chunk of one block is written
     by this process alone: a fork costs more than it saves there. A
-    process walks its range in blocks of _BLOCK_ROWS rows, formats each
-    distinct column of the block once, by format_g17 or format_repr, and
-    writes every table's rows of the block. Columns are told apart by their
-    float64 bits over the chunk, not by identity, so -0.0 stays apart from
-    0.0 and NaNs of one bit pattern merge: the strings depend only on the
-    bits. This process writes the first range straight into the files;
+    process walks its range in kernel blocks of _BLOCK_VALUES // (distinct
+    columns) rows, at least one, and formats each distinct column of the
+    block once, in one call of format_g17 or format_repr (237 ns a value
+    for CSV and 347 for JSON, against 308 and 581 on 128-row blocks; see
+    _BLOCK_VALUES); it turns the strings into Python bytes and writes every
+    table's rows _BLOCK_ROWS rows at a time. Columns are told apart by
+    their float64 bits over the chunk, not by identity, so -0.0 stays apart
+    from 0.0 and NaNs of one bit pattern merge: the strings depend only on
+    the bits. This process writes the first range straight into the files;
     each worker writes its range into unnamed temporary files in
     ``out_dir``, opened before the fork so that nothing is left behind when
     a process fails, and this process appends them in range order before it
     takes the next chunk. The tails follow the last chunk. A chunk without
     tables writes nothing and forks nothing. The bytes depend neither on
-    the ranges nor on how the rows are cut into chunks; every line ends in
-    "\n" on every platform. When the chunks raise or any range fails, the
-    table files opened are removed before the error is raised. Returns the
-    paths, in table order.
+    the ranges, nor on the kernel blocks, nor on how the rows are cut into
+    chunks; every line ends in "\n" on every platform. When the chunks
+    raise or any range fails, the table files opened are removed before the
+    error is raised. Returns the paths, in table order.
     """
     kernel = format_repr if fmt == "json" else format_g17
     paths, files, formats = [], [], []
     done = 0  # rows written so far
 
     def write_rows(targets, columns, layouts, lo, hi):
-        for start in range(lo, hi, _BLOCK_ROWS):
-            block = np.array([col[start : min(start + _BLOCK_ROWS, hi)] for col in columns])
-            strings = kernel(block).tolist()
-            for fh, (order, rows) in zip(targets, layouts):
-                fh.write(rows([strings[i] for i in order], not done + start))
+        step = max(1, _BLOCK_VALUES // len(columns))  # rows per kernel call
+        for start in range(lo, hi, step):
+            records = kernel(np.array([col[start : min(start + step, hi)] for col in columns]))
+            for sub in range(0, records.shape[1], _BLOCK_ROWS):
+                strings = records[:, sub : sub + _BLOCK_ROWS].tolist()
+                for fh, (order, rows) in zip(targets, layouts):
+                    fh.write(rows([strings[i] for i in order], not done + start + sub))
         for fh in targets:
             fh.flush()  # a worker leaves through os._exit, which flushes nothing
 

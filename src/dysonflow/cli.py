@@ -93,6 +93,7 @@ from .yang_lee import (
     eigenvalues_h1,
     energy_expectation,
     eta_closed,
+    eta_form,
     h1_su2,
     psi_pm,
     rabi_form,
@@ -778,7 +779,7 @@ def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
 
     def oracle(rows, ts, rho_num, dys, u_num, h, h_num, unitarity):
         # eta and h against their closed forms in real Pauli forms, neither composed
-        dev_eta = cache(lambda: pauli_norm(dys.forms[0] - eta_closed(ts, p).forms[0]))
+        dev_eta = cache(lambda: pauli_norm(dys.forms[0] - eta_form(ts, p)))
         dev_h = cache(lambda: pauli_norm(h()[0] - rabi_form(ts, p)))
         dev_u = cache(lambda: frobenius_norm(u_num - mul(u_closed(ts, p), u_start)))
 

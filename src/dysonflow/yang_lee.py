@@ -158,17 +158,26 @@ def eta_closed(t, p: YangLeeParams) -> DysonSample:
     and eta_dot and composes their (..., 2, 2) stacks on first use.
     """
     s, c = _sin_cos(t, p)
-    alpha, beta_x, beta_y = _rho_coeffs(s, c, p)
-    delta = p.phi**2 / p.gamma  # sqrt(det rho), conserved
-    a = np.sqrt(0.5 * (alpha + delta))
-    bx = beta_x / (2.0 * a)
-    by = beta_y / (2.0 * a)
+    a, bx, by = _eta_coefficients(s, c, p)
     alpha_dot = p.gamma * p.phi * c
     a_dot = alpha_dot / (4.0 * a)
     bx_dot = -p.phi**2 * s / (2.0 * a) - p.phi * c * a_dot / (2.0 * a * a)
     by_dot = -p.phi * c / (2.0 * a) + (1.0 + s) * a_dot / (2.0 * a * a)
     forms = [np.stack(np.broadcast_arrays(*x, 0.0)) for x in ((a, bx, by), (a_dot, bx_dot, by_dot))]
     return DysonSample(np.asarray(t, dtype=float)[()], forms=tuple(forms))
+
+
+def eta_form(t, p: YangLeeParams) -> np.ndarray:
+    """eta_closed's eta alone, as its real Pauli form (su2.pauli_form): a (4, ...) array over the times, bit for bit."""
+    return np.stack(np.broadcast_arrays(*_eta_coefficients(*_sin_cos(t, p), p), 0.0))
+
+
+def _eta_coefficients(s, c, p: YangLeeParams):
+    """Coefficients (a, b_x, b_y) of eta on I, sigma_x, sigma_y, from s, c = _sin_cos(t, p)."""
+    alpha, beta_x, beta_y = _rho_coeffs(s, c, p)
+    delta = p.phi**2 / p.gamma  # sqrt(det rho), conserved
+    a = np.sqrt(0.5 * (alpha + delta))
+    return a, beta_x / (2.0 * a), beta_y / (2.0 * a)
 
 
 def _denominator(t, p: YangLeeParams):

@@ -610,9 +610,10 @@ def test_a_nan_deviation_reaches_the_sweep_row(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_sweep_builds_only_the_checks_its_rows_read(cpus, tmp_path, monkeypatch):
     # a row reads 4 checks; the flow residual, zeta_metric_dot's only caller,
-    # and the eta oracle, yang-lee-numeric's only caller of eta_closed, are
-    # not among them, so a sweep never forms them and keeps its rows without
-    # them, in forked workers too, while verify of the same config needs them
+    # and the eta oracle, yang-lee-numeric's only caller of eta_form, are not
+    # among them, so a sweep never forms them and keeps its rows without
+    # them, in forked workers too, while verify of the same config needs them;
+    # no numeric scenario calls eta_closed, which forms eta_dot too
     use_cpus(monkeypatch, cpus)
     yang_lee = {"scenario": "yang-lee-numeric", "t_start": 0.0, "t_end": 1.0, "dt": 2e-3}
     su2 = rotated_yang_lee_config(0.6, tmp_path / "out", t_start=0.0, t_end=1.5, dt=5e-3)
@@ -627,6 +628,7 @@ def test_a_sweep_builds_only_the_checks_its_rows_read(cpus, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "zeta_metric_dot", refuse)
     monkeypatch.setattr(cli, "eta_closed", refuse)
+    monkeypatch.setattr(cli, "eta_form", refuse)
     for (cfg, param, values), rows in zip(sweeps, expected):
         assert cli.sweep(cfg, param, values, write_files=False)[1] == rows
         with pytest.raises(ValueError, match="not read"):
@@ -1345,6 +1347,63 @@ def test_tables_written_chunk_by_chunk_have_the_bytes_of_one_chunk(fmt, cpus, tm
     assert sorted(os.listdir(chunked)) == sorted(os.listdir(whole)) == sorted(path.name for path in paths)
     for path in paths:
         assert path.read_bytes() == (whole / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_bytes_do_not_depend_on_the_kernel_budget(fmt, cpus, tmp_path, monkeypatch):
+    # the kernel is called on blocks of _BLOCK_VALUES values, and its strings
+    # are joined into rows _BLOCK_ROWS rows at a time: a budget of one value
+    # calls it on single rows, 127 and 129 cut its blocks across the string
+    # blocks, and 10^6 takes each range whole, so that a string block starts
+    # inside a kernel block, where a JSON block must start with ",\n"
+    use_cpus(monkeypatch, cpus)
+    cfg = cli.ScenarioConfig(scenario="su2-generic", format=fmt)
+    calls = tmp_path / "calls"  # the shape of each kernel call, by any process
+
+    def recording(kernel):
+        def record(values):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write("%d %d\n" % values.shape)
+            return kernel(values)
+
+        return record
+
+    wrap_kernels(monkeypatch, recording)
+    rng = np.random.default_rng(17)
+    block = _format._BLOCK_ROWS
+    n = 2 * block + 3
+    ts = np.arange(n) * 0.01 - 0.05
+    x, y = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
+    x[::7] = -0.0
+
+    def tables(lo, hi):  # t shared, y's copy bit-equal to y: three distinct columns
+        a, b = [ts[lo:hi], x[lo:hi], y[lo:hi]], [ts[lo:hi], y[lo:hi].copy(), x[lo:hi]]
+        return [("a", ["t", "x", "y"], a), ("b", ["t", "y_copy", "x"], b)]
+
+    cuts = [0, block + 2, block + 3, n]  # a block and two rows, one row, the rest
+
+    def write(name):
+        out = tmp_path / name
+        out.mkdir()
+        calls.unlink(missing_ok=True)
+        paths = write_tables(out, [tables(lo, hi) for lo, hi in zip(cuts, cuts[1:])], cfg)
+        shapes = [tuple(map(int, line.split())) for line in calls.read_text(encoding="utf-8").splitlines()]
+        return {path.name: path.read_bytes() for path in paths}, shapes
+
+    default, shapes = write("default")
+    assert sum(rows for _, rows in shapes) == n and {k for k, _ in shapes} == {3}
+    whole = {"a": np.column_stack([ts, x, y]), "b": np.column_stack([ts, y, x])}
+    for name, header, _ in tables(0, 1):
+        assert default[f"{name}.{fmt}"] == per_row_bytes(header, whole[name], cfg), name
+    for budget in (1, 127, 129, 10**6):
+        monkeypatch.setattr(_format, "_BLOCK_VALUES", budget)
+        written, shapes = write(str(budget))
+        assert written == default, budget
+        assert sum(rows for _, rows in shapes) == n
+        assert all(k * rows <= budget or rows == 1 for k, rows in shapes), (budget, shapes)
+        if budget == 10**6:  # on one CPU, the first chunk's second string block starts inside its one call
+            assert any(rows > block for _, rows in shapes) == (cpus == 1)
 
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)

@@ -1,7 +1,9 @@
 """format_g17 against Python's own "%.17g", and format_repr against repr and json's spellings, byte for byte."""
 
 import math
+import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -112,15 +114,20 @@ def test_a_value_formats_alone_as_anywhere_in_a_block():
         assert kernel(block.reshape(1, 257)).tolist() == [alone]
 
 
-def exact_fraction_above(v):
-    """The fraction of |v| 10^(16 - E) above its floor, E the exact decimal exponent of |v|."""
+def exact_scaled(v):
+    """|v| 10^(16 - E) as an exact Fraction, and E, the exact decimal exponent of |v|."""
     x = abs(Fraction(v))
     e10 = math.floor(math.log10(abs(v)))
     while Fraction(10) ** e10 > x:
         e10 -= 1
     while Fraction(10) ** (e10 + 1) <= x:
         e10 += 1
-    y = x * Fraction(10) ** (16 - e10)
+    return x * Fraction(10) ** (16 - e10), e10
+
+
+def exact_fraction_above(v):
+    """The fraction of |v| 10^(16 - E) above its floor, E the exact decimal exponent of |v|."""
+    y, _ = exact_scaled(v)
     return y - math.floor(y)
 
 
@@ -260,3 +267,87 @@ def test_repr_falls_back_on_exactly_the_undecided_values(monkeypatch):
     assert sorted(undecided) == sorted([*ends, *ties, *tiny])
     assert_matches_repr(values)
     assert sorted(fallback) == sorted(undecided)
+
+
+# --- trailing zeros ------------------------------------------------------
+
+
+def python_digits(v, shortest):
+    """The 17 significant digits Python writes for v: those of "%.17g", or repr's padded with zeros."""
+    mantissa = (float.__repr__(abs(v)) if shortest else "%.16e" % abs(v)).split("e")[0]
+    return mantissa.replace(".", "").lstrip("0").ljust(17, "0")
+
+
+def python_exponent(v, shortest):
+    """The decimal exponent E of the digits python_digits gives."""
+    return Decimal(float.__repr__(v) if shortest else "%.16e" % v).adjusted()
+
+
+def trailing_zeros(v, shortest):
+    digits = python_digits(v, shortest)
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def with_trailing_zeros(shortest):
+    """{(k, fixed, sign): v} for every k in 0..16: values whose 17 digits end in exactly k zeros.
+
+    Found among decimals of 17 - k digits, the last one not 0, and their
+    neighbouring doubles, in fixed notation (-4 <= E <= 15) and in exponent
+    notation, of both signs.
+    """
+    rng = random.Random(41)
+    found = {}
+    for k in range(17):
+        for fixed in (True, False):
+            for sign in (1.0, -1.0):
+                for _ in range(10_000):
+                    e10 = rng.randint(-4, 15) if fixed else rng.choice([rng.randint(-300, -5), rng.randint(17, 300)])
+                    c = rng.randrange(10 ** (16 - k), 10 ** (17 - k))
+                    if c % 10 == 0:
+                        continue
+                    v = sign * float(f"{c}e{e10 - 16 + k}")
+                    v = next((u for u in (v, math.nextafter(v, 0.0), math.nextafter(v, math.inf * sign))
+                              if trailing_zeros(u, shortest) == k
+                              and (-4 <= python_exponent(u, shortest) <= 15) == fixed), None)
+                    if v is not None:
+                        found[k, fixed, sign] = v
+                        break
+                assert (k, fixed, sign) in found, (k, fixed, sign)
+    return found
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+def test_every_count_of_trailing_zeros(shortest):
+    # each k puts the 17-digit integer on a multiple of 10^k and not of
+    # 10^(k + 1): on a multiple of 10^4, 10^8, 10^12 and 10^16, and one
+    # digit either side of each, whole groups of four digits and parts of them
+    kernel, python = (format_repr, python_repr) if shortest else (format_g17, python_g17)
+    found = with_trailing_zeros(shortest)
+    assert len(found) == 17 * 2 * 2
+    values = list(found.values())
+    assert_matches_python(values, kernel, python)
+    assert_matches_python(np.array(values) * 3.0, kernel, python)  # the same exponents with other digits
+    for (k, _, _), v in found.items():  # as the kernel counts them
+        d = int(python_digits(v, shortest))
+        assert _format._kept(np.array([d]), np.array([True])).tolist() == [17 - k], (k, v)
+
+
+def test_repr_rounding_up_into_new_zero_groups():
+    # _shortest steps up from the floor of the 17 digits: to a multiple of
+    # 100 that carries out of the last group of four digits (through every
+    # group for 0.3), to a multiple of 10 that carries into the 16th digit,
+    # and to 10^17, which moves E up by one
+    carries, to_ten, to_power = [0.3, -0.29, 0.7], [8.474337369372327, -8.474337369372327], [1e-07, -1e-07]
+    for v in carries + to_ten + to_power:
+        y, e10 = exact_scaled(v)
+        floor = math.floor(y)
+        digits = int(python_digits(v, True)) * 10 ** (python_exponent(v, True) - e10)
+        assert digits > floor
+        if v in to_power:
+            assert digits == 10**17
+        elif v in carries:
+            assert digits % 10**4 == 0 and floor % 10**4 > 9_900  # the last group rolls over to 0000
+        else:
+            assert digits % 100 and digits // 10 != floor // 10
+    assert_matches_repr(carries + to_ten + to_power)
+    assert format_repr([0.3, -0.29, 1e-07]).tolist() == [b"0.3", b"-0.29", b"1e-07"]

@@ -32,6 +32,7 @@ from dysonflow import (
     u_closed,
     zeta_metric,
 )
+from dysonflow.yang_lee import eta_form
 
 YL = YangLeeParams(gamma=0.5, omega=1.0)
 H1 = h1_matrix(YL)
@@ -157,6 +158,15 @@ def test_eta_closed_derivative_matches_finite_difference():
     for t in (-1.2, 0.0, 0.9, 2.7, YL.t0):
         fd = (eta_closed(t + step, YL).eta - eta_closed(t - step, YL).eta) / (2 * step)
         assert np.linalg.norm(eta_closed(t, YL).eta_dot - fd) < 1e-8
+
+
+def test_eta_form_is_eta_closed_without_its_derivative():
+    # the numeric oracle's eta: the form eta_closed holds, bit for bit, on a
+    # stack of times or at one
+    for p in (YL, YangLeeParams(gamma=0.99, omega=0.7)):
+        ts = p.t0 + 1e-3 * np.arange(-1000, 2001)
+        for t in (ts, 0.0, p.t0):
+            assert np.array_equal(eta_form(t, p).view(np.int64), eta_closed(t, p).forms[0].view(np.int64))
 
 
 def test_rabi_h_endpoint_forms():
