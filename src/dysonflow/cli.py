@@ -54,8 +54,8 @@ from .dyson import (
     dyson_forms,
     dyson_from_metric,
     dyson_relation_forms,
+    invert_dyson_map,
     quasi_hermiticity_form,
-    quasi_hermiticity_residual,
 )
 from .errors import ConfigInvalid, DysonflowError, StepTooLarge, UnsupportedHamiltonian
 from .metric import (
@@ -63,7 +63,6 @@ from .metric import (
     ZetaConstants,
     _require_flow_solvable,
     integrate_metric_from,
-    metric_rhs,
     metric_rhs_form,
     positivity_margin,
     zeta_metric,
@@ -74,18 +73,16 @@ from .series import IntegrationGrid
 from .su2 import (
     IDENTITY,
     dagger,
-    det,
     frobenius_norm,
     hermitian_sqrt,
     hermiticity_residual,
     mul,
     pauli_compose,
-    pauli_decompose,
     pauli_det,
     pauli_form,
     pauli_norm,
     pauli_product,
-    require_hpd,
+    require_pd_form,
 )
 from .yang_lee import (
     YangLeeParams,
@@ -423,13 +420,14 @@ def _series(ts, metric, eta, h, invariants, u, energies):
 
 
 def _chain_columns(hm, rho, dys: DysonSample, det_closed):
-    """rho's real Pauli form, det rho, h and the residuals of the chain rho -> eta -> (h, Htilde) of a numeric chunk.
+    """rho's real Pauli form, det rho, the Dyson relation and the residuals of the chain rho -> eta -> (h, Htilde).
 
-    All are formed in real Pauli forms (su2.pauli_form) from the metric
-    stack ``rho`` and the sample's ``forms``, each a build, formed on its
-    first call and then kept, as is ``det_closed``; h is the pair of forms
-    (re, im) of the raw counterpart of the static ``hm`` (see
-    dyson_relation_forms). The residuals are invariant columns:
+    Every scenario's chunk forms its chain here, in real Pauli forms
+    (su2.pauli_form), from the metric stack ``rho`` and the sample's
+    ``forms``, each a build, formed on its first call and then kept, as is
+    ``det_closed``. The relation's build gives the pairs of forms (re, im)
+    of the raw counterpart h and of Htilde of the static ``hm``, in that
+    order (dyson_relation_forms). The residuals are invariant columns:
     det_deviation |det rho - det_closed|, eta_sq_residual |eta^2 - rho|,
     h_hermiticity |h - h^dag| = 2 |im|, the raw h's anti-Hermitian rest,
     and htilde_quasi_hermiticity of Htilde = H + i eta^-1 eta_dot.
@@ -438,7 +436,7 @@ def _chain_columns(hm, rho, dys: DysonSample, det_closed):
     form = cache(lambda: pauli_form(rho))
     dets = cache(lambda: pauli_det(form()))
     relation = cache(lambda: dyson_relation_forms(hm, eta, eta_dot))
-    return form, dets, lambda: relation()[0], {
+    return form, dets, relation, {
         "det_deviation": cache(lambda: np.abs(dets() - det_closed())),
         "eta_sq_residual": cache(lambda: pauli_norm(pauli_product(eta, eta)[0] - form())),
         "h_hermiticity": cache(lambda: 2.0 * pauli_norm(relation()[0][1])),
@@ -584,12 +582,16 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
 
     Every caller builds every closed check, so the step forms the closed
     forms and the samples that several checks or tables share up front; its
-    checks are builds over them, as _run_chunks takes them. Its chain
-    residuals stay 2x2 matrix products (su2.mul), so its tables keep their
-    bits; the numeric pipeline runs the chain in real Pauli forms.
+    checks are builds over them, as _run_chunks takes them. Its chain is
+    _numeric's, _chain_columns on eta_closed's forms: h_hermitian reads the
+    raw h's anti-Hermitian rest, and dyson_relation its distance from rabi_h.
+    The chain's residuals are formed, and its forms dropped, before the
+    per-sign residuals, so the peak memory holds one set of them at a time.
     """
     h1 = h1_su2(p)
     h1m = h1.matrix()
+    # H1 = re + i im with re and im Hermitian, each as a real Pauli form that broadcasts over a chunk
+    h1_forms = [pauli_form(m)[:, None] for m in (h1m, -1j * h1m)]
     e_p, e_m = eigenvalues_h1(p)
     sub = _subsample(grid.n_steps + 1)
     # the samples of the checks that read no grid time, formed once
@@ -606,18 +608,18 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
     def step(rows, ts):
         rho = rho_closed(ts, p)
         dys = eta_closed(ts, p)
-        eta, eta_dot, inv = dys.eta, dys.eta_dot, dys.eta_inverse
-        del dys  # and its real Pauli forms, which no check reads
         h = rabi_h(ts, p)
         u = u_closed(ts, p)
-        dets = cache(lambda: det(rho).real)
-        h_tilde = cache(lambda: h1m + 1j * mul(inv, eta_dot))
-        chain = {
-            "det_deviation": cache(lambda: np.abs(dets() - p.phi**4 / p.gamma**2)),
-            "eta_sq_residual": cache(lambda: frobenius_norm(mul(eta, eta) - rho)),
-            "h_hermiticity": cache(lambda: hermiticity_residual(h)),
-            "htilde_quasi_hermiticity": cache(lambda: quasi_hermiticity_residual(h_tilde(), rho)),
-        }
+        u_unitarity = _unitarity(u)  # while few arrays are alive: its temporaries are the step's largest
+        form, dets, relation, chain = _chain_columns(h1m, rho, dys, lambda: p.phi**4 / p.gamma**2)
+        columns = {name: build() for name, build in chain.items()}
+        (h_re, h_im), (t_re, t_im) = relation()
+        dyson_resid = np.hypot(pauli_norm(h_re - rabi_form(ts, p)), pauli_norm(h_im))
+        h_tilde = pauli_compose(*t_re) + 1j * pauli_compose(*t_im)
+        flow_resid = pauli_norm(metric_rhs_form(h1, form()) - pauli_form(rho_closed_dot(ts, p)))
+        h1_resid = quasi_hermiticity_form(h1_forms, form())
+        eta, eta_dot = dys.eta, dys.eta_dot
+        del dys, relation, chain, h_re, h_im, t_re, t_im  # the chain's forms, which no check reads any more
         psi_p, psi_m = psi_pm(ts, +1, p), psi_pm(ts, -1, p)
         phi_p, phi_m = _apply(eta, psi_p), _apply(eta, psi_m)
         e_plus, e_minus = energy_expectation(ts, +1, p), energy_expectation(ts, -1, p)
@@ -632,25 +634,22 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
             d_phi = _apply(eta_dot, psi) - 1j * energy * _apply(eta, psi)
             phi_resid.append(np.linalg.norm(_apply(h, phi) - 1j * d_phi, axis=1))
             energy_h.append(np.abs(_braket(phi, h, phi).real - e_t))
-            energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde(), psi)).real - e_t))
+            energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde, psi)).real - e_t))
         # propagator checks: unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
         at = _rows_in(sub, rows)
         rate = theta_dot(ts[at], p)
         du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
-        u_unitarity = _unitarity(u)
 
         checks = {
             "metric_hermitian": lambda: (hermiticity_residual(rho), 1e-12),
-            "metric_flow_residual": lambda: (frobenius_norm(metric_rhs(h1, rho) - rho_closed_dot(ts, p)), 1e-10),
-            "det_rho_constant": lambda: (chain["det_deviation"](), 1e-10),
-            "eta_squared_matches_rho": lambda: (chain["eta_sq_residual"](), 1e-10),
+            "metric_flow_residual": lambda: (flow_resid, 1e-10),
+            "det_rho_constant": lambda: (columns["det_deviation"], 1e-10),
+            "eta_squared_matches_rho": lambda: (columns["eta_sq_residual"], 1e-10),
             "eta_hermitian": lambda: (hermiticity_residual(eta), 1e-12),
-            "h_hermitian": lambda: (chain["h_hermiticity"](), 1e-12),
-            "dyson_relation": lambda: (
-                frobenius_norm(mul(mul(eta, h1m), inv) + 1j * mul(eta_dot, inv) - h), 1e-9
-            ),
-            "htilde_quasi_hermitian": lambda: (chain["htilde_quasi_hermiticity"](), 1e-9),
-            "h1_not_quasi_hermitian": lambda: (quasi_hermiticity_residual(h1m, rho), 1e-2, "min_gt"),
+            "h_hermitian": lambda: (columns["h_hermiticity"], 1e-12),
+            "dyson_relation": lambda: (dyson_resid, 1e-9),
+            "htilde_quasi_hermitian": lambda: (columns["htilde_quasi_hermiticity"], 1e-9),
+            "h1_not_quasi_hermitian": lambda: (h1_resid, 1e-2, "min_gt"),
             "inner_product_unit": lambda: (ip_unit, 1e-9),
             "inner_product_cross": lambda: (ip_cross, 1e-9),
             "psi_tdse_residual": lambda: (psi_resid, 1e-12),
@@ -663,9 +662,8 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
             "energy_matches_metric_expectation": lambda: (energy_metric, 1e-9),
             "energy_endpoint_values": lambda: (endpoint, 1e-12),
         }
-        invariants = lambda: {**{name: build() for name, build in chain.items()}, "u_unitarity": u_unitarity}
         series = _series(
-            ts, lambda: (*(c.real for c in pauli_decompose(rho)), dets()), lambda: eta, lambda: h, invariants,
+            ts, lambda: (*form(), dets()), lambda: eta, lambda: h, lambda: {**columns, "u_unitarity": u_unitarity},
             u, lambda: {"E_plus": e_plus, "E_minus": e_minus},
         )
         return checks, series
@@ -690,12 +688,13 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     other check its Hermitian part h_num. What several checks or tables
     share, h, Htilde, the closed form and the chain residuals, is formed
     once per chunk, on first use, so a check not built costs nothing.
-    ``oracle(rows, ts, rho, dys, u, h, h_num, unitarity)``, given, with
-    builds of h's pair of Pauli forms, of h_num and of the unitarity,
-    returns the chunk's further (checks, invariant columns, energies)
-    builds, the energies replacing those of the evolved basis states. So the two numeric scenarios differ only in their
-    source and their oracle. Returns the chunks and the step over one chunk,
-    as _run_chunks takes them.
+    ``oracle(rows, ts, rho, dys, u, relation, h_num, unitarity)``, given,
+    with builds of the Dyson relation's forms (see _chain_columns), of h_num
+    and of the unitarity, returns the chunk's further (checks, invariant
+    columns, energies) builds, the energies replacing those of the evolved
+    basis states. So the two numeric scenarios differ only in their source
+    and their oracle. Returns the chunks and the step over one chunk, as
+    _run_chunks takes them.
     """
     hm = h.matrix()
     sub = _subsample(grid.n_steps + 1, want=50)
@@ -703,8 +702,8 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     def chunk(rows, ts, rho_num, dys, u):
         ref = cache(lambda: zeta_metric(ts, h, zeta))
         ref_form = cache(lambda: ref().form())
-        form, dets, h_forms, chain = _chain_columns(hm, rho_num, dys, lambda: positivity_margin(ref()))
-        h_num = cache(lambda: pauli_compose(*h_forms()[0]))
+        form, dets, relation, chain = _chain_columns(hm, rho_num, dys, lambda: positivity_margin(ref()))
+        h_num = cache(lambda: pauli_compose(*relation()[0][0]))
         dev_metric = cache(lambda: pauli_norm(form() - ref_form()))
         unitarity = cache(lambda: _unitarity(u))
 
@@ -731,7 +730,7 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
         energies = lambda: {f"E_{k + 1}": _braket(u[:, :, k], h_num(), u[:, :, k]).real for k in (0, 1)}
         columns = dict  # no oracle, no further invariant columns
         if oracle is not None:
-            more, columns, energies = oracle(rows, ts, rho_num, dys, u, h_forms, h_num, unitarity)
+            more, columns, energies = oracle(rows, ts, rho_num, dys, u, relation, h_num, unitarity)
             checks.update(more)
         invariants = lambda: {
             "metric_vs_closed": dev_metric(), **{name: build() for name, build in chain.items()}, **columns()
@@ -749,15 +748,15 @@ def _su2_h_source(h: SU2Hamiltonian, zeta: ZetaConstants):
     coefficients at all of them and returns the (m, 2, 2) stack composed
     from the real form of the Hermitian counterpart h (dyson_relation_forms),
     exactly Hermitian, so the propagator integrates no anti-Hermitian
-    rounding rest. eta = sqrt(rho) and eta_dot come from require_hpd and
-    dyson_forms, as dyson_from_metric forms them for a MetricFlow: the
-    closed-form root and its analytic derivative along the flow
-    -i (H^dag rho - rho H); no step is a finite difference.
+    rounding rest. The metric's real Pauli form is never composed:
+    require_pd_form checks it, and dyson_forms gives eta = sqrt(rho) and
+    eta_dot by dyson_from_metric's rule for a MetricFlow, the closed-form
+    root and its analytic derivative along the flow -i (H^dag rho - rho H).
     """
     hm = h.matrix()
 
     def source(t):
-        rho = require_hpd(zeta_metric(t, h, zeta).matrix())
+        rho = require_pd_form(zeta_metric(t, h, zeta).form())
         return pauli_compose(*dyson_relation_forms(hm, *dyson_forms(h, *rho))[0][0])
 
     return source
@@ -777,17 +776,17 @@ def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
     h1, zeta = h1_su2(p), rho_closed_constants(p)
     eta_start = hermitian_sqrt(zeta_metric(grid.t_start, h1, zeta).matrix())  # the first row of the numeric eta
 
-    def oracle(rows, ts, rho_num, dys, u_num, h, h_num, unitarity):
+    def oracle(rows, ts, rho_num, dys, u_num, relation, h_num, unitarity):
         # eta and h against their closed forms in real Pauli forms, neither composed
         dev_eta = cache(lambda: pauli_norm(dys.forms[0] - eta_form(ts, p)))
-        dev_h = cache(lambda: pauli_norm(h()[0] - rabi_form(ts, p)))
+        dev_h = cache(lambda: pauli_norm(relation()[0][0] - rabi_form(ts, p)))
         dev_u = cache(lambda: frobenius_norm(u_num - mul(u_closed(ts, p), u_start)))
 
         @cache
         def u_big():
             # the non-Hermitian-picture propagator keeps rho norms but not flat ones
             at = _rows_in(sub, rows)
-            return at, mul(mul(dys[at].eta_inverse, u_num[at]), eta_start)
+            return at, mul(mul(invert_dyson_map(dys[at].eta), u_num[at]), eta_start)
 
         def rho_inner():
             at, big = u_big()

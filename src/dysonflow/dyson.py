@@ -76,11 +76,6 @@ class DysonSample:
         """(eta, eta_dot) as real Pauli forms."""
         return pauli_form(self.eta), pauli_form(self.eta_dot)
 
-    @cached_property
-    def eta_inverse(self) -> np.ndarray:
-        """eta^-1 by invert_dyson_map, formed on first use and then kept."""
-        return invert_dyson_map(self.eta)
-
 
 def invert_dyson_map(eta) -> np.ndarray:
     """Closed-form 2x2 inverse via adjugate, of one matrix or a (..., 2, 2) stack.

@@ -3,16 +3,17 @@
 Conventions used throughout the package: hbar = 1, all times and energies
 dimensionless, matrices are plain (2, 2) complex numpy arrays (or (..., 2, 2)
 stacks where a kernel says so). Each 2x2 rule the package applies
-(product, determinant, conjugate transpose, Hermitian part, Frobenius
-norm, Hermiticity residual, Hermitian positive-definite check, Pauli split
+(product, determinant, conjugate transpose, Frobenius norm, Hermiticity
+residual, Hermitian positive-definite check, Pauli split
 ``pauli_decompose(m) -> (a0, ax, ay, az)`` and Pauli sum
 ``pauli_compose(a0, ax, ay, az)``, Hermitian square root and its
 derivative) is coded here once. So is the real Pauli kernel of the
 Hermitian chain: a Hermitian a0 I + a.sigma is its real Pauli form, the
-float (4, ...) array (a0, ax, ay, az) of ``pauli_form``, which the root
-(``pauli_sqrt``), its derivative (``pauli_sqrt_derivative``) and the
-product (``pauli_product``) take and give in real arithmetic; the matrix
-root and its derivative are a decompose, that kernel and a compose.
+float (4, ...) array (a0, ax, ay, az) of ``pauli_form``, which the
+positivity check (``require_pd_form``), the root (``pauli_sqrt``), its
+derivative (``pauli_sqrt_derivative``), the product (``pauli_product``)
+and the determinant (``pauli_det``) take and give in real arithmetic; the
+matrix root and its derivative are a decompose, that kernel and a compose.
 
 Every stack the package builds is stored entry-major: a (..., 2, k) stack
 has the memory layout of a C-ordered (2, k, ...) array, so each entry
@@ -210,13 +211,6 @@ def dagger(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def hermitian_part(m) -> np.ndarray:
-    """(m + m^dagger) / 2 of a matrix or of each of a stack, entry-major; exactly Hermitian."""
-    out = np.add(m, dagger(m), out=_entry_major(np.shape(m)[:-2]))
-    out *= 0.5
-    return out
-
-
 def mul(a, b) -> np.ndarray:
     """Matrix product a @ b of 2x2 matrices, entry by entry over the stack.
 
@@ -310,14 +304,9 @@ def require_hpd(m):
 
     Accepts one (2, 2) matrix or a (..., 2, 2) stack. The first matrix that
     is not Hermitian within HERMITICITY_TOL (Frobenius, on the matrix,
-    before pauli_form drops the anti-Hermitian part) raises NotHermitian.
-    The first whose Hermitian part alpha I + beta.sigma is not positive
-    definite raises NotPositiveDefinite: that needs alpha > 0 and the
-    determinant scaled by alpha^2, q = 1 - |beta/alpha|^2, > 0, which does
-    not overflow where alpha^2 would; a NaN fails both.
-    Its position is in the message and in the error's ``index`` (None for
-    a single matrix). Returns the form (4, ...) and s = sqrt(det) =
-    alpha sqrt(q) of the stack's shape, the arguments of pauli_sqrt.
+    before pauli_form drops the anti-Hermitian part) raises NotHermitian;
+    the form of the Hermitian parts then goes through require_pd_form,
+    which raises NotPositiveDefinite and returns the form and sqrt(det).
     """
     m = complex2x2_stack(m)
     residual = hermiticity_residual(m)
@@ -328,7 +317,22 @@ def require_hpd(m):
             f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {HERMITICITY_TOL:.1e}",
             index=i,
         )
-    rho = pauli_form(m)
+    return require_pd_form(pauli_form(m))
+
+
+def require_pd_form(rho):
+    """Check that the real Pauli form rho = alpha I + beta.sigma is positive definite; return it and sqrt(det).
+
+    ``rho`` is one form (4,) or a (4, ...) stack of them, Hermitian by
+    construction, so this is require_hpd's positivity half alone. The first
+    form that is not positive definite raises NotPositiveDefinite: that
+    needs alpha > 0 and the determinant scaled by alpha^2,
+    q = 1 - |beta/alpha|^2, > 0, which does not overflow where alpha^2
+    would; a NaN fails both. Its position is in the message and in the
+    error's ``index`` (None for a single form). Returns rho and
+    s = sqrt(det) = alpha sqrt(q) of the stack's shape, the arguments of
+    pauli_sqrt.
+    """
     alpha, beta = rho[0], rho[1:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # each such sample is refused below
         w = beta / alpha

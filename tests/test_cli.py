@@ -30,8 +30,9 @@ from dysonflow import (
     zeta_metric,
 )
 from dysonflow._parallel import _fork_map
+from dysonflow.dyson import dyson_forms, dyson_relation_forms
 from dysonflow.errors import NotPositiveDefinite, StepTooLarge
-from dysonflow.su2 import hermitian_part
+from dysonflow.su2 import dagger, pauli_compose, require_pd_form
 
 T0 = -1.8137993642342178  # anchor time for gamma = 1/2
 
@@ -356,7 +357,11 @@ def test_yang_lee_scenarios_refuse_zeta_constants(scenario, tmp_path, capsys):
 
 # sha256 of each CSV and of report.json written by the configuration below.
 # The six closed-form series were recorded before the numeric kernels were
-# batched and must not move a byte; the invariants were re-recorded when the
+# batched and have kept their bytes since, but for one column: metric's
+# det_rho moved (6 fields, max |new - old| 8.9e-16) when the closed chain
+# took the numeric one's real Pauli forms and det rho became pauli_det of
+# rho's form; its alpha and beta columns kept their bytes. The invariants
+# were re-recorded when the
 # 2x2 products went entry by entry (su2.mul), the states, propagator and
 # invariants when u_closed stopped taking tan and arctan, whose bits depend
 # on numpy's SIMD loops (all three hold the same bytes on numpy's AVX2 and
@@ -366,16 +371,20 @@ def test_yang_lee_scenarios_refuse_zeta_constants(scenario, tmp_path, capsys):
 # when that check took du/dt from theta_dot instead of central differences.
 # hermitian_h was re-recorded when rabi_h stopped writing -0.0 into its zero
 # entries: 303 fields (h_01_re, h_10_re, h_11_im) went from -0 to 0, max
-# |new - old| 0
+# |new - old| 0. metric, invariants and the report moved with that real Pauli
+# chain: invariants by max |new - old| 8.9e-16 (h_hermiticity, 0 before, now
+# the raw Dyson relation's anti-Hermitian rest, up to 3.2e-16), the report in
+# h_hermitian (0 -> 3.2e-16), eta_squared_matches_rho, dyson_relation and
+# htilde_quasi_hermitian (each by at most 1.6e-16)
 GOLDEN_CLOSED = {
-    "metric": "8909d20541b3466920f2388e4d171f7c6f7d08721a54166396351b84fdc44c16",
+    "metric": "2a7256ab573739ff845cc647939aa53de0f32ce772fc58aa133b1643cec42b65",
     "dyson": "10f8c6cb30a31419cbf9f10e74493b5a2b560c48d0b99510094a94479b5c57ed",
     "hermitian_h": "94ac849caa4fd8026f13d55060dd3e77a751aa179cc8f25876c0a4ee8b3b0aa7",
     "states": "0e26a563d61d0c08a61c6b571d6f19788123e628070f8615aa15040823e704d0",
     "propagator": "65d0f68f5db1767abf5ebf5ad0491454c6a5f07fb3dd4ca2f384fa3a9d626262",
     "energies": "753e8900090c35089a37ff919493ff501bf7a2d994220708293fcc55924f253c",
-    "invariants": "ec9e9f791dace91ea0f2fc3f7fe5564d359d578c1dbd81e3567c5855613d4842",
-    "report": "ba977f8cb077bb6e7a0d1242a070b589e619eff961fc0d67173905ce4c436fc5",
+    "invariants": "315391326440ef083cfd105777b6db66858364df729bad430757dbc518c76d0c",
+    "report": "493f09604119e564e9f3b43f24ca0910d04a55e8ba477981e090a4d121668a2f",
 }
 
 
@@ -408,14 +417,36 @@ def rotated_yang_lee_config(lam, out_path, **overrides):
 
 def test_h_hermitian_reads_the_raw_h_anti_hermitian_rest():
     # h_hermitian is twice the norm of the imaginary Pauli form of h, the
-    # rounding rest the kernel computes, never a zero by construction
-    cfg = cli.validate_config(
-        cli.ScenarioConfig(**rotated_yang_lee_config(0.9999, "unused", t_start=0.0, t_end=20.0, dt=0.01))
-    )
-    report, _ = cli.run_scenario(cfg, write_files=False)
-    check = {c.name: c for c in report.checks}["h_hermitian"]
-    assert 0.0 < check.value <= check.tolerance
-    assert report.overall_pass
+    # rounding rest the kernel computes, never a zero by construction: on the
+    # rotated Yang-Lee config near the exceptional point, and in
+    # yang-lee-closed, whose chain runs on eta_closed's forms, over its
+    # default window from gamma 3e-3 to 0.995 at two omegas (3.4e-18 to
+    # 1.1e-13; at gamma 0.9999 it reads 7.4e-12 and fails)
+    configs = [rotated_yang_lee_config(0.9999, "unused", t_start=0.0, t_end=20.0, dt=0.01)]
+    configs += [{"scenario": "yang-lee-closed", "gamma": g, "omega": w} for g in (3e-3, 0.5, 0.995) for w in (1.0, 0.8)]
+    for raw in configs:
+        report, _ = cli.run_scenario(cli.validate_config(cli.ScenarioConfig(**raw)), write_files=False)
+        check = {c.name: c for c in report.checks}["h_hermitian"]
+        assert 0.0 < check.value <= check.tolerance, raw
+        assert report.overall_pass, raw
+
+
+def test_a_wrong_eta_dot_fails_the_closed_h_hermitian(tmp_path, monkeypatch, capsys):
+    # the closed h_hermitian reads the raw Dyson relation of eta_closed's eta
+    # and eta_dot, so an eta_dot off by one part in 10^6 leaves h an
+    # anti-Hermitian rest far above rounding (7.1e-7 over the default window)
+    real = cli.eta_closed
+
+    def scaled(t, p):
+        eta, eta_dot = real(t, p).forms
+        return DysonSample(t, forms=(eta, eta_dot * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(cli, "eta_closed", scaled)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, outputs=[])
+    assert cli.main(["verify", str(cfg_path)]) == 1
+    [line] = [line for line in capsys.readouterr().out.splitlines() if line.split()[0] == "h_hermitian"]
+    assert line.endswith("FAIL")
 
 
 def test_h_stays_accurate_near_the_exceptional_point():
@@ -550,15 +581,22 @@ def test_flow_eta_dot_is_the_limit_of_the_finite_difference_one():
 
 
 def test_flow_eta_dot_is_the_su2_source_bit_for_bit():
-    # dyson_from_metric on a MetricFlow and _su2_h_source apply one rule, and
-    # the source is the Hermitian part of the h it gives
+    # _su2_h_source is the Hermitian part of the Dyson chain's h on the
+    # closed-form metric's real Pauli form, bit for bit, and within rounding
+    # of the h dyson_from_metric gives on a MetricFlow of its composed
+    # matrices, which decomposes them again; that distance grows with cond(rho)
+    # towards the exceptional point (3.7e-14 at lambda 0.99)
     h, zeta = rotated_hamiltonian()
     ts = 0.37 + 1e-2 * np.arange(300)
-    series = TimeSeries(t0=ts[0], dt=1e-2, samples=zeta_metric(ts, h, zeta).matrix())
-    via_dyson = hermitian_part(hermitian_counterpart(h.matrix(), dyson_from_metric(MetricFlow(series, h))))
+    metric = zeta_metric(ts, h, zeta)
+    via_chain = pauli_compose(*dyson_relation_forms(h.matrix(), *dyson_forms(h, *require_pd_form(metric.form())))[0][0])
     exact = cli._su2_h_source(h, zeta)(ts)
     bits = lambda m: np.ascontiguousarray(m).view(np.uint64)
-    assert np.array_equal(bits(via_dyson), bits(exact))
+    assert np.array_equal(bits(via_chain), bits(exact))
+    series = TimeSeries(t0=ts[0], dt=1e-2, samples=metric.matrix())
+    via_dyson = hermitian_counterpart(h.matrix(), dyson_from_metric(MetricFlow(series, h)))
+    via_dyson = 0.5 * (via_dyson + dagger(via_dyson))
+    assert np.max(frobenius_norm(via_dyson - exact) / frobenius_norm(exact)) <= 1e-14
 
 
 def test_sweep_rows_are_the_numeric_report_values(tmp_path):
@@ -770,7 +808,7 @@ def test_an_overflowing_step_ends_the_run_with_an_error_not_a_traceback(fields, 
 # su2-generic 3.7e-16 -> 7.6e-16) and the numeric nonunitary_flat_metric,
 # which keeps its greatest value, took the mode max_gt for min_gt; the
 # files that read h again when the tables and checks took its Hermitian
-# part (su2.hermitian_part) and the su2-generic propagator its Hermitian
+# part (h + h^dag) / 2 and the su2-generic propagator its Hermitian
 # source, max |new - old| numeric hermitian_h 2.8e-16, energies 2.2e-16,
 # invariants 3.1e-17 and report 4.2e-20 (h_numeric_vs_closed alone),
 # su2-generic hermitian_h 3.2e-16, energies 2.2e-16, propagator and states
@@ -783,7 +821,11 @@ def test_an_overflowing_step_ends_the_run_with_an_error_not_a_traceback(fields, 
 # 7.8e-16, energies 1.1e-15, invariants 2.2e-15 and report 1.3e-15, the
 # numeric propagator and states keeping their bytes; su2-generic metric
 # 1.8e-15, dyson 4.4e-16, hermitian_h 6.7e-16, propagator and states
-# 1.7e-16, energies 7.8e-16, invariants 2.0e-15 and report 1.3e-15
+# 1.7e-16, energies 7.8e-16, invariants 2.0e-15 and report 1.3e-15; and the
+# su2-generic propagator, states and energies again (max |new - old|
+# 1.1e-16) and its report in u_unitary alone (2.4199e-14 -> 2.4185e-14)
+# when the su2 source rooted zeta_metric's real Pauli form as it is, no
+# longer composed and decomposed again
 GOLDEN_NUMERIC = {
     "metric": "59221ac20599370a1040612d8a5a667372a77ec1b042ac7b49939d587842b968",
     "dyson": "2bc69219c5d331108a597b83ad1b1eb98d9b9e3cb2adda34595a44e4cfe6f68a",
@@ -798,11 +840,11 @@ GOLDEN_SU2_GENERIC = {
     "metric": "27109a90415863ad0961b397affd7a57390edcd354a94ad2bf8b3430fa226604",
     "dyson": "e8263e211901d19263b82d4fa0764b55617476cba38545e2302f0a0c190f5869",
     "hermitian_h": "60f32f12bee299b930b51f16331a9de13fd89ab4570b3b696f0bf8b25581eca1",
-    "states": "d1af8fb1f5eaf5f37378620e5311d1b9b2ff166b3e2c3c960b19690fd959a44f",
-    "propagator": "5c732e68f3727e6b3e96dccddc7fee3bf93a3c63646ae7fdb79303661f76ba6b",
-    "energies": "3ab6abfd1aeb2df8aa093ca31e47f5fefb4f25041e1a6747d1cae23d74253a57",
+    "states": "d6f8ed1f39ab32984d34908ee0878ff68d5e0725439d1817f96325d59e054a59",
+    "propagator": "2a7a77344af3cba212c59a0bfaedf1b94fc08189ec0580dc8b709b88eff7870d",
+    "energies": "6499a4dfd6612dde774241d3e53b22161afea53db268a132ade6976e0216b2fd",
     "invariants": "6b64193d54eb721d37322ed7766cbc7bbd63d7b07cd1be4431662a360aa7792f",
-    "report": "898cf16b05765c0502bd73a293d1e0d12ac59baa33b4c76dc0f6e19b67e66ddf",
+    "report": "43c631c5fbebc18d7b40a84bbbe307102e1bbb11263d33fd8895925645f3b096",
 }
 
 
@@ -887,16 +929,17 @@ def test_yang_lee_numeric_is_su2_generic_on_h1(chunk_steps, tmp_path, monkeypatc
 # of h in the tables and the su2 source, by the su2-generic CSV files' max
 # |new - old| above; every file and the sweep (8.9e-16) again with the chain
 # in real Pauli coefficients, by the su2-generic CSV files' max |new - old|
-# above
+# above; propagator, states, energies and report again (the sweep kept its
+# bytes) when the su2 source rooted the metric's form, by the same
 GOLDEN_SU2_GENERIC_JSON = {
     "metric": "6dfd6a30a80d449eac732aedf45695ba5170668675ab9de0555d0e9da8de17da",
     "dyson": "f3b3c2b43772e100922e2a3422cc6c96f2d0709af59ef1aa3fa774f56669411c",
     "hermitian_h": "caa6b8c3d95f3e7d9efd2604751e1da42522cba3df2ea2b8f4909fa6516a31a6",
-    "states": "4a8bc3033293329158f01c1f9b693a463b1f1762e42a5b1499aa60c954fb4d5c",
-    "propagator": "2e31e232e5a51a374c9edf0aba2579d21228936e2fca60c85aaad1986c2281c9",
-    "energies": "7aaec76289d4c81f38c55e1cd25726c1c68762283054b243b105cf40969d603a",
+    "states": "2318dbc4b1f0f05fde2b64f7930f6257045523a4a7df98d36ae7108ddbcd2667",
+    "propagator": "38fff2b9fd7e4fc80d02ebc638c07638952318d1d09054fd18f989c135d695fe",
+    "energies": "0febae774f39bad25d5f7ab30e1c4d994e555237f71f65dfd9c317f302d53509",
     "invariants": "351e50f30d78c8e061ab3f956d892ca3564bb072d673da18b1013658e04563e9",
-    "report": "083c9c2267593e3fb75ec4dea8cf905560e0b9f439e43004fa2ba8e464266a06",
+    "report": "64201f8098538dd7f8b215fffceff8bf07a7ca8483a0832fb3818e73bfa17e03",
 }
 GOLDEN_SU2_SWEEP_DT_JSON = "78f9a4678c70b4e80e447ec3725cf2403cc9b66553775f259bce2ebb1a0f1486"
 

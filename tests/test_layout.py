@@ -33,7 +33,7 @@ from dysonflow import (
 )
 from dysonflow._integrate import rk4_linear, stage_times
 from dysonflow.dyson import dyson_forms
-from dysonflow.su2 import hermitian_part, hermitian_sqrt_derivative, pauli_form, require_hpd
+from dysonflow.su2 import hermitian_sqrt_derivative, pauli_form, require_hpd
 from dysonflow.yang_lee import rho_closed_dot, u_closed
 
 P = YangLeeParams(gamma=0.6, omega=0.9)
@@ -87,7 +87,6 @@ BUILDERS = {
         pauli_compose(*np.ones((4, 3, 5))),
         pauli_compose(T, -0.0, 0.5 * T, 0.0),
     ],
-    "hermitian_part": lambda: [hermitian_part(random_stack(7))],
     "hermitian_sqrt": lambda: [hermitian_sqrt(RHO)],
     "hermitian_sqrt_derivative": lambda: [hermitian_sqrt_derivative(ETA, RHO_DOT)],
     "invert_dyson_map": lambda: [invert_dyson_map(ETA)],
@@ -119,7 +118,6 @@ def test_one_matrix_stays_c_contiguous():
     for out in (
         mul(eta, rho),
         pauli_compose(1.0, 0.5, 0.25j, 2.0),
-        hermitian_part(rho_dot),
         hermitian_sqrt(rho),
         hermitian_sqrt_derivative(eta, rho_dot),
         invert_dyson_map(eta),
@@ -156,7 +154,6 @@ def stage_stack():
 KERNELS = {
     "mul": (mul, lambda: (random_stack(5), random_stack(6))),
     "mul column": (mul, lambda: (random_stack(5), random_stack(6, k=1))),
-    "hermitian_part": (hermitian_part, lambda: (random_stack(5),)),
     "hermitian_sqrt": (hermitian_sqrt, lambda: (RHO,)),
     "hermitian_sqrt_derivative": (hermitian_sqrt_derivative, lambda: (ETA, RHO_DOT)),
     "invert_dyson_map": (invert_dyson_map, lambda: (random_stack(5),)),

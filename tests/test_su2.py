@@ -31,7 +31,7 @@ from dysonflow import (
     rho_inner,
 )
 from dysonflow.errors import NotHermitian, NotPositiveDefinite
-from dysonflow.su2 import hermitian_part, pauli_form
+from dysonflow.su2 import pauli_form, require_pd_form
 
 
 def test_decompose_basis_elements():
@@ -320,58 +320,18 @@ def bits(m):
     return np.ascontiguousarray(m).view(np.uint64)
 
 
-def signed_zeros(m):
-    """m with zeros of either sign in some real and imaginary parts of its first 40 matrices."""
-    m = m.copy()
-    m.real[:10, 0, 0] = -0.0
-    m.real[10:20, 0, 1] = 0.0
-    m.imag[10:20, 1, 0] = -0.0
-    m.imag[20:30, 1, 1] = -0.0
-    m[30:40] = np.array([[0.0, -0.0], [-0.0j, -0.0 - 0.0j]])
-    m.imag[30:40, 1, 1] = -0.0
-    return m
-
-
-@pytest.mark.parametrize("layout", ["entry-major", "C-ordered"])
-def test_hermitian_part_of_a_stack_is_the_stack_of_single_parts_bit_for_bit(layout):
-    rng = np.random.default_rng(37)
-    m = signed_zeros(random_complex(rng, (10_000, 2, 2), 3))
-    if layout == "entry-major":
-        m = np.moveaxis(np.ascontiguousarray(np.moveaxis(m, 0, -1)), -1, 0)
-        assert m[:, 0, 0].flags.c_contiguous
-    part = hermitian_part(m)
-    assert all(part[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
-    assert np.array_equal(bits(part), bits(np.stack([hermitian_part(np.array(x)) for x in m])))
-    assert np.array_equal(bits(part), bits(0.5 * (m + dagger(m))))
-    assert hermitian_part(m[0]).flags.c_contiguous
-
-
-def test_hermitian_part_is_exactly_hermitian():
-    # its off-diagonal entries are one difference and its negative in the
-    # imaginary parts (equal up to the sign of a zero), and the imaginary
-    # parts of its diagonal cancel to +0, whatever the input
-    rng = np.random.default_rng(39)
-    m = signed_zeros(random_complex(rng, (10_000, 2, 2), 3))
-    assert np.all(hermiticity_residual(m[:30]) > 0.0)
-    part = hermitian_part(m)
-    assert np.all(hermiticity_residual(part) == 0.0)
-    assert np.array_equal(part[:, 0, 1], np.conj(part[:, 1, 0]))
-    assert np.array_equal(bits(part[:, [0, 1], [0, 1]].imag), np.zeros((10_000, 2), dtype=np.uint64))
-    # a Hermitian matrix is its own Hermitian part
-    assert np.array_equal(hermitian_part(part), part)
-
-
 def test_require_hpd_keeps_the_bits_of_its_hermitian_part():
-    # require_hpd returns the real Pauli form of hermitian_part(m), with the
-    # bits of that form, and sqrt(det) of it
+    # require_hpd returns the real Pauli form of the Hermitian part of m, with
+    # the bits of that form, and sqrt(det) of it, as require_pd_form does on that form
     rng = np.random.default_rng(43)
     a = random_complex(rng, (5_000, 2, 2), 1)
     m = mul(a, dagger(a)) + IDENTITY + 1e-12 * random_complex(rng, (5_000, 2, 2))
     form, s = require_hpd(m)
-    part = hermitian_part(m)
+    part = 0.5 * (m + dagger(m))
     assert np.array_equal(bits(form), bits(pauli_form(part))) and np.array_equal(bits(form), bits(pauli_form(m)))
     assert np.max(frobenius_norm(pauli_compose(*form) - part) / frobenius_norm(part)) < 1e-15
     assert np.allclose(s**2, det(part).real, rtol=1e-13, atol=0.0)
+    assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(require_pd_form(pauli_form(m)), (form, s)))
 
 
 def test_hermitian_sqrt_takes_the_determinant_scaled():
@@ -382,6 +342,9 @@ def test_hermitian_sqrt_takes_the_determinant_scaled():
         hermitian_sqrt(np.array([[1e200, 1e200], [1e200, 1e200]]))
     with pytest.raises(NotPositiveDefinite, match="matrix 1 of the stack"):
         require_hpd(np.stack([1e200 * IDENTITY, np.full((2, 2), 1e200)]))
+    with pytest.raises(NotPositiveDefinite, match="matrix 1 of the stack") as err:
+        require_pd_form(np.array([[1e200, 1e200], [0.0, 1e200], [0.0, 0.0], [0.0, 0.0]]))
+    assert err.value.index == 1
 
 
 def assert_stack_rounds_as_single_products(a, b):
