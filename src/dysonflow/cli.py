@@ -57,14 +57,13 @@ from .dyson import (
     invert_dyson_map,
     quasi_hermiticity_form,
 )
-from .errors import ConfigInvalid, DysonflowError, StepTooLarge, UnsupportedHamiltonian
+from .errors import ConfigInvalid, DysonflowError, NotPositiveDefinite, StepTooLarge, UnsupportedHamiltonian
 from .metric import (
     SU2Hamiltonian,
     ZetaConstants,
     _require_flow_solvable,
     integrate_metric_from,
     metric_rhs_form,
-    positivity_margin,
     zeta_metric,
     zeta_metric_dot,
 )
@@ -221,21 +220,23 @@ def _su2_model(cfg: ScenarioConfig):
     """su2-generic's model, (0, period, (h, zeta)); refused where the closed-form metric or its positivity fails.
 
     The closed-form metric its checks read exists by the rule of
-    metric._require_flow_solvable; zeta_constants default to (0, 0, -1, 0).
+    metric._require_flow_solvable. det rho is conserved along the zeta
+    family, so su2.require_pd_form at t = 0 decides its positivity at every
+    t; det rho = alpha^2 - |beta|^2, which the checks read, must not
+    overflow either. zeta_constants default to (0, 0, -1, 0).
     """
     h = SU2Hamiltonian(kappa0=cfg.kappa0, lambda0=cfg.lambda0, kappa_vec=cfg.kappa_vec, lambda_vec=cfg.lambda_vec)
     zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
     try:
         k2, l2 = _require_flow_solvable(h)
+        alpha = float(require_pd_form(zeta_metric(0.0, h, zeta).form())[0][0])
     except UnsupportedHamiltonian as exc:
         raise ConfigInvalid(f"su2-generic: {exc}") from exc
-    # det rho is conserved along the zeta family, so t = 0 decides every t
-    rho0 = zeta_metric(0.0, h, zeta)
-    margin = positivity_margin(rho0)
-    if not (rho0.alpha > 0.0 and 0.0 < margin < math.inf):  # a NaN det fails too
+    except NotPositiveDefinite as exc:
+        raise ConfigInvalid(f"su2-generic: zeta_constants give a metric that is {exc}") from exc
+    if not math.isfinite(alpha * alpha):  # Python floats: an overflow is inf, with no numpy warning
         raise ConfigInvalid(
-            "su2-generic: zeta_constants give a metric that is not positive definite "
-            f"(alpha = {rho0.alpha:.6g}, det rho = {margin:.6g})"
+            f"su2-generic: zeta_constants give a metric whose alpha^2 - |beta|^2 overflows (alpha = {alpha:.6g})"
         )
     return 0.0, 2.0 * math.pi / math.sqrt(k2 - l2), (h, zeta)
 
@@ -456,11 +457,6 @@ def _metadata(cfg: ScenarioConfig) -> dict:
     return {"config": asdict(cfg), "version": __version__}
 
 
-def _subsample(n: int, want: int = 200) -> np.ndarray:
-    step = max(1, n // want)
-    return np.arange(0, n, step)
-
-
 # ----------------------------------------------------------------------
 # Runs in chunks
 # ----------------------------------------------------------------------
@@ -484,9 +480,10 @@ def _times(grid: IntegrationGrid, lo: int, hi: int) -> np.ndarray:
     return grid.t_start + grid.dt * np.arange(lo, hi)
 
 
-def _rows_in(picked: np.ndarray, rows: slice) -> np.ndarray:
-    """The grid rows of ``picked`` that lie in ``rows``, counted from its start."""
-    return picked[(picked >= rows.start) & (picked < rows.stop)] - rows.start
+def _sampled(grid: IntegrationGrid, rows: slice, want: int) -> slice:
+    """The chunk's rows among the grid rows 0, step, 2 step, ..., about ``want`` of them, as a slice of its arrays."""
+    step = max(1, (grid.n_steps + 1) // want)
+    return slice(-rows.start % step, None, step)
 
 
 def _numeric_chunks(grid: IntegrationGrid, h: SU2Hamiltonian, rho0, source):
@@ -593,7 +590,6 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
     # H1 = re + i im with re and im Hermitian, each as a real Pauli form that broadcasts over a chunk
     h1_forms = [pauli_form(m)[:, None] for m in (h1m, -1j * h1m)]
     e_p, e_m = eigenvalues_h1(p)
-    sub = _subsample(grid.n_steps + 1)
     # the samples of the checks that read no grid time, formed once
     anchor_error = np.linalg.norm(u_closed(p.t0, p) - IDENTITY)
     basis = basis_states(p)
@@ -636,7 +632,7 @@ def _yang_lee_closed(p: YangLeeParams, grid: IntegrationGrid):
             energy_h.append(np.abs(_braket(phi, h, phi).real - e_t))
             energy_metric.append(np.abs(_braket(psi, rho, _apply(h_tilde, psi)).real - e_t))
         # propagator checks: unitarity, TDSE with du/dt = i diag(theta', omega - theta') u
-        at = _rows_in(sub, rows)
+        at = _sampled(grid, rows, 200)
         rate = theta_dot(ts[at], p)
         du = 1j * np.stack([rate, p.omega - rate], axis=-1)[..., None] * u[at]
 
@@ -697,19 +693,18 @@ def _numeric(grid: IntegrationGrid, h: SU2Hamiltonian, zeta: ZetaConstants, sour
     _run_chunks takes them.
     """
     hm = h.matrix()
-    sub = _subsample(grid.n_steps + 1, want=50)
 
     def chunk(rows, ts, rho_num, dys, u):
         ref = cache(lambda: zeta_metric(ts, h, zeta))
         ref_form = cache(lambda: ref().form())
-        form, dets, relation, chain = _chain_columns(hm, rho_num, dys, lambda: positivity_margin(ref()))
+        form, dets, relation, chain = _chain_columns(hm, rho_num, dys, lambda: pauli_det(ref_form()))
         h_num = cache(lambda: pauli_compose(*relation()[0][0]))
         dev_metric = cache(lambda: pauli_norm(form() - ref_form()))
         unitarity = cache(lambda: _unitarity(u))
 
         def flow_resid():
             # the flow of the closed form against its analytic derivative
-            at = _rows_in(sub, rows)
+            at = _sampled(grid, rows, 50)
             return pauli_norm(metric_rhs_form(h, ref_form()[:, at]) - zeta_metric_dot(ts[at], h, zeta).form())
 
         checks = {
@@ -772,7 +767,6 @@ def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
     """
     u_start = dagger(u_closed(grid.t_start, p))
     psi_start = [psi_pm(grid.t_start, sgn, p) for sgn in (+1, -1)]
-    sub = _subsample(grid.n_steps + 1)
     h1, zeta = h1_su2(p), rho_closed_constants(p)
     eta_start = hermitian_sqrt(zeta_metric(grid.t_start, h1, zeta).matrix())  # the first row of the numeric eta
 
@@ -785,7 +779,7 @@ def _yang_lee_numeric(p: YangLeeParams, grid: IntegrationGrid):
         @cache
         def u_big():
             # the non-Hermitian-picture propagator keeps rho norms but not flat ones
-            at = _rows_in(sub, rows)
+            at = _sampled(grid, rows, 200)
             return at, mul(mul(invert_dyson_map(dys[at].eta), u_num[at]), eta_start)
 
         def rho_inner():

@@ -28,7 +28,7 @@ from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow, SU2Hamiltonian, metric_rhs_form
 from .series import TimeSeries
 from .su2 import (
-    _cross3, _dot, _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm, hermitian_sqrt,
+    _cross3, _dot, _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm,
     mul, pauli_compose, pauli_decompose, pauli_form, pauli_norm, pauli_product, pauli_sqrt,
     pauli_sqrt_derivative, require_hpd,
 )
@@ -44,24 +44,22 @@ class DysonSample:
 
     At one instant t, or over an array of times with (..., 2, 2) stacks;
     indexing a sample over a 1-D array of times gives the sample at one of
-    them. A sample holds the matrices ``eta`` and ``eta_dot``, or their real
-    Pauli forms ``forms`` (su2.pauli_form), which the Dyson relations below
-    read; given one, it forms the other on first use and keeps it. A Dyson
-    map and its derivative are Hermitian: the forms of given matrices keep
-    their Hermitian parts only.
+    them. A sample holds the real Pauli forms ``forms`` of eta and eta_dot
+    (su2.pauli_form), which the Dyson relations below read, and composes
+    the matrices ``eta`` and ``eta_dot`` on first use. Given matrices are
+    split once: a Dyson map and its derivative are Hermitian, so their
+    forms keep the Hermitian parts only.
     """
 
     def __init__(self, t, eta=None, eta_dot=None, forms=None):
-        if forms is None and (eta is None or eta_dot is None):
-            raise TypeError("a DysonSample takes eta and eta_dot, or their forms")
-        self.t = t
-        vars(self).update((k, v) for k, v in (("eta", eta), ("eta_dot", eta_dot), ("forms", forms)) if v is not None)
+        if forms is None:
+            if eta is None or eta_dot is None:
+                raise TypeError("a DysonSample takes eta and eta_dot, or their forms")
+            forms = pauli_form(eta), pauli_form(eta_dot)
+        self.t, self.forms = t, tuple(forms)
 
     def __getitem__(self, i) -> "DysonSample":
-        have = vars(self)
-        matrices = (have[name][i] if name in have else None for name in ("eta", "eta_dot"))
-        forms = tuple(f[:, i] for f in have["forms"]) if "forms" in have else None
-        return DysonSample(self.t[i], *matrices, forms)
+        return DysonSample(self.t[i], forms=tuple(f[:, i] for f in self.forms))
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -70,11 +68,6 @@ class DysonSample:
     @cached_property
     def eta_dot(self) -> np.ndarray:
         return pauli_compose(*self.forms[1])
-
-    @cached_property
-    def forms(self) -> tuple:
-        """(eta, eta_dot) as real Pauli forms."""
-        return pauli_form(self.eta), pauli_form(self.eta_dot)
 
 
 def invert_dyson_map(eta) -> np.ndarray:
@@ -93,11 +86,12 @@ def invert_dyson_map(eta) -> np.ndarray:
 
 
 def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
-    """First time derivative of a uniformly sampled array stack, O(dt^4).
+    """First time derivative of a uniformly sampled array stack along its first axis, O(dt^4).
 
     Five-point central stencil in the interior, one-sided stencils of the
     same order at the two points on each edge. Needs at least
-    MIN_DERIVATIVE_SAMPLES = 5 samples.
+    MIN_DERIVATIVE_SAMPLES = 5 samples. A real stack has a real derivative,
+    laid out in memory as the stack is.
     """
     samples = np.asarray(samples)
     n = len(samples)
@@ -105,7 +99,7 @@ def fourth_order_derivative(samples: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError(
             f"fourth-order differentiation needs >= {MIN_DERIVATIVE_SAMPLES} samples, got {n}"
         )
-    d = np.empty_like(samples, dtype=complex)
+    d = np.empty_like(samples, dtype=np.result_type(samples, 1.0))
     f = samples
     d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dt)
     d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * dt)
@@ -130,14 +124,14 @@ def dyson_forms(h: SU2Hamiltonian, rho, s):
 def dyson_from_metric(metric_series) -> DysonSample:
     """Hermitian Dyson maps eta = sqrt(rho) for a positive-definite metric series.
 
-    One call roots the whole sample stack. For a MetricFlow, require_hpd
-    checks the samples on the matrix and decomposes them once, dyson_forms
-    gives eta and eta_dot from the flow at every sample, and the sample
-    keeps those forms; a bare TimeSeries, whose flow is unknown, is rooted
-    by hermitian_sqrt and takes fourth-order differences of eta
-    (fourth_order_derivative). Returns one DysonSample over the series'
-    times. Raises NotPositiveDefinite (carrying the sample time) on the
-    first invalid sample.
+    One call roots the whole sample stack: require_hpd checks the samples
+    on the matrix and decomposes them once, and the sample keeps the real
+    Pauli forms of eta and eta_dot. For a MetricFlow, dyson_forms gives both
+    from the flow at every sample; a bare TimeSeries, whose flow is unknown,
+    is rooted by pauli_sqrt and takes fourth-order differences of eta's
+    form along time (fourth_order_derivative). Returns one DysonSample over
+    the series' times. Raises NotPositiveDefinite (carrying the sample
+    time) on the first invalid sample.
     """
     series = metric_series.series if isinstance(metric_series, MetricFlow) else metric_series
     if not isinstance(series, TimeSeries):
@@ -145,15 +139,16 @@ def dyson_from_metric(metric_series) -> DysonSample:
     if series.samples.shape[1:] != (2, 2):
         raise ValueError(f"expected (n, 2, 2) metric samples, got {series.samples.shape}")
     try:
-        if isinstance(metric_series, MetricFlow):
-            return DysonSample(series.times, forms=dyson_forms(metric_series.h, *require_hpd(series.samples)))
-        eta = hermitian_sqrt(series.samples)
+        rho = require_hpd(series.samples)
     except (NotHermitian, NotPositiveDefinite) as exc:
         t_i = series.t0 + exc.index * series.dt
         raise NotPositiveDefinite(
             f"metric sample at t = {t_i:.9g} is not a valid metric: {exc}", t=t_i
         ) from exc
-    return DysonSample(t=series.times, eta=eta, eta_dot=fourth_order_derivative(eta, series.dt))
+    if isinstance(metric_series, MetricFlow):
+        return DysonSample(series.times, forms=dyson_forms(metric_series.h, *rho))
+    eta = pauli_sqrt(*rho)
+    return DysonSample(series.times, forms=(eta, fourth_order_derivative(eta.T, series.dt).T))
 
 
 def dyson_relation_forms(h_nonhermitian, eta, eta_dot):

@@ -38,6 +38,7 @@ from .su2 import (
     dagger,
     mul,
     pauli_compose,
+    pauli_det,
     require_hpd,
 )
 
@@ -121,21 +122,24 @@ class ZetaConstants:
 
 def positivity_margin(state: MetricState):
     """det rho = alpha^2 - beta.beta at each time; positive exactly when the metric is valid."""
-    beta = np.moveaxis(state.beta_vec, -1, 0)
-    return state.alpha**2 - _dot(beta, beta)
+    return pauli_det(state.form())
 
 
 def _require_flow_solvable(h: SU2Hamiltonian):
-    """|k|^2 and |l|^2 of an H with lambda0 = 0, k.l = 0 and |k| > |l|; refuses any other."""
+    """|k|^2 and |l|^2, both finite, of an H with lambda0 = 0, k.l = 0 and |k| > |l|; refuses any other."""
     if abs(h.lambda0) > ORTHOGONALITY_TOL:
         raise UnsupportedHamiltonian(
             f"closed forms require lambda0 = 0, got {h.lambda0:.6g}"
         )
-    k2 = float(_dot(h.kappa_vec, h.kappa_vec))
-    l2 = float(_dot(h.lambda_vec, h.lambda_vec))
+    k, l = h.kappa_vec.tolist(), h.lambda_vec.tolist()  # Python floats overflow to inf with no numpy warning
+    k2, l2 = _dot(k, k), _dot(l, l)
     if k2 <= 0.0:
         raise UnsupportedHamiltonian("kappa_vec must be nonzero")
-    if abs(float(_dot(h.kappa_vec, h.lambda_vec))) > ORTHOGONALITY_TOL:
+    if not (math.isfinite(k2) and math.isfinite(l2)):
+        raise UnsupportedHamiltonian(
+            f"|kappa|^2 and |lambda|^2 must be finite, got |k|^2 = {k2:.6g}, |l|^2 = {l2:.6g}"
+        )
+    if abs(_dot(k, l)) > ORTHOGONALITY_TOL:
         raise UnsupportedHamiltonian(
             "closed forms require kappa_vec.lambda_vec = 0; "
             "use integrate_metric for the general case"

@@ -116,13 +116,13 @@ def time_ordered_u(
 
 
 def _eta_at(sample: DysonSample, t: float) -> np.ndarray:
-    """eta of the sample at time t, one of its times to within 1e-6 of their spacing."""
+    """eta of the sample at time t, one of its times to within 1e-6 of their spacing, composed for that time alone."""
     times = np.atleast_1d(sample.t)
     i = int(np.argmin(np.abs(times - t)))
     spacing = abs(times[1] - times[0]) if len(times) > 1 else 0.0
     if not abs(times[i] - t) <= 1e-6 * spacing:
         raise ValueError(f"t = {t:.9g} is not a sample time")
-    return sample.eta if np.ndim(sample.t) == 0 else sample.eta[i]
+    return sample.eta if np.ndim(sample.t) == 0 else sample[i].eta
 
 
 def nonhermitian_u(eta_series: DysonSample, u, t_from: float, t_to: float) -> np.ndarray:

@@ -158,8 +158,9 @@ def test_config_errors_exit_two(tmp_path):
     assert cli.main(["run", str(bad)]) == 2
     bad.write_text(json.dumps({"scenario": "yang-lee-closed", "typo_key": 1}), encoding="utf-8")
     assert cli.main(["run", str(bad)]) == 2
-    bad.write_text("not json", encoding="utf-8")
-    assert cli.main(["run", str(bad)]) == 2
+    for text in ("not json", json.dumps(["yang-lee-closed"])):
+        bad.write_text(text, encoding="utf-8")
+        assert cli.main(["run", str(bad)]) == 2, text
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
     for malformed in (
         {"outputs": 5},
@@ -168,6 +169,11 @@ def test_config_errors_exit_two(tmp_path):
         {"out_path": None},
         {"out_path": 7},
         {"out_path": ["a"]},
+        {"dt": 0.0},
+        {"dt": -1e-3},
+        {"format": "xml"},
+        {"t_start": 1.0, "t_end": 1.0},
+        {"t_start": 1.0, "t_end": 0.5},
     ):
         bad.write_text(json.dumps({"scenario": "yang-lee-closed", **malformed}), encoding="utf-8")
         assert cli.main(["run", str(bad)]) == 2, malformed
@@ -298,22 +304,38 @@ def test_su2_generic_config_guards(tmp_path):
     assert cli.main(["verify", str(cfg_path)]) == 2
 
 
+OVERFLOW = "zeta_constants give a metric whose alpha^2 - |beta|^2 overflows"
+
+
 @pytest.mark.parametrize(
-    "zeta, message, lambda_x",
+    "zeta, lambda_x, message",
     [
         # det rho = 0.75 > 0 but alpha = -1: negative definite for all t
-        ([0.0, 0.0, 1.0, 0.0], "(alpha = -1, det rho = 0.75)", -0.5),
+        ([0.0, 0.0, 1.0, 0.0], -0.5, "zeta_constants give a metric that is not positive definite: tr = -2, det = 0.75"),
         # det rho = -1: indefinite for all t
-        ([0.0, 0.0, 0.0, 1.0], "(alpha = 0, det rho = -1)", -0.5),
-        # alpha^2 and |beta|^2 overflow: det rho = inf - inf
-        ([0.0, -1e200, -1e200, 0.0], "(alpha = 1e+200, det rho = nan)", -0.5),
-        # alpha^2 overflows: det rho = inf
-        ([0.0, 0.0, -1e155, 0.0], "(alpha = 1e+155, det rho = inf)", -1e-10),
+        ([0.0, 0.0, 0.0, 1.0], -0.5, "zeta_constants give a metric that is not positive definite: tr = 0, det = -1"),
+        # positive definite, but alpha^2 and |beta|^2 overflow: det rho reads inf - inf
+        ([0.0, -1e200, -1e200, 0.0], -0.5, f"{OVERFLOW} (alpha = 1e+200)"),
+        # positive definite, but alpha^2 overflows: det rho reads inf
+        ([0.0, 0.0, -1e155, 0.0], -1e-10, f"{OVERFLOW} (alpha = 1e+155)"),
+        # positive definite with det rho = 2e306, but alpha^2 overflows, so det rho as the checks form it does too
+        ([0.0, 0.0, -1e155, 0.0], -0.9999, f"{OVERFLOW} (alpha = 1e+155)"),
     ],
+    ids=["negative-definite", "indefinite", "both-overflow", "alpha2-overflows", "finite-det"],
 )
-def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, message, lambda_x, tmp_path, capsys):
+def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, lambda_x, message, tmp_path, capsys):
     # kappa = -e_z, lambda = lambda_x e_x: det rho = (1 - lambda_x^2) c3^2 - c4^2 - lambda_x^2 (c1^2 + c2^2);
-    # a det that overflows to inf or NaN is refused too, not integrated
+    # a det that overflows is refused too, not integrated, and no refusal warns
+    check_su2_refusal(tmp_path, capsys, message, lambda_vec=[lambda_x, 0.0, 0.0], zeta_constants=zeta)
+
+
+def test_su2_generic_refuses_an_overflowing_kappa(tmp_path, capsys):
+    message = "|kappa|^2 and |lambda|^2 must be finite, got |k|^2 = inf, |l|^2 = 0"
+    check_su2_refusal(tmp_path, capsys, message, kappa_vec=[0.0, 0.0, 1e200], lambda_vec=[0.0, 0.0, 0.0])
+
+
+def check_su2_refusal(tmp_path, capsys, message, **fields):
+    """Every verb refuses the su2-generic config with ``fields`` with exit 2 and the one stderr line ``message``."""
     out = tmp_path / "out"
     cfg = {
         "scenario": "su2-generic",
@@ -321,22 +343,16 @@ def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, mess
         "t_end": 0.5,
         "dt": 1e-2,
         "kappa_vec": [0.0, 0.0, -1.0],
-        "lambda_vec": [lambda_x, 0.0, 0.0],
-        "zeta_constants": zeta,
         "outputs": ["metric"],
         "out_path": str(out),
+        **fields,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     for argv in (["run"], ["verify"], ["sweep", "--param", "dt", "--values", "0.01,0.005"]):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, argv
-        assert capsys.readouterr().err == (
-            "config error: su2-generic: zeta_constants give a metric that is not "
-            f"positive definite {message}\n"
-        )
+        assert cli.main([argv[0], str(cfg_path), *argv[1:]]) == 2, argv
+        assert capsys.readouterr().err == f"config error: su2-generic: {message}\n"
         assert not out.exists(), argv
-
 
 
 @pytest.mark.parametrize("scenario", ["yang-lee-closed", "yang-lee-numeric"])
@@ -695,6 +711,9 @@ def test_su2_sweep_refuses_what_run_refuses(tmp_path):
     # su2-generic reads neither gamma nor omega, so sweeping them is refused
     for param in ("gamma", "omega"):
         assert cli.main(["sweep", str(cfg_path), "--param", param, "--values", "0.3,0.5"]) == 2
+    # the parser offers only SWEEP_PARAMS; sweep itself refuses any other field
+    with pytest.raises(cli.ConfigInvalid, match="sweep parameter must be one of"):
+        cli.sweep(cli.load_config(cfg_path), "kappa0", [0.0], write_files=False)
     assert cli.main(["sweep", str(cfg_path), "--param", "dt", "--values", "0.01,0.005"]) == 0
     cfg_path.write_text(json.dumps({**cfg, "zeta_constants": [0.0, 0.0, 0.0, 0.0]}), encoding="utf-8")
     assert cli.main(["verify", str(cfg_path)]) == 2

@@ -70,6 +70,10 @@ def test_dyson_rejects_invalid_sample():
     with pytest.raises(NotPositiveDefinite) as err:
         dyson_from_metric(series)
     assert err.value.t == 2.0
+    with pytest.raises(TypeError, match="expected a TimeSeries or MetricFlow"):
+        dyson_from_metric(bad)
+    with pytest.raises(ValueError, match="expected \\(n, 2, 2\\) metric samples"):
+        dyson_from_metric(TimeSeries(t0=1.0, dt=0.5, samples=bad[:, 0]))
 
 
 def test_indexing_a_sample_over_many_times_gives_the_sample_at_one():
@@ -291,9 +295,9 @@ def test_invert_dyson_map_names_the_first_singular_matrix():
 
 @pytest.mark.parametrize("kind", ["series", "sample", "flow"])
 def test_counterpart_and_physical_hamiltonian_share_one_decomposition(kind, monkeypatch):
-    # both read the sample's real Pauli forms: decomposed once from the
-    # matrices of a sample built from them, and never for a MetricFlow's
-    # sample, which keeps the forms its kernel made
+    # both read the sample's real Pauli forms: split once from the matrices
+    # of a sample built from them, and never for a sample of dyson_from_metric,
+    # which keeps the forms its kernels made
     p = YangLeeParams(gamma=0.63, omega=0.9)
     ts = p.t0 + 1e-3 * np.arange(50)
     stacked = eta_closed(ts, p)
@@ -317,5 +321,5 @@ def test_counterpart_and_physical_hamiltonian_share_one_decomposition(kind, monk
     sample = make()
     h = hermitian_counterpart(h1, sample)
     h_tilde = physical_hamiltonian(h1, sample)
-    assert len(calls) == (0 if kind == "flow" else 2)
+    assert len(calls) == (2 if kind == "sample" else 0)
     assert np.array_equal(h, expected[0]) and np.array_equal(h_tilde, expected[1])

@@ -85,6 +85,12 @@ def test_static_metric_rejects_unsupported():
         zeta_metric(0.0, SU2Hamiltonian(0.0, 0.0, (0, 0, -1), (0.1, 0, -0.4)), static)
     with pytest.raises(UnsupportedHamiltonian):
         zeta_metric(0.0, SU2Hamiltonian(0.0, 0.0, (0, 0, 0), (0.1, 0, 0)), static)
+    # kappa_vec and lambda_vec must be finite real 3-vectors
+    for kappa, message in (((0, -1), "must be a real 3-vector"), ((0, 0, math.nan), "must be finite")):
+        with pytest.raises(ValueError, match=f"kappa_vec {message}"):
+            SU2Hamiltonian(0.0, 0.0, kappa, (0, 0, 0))
+        with pytest.raises(ValueError, match=f"lambda_vec {message}"):
+            SU2Hamiltonian(0.0, 0.0, (0, 0, -1), kappa)
 
 
 # ----------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_a_flow_sample_and_its_matrices_give_the_same_relations():
     matrices = DysonSample(kept.t, kept.eta, kept.eta_dot)
     eta, eta_dot = dyson_forms(h1_su2(p), *require_hpd(flow.series.samples))
     assert np.array_equal(kept.forms[0], eta) and np.array_equal(kept.forms[1], eta_dot)
-    assert "forms" in vars(kept[3:7]) and np.array_equal(kept[3:7].forms[0], eta[:, 3:7])
+    assert np.array_equal(kept[3:7].forms[0], eta[:, 3:7])
     hm = h1_su2(p).matrix()
     for kernel in (hermitian_counterpart, physical_hamiltonian):
         assert np.max(fro(kernel(hm, kept) - kernel(hm, matrices))) < 1e-14

@@ -31,7 +31,7 @@ from dysonflow import (
     rho_inner,
 )
 from dysonflow.errors import NotHermitian, NotPositiveDefinite
-from dysonflow.su2 import pauli_form, require_pd_form
+from dysonflow.su2 import complex2x2, complex2x2_stack, pauli_form, require_pd_form
 
 
 def test_decompose_basis_elements():
@@ -211,6 +211,13 @@ def test_hermitian_sqrt_stack_names_first_invalid_index():
     assert err.value.index is None
     with pytest.raises(ValueError):
         hermitian_sqrt(np.ones((3, 2)))
+    # one matrix must be 2x2, a stack (..., 2, 2), and every entry finite
+    with pytest.raises(ValueError, match="expected a 2x2 matrix, got shape"):
+        complex2x2(stack)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        complex2x2(np.diag([1.0, math.inf]))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        complex2x2_stack(np.stack([IDENTITY, np.diag([1.0, math.nan])]))
 
 
 def test_frobenius_norm_of_a_stack_equals_norm_of_each_matrix():

@@ -46,6 +46,8 @@ def test_params_invariants():
         YangLeeParams(gamma=0.0)
     with pytest.raises(ValueError):
         YangLeeParams(gamma=-0.2)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        YangLeeParams(gamma=0.5, omega=math.inf)
     # below 2^-27, phi = sqrt(1 - gamma^2) rounds to 1 and the closed forms divide by 1 - phi
     for gamma in (1e-9, 2.0**-27):
         with pytest.raises(ValueError, match="2\\^-27"):
@@ -89,6 +91,8 @@ def test_psi_pm_solves_static_equation():
         for sign, energy in ((+1, e_plus), (-1, e_minus)):
             psi = psi_pm(t, sign, YL)
             assert np.linalg.norm(H1 @ psi - energy * psi) < 1e-12
+    with pytest.raises(ValueError, match="sign must be \\+1 or -1, got 0"):
+        psi_pm(0.0, 0, YL)
 
 
 def test_psi_metric_inner_products():
