@@ -27,10 +27,11 @@ import numpy as np
 from .errors import NotHermitian, NotPositiveDefinite, SingularDysonMap
 from .metric import MetricFlow, SU2Hamiltonian, metric_rhs_form
 from .series import TimeSeries
+# hermitian_sqrt is unused: perfbench's tracer test asserts this binding (ROADMAP item 13)
 from .su2 import (
-    _cross3, _dot, _entrywise, _first_invalid, complex2x2_stack, dagger, det, frobenius_norm,
-    mul, pauli_compose, pauli_decompose, pauli_form, pauli_norm, pauli_product, pauli_sqrt,
-    pauli_sqrt_derivative, require_hpd,
+    _cross3, _dot, _entrywise, _first_invalid, _require_hermitian, complex2x2_stack, dagger, det,
+    frobenius_norm, hermitian_sqrt, mul, pauli_compose, pauli_decompose, pauli_form, pauli_norm,
+    pauli_product, pauli_sqrt, pauli_sqrt_derivative, require_hpd,
 )
 
 # Refuse inversion of maps this close to singular.
@@ -47,15 +48,15 @@ class DysonSample:
     them. A sample holds the real Pauli forms ``forms`` of eta and eta_dot
     (su2.pauli_form), which the Dyson relations below read, and composes
     the matrices ``eta`` and ``eta_dot`` on first use. Given matrices are
-    split once: a Dyson map and its derivative are Hermitian, so their
-    forms keep the Hermitian parts only.
+    split once, and must be Hermitian as a Dyson map and its derivative
+    are (su2._require_hermitian): a form holds a Hermitian part only.
     """
 
     def __init__(self, t, eta=None, eta_dot=None, forms=None):
         if forms is None:
             if eta is None or eta_dot is None:
                 raise TypeError("a DysonSample takes eta and eta_dot, or their forms")
-            forms = pauli_form(eta), pauli_form(eta_dot)
+            forms = pauli_form(_require_hermitian(eta)), pauli_form(_require_hermitian(eta_dot))
         self.t, self.forms = t, tuple(forms)
 
     def __getitem__(self, i) -> "DysonSample":

@@ -299,15 +299,8 @@ def _first_invalid(bad: np.ndarray):
     return i, f"matrix {i} of the stack: "
 
 
-def require_hpd(m):
-    """Check that m is Hermitian positive definite; return its real Pauli form and sqrt(det).
-
-    Accepts one (2, 2) matrix or a (..., 2, 2) stack. The first matrix that
-    is not Hermitian within HERMITICITY_TOL (Frobenius, on the matrix,
-    before pauli_form drops the anti-Hermitian part) raises NotHermitian;
-    the form of the Hermitian parts then goes through require_pd_form,
-    which raises NotPositiveDefinite and returns the form and sqrt(det).
-    """
+def _require_hermitian(m) -> np.ndarray:
+    """complex2x2_stack(m); its first matrix not Hermitian within HERMITICITY_TOL raises NotHermitian."""
     m = complex2x2_stack(m)
     residual = hermiticity_residual(m)
     bad = residual > HERMITICITY_TOL
@@ -317,7 +310,18 @@ def require_hpd(m):
             f"{where}hermiticity residual {residual[bad][0]:.3e} exceeds {HERMITICITY_TOL:.1e}",
             index=i,
         )
-    return require_pd_form(pauli_form(m))
+    return m
+
+
+def require_hpd(m):
+    """Check that m is Hermitian positive definite; return its real Pauli form and sqrt(det).
+
+    Accepts one (2, 2) matrix or a (..., 2, 2) stack. _require_hermitian
+    checks the matrix (NotHermitian) before pauli_form drops its
+    anti-Hermitian part; require_pd_form checks the form
+    (NotPositiveDefinite) and returns it with sqrt(det).
+    """
+    return require_pd_form(pauli_form(_require_hermitian(m)))
 
 
 def require_pd_form(rho):

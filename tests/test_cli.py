@@ -308,34 +308,44 @@ OVERFLOW = "zeta_constants give a metric whose alpha^2 - |beta|^2 overflows"
 
 
 @pytest.mark.parametrize(
-    "zeta, lambda_x, message",
+    "fields, message",
     [
+        # kappa = -e_z, lambda = lambda_x e_x: det rho = (1 - lambda_x^2) c3^2 - c4^2 - lambda_x^2 (c1^2 + c2^2)
         # det rho = 0.75 > 0 but alpha = -1: negative definite for all t
-        ([0.0, 0.0, 1.0, 0.0], -0.5, "zeta_constants give a metric that is not positive definite: tr = -2, det = 0.75"),
+        (
+            {"lambda_vec": [-0.5, 0.0, 0.0], "zeta_constants": [0.0, 0.0, 1.0, 0.0]},
+            "zeta_constants give a metric that is not positive definite: tr = -2, det = 0.75",
+        ),
         # det rho = -1: indefinite for all t
-        ([0.0, 0.0, 0.0, 1.0], -0.5, "zeta_constants give a metric that is not positive definite: tr = 0, det = -1"),
+        (
+            {"lambda_vec": [-0.5, 0.0, 0.0], "zeta_constants": [0.0, 0.0, 0.0, 1.0]},
+            "zeta_constants give a metric that is not positive definite: tr = 0, det = -1",
+        ),
         # positive definite, but alpha^2 and |beta|^2 overflow: det rho reads inf - inf
-        ([0.0, -1e200, -1e200, 0.0], -0.5, f"{OVERFLOW} (alpha = 1e+200)"),
+        (
+            {"lambda_vec": [-0.5, 0.0, 0.0], "zeta_constants": [0.0, -1e200, -1e200, 0.0]},
+            f"{OVERFLOW} (alpha = 1e+200)",
+        ),
         # positive definite, but alpha^2 overflows: det rho reads inf
-        ([0.0, 0.0, -1e155, 0.0], -1e-10, f"{OVERFLOW} (alpha = 1e+155)"),
+        (
+            {"lambda_vec": [-1e-10, 0.0, 0.0], "zeta_constants": [0.0, 0.0, -1e155, 0.0]},
+            f"{OVERFLOW} (alpha = 1e+155)",
+        ),
         # positive definite with det rho = 2e306, but alpha^2 overflows, so det rho as the checks form it does too
-        ([0.0, 0.0, -1e155, 0.0], -0.9999, f"{OVERFLOW} (alpha = 1e+155)"),
+        (
+            {"lambda_vec": [-0.9999, 0.0, 0.0], "zeta_constants": [0.0, 0.0, -1e155, 0.0]},
+            f"{OVERFLOW} (alpha = 1e+155)",
+        ),
+        # |kappa|^2 overflows before any metric is formed
+        (
+            {"kappa_vec": [0.0, 0.0, 1e200], "lambda_vec": [0.0, 0.0, 0.0]},
+            "|kappa|^2 and |lambda|^2 must be finite, got |k|^2 = inf, |l|^2 = 0",
+        ),
     ],
-    ids=["negative-definite", "indefinite", "both-overflow", "alpha2-overflows", "finite-det"],
+    ids=["negative-definite", "indefinite", "both-overflow", "alpha2-overflows", "finite-det", "overflowing-kappa"],
 )
-def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(zeta, lambda_x, message, tmp_path, capsys):
-    # kappa = -e_z, lambda = lambda_x e_x: det rho = (1 - lambda_x^2) c3^2 - c4^2 - lambda_x^2 (c1^2 + c2^2);
+def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(fields, message, tmp_path, capsys):
     # a det that overflows is refused too, not integrated, and no refusal warns
-    check_su2_refusal(tmp_path, capsys, message, lambda_vec=[lambda_x, 0.0, 0.0], zeta_constants=zeta)
-
-
-def test_su2_generic_refuses_an_overflowing_kappa(tmp_path, capsys):
-    message = "|kappa|^2 and |lambda|^2 must be finite, got |k|^2 = inf, |l|^2 = 0"
-    check_su2_refusal(tmp_path, capsys, message, kappa_vec=[0.0, 0.0, 1e200], lambda_vec=[0.0, 0.0, 0.0])
-
-
-def check_su2_refusal(tmp_path, capsys, message, **fields):
-    """Every verb refuses the su2-generic config with ``fields`` with exit 2 and the one stderr line ``message``."""
     out = tmp_path / "out"
     cfg = {
         "scenario": "su2-generic",

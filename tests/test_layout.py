@@ -68,6 +68,11 @@ def random_stack(seed, k=2):
     return rng.standard_normal((len(T), 2, k)) + 1j * rng.standard_normal((len(T), 2, k))
 
 
+def hermitian_random_stack(seed):
+    m = random_stack(seed)
+    return m + np.conj(np.swapaxes(m, -2, -1))
+
+
 def numeric_metric():
     return integrate_metric(h1_su2(P), rho_closed(GRID.t_start, P), GRID)
 
@@ -160,8 +165,8 @@ KERNELS = {
     "frobenius_norm": (frobenius_norm, lambda: (random_stack(5),)),
     "hermiticity_residual": (hermiticity_residual, lambda: (random_stack(5),)),
     "quasi_hermiticity_residual": (quasi_hermiticity_residual, lambda: (random_stack(5), RHO)),
-    "hermitian_counterpart": (hermitian_counterparts, lambda: (h1_matrix(P), ETA, random_stack(5))),
-    "physical_hamiltonian": (physical_hamiltonians, lambda: (h1_matrix(P), ETA, random_stack(5))),
+    "hermitian_counterpart": (hermitian_counterparts, lambda: (h1_matrix(P), ETA, hermitian_random_stack(5))),
+    "physical_hamiltonian": (physical_hamiltonians, lambda: (h1_matrix(P), ETA, hermitian_random_stack(5))),
     "pauli_form": (pauli_form, lambda: (random_stack(5),)),
     "dyson_forms": (lambda rho: np.stack(dyson_forms(h1_su2(P), *require_hpd(rho))), lambda: (RHO,)),
     "rk4_linear": (rk4_of, lambda: (stage_stack(), np.eye(2, dtype=complex))),

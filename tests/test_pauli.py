@@ -33,6 +33,7 @@ from dysonflow import (
     physical_hamiltonian,
     rho_closed,
 )
+from dysonflow.errors import NotHermitian
 from dysonflow.dyson import dyson_forms, dyson_relation_forms, quasi_hermiticity_form
 from dysonflow.metric import metric_rhs_form
 from dysonflow.su2 import IDENTITY, PAULIS, _entrywise, pauli_det, pauli_form, pauli_norm, pauli_product, require_hpd
@@ -166,5 +167,8 @@ def test_a_flow_sample_and_its_matrices_give_the_same_relations():
 def test_a_sample_needs_both_matrices_or_their_forms():
     with pytest.raises(TypeError, match="eta and eta_dot, or their forms"):
         DysonSample(0.0, eta=IDENTITY)
+    # a form keeps only a matrix's Hermitian part, so a matrix with more is refused, not projected
+    with pytest.raises(NotHermitian, match="hermiticity residual 1.414e.00 exceeds"):
+        DysonSample(0.0, eta=IDENTITY, eta_dot=np.array([[0.0, 1.0], [0.0, 0.0]]))
     sample = DysonSample(0.0, forms=(pauli_form(IDENTITY), np.zeros(4)))
     assert np.array_equal(sample.eta, IDENTITY) and not np.any(sample.eta_dot)
