@@ -17,18 +17,53 @@ exceptions must pickle). A worker that dies or exits nonzero raises
 RuntimeError. On Python >= 3.12, forking while other threads are alive
 emits a DeprecationWarning; that is safe here because workers only format,
 write and pickle, and never take a lock another thread could hold.
+
+``_keep_freed_memory()`` sets this process's allocator policy once, on
+glibc; forked workers inherit it.
 """
 
+import ctypes
+import functools
 import os
 import pickle
 import signal
 import sys
+
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_memory sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 128 << 20, 32 << 20
 
 
 def _usable_cpus() -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Keep freed heap memory mapped for the rest of the process; True when glibc's mallopt took both settings.
+
+    By default glibc gives each allocation above a dynamic threshold (128
+    KiB at start, raised to the largest block freed) its own mmap, unmapped
+    when freed, and hands the heap's free top back to the kernel once it
+    exceeds a second dynamic threshold. Either way a chunk's large
+    temporaries (RK4 stage stacks, scan levels, metric and propagator
+    stacks, at most a few MB each) leave the process when freed, and the
+    next chunk or run faults them in again page by page. M_MMAP_THRESHOLD
+    = 32 MiB puts every such array on the heap, and M_TRIM_THRESHOLD = 128
+    MiB, above a run's working set, keeps the heap's free top mapped;
+    neither alone removes the faults. The policy holds for the whole
+    process, library callers included, and forked workers inherit it; it
+    changes no arithmetic. Where CDLL(None) or its mallopt is missing (no
+    glibc), it sets nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES), mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)])
 
 
 def _deal(count, n):

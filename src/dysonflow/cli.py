@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._parallel import _fork_map
+from ._parallel import _fork_map, _keep_freed_memory
 from .dyson import (
     DysonSample,
     dyson_forms,
@@ -222,8 +222,9 @@ def _su2_model(cfg: ScenarioConfig):
     The closed-form metric its checks read exists by the rule of
     metric._require_flow_solvable. det rho is conserved along the zeta
     family, so su2.require_pd_form at t = 0 decides its positivity at every
-    t; det rho = alpha^2 - |beta|^2, which the checks read, must not
-    overflow either. zeta_constants default to (0, 0, -1, 0).
+    t; its coefficients at t = 0 must be finite, and det rho = alpha^2 -
+    |beta|^2, which the checks read, must not overflow either.
+    zeta_constants default to (0, 0, -1, 0).
     """
     h = SU2Hamiltonian(kappa0=cfg.kappa0, lambda0=cfg.lambda0, kappa_vec=cfg.kappa_vec, lambda_vec=cfg.lambda_vec)
     zeta = ZetaConstants(*(cfg.zeta_constants or (0.0, 0.0, -1.0, 0.0)))
@@ -232,6 +233,8 @@ def _su2_model(cfg: ScenarioConfig):
         alpha = float(require_pd_form(zeta_metric(0.0, h, zeta).form())[0][0])
     except UnsupportedHamiltonian as exc:
         raise ConfigInvalid(f"su2-generic: {exc}") from exc
+    except ValueError as exc:  # MetricState refuses coefficients that overflowed
+        raise ConfigInvalid(f"su2-generic: zeta_constants give a metric that overflows at t = 0: {exc}") from exc
     except NotPositiveDefinite as exc:
         raise ConfigInvalid(f"su2-generic: zeta_constants give a metric that is {exc}") from exc
     if not math.isfinite(alpha * alpha):  # Python floats: an overflow is inf, with no numpy warning
@@ -552,8 +555,10 @@ def _run_chunks(cfg: ScenarioConfig, grid: IntegrationGrid, tables=(), write=lis
     yields, as each chunk is done, the (name, header, columns) list of its
     tables named in ``tables``, as _format._write_tables takes it; none is named
     for ``verify``, whose ``list`` keeps one empty list per chunk. No array
-    outlives its chunk: each goes before the next chunk is formed.
+    outlives its chunk: each goes before the next chunk is formed, and
+    its memory stays mapped for the next (_parallel._keep_freed_memory).
     """
+    _keep_freed_memory()
     scenario = _SCENARIOS[cfg.scenario]
     chunks, step = scenario.pipeline(scenario.model(cfg)[2], grid)
     checks = []

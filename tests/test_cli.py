@@ -341,8 +341,16 @@ OVERFLOW = "zeta_constants give a metric whose alpha^2 - |beta|^2 overflows"
             {"kappa_vec": [0.0, 0.0, 1e200], "lambda_vec": [0.0, 0.0, 0.0]},
             "|kappa|^2 and |lambda|^2 must be finite, got |k|^2 = inf, |l|^2 = 0",
         ),
+        # |kappa|^2 = 1e10 is finite, but alpha = -c3 |kappa|^2 overflows at t = 0
+        (
+            {"kappa_vec": [0.0, 0.0, -1e5], "lambda_vec": [-0.5, 0.0, 0.0], "zeta_constants": [0.0, 0.0, -1e300, 0.0]},
+            "zeta_constants give a metric that overflows at t = 0: metric coefficients must be finite",
+        ),
     ],
-    ids=["negative-definite", "indefinite", "both-overflow", "alpha2-overflows", "finite-det", "overflowing-kappa"],
+    ids=[
+        "negative-definite", "indefinite", "both-overflow", "alpha2-overflows", "finite-det", "overflowing-kappa",
+        "overflowing-metric",
+    ],
 )
 def test_su2_generic_refuses_zeta_constants_without_a_positive_metric(fields, message, tmp_path, capsys):
     # a det that overflows is refused too, not integrated, and no refusal warns
